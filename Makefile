@@ -27,10 +27,14 @@ SERVE_JSON ?= artifacts/serving_10k.json
 COVER_MIN ?= 76
 COVER_PROFILE ?= coverage.out
 
-# FUZZTIME bounds the `make fuzz` run of the scenario-parser fuzz target.
+# FUZZTIME bounds each fuzz target of `make fuzz`.
 FUZZTIME ?= 30s
 
-.PHONY: all build test race vet fmt-check cover fuzz bench serve-bench clean
+# PROFILE_DIR is where `make profile` leaves the pprof files and their
+# `go tool pprof -top` heads.
+PROFILE_DIR ?= artifacts/profile
+
+.PHONY: all build test race vet fmt-check cover fuzz bench serve-bench profile benchmark-selftest clean
 
 all: vet fmt-check build test
 
@@ -56,11 +60,13 @@ cover:
 	$(GO) test -coverprofile=$(COVER_PROFILE) ./...
 	$(GO) run ./tools/covergate -profile $(COVER_PROFILE) -min $(COVER_MIN)
 
-# fuzz runs the native Go fuzz target for the scenario parser: arbitrary
-# bytes must never panic, and accepted documents must validate and
-# re-parse identically.
+# fuzz runs the native Go fuzz targets, FUZZTIME each: the scenario parser
+# (arbitrary bytes must never panic, and accepted documents must validate
+# and re-parse identically) and the pruning bound of the ranking kernel
+# (for arbitrary pi, ci, ω, ε the pow-free bound is never below Score).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/scenario
+	$(GO) test -run '^$$' -fuzz FuzzScoreBound -fuzztime $(FUZZTIME) ./internal/core
 
 # fmt-check fails if any file needs gofmt — the godoc/format gate CI runs.
 fmt-check:
@@ -81,5 +87,33 @@ serve-bench:
 	$(GO) run ./cmd/sqlb-serve -providers 10000 -consumers 200 -classes 20 -selectivity 0.05 \
 		-qps 300 -batch 32 -warmup 2s -measure 8s -json $(SERVE_JSON)
 
+# profile records where the two paper-scale front doors (Table 2 population,
+# |Pq| = 400) spend their CPU, and prints the head of each profile; an
+# optimisation starts from these files and EXPERIMENTS.md quotes the
+# .top.txt heads. sim_paper is the simulator at 80 % load, the regime the
+# paper studies. serve_paper is sqlb-serve, batches of 32 from one worker at
+# 8000 qps on the wall clock — about 54 times what 400 providers can
+# perform, so every provider intention is deeply negative; it also records
+# the allocation profile.
+PPROF_TOP = $(GO) tool pprof -top -nodecount 20
+profile:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) build -o $(PROFILE_DIR)/sqlb-sim ./cmd/sqlb-sim
+	$(GO) build -o $(PROFILE_DIR)/sqlb-serve ./cmd/sqlb-serve
+	$(PROFILE_DIR)/sqlb-sim -scale 1 -duration 600 -workload 0.8 -seed 1 -cpuprofile $(PROFILE_DIR)/sim_paper.cpu.pprof
+	$(PROFILE_DIR)/sqlb-serve -scale 1 -qps 8000 -batch 32 -workers 1 -queue 4096 -warmup 1s -measure 5s \
+		-cpuprofile $(PROFILE_DIR)/serve_paper.cpu.pprof -memprofile $(PROFILE_DIR)/serve_paper.mem.pprof
+	$(PPROF_TOP) $(PROFILE_DIR)/sqlb-sim $(PROFILE_DIR)/sim_paper.cpu.pprof | tee $(PROFILE_DIR)/sim_paper.cpu.top.txt
+	$(PPROF_TOP) $(PROFILE_DIR)/sqlb-serve $(PROFILE_DIR)/serve_paper.cpu.pprof | tee $(PROFILE_DIR)/serve_paper.cpu.top.txt
+	$(PPROF_TOP) -sample_index=alloc_space $(PROFILE_DIR)/sqlb-serve $(PROFILE_DIR)/serve_paper.mem.pprof | tee $(PROFILE_DIR)/serve_paper.mem.top.txt
+
+# benchmark-selftest vets and tests the repository benchmark (its own
+# module under benchmark/, outside ./...) at smoke scale: metric names match
+# BENCHMARK.json, runs are deterministic, --compare judges as documented.
+benchmark-selftest:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+
 clean:
 	rm -f BENCH_results.json $(COVER_PROFILE)
+	rm -rf $(PROFILE_DIR)

@@ -24,6 +24,7 @@
 //	           [-classes k] [-selectivity s] [-class-skew z]
 //	           [-seed n] [-json file]
 //	           [-timeline file] [-snapshot-interval d] [-top]
+//	           [-cpuprofile file] [-memprofile file]
 package main
 
 import (
@@ -37,6 +38,7 @@ import (
 
 	"sqlb/internal/allocator"
 	"sqlb/internal/model"
+	"sqlb/internal/profiling"
 	"sqlb/internal/serving"
 	"sqlb/internal/timeline"
 )
@@ -62,6 +64,8 @@ func main() {
 		tlPath    = flag.String("timeline", "", "stream interval timeline snapshots to this CSV file (watch with sqlb-top)")
 		tlEvery   = flag.Duration("snapshot-interval", time.Second, "timeline snapshot cadence")
 		top       = flag.Bool("top", false, "render the live sqlb-top dashboard while the run executes")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run (population build excluded) to this file")
+		memProf   = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
 	)
 	flag.Parse()
 
@@ -134,7 +138,14 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "sqlb-serve: driving %.0f qps for %v (after %v warmup)...\n",
 		*qps, *measure, *warmup)
+	stopProfile, err := profiling.Start(*cpuProf, *memProf)
+	if err != nil {
+		fatal("%v", err)
+	}
 	rep, err := d.Run(ctx)
+	if perr := stopProfile(); perr != nil {
+		fatal("%v", perr)
+	}
 	if col != nil {
 		if *top {
 			fmt.Print(timeline.ShowCursor + "\n")

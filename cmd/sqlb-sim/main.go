@@ -45,6 +45,7 @@
 //	         [-classes k] [-selectivity s] [-class-skew z]
 //	         [-autonomy off|dissat-starve|full]
 //	         [-timeline file] [-csv file] [-top]
+//	         [-cpuprofile file] [-memprofile file]
 package main
 
 import (
@@ -58,6 +59,7 @@ import (
 
 	"sqlb/internal/allocator"
 	"sqlb/internal/model"
+	"sqlb/internal/profiling"
 	"sqlb/internal/scenario"
 	"sqlb/internal/sim"
 	"sqlb/internal/timeline"
@@ -83,6 +85,8 @@ func main() {
 		select_  = flag.Float64("selectivity", 0, "fraction of classes each provider advertises (0 or 1 = all, the paper's setup)")
 		skew     = flag.Float64("class-skew", 0, "Zipf exponent of query-class popularity (0 = uniform)")
 		scenFlag = flag.String("scenario", "", "time-varying load/churn scenario: a preset ("+strings.Join(scenario.Names(), ", ")+") or a scenario file")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of all repetitions to this file")
+		memProf  = flag.String("memprofile", "", "write a heap profile taken after the last repetition to this file")
 	)
 	flag.Parse()
 
@@ -165,6 +169,10 @@ func main() {
 	// Fan the repetitions out over the worker budget. Each repetition gets
 	// its own strategy instance and seed, so results[r] is the same whether
 	// the runs happen serially or concurrently.
+	stopProfile, err := profiling.Start(*cpuProf, *memProf)
+	if err != nil {
+		fatal("%v", err)
+	}
 	results := make([]*sim.Result, *repeats)
 	errs := make([]error, *repeats)
 	sem := make(chan struct{}, *workers)
@@ -219,6 +227,9 @@ func main() {
 		}()
 	}
 	wg.Wait()
+	if err := stopProfile(); err != nil {
+		fatal("%v", err)
+	}
 	if *top {
 		fmt.Print(timeline.ShowCursor)
 	}

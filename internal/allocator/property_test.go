@@ -69,21 +69,31 @@ func sqlbOmegas(req *Request, fixed *float64) []float64 {
 	return om
 }
 
-// oracleSQLB re-implements SQLB.Allocate with a full stable sort over
-// Definition 9 scores.
-func oracleSQLB(req *Request, fixed *float64) []int {
-	om := sqlbOmegas(req, fixed)
+// oracleScoreOrder is the literal ranking R⃗_q: every provider scored by
+// Definition 9, all of them sorted by descending score, NaN below every
+// number, lower index first among equals.
+func oracleScoreOrder(req *Request, om []float64) []int {
 	scores := make([]float64, len(req.Pq))
 	for i := range scores {
 		scores[i] = core.Score(req.PI[i], req.CI[i], om[i], core.DefaultEpsilon)
 	}
-	order := oracleOrder(len(req.Pq), func(a, b int) bool {
-		if scores[a] != scores[b] {
+	return oracleOrder(len(req.Pq), func(a, b int) bool {
+		switch na, nb := math.IsNaN(scores[a]), math.IsNaN(scores[b]); {
+		case na || nb:
+			if na != nb {
+				return nb
+			}
+		case scores[a] != scores[b]:
 			return scores[a] > scores[b]
 		}
 		return a < b
 	})
-	return order[:req.N()]
+}
+
+// oracleSQLB re-implements SQLB.Allocate with a full stable sort over
+// Definition 9 scores.
+func oracleSQLB(req *Request, fixed *float64) []int {
+	return oracleScoreOrder(req, sqlbOmegas(req, fixed))[:req.N()]
 }
 
 // oracleCapacity re-implements CapacityBased.Allocate with a full sort.
@@ -142,24 +152,23 @@ func oracleEconomic(req *Request) []int {
 // oracleKnBest re-implements KnBest.Allocate: full score sort, keep k·n,
 // full load sort, keep n.
 func oracleKnBest(req *Request, factor int) []int {
-	om := sqlbOmegas(req, nil)
-	full := core.Rank(req.PI, req.CI, om, 0)
+	full := oracleScoreOrder(req, sqlbOmegas(req, nil))
 	kn := req.N() * factor
 	if kn > len(full) {
 		kn = len(full)
 	}
 	short := full[:kn]
 	order := oracleOrder(len(short), func(a, b int) bool {
-		ua := req.Pq[short[a].Index].OperationalLoad(req.Now)
-		ub := req.Pq[short[b].Index].OperationalLoad(req.Now)
+		ua := req.Pq[short[a]].OperationalLoad(req.Now)
+		ub := req.Pq[short[b]].OperationalLoad(req.Now)
 		if ua != ub {
 			return ua < ub
 		}
-		return short[a].Index < short[b].Index
+		return short[a] < short[b]
 	})
 	out := make([]int, 0, req.N())
 	for i := 0; i < req.N() && i < len(order); i++ {
-		out = append(out, short[order[i]].Index)
+		out = append(out, short[order[i]])
 	}
 	return out
 }
@@ -195,6 +204,35 @@ func TestAllocatorsAgreeWithFullSortOracle(t *testing.T) {
 				NewSQLBEconomic().Allocate(req), oracleEconomic(req))
 			checkAgainstOracle(t, "KnBest",
 				NewKnBest().Allocate(req), oracleKnBest(req, 3))
+		}
+	}
+}
+
+// TestScoreStrategiesUnderHostileIntentions: NaN, ±Inf and out-of-range
+// intentions (pi > 1 puts a negative base under Definition 9's fractional
+// power, which is NaN) must leave SQLB and KnBest on the literal ranking —
+// NaN scores last, then lower index — at Pq widths where the pruned scan is
+// active and at every place in Pq the hostile entries can take.
+func TestScoreStrategiesUnderHostileIntentions(t *testing.T) {
+	hostile := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1.5, 2, 2.5, 7, -7, 1e300, -1e300}
+	rng := randx.New(37)
+	for trial := 0; trial < 60; trial++ {
+		providers := 2 + rng.Pick(120)
+		for _, qn := range []int{1, 2, 5, providers - 1, providers} {
+			req := randomRequest(t, rng, providers, qn)
+			for i := range req.Pq {
+				if rng.Bool(0.3) {
+					req.PI[i] = hostile[rng.Pick(len(hostile))]
+				}
+				if rng.Bool(0.3) {
+					req.CI[i] = hostile[rng.Pick(len(hostile))]
+				}
+				if rng.Bool(0.1) {
+					req.ProviderSat[i] = hostile[rng.Pick(len(hostile))]
+				}
+			}
+			checkAgainstOracle(t, "SQLB", NewSQLB().Allocate(req), oracleSQLB(req, nil))
+			checkAgainstOracle(t, "KnBest", NewKnBest().Allocate(req), oracleKnBest(req, 3))
 		}
 	}
 }

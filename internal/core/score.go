@@ -67,13 +67,75 @@ func Rank(pi, ci, omegas []float64, epsilon float64) []Ranked {
 }
 
 // RankTop returns only the n best entries of R⃗_q, best first, without
-// materializing the full sort: scores are computed for every provider but
-// the ordering work is delegated to SelectTopN's bounded heap, the win on
-// the mediation hot path where q.n ≪ |Pq|. n ≥ |Pq| degrades to the full
-// ranking (identical to Rank). Ties break on the lower index exactly as in
-// Rank, so RankTop(n, …) is always a prefix of Rank(…).
+// materializing the full sort, the win on the mediation hot path where
+// q.n ≪ |Pq|. n ≥ |Pq| degrades to the full ranking (identical to Rank).
+// Ties break on the lower index exactly as in Rank, so RankTop(n, …) is
+// always a prefix of Rank(…).
 func RankTop(n int, pi, ci, omegas []float64, epsilon float64) []Ranked {
 	return RankTopScratch(nil, n, pi, ci, omegas, epsilon)
+}
+
+// Relative and absolute slack of scoreBound. The relative part covers what
+// separates the computed Score from the real-number value the mean
+// inequalities speak about: math.Pow's rounding (under 1 ulp per call), the
+// product's, and the exponent fl(1−ω) standing in for 1−ω, which moves the
+// result by a factor of at most exp(2⁻⁵³·|ln x|) ≤ 1 + 1e-13 over the whole
+// float64 range — all orders of magnitude below 1e-9. The absolute part
+// covers subnormal results, where relative error is unbounded but absolute
+// error is a few times 5e-324.
+const (
+	boundRelSlack = 1e-9
+	boundAbsSlack = 1e-300
+)
+
+// scoreBound returns an upper bound on Score(pi, ci, omega, epsilon) that
+// costs no math.Pow, or NaN when it has none to offer. With weights ω and
+// 1−ω the geometric mean lies between the harmonic and the arithmetic one:
+//
+//	pi^ω · ci^(1−ω) ≤ ω·pi + (1−ω)·ci                     (pi, ci > 0)
+//	−(a^ω · b^(1−ω)) ≤ −1 / (ω/a + (1−ω)/b)                (a, b > 0)
+//
+// where a = 1−pi+ε and b = 1−ci+ε are the bases of Definition 9's negative
+// branch. The bound is inflated by the slack above, so it is never below
+// the Score the machine computes; outside the inequalities' domain (a
+// non-positive base, an operand that makes 0·∞, an overflow) it is NaN.
+// Callers compare with <, which is false for NaN and so falls through to
+// the exact score.
+func scoreBound(pi, ci, omega, epsilon float64) float64 {
+	omega = clamp01(omega)
+	if !(epsilon > 0) {
+		epsilon = DefaultEpsilon
+	}
+	if pi > 0 && ci > 0 {
+		return (omega*pi+(1-omega)*ci)*(1+boundRelSlack) + boundAbsSlack
+	}
+	a, b := 1-pi+epsilon, 1-ci+epsilon
+	hm := 1 / (omega/a + (1-omega)/b)
+	// Near MaxFloat64 the reciprocals are subnormal and hm can round up to
+	// +Inf while the true mean is finite: no bound then either.
+	if !(a > 0 && b > 0 && hm <= math.MaxFloat64) {
+		return math.NaN()
+	}
+	return -hm*(1-boundRelSlack) + boundAbsSlack
+}
+
+// ranksBefore is the ranking order of R⃗_q as a strict total order on
+// (score, index) pairs: higher score first, NaN below every number (a
+// hostile intention must not make the order depend on evaluation sequence),
+// lower index first among equals.
+func ranksBefore(sa, sb float64, a, b int) bool {
+	if sa > sb {
+		return true
+	}
+	if sa < sb {
+		return false
+	}
+	if sa != sb { // at least one NaN
+		if an, bn := sa != sa, sb != sb; an != bn {
+			return bn
+		}
+	}
+	return a < b
 }
 
 // RankTopScratch is RankTop with every intermediate — the score vector
@@ -82,6 +144,14 @@ func RankTop(n int, pi, ci, omegas []float64, epsilon float64) []Ranked {
 // score/rank/select pipeline allocation-free once the buffers are warm.
 // The result is valid until the next call that uses R1; a nil scratch
 // restores the allocating behaviour of RankTop exactly.
+//
+// For n < |Pq| the scan is bound-and-prune: the first n candidates seed the
+// heap with exact scores; every later one is scored only if scoreBound is
+// not strictly below the heap's worst score. A skipped candidate's Score is
+// ≤ its bound < the n-th best so far, so it could not have entered the heap
+// under any tie-break, and the selected indexes and their Score bits are
+// those of scoring everyone. F2 then holds the scores of the evaluated
+// candidates only; the other slots are stale.
 func RankTopScratch(s *Scratch, n int, pi, ci, omegas []float64, epsilon float64) []Ranked {
 	total := len(pi)
 	if len(ci) < total {
@@ -90,16 +160,40 @@ func RankTopScratch(s *Scratch, n int, pi, ci, omegas []float64, epsilon float64
 	if len(omegas) < total {
 		total = len(omegas)
 	}
-	scores := s.F2(total)
-	for i := 0; i < total; i++ {
-		scores[i] = Score(pi[i], ci[i], omegas[i], epsilon)
+	if n > total {
+		n = total
 	}
-	idx := SelectTopNScratch(s, total, n, func(a, b int) bool {
-		if scores[a] != scores[b] {
-			return scores[a] > scores[b]
+	scores := s.F2(total)
+	before := func(a, b int) bool { return ranksBefore(scores[a], scores[b], a, b) }
+	var idx []int
+	if n == total {
+		for i := 0; i < total; i++ {
+			scores[i] = Score(pi[i], ci[i], omegas[i], epsilon)
 		}
-		return a < b
-	})
+		idx = SelectTopNScratch(s, total, n, before)
+	} else if n > 0 {
+		// idx is a max-heap under before: idx[0] is the worst of the n
+		// best so far, the one a further candidate has to beat.
+		idx = s.I1(n)
+		for i := range idx {
+			idx[i] = i
+			scores[i] = Score(pi[i], ci[i], omegas[i], epsilon)
+		}
+		for i := n/2 - 1; i >= 0; i-- {
+			siftDown(idx, i, before)
+		}
+		for i := n; i < total; i++ {
+			if scoreBound(pi[i], ci[i], omegas[i], epsilon) < scores[idx[0]] {
+				continue
+			}
+			scores[i] = Score(pi[i], ci[i], omegas[i], epsilon)
+			if before(i, idx[0]) {
+				idx[0] = i
+				siftDown(idx, 0, before)
+			}
+		}
+		sortIdx(idx, before)
+	}
 	ranking := s.R1(len(idx))
 	for i, j := range idx {
 		ranking[i] = Ranked{Index: j, Score: scores[j]}

@@ -37,7 +37,8 @@ func (s *Scratch) F1(n int) []float64 {
 }
 
 // F2 returns the second float buffer resized to n. RankTopScratch uses it
-// for the score vector.
+// for the score vector; since its scan prunes, only the slots of the
+// candidates it evaluated hold their scores afterwards, the rest are stale.
 func (s *Scratch) F2(n int) []float64 {
 	if s == nil {
 		return make([]float64, n)

@@ -11,9 +11,11 @@ import (
 
 // BatchResult is the outcome of one query within a MediateBatch call.
 type BatchResult struct {
-	// Alloc is the allocation; nil when Err is set. Its Pq/CI/PI/Selected
-	// alias server-owned batch scratch and are valid until the next
-	// MediateBatch on this server.
+	// Alloc is the allocation; nil when Err is set. It points into
+	// server-owned batch scratch — the Allocation itself and its
+	// Pq/CI/PI/Selected — which the next MediateBatch on this server, from
+	// any goroutine, overwrites: a caller reads it before anyone calls
+	// again, and callers that share a server concurrently read only Err.
 	Alloc *Allocation
 	// Err is the per-query mediation error (ErrNoProviders for an empty
 	// Pq, ErrServerClosed after Close, a validation error otherwise).
@@ -25,11 +27,11 @@ type BatchResult struct {
 // class) cached vectors carry the epoch they were computed in, so
 // "recompute this batch?" is one integer compare and nothing is cleared or
 // reallocated between batches. Buffer capacities converge to the workload's
-// high-water mark, after which a batch's only heap allocations are the two
-// result slices it returns.
+// high-water mark, after which a batch's only heap allocation is the
+// BatchResult slice it returns.
 type batchScratch struct {
 	epoch uint64
-	// pq/pi/stamp are per query class (classes are dense small ints). The
+	// pq/pi/stamp hold one entry per query class of the population. The
 	// provider intentions of Definition 8 depend only on (provider, class,
 	// clock) — not on the consumer — so one PI⃗ vector serves every query
 	// of the class in the batch. The pq buffers also isolate the batch from
@@ -41,14 +43,14 @@ type batchScratch struct {
 	// ci is per (consumer, class): Definition 7 reads the consumer's
 	// preferences and the providers' reputations, neither of which a
 	// mediation commit updates. Entries persist across batches (bounded by
-	// the distinct pairs the workload produces) and revalidate by epoch.
+	// consumers × population classes) and revalidate by epoch.
 	ci map[ciKey]*ciEntry
 	// sel backs the per-query Selected copies: reset per batch, appended
-	// per query. A regrow strands the old block with the batch that
-	// references it, so earlier results stay intact.
+	// per query. A regrow strands the old block with the earlier results
+	// of the batch that reference it, so they stay intact.
 	sel []int
-	// allocs is the per-batch Allocation slab (one allocation per batch
-	// instead of one per query).
+	// allocs is the Allocation slab the results point into, reused from
+	// batch to batch.
 	allocs []Allocation
 }
 
@@ -62,19 +64,65 @@ type ciEntry struct {
 	buf   []float64
 }
 
-// class ensures the per-class vectors cover class and returns whether the
-// class's cached pq/pi are valid for the current epoch.
-func (b *batchScratch) class(class int) bool {
-	if class >= len(b.stamp) {
-		pq := make([][]*model.Provider, class+1)
-		pi := make([][]float64, class+1)
-		stamp := make([]uint64, class+1)
-		copy(pq, b.pq)
-		copy(pi, b.pi)
-		copy(stamp, b.stamp)
-		b.pq, b.pi, b.stamp = pq, pi, stamp
+// memoizes reports whether the caches hold entries for class. One the
+// population does not define — negative, or past its classes; only a
+// hostile or mis-minted query carries it — is answered on fresh vectors
+// instead, so the caches stay bounded by the population whatever the stream
+// holds.
+func (b *batchScratch) memoizes(class int) bool {
+	return class >= 0 && class < len(b.stamp)
+}
+
+// providers returns Pq and the provider intentions PI⃗ for q, memoized per
+// class for the batch.
+func (b *batchScratch) providers(match Matchmaker, pop *model.Population, now float64, q *model.Query) (pq []*model.Provider, pi []float64) {
+	k, memo := q.Class, b.memoizes(q.Class)
+	if memo {
+		if b.stamp[k] == b.epoch {
+			return b.pq[k], b.pi[k]
+		}
+		pq, pi = b.pq[k][:0], b.pi[k]
 	}
-	return b.stamp[class] == b.epoch
+	if bm, ok := match.(BufferedMatchmaker); ok {
+		pq = bm.MatchInto(pq, q, pop)
+	} else {
+		pq = append(pq, match.Match(q, pop)...)
+	}
+	pi = growFloats(pi, len(pq))
+	for j, p := range pq {
+		pi[j] = intention.Provider(p.Preference(q.Class), p.OperationalLoad(now), p.SmoothSat, p.Epsilon)
+	}
+	if memo {
+		b.pq[k], b.pi[k], b.stamp[k] = pq, pi, b.epoch
+	}
+	return pq, pi
+}
+
+// consumer returns the consumer intentions CI⃗ of q over pq, memoized per
+// (consumer, class) for the batch.
+func (b *batchScratch) consumer(q *model.Query, pq []*model.Provider) []float64 {
+	var e *ciEntry
+	var ci []float64
+	if b.memoizes(q.Class) {
+		key := ciKey{consumer: q.Consumer, class: q.Class}
+		if e = b.ci[key]; e == nil {
+			e = &ciEntry{}
+			b.ci[key] = e
+		}
+		if e.epoch == b.epoch {
+			return e.buf
+		}
+		ci = e.buf
+	}
+	c := q.Consumer
+	ci = growFloats(ci, len(pq))
+	for j, p := range pq {
+		ci[j] = intention.Consumer(c.Preference(p, q.Class), p.Reputation, c.Upsilon, c.Epsilon)
+	}
+	if e != nil {
+		e.buf, e.epoch = ci, b.epoch
+	}
+	return ci
 }
 
 // MediateBatch mediates a batch of queries under one mediation turn: one
@@ -93,9 +141,10 @@ func (b *batchScratch) class(class int) bool {
 // Intentions are computed synchronously in-process (the throughput path);
 // the concurrent Collector fan-out of Mediate is for slow or remote
 // participants and reports CollectErrors/CollectTimeouts instead. The
-// returned allocations alias the server's batch scratch and are valid
-// until the next MediateBatch call; steady-state cost is two small slice
-// allocations per batch, independent of |Pq| and batch size.
+// returned allocations live in the server's batch scratch and are valid
+// until the next MediateBatch call on this server (see BatchResult.Alloc);
+// steady-state cost is one allocation per batch, the result slice,
+// independent of |Pq|.
 func (s *Server) MediateBatch(ctx context.Context, qs []*model.Query) []BatchResult {
 	out := make([]BatchResult, len(qs))
 	if len(qs) == 0 {
@@ -116,10 +165,17 @@ func (s *Server) MediateBatch(ctx context.Context, qs []*model.Query) []BatchRes
 	b := &s.batch
 	b.epoch++
 	if b.ci == nil {
+		classes := len(s.pop.Classes)
+		b.pq = make([][]*model.Provider, classes)
+		b.pi = make([][]float64, classes)
+		b.stamp = make([]uint64, classes)
 		b.ci = make(map[ciKey]*ciEntry)
 	}
 	b.sel = b.sel[:0]
-	b.allocs = make([]Allocation, len(qs))
+	if cap(b.allocs) < len(qs) {
+		b.allocs = make([]Allocation, len(qs))
+	}
+	b.allocs = b.allocs[:len(qs)]
 	now := s.now()
 	for i, q := range qs {
 		if err := ctx.Err(); err != nil {
@@ -130,43 +186,14 @@ func (s *Server) MediateBatch(ctx context.Context, qs []*model.Query) []BatchRes
 			out[i].Err = errors.New("mediator: query needs a consumer")
 			continue
 		}
-		if !b.class(q.Class) {
-			pq := b.pq[q.Class][:0]
-			if bm, ok := match.(BufferedMatchmaker); ok {
-				pq = bm.MatchInto(pq, q, s.pop)
-			} else {
-				pq = append(pq, match.Match(q, s.pop)...)
-			}
-			b.pq[q.Class] = pq
-			pi := growFloats(b.pi[q.Class], len(pq))
-			for j, p := range pq {
-				pi[j] = intention.Provider(p.Preference(q.Class), p.OperationalLoad(now), p.SmoothSat, p.Epsilon)
-			}
-			b.pi[q.Class] = pi
-			b.stamp[q.Class] = b.epoch
-		}
-		pq := b.pq[q.Class]
+		pq, pi := b.providers(match, s.pop, now, q)
 		if len(pq) == 0 {
 			out[i].Err = fmt.Errorf("%w (query %d)", ErrNoProviders, q.ID)
 			continue
 		}
-		pi := b.pi[q.Class]
-		key := ciKey{consumer: q.Consumer, class: q.Class}
-		e := b.ci[key]
-		if e == nil {
-			e = &ciEntry{}
-			b.ci[key] = e
-		}
-		if e.epoch != b.epoch {
-			c := q.Consumer
-			e.buf = growFloats(e.buf, len(pq))
-			for j, p := range pq {
-				e.buf[j] = intention.Consumer(c.Preference(p, q.Class), p.Reputation, c.Upsilon, c.Epsilon)
-			}
-			e.epoch = b.epoch
-		}
+		ci := b.consumer(q, pq)
 		alloc := &b.allocs[i]
-		if err := s.med.allocateInto(alloc, now, q, pq, e.buf, pi); err != nil {
+		if err := s.med.allocateInto(alloc, now, q, pq, ci, pi); err != nil {
 			out[i].Err = err
 			continue
 		}

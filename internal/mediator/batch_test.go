@@ -205,3 +205,141 @@ func TestServerMediateCloseRace(t *testing.T) {
 		t.Fatalf("post-close Mediate err = %v, want ErrServerClosed", err)
 	}
 }
+
+// TestMediateBatchHostileClasses: a query whose class the population does
+// not define — negative, just past the end, absurdly large — gets the same
+// outcome from MediateBatch as from Mediate under both kinds of matchmaker
+// (a class-bounded one finds it no provider, AllProviders matches everyone), the
+// per-class cache does not grow to reach it, and the mediation lock is
+// released afterwards.
+func TestMediateBatchHostileClasses(t *testing.T) {
+	hostile := []int{-1, math.MinInt, 2, 99, math.MaxInt}
+	for _, bounded := range []bool{true, false} {
+		popSeq, popBatch := batchFixture(t, 2, 8)
+		now := func() float64 { return 3 }
+		seq := NewServer(allocator.NewSQLB(), popSeq, 100*time.Millisecond, now)
+		bat := NewServer(allocator.NewSQLB(), popBatch, 100*time.Millisecond, now)
+		if bounded {
+			onlyDefined := CapabilityMatcher{Capable: func(_ *model.Provider, class int) bool {
+				return class >= 0 && class < len(popSeq.Classes)
+			}}
+			seq.SetMatchmaker(onlyDefined)
+			bat.SetMatchmaker(onlyDefined)
+		}
+		mint := func(pop *model.Population) []*model.Query {
+			qs := []*model.Query{newQuery(pop, 1, 1)}
+			for i, class := range hostile {
+				q := newQuery(pop, uint64(10+i), 2)
+				q.Class = class
+				qs = append(qs, q, newQuery(pop, uint64(20+i), 1))
+			}
+			return qs
+		}
+		var want []*Allocation
+		var wantErr []error
+		for _, q := range mint(popSeq) {
+			alloc, err := seq.Mediate(context.Background(), q)
+			want, wantErr = append(want, alloc), append(wantErr, err)
+		}
+		results := bat.MediateBatch(context.Background(), mint(popBatch))
+		for i, r := range results {
+			if errors.Is(r.Err, ErrNoProviders) != errors.Is(wantErr[i], ErrNoProviders) || (r.Err == nil) != (wantErr[i] == nil) {
+				t.Fatalf("bounded=%v query %d: batch err %v, sequential err %v", bounded, i, r.Err, wantErr[i])
+			}
+			if r.Err != nil {
+				continue
+			}
+			if len(r.Alloc.Selected) != len(want[i].Selected) {
+				t.Fatalf("bounded=%v query %d: batch selected %v, sequential %v", bounded, i, r.Alloc.Selected, want[i].Selected)
+			}
+			for j, idx := range want[i].Selected {
+				if r.Alloc.Pq[r.Alloc.Selected[j]].ID != want[i].Pq[idx].ID {
+					t.Fatalf("bounded=%v query %d: batch selected %v, sequential %v", bounded, i, r.Alloc.Selected, want[i].Selected)
+				}
+			}
+		}
+		if bounded && wantErr[1] == nil {
+			t.Fatal("fixture: the class-bounded matchmaker served a hostile class")
+		}
+		if !bounded && wantErr[1] != nil {
+			t.Fatalf("fixture: AllProviders refused a hostile class: %v", wantErr[1])
+		}
+		if got := len(bat.batch.stamp); got != len(popBatch.Classes) {
+			t.Fatalf("bounded=%v: per-class cache holds %d classes, population defines %d", bounded, got, len(popBatch.Classes))
+		}
+		if got, most := len(bat.batch.ci), len(popBatch.Classes)*len(popBatch.Consumers); got > most {
+			t.Fatalf("bounded=%v: consumer-intention cache holds %d entries, bound is %d", bounded, got, most)
+		}
+		locked := make(chan struct{})
+		go func() {
+			bat.WithPopulation(func(*model.Population) {})
+			close(locked)
+		}()
+		select {
+		case <-locked:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("bounded=%v: mediation lock still held after the batch", bounded)
+		}
+	}
+}
+
+// TestMediateBatchesConsumedInTurn is the lifetime contract in use: a
+// caller that reads each batch's results before its next call sees, batch
+// after batch out of the same reused scratch, what sequential Mediate
+// returns — selections, intention vectors, and the trackers' state.
+func TestMediateBatchesConsumedInTurn(t *testing.T) {
+	popSeq, popBatch := batchFixture(t, 5, 24)
+	clock := 0.0
+	now := func() float64 { return clock }
+	seq := NewServer(allocator.NewSQLB(), popSeq, 100*time.Millisecond, now)
+	bat := NewServer(allocator.NewSQLB(), popBatch, 100*time.Millisecond, now)
+	seq.SetApply(true)
+	bat.SetApply(true)
+	const n = 120
+	qsSeq, qsBatch := mintQueries(popSeq, n), mintQueries(popBatch, n)
+	// Batches of uneven size, so the slab shrinks and regrows; one query
+	// per class and batch keeps Definition 8's load term identical on both
+	// sides (see MediateBatch on intra-batch staleness under SetApply).
+	for lo, size := 0, 1; lo < n; lo, size = lo+size, size%2+1 {
+		hi := min(lo+size, n)
+		clock++
+		results := bat.MediateBatch(context.Background(), qsBatch[lo:hi])
+		for i, r := range results {
+			want, err := seq.Mediate(context.Background(), qsSeq[lo+i])
+			if err != nil || r.Err != nil {
+				t.Fatalf("query %d: sequential err %v, batch err %v", lo+i, err, r.Err)
+			}
+			if r.Alloc.Query != qsBatch[lo+i] {
+				t.Fatalf("query %d: result carries query %d", lo+i, r.Alloc.Query.ID)
+			}
+			if !equalInts(r.Alloc.Selected, want.Selected) {
+				t.Fatalf("query %d: batch selected %v, sequential %v", lo+i, r.Alloc.Selected, want.Selected)
+			}
+			for j := range want.CI {
+				if r.Alloc.CI[j] != want.CI[j] || r.Alloc.PI[j] != want.PI[j] {
+					t.Fatalf("query %d provider %d: intentions diverged (%v/%v vs %v/%v)",
+						lo+i, j, r.Alloc.CI[j], r.Alloc.PI[j], want.CI[j], want.PI[j])
+				}
+			}
+		}
+	}
+	for i, p := range popSeq.Providers {
+		pb := popBatch.Providers[i]
+		if p.Public.Satisfaction() != pb.Public.Satisfaction() || p.QueriesPerformed != pb.QueriesPerformed {
+			t.Fatalf("provider %d diverged: δs %v vs %v, performed %d vs %d",
+				i, p.Public.Satisfaction(), pb.Public.Satisfaction(), p.QueriesPerformed, pb.QueriesPerformed)
+		}
+	}
+}
+
+func equalInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}

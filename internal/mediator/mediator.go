@@ -111,7 +111,8 @@ type Allocation struct {
 	// the whole Allocation on that path; callers that retain providers
 	// past that point must copy (SelectedProviders does). Allocations
 	// returned by Server.Mediate carry their own copies and are safe to
-	// retain; Server.MediateBatch results stay valid until the next batch.
+	// retain; Server.MediateBatch results stay valid until the next batch
+	// on that server, from any caller (see BatchResult.Alloc).
 	Pq []*model.Provider
 	// CI and PI are the expressed intentions, indexed like Pq.
 	CI []float64

@@ -82,7 +82,7 @@ func (u *UtilizationWindow) evict(now float64) {
 		u.head++
 	}
 	// Compact once the dead prefix dominates, to keep memory bounded.
-	if u.head > 64 && u.head*2 >= len(u.events) {
+	if u.head > 0 && u.head*2 >= len(u.events) {
 		n := copy(u.events, u.events[u.head:])
 		u.events = u.events[:n]
 		u.head = 0

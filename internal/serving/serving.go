@@ -346,20 +346,24 @@ func (d *Driver) work(ctx context.Context, ws *workerStats) {
 		}
 		if d.cfg.Batch <= 1 {
 			alloc, err := d.srv.Mediate(ctx, batch[0].q)
-			d.account(ws, batch[0], alloc, err)
+			d.account(ws, batch[0], err == nil && alloc.Degraded(), err)
 			continue
 		}
 		qs = qs[:0]
 		for _, s := range batch {
 			qs = append(qs, s.q)
 		}
+		// Only Err is read: the allocations live in server scratch that
+		// another worker's batch may already be rewriting, and a batched
+		// mediation computes its intentions in-process, so it is never
+		// degraded.
 		for i, res := range d.srv.MediateBatch(ctx, qs) {
-			d.account(ws, batch[i], res.Alloc, res.Err)
+			d.account(ws, batch[i], false, res.Err)
 		}
 	}
 }
 
-func (d *Driver) account(ws *workerStats, sub *submission, alloc *mediator.Allocation, err error) {
+func (d *Driver) account(ws *workerStats, sub *submission, degraded bool, err error) {
 	if err != nil {
 		if !sub.measured {
 			return
@@ -395,7 +399,7 @@ func (d *Driver) account(ws *workerStats, sub *submission, alloc *mediator.Alloc
 		d.tl.mediated.Add(1)
 		d.tl.observe(lat)
 	}
-	if alloc.Degraded() {
+	if degraded {
 		ws.degraded++
 	}
 }

@@ -83,6 +83,40 @@ func TestDriverSingleQueryPath(t *testing.T) {
 	}
 }
 
+// TestDriverWorkersShareBatchScratch is the result-lifetime contract under
+// `make race`: four workers call MediateBatch on one server, whose
+// allocations live in scratch the next batch rewrites, so a worker that
+// read one after its call returned would race with the others. The drive is
+// past what the pool sustains, which keeps every worker in back-to-back
+// full batches; the ledger must still close.
+func TestDriverWorkersShareBatchScratch(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Workers = 4
+	cfg.Batch = 16
+	cfg.TargetQPS = 50000
+	cfg.QueueDepth = 512
+	cfg.Warmup = 0
+	cfg.Measure = 200 * time.Millisecond
+	d, err := NewDriver(cfg)
+	if err != nil {
+		t.Fatalf("NewDriver: %v", err)
+	}
+	rep, err := d.Run(context.Background())
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep.Mediated < uint64(cfg.Workers*cfg.Batch) {
+		t.Fatalf("only %d mediations: the workers never overlapped full batches", rep.Mediated)
+	}
+	if got := rep.Rejected + rep.Mediated + rep.Dropped + rep.Errors; got != rep.Submitted {
+		t.Fatalf("ledger broken: rejected %d + mediated %d + dropped %d + errors %d = %d, want submitted %d",
+			rep.Rejected, rep.Mediated, rep.Dropped, rep.Errors, got, rep.Submitted)
+	}
+	if rep.Degraded != 0 || rep.Errors != 0 {
+		t.Fatalf("batched path reported %d degraded, %d errors", rep.Degraded, rep.Errors)
+	}
+}
+
 func TestSubmitBackpressure(t *testing.T) {
 	// Admission control: with no workers draining (Run not called), the
 	// bounded queue fills and the typed ErrOverloaded surfaces.
