@@ -34,7 +34,7 @@ FUZZTIME ?= 30s
 # `go tool pprof -top` heads.
 PROFILE_DIR ?= artifacts/profile
 
-.PHONY: all build test race vet fmt-check cover fuzz bench serve-bench profile benchmark-selftest clean
+.PHONY: all build test race vet fmt-check cover fuzz bench serve-bench profile benchmark-selftest loc clean
 
 all: vet fmt-check build test
 
@@ -110,9 +110,30 @@ profile:
 # benchmark-selftest vets and tests the repository benchmark (its own
 # module under benchmark/, outside ./...) at smoke scale: metric names match
 # BENCHMARK.json, runs are deterministic, --compare judges as documented.
+#
+# One test is skipped by name, and the target says so on every run:
+# TestSmokeLayerTable asserts mediator.allocs_per_query >= 100 on
+# serve-single (benchmark_test.go:210, "Mediate's fan-out allocates"), a pin
+# on the goroutine fan-out Server.Mediate no longer has — it reads about 5
+# now. benchmark/ is frozen outside benchmark-archetype PRs, so the
+# assertion cannot be flipped here. Undo: the next benchmark-archetype PR
+# flips it to an upper bound and deletes SELFTEST_SKIP (ROADMAP, "One
+# mediation path").
+SELFTEST_SKIP = TestSmokeLayerTable
 benchmark-selftest:
 	$(GO) -C benchmark vet ./...
-	$(GO) -C benchmark test ./...
+	@echo "benchmark-selftest: skipping $(SELFTEST_SKIP): benchmark_test.go:210 pins the deleted Mediate fan-out (allocs_per_query >= 100); benchmark/ is frozen outside benchmark-archetype PRs"
+	$(GO) -C benchmark test -skip '^$(SELFTEST_SKIP)$$' ./...
+
+# loc prints the Go line counts ROADMAP aim 2 ("least code") is read off:
+# non-test and test lines outside the frozen benchmark/, and the non-test
+# lines of the three packages that hold Algorithm 1.
+GO_FILES = find . -name '*.go' -not -path './benchmark/*' -not -path './.bench_build/*'
+ALG1_DIRS = -path './internal/mediator/*' -o -path './internal/core/*' -o -path './internal/allocator/*'
+loc:
+	@echo "non-test $$($(GO_FILES) ! -name '*_test.go' | xargs cat | wc -l)"
+	@echo "test $$($(GO_FILES) -name '*_test.go' | xargs cat | wc -l)"
+	@echo "mediator+core+allocator non-test $$($(GO_FILES) ! -name '*_test.go' \( $(ALG1_DIRS) \) | xargs cat | wc -l)"
 
 clean:
 	rm -f BENCH_results.json $(COVER_PROFILE)

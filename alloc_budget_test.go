@@ -4,7 +4,7 @@
 // forgotten off the scratch) fails tier-1 instead of silently eroding the
 // zero-allocation mediation contract. Budgets are exact where the contract
 // is exact (zero) and small where a path legitimately returns a fresh result
-// container (MediateBatch's result slice).
+// container (MediateBatch's result slice, Mediate's durable copy).
 package sqlb_test
 
 import (
@@ -113,6 +113,34 @@ func TestAllocBudgetServerMediateBatch(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if perQuery := float64(after.TotalAlloc-before.TotalAlloc) / float64(batches*len(qs)); perQuery > 32 {
 		t.Errorf("MediateBatch: %.1f B/query in steady state, want <= 32", perQuery)
+	}
+}
+
+// TestAllocBudgetServerMediate pins the single-query entrance at paper
+// scale (|Pq| = 400): it runs the batch body on a batch of one, so all it
+// may allocate is the durable copy it hands its caller — the Allocation and
+// its Pq, CI, PI and Selected.
+func TestAllocBudgetServerMediate(t *testing.T) {
+	pop := sqlb.NewPopulation(model.DefaultConfig(), 9)
+	srv := sqlb.NewMediationServer(sqlb.NewSQLB(), pop, 0, func() float64 { return 0 })
+	srv.SetMatchmaker(sqlb.BuildMatchIndex(pop))
+	qs := make([]*model.Query, 16)
+	for i := range qs {
+		qs[i] = &model.Query{ID: uint64(i + 1), Consumer: pop.Consumers[i%8], Class: i % 2, Units: 130, N: 2}
+	}
+	ctx := context.Background()
+	i := 0
+	mediate := func() {
+		i++
+		if alloc, err := srv.Mediate(ctx, qs[i%len(qs)]); err != nil || len(alloc.Pq) != 400 {
+			t.Fatalf("Mediate: %v", err)
+		}
+	}
+	for i < 2*len(qs) {
+		mediate() // warm the per-class buffers and the (consumer, class) cache
+	}
+	if allocs := testing.AllocsPerRun(100, mediate); allocs > 5 {
+		t.Errorf("Server.Mediate: %v allocs/op in steady state at |Pq| = 400, want <= 5", allocs)
 	}
 }
 

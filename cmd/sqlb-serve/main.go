@@ -19,7 +19,7 @@
 //
 //	sqlb-serve [-method sqlb|capacity|mariposa|random|knbest|sqlb-econ]
 //	           [-qps n] [-workers n] [-batch n] [-queue n]
-//	           [-warmup d] [-measure d] [-timeout d]
+//	           [-warmup d] [-measure d]
 //	           [-scale f] [-providers n] [-consumers n]
 //	           [-classes k] [-selectivity s] [-class-skew z]
 //	           [-seed n] [-json file]
@@ -48,11 +48,10 @@ func main() {
 		method    = flag.String("method", "sqlb", "allocation method: sqlb, capacity, mariposa, random, knbest, sqlb-econ")
 		qps       = flag.Float64("qps", 200, "open-loop arrival rate (queries/second)")
 		workers   = flag.Int("workers", 0, "mediation worker-pool size (0 = GOMAXPROCS)")
-		batch     = flag.Int("batch", 16, "max mediations per batch (1 = per-query concurrent collection)")
+		batch     = flag.Int("batch", 16, "max mediations per batch")
 		queue     = flag.Int("queue", 1024, "submit-queue depth; full queue rejects arrivals")
 		warmup    = flag.Duration("warmup", 2*time.Second, "warmup window discarded from the report")
 		measure   = flag.Duration("measure", 10*time.Second, "steady-state measurement window")
-		timeout   = flag.Duration("timeout", 50*time.Millisecond, "intention-collection timeout (batch=1 path)")
 		scale     = flag.Float64("scale", 1, "population scale relative to the paper's 200/400")
 		providers = flag.Int("providers", 0, "provider count override (0 = scaled default)")
 		consumers = flag.Int("consumers", 0, "consumer count override (0 = scaled default)")
@@ -122,7 +121,6 @@ func main() {
 		QueueDepth:       *queue,
 		Warmup:           *warmup,
 		Measure:          *measure,
-		CollectTimeout:   *timeout,
 		Seed:             *seed,
 		Timeline:         sink,
 		SnapshotInterval: *tlEvery,

@@ -74,8 +74,9 @@ func main() {
 	for i := range omegas {
 		omegas[i] = core.Omega(0.5, 0.5)
 	}
-	ranking := core.Rank(pi, ci, omegas, 1)
-	selected := core.Select(q.N, ranking)
+	var scratch core.Scratch
+	ranking := core.RankTop(&scratch, len(pi), pi, ci, omegas, 1)
+	selected := core.Select(&scratch, q.N, ranking)
 
 	fmt.Println("provider  prov.int  cons.int    score  rank")
 	rankOf := map[int]int{}

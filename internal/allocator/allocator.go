@@ -35,15 +35,24 @@ type Request struct {
 	ProviderSat []float64
 	// Now is the current simulation time (drives utilization reads).
 	Now float64
-	// Scratch, when non-nil, lends the strategy reusable buffers for its
-	// intermediate vectors so steady-state allocation is zero (the mediator
-	// wires its own scratch through every request). Strategies must treat
-	// it per the core.Scratch buffer contract; the selected set they return
-	// may be carved from it and is then valid only until the next
-	// allocation on the same mediator. A nil Scratch keeps the historical
-	// allocate-per-call behaviour — external callers building a Request by
-	// hand need not care.
+	// Scratch lends the strategy reusable buffers for its intermediate
+	// vectors so steady-state allocation is zero (the mediator wires its
+	// own scratch through every request). Strategies must treat it per the
+	// core.Scratch buffer contract; the selected set they return may be
+	// carved from it and is then valid only until the next allocation on
+	// the same mediator. A caller building a Request by hand may leave it
+	// nil: the first allocation fills it in, and results are then valid
+	// until the next allocation on the same Request.
 	Scratch *core.Scratch
+}
+
+// scratch returns the request's buffer set, supplying one for a hand-built
+// request that carries none.
+func (r *Request) scratch() *core.Scratch {
+	if r.Scratch == nil {
+		r.Scratch = new(core.Scratch)
+	}
+	return r.Scratch
 }
 
 // N returns min(q.n, |Pq|), the number of providers to select.

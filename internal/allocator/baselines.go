@@ -20,11 +20,12 @@ func (*CapacityBased) Name() string { return "Capacity based" }
 
 // Allocate implements Allocator.
 func (*CapacityBased) Allocate(req *Request) []int {
-	utils := req.Scratch.F1(len(req.Pq))
+	sc := req.scratch()
+	utils := sc.F1(len(req.Pq))
 	for i, p := range req.Pq {
 		utils[i] = p.Utilization(req.Now)
 	}
-	return core.SelectTopNScratch(req.Scratch, len(req.Pq), req.N(), func(a, b int) bool {
+	return core.SelectTopN(sc, len(req.Pq), req.N(), func(a, b int) bool {
 		if utils[a] != utils[b] {
 			return utils[a] < utils[b]
 		}
@@ -84,7 +85,8 @@ func (m *MariposaLike) Allocate(req *Request) []int {
 	if horizon <= 0 {
 		horizon = 60
 	}
-	bids := req.Scratch.F1(len(req.Pq))
+	sc := req.scratch()
+	bids := sc.F1(len(req.Pq))
 	for i, p := range req.Pq {
 		pref := p.Preference(req.Query.Class)
 		load := p.Utilization(req.Now)
@@ -96,7 +98,7 @@ func (m *MariposaLike) Allocate(req *Request) []int {
 		}
 		bids[i] = m.Bid(pref) * load
 	}
-	return core.SelectTopNScratch(req.Scratch, len(req.Pq), req.N(), func(a, b int) bool {
+	return core.SelectTopN(sc, len(req.Pq), req.N(), func(a, b int) bool {
 		if bids[a] != bids[b] {
 			return bids[a] < bids[b]
 		}

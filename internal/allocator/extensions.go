@@ -30,7 +30,8 @@ func (k *KnBest) Allocate(req *Request) []int {
 		factor = 3
 	}
 	n := req.N()
-	omegas := req.Scratch.F1(len(req.Pq))
+	sc := req.scratch()
+	omegas := sc.F1(len(req.Pq))
 	for i := range omegas {
 		sat := 0.0
 		if i < len(req.ProviderSat) {
@@ -41,20 +42,20 @@ func (k *KnBest) Allocate(req *Request) []int {
 	// Only the k·n score survivors are materialized; the load round then
 	// picks the n least loaded among them.
 	kn := n * factor
-	short := core.RankTopScratch(req.Scratch, kn, req.PI, req.CI, omegas, k.Epsilon)
-	loads := req.Scratch.F3(len(short))
+	short := core.RankTop(sc, kn, req.PI, req.CI, omegas, k.Epsilon)
+	loads := sc.F3(len(short))
 	for i, r := range short {
 		loads[i] = req.Pq[r.Index].OperationalLoad(req.Now)
 	}
-	// RankTopScratch is done with I1 by the time it returns, so the load
+	// RankTop is done with I1 by the time it returns, so the load
 	// round may reuse it; the final set goes to I2 like every strategy.
-	picked := core.SelectTopNScratch(req.Scratch, len(short), n, func(a, b int) bool {
+	picked := core.SelectTopN(sc, len(short), n, func(a, b int) bool {
 		if loads[a] != loads[b] {
 			return loads[a] < loads[b]
 		}
 		return short[a].Index < short[b].Index
 	})
-	out := req.Scratch.I2(len(picked))
+	out := sc.I2(len(picked))
 	for i, p := range picked {
 		out[i] = short[p].Index
 	}
@@ -78,7 +79,8 @@ func (*SQLBEconomic) Name() string { return "SQLB-econ" }
 
 // Allocate implements Allocator.
 func (*SQLBEconomic) Allocate(req *Request) []int {
-	values := req.Scratch.F1(len(req.Pq))
+	sc := req.scratch()
+	values := sc.F1(len(req.Pq))
 	for i := range req.Pq {
 		sat := 0.0
 		if i < len(req.ProviderSat) {
@@ -94,7 +96,7 @@ func (*SQLBEconomic) Allocate(req *Request) []int {
 		}
 		values[i] = omega*pi + (1-omega)*ci
 	}
-	return core.SelectTopNScratch(req.Scratch, len(req.Pq), req.N(), func(a, b int) bool {
+	return core.SelectTopN(sc, len(req.Pq), req.N(), func(a, b int) bool {
 		if values[a] != values[b] {
 			return values[a] > values[b]
 		}

@@ -39,7 +39,8 @@ func (s *SQLB) Name() string {
 // before this call). Only the q.n best-ranked providers are materialized
 // (core.RankTop) — the full R⃗_q is never built on this hot path.
 func (s *SQLB) Allocate(req *Request) []int {
-	omegas := req.Scratch.F1(len(req.Pq))
+	sc := req.scratch()
+	omegas := sc.F1(len(req.Pq))
 	for i := range omegas {
 		if s.FixedOmega != nil {
 			omegas[i] = *s.FixedOmega
@@ -51,6 +52,6 @@ func (s *SQLB) Allocate(req *Request) []int {
 			omegas[i] = core.Omega(req.ConsumerSat, sat)
 		}
 	}
-	ranking := core.RankTopScratch(req.Scratch, req.N(), req.PI, req.CI, omegas, s.Epsilon)
-	return core.SelectScratch(req.Scratch, req.N(), ranking)
+	ranking := core.RankTop(sc, req.N(), req.PI, req.CI, omegas, s.Epsilon)
+	return core.Select(sc, req.N(), ranking)
 }

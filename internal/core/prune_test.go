@@ -11,7 +11,7 @@ import (
 	"sqlb/internal/randx"
 )
 
-// The bound-and-prune scan of RankTopScratch is accepted on two grounds,
+// The bound-and-prune scan of RankTop is accepted on two grounds,
 // both checked here against a literal reading of Definition 9: scoreBound
 // never falls below Score (soundness), and the pruned ranking has the same
 // indexes and the same score bits as scoring every candidate and sorting
@@ -122,7 +122,7 @@ func TestRanksBeforeStrictTotalOrder(t *testing.T) {
 		}
 	}
 	want := []int{2, 1, 8, 5, 6, 4, 7, 0, 3, 9} // +Inf, the 1s, the zeros, -1, -Inf, then the NaNs
-	if got := SelectTopN(len(scores), len(scores), before); !equalInts(got, want) {
+	if got := SelectTopN(new(Scratch), len(scores), len(scores), before); !equalInts(got, want) {
 		t.Errorf("order %v, want %v", got, want)
 	}
 }
@@ -232,11 +232,13 @@ func TestRankTopPrunedEqualsOracle(t *testing.T) {
 			eps := []float64{1, 0, 0.5, 3}[trial%4]
 			for _, n := range []int{1, 4, 32, total - 1, total} {
 				want := oracleRank(n, pi, ci, om, eps)
-				if got := RankTop(n, pi, ci, om, eps); !sameRanking(got, want) {
-					t.Fatalf("%s, total %d, n %d, ε %v: RankTop = %v, oracle %v", fam.name, total, n, eps, got, want)
+				// A zero-value scratch and one warm with the stale buffers
+				// of every earlier call must both agree with the oracle.
+				if got := RankTop(new(Scratch), n, pi, ci, om, eps); !sameRanking(got, want) {
+					t.Fatalf("%s, total %d, n %d, ε %v: fresh-scratch RankTop = %v, oracle %v", fam.name, total, n, eps, got, want)
 				}
-				if got := RankTopScratch(&scratch, n, pi, ci, om, eps); !sameRanking(got, want) {
-					t.Fatalf("%s, total %d, n %d, ε %v: RankTopScratch = %v, oracle %v", fam.name, total, n, eps, got, want)
+				if got := RankTop(&scratch, n, pi, ci, om, eps); !sameRanking(got, want) {
+					t.Fatalf("%s, total %d, n %d, ε %v: warm-scratch RankTop = %v, oracle %v", fam.name, total, n, eps, got, want)
 				}
 			}
 		}
@@ -256,7 +258,7 @@ func TestRankTopEvaluatesFewCandidates(t *testing.T) {
 		for i := range buf {
 			buf[i] = poison
 		}
-		RankTopScratch(s, n, pi, ci, om, 1)
+		RankTop(s, n, pi, ci, om, 1)
 		count := 0
 		for _, v := range s.F2(total) {
 			if math.Float64bits(v) != math.Float64bits(poison) {

@@ -56,25 +56,6 @@ type Ranked struct {
 	Score float64
 }
 
-// Rank scores every provider in Pq and returns R⃗_q, ordered best to worst
-// (Section 5.3). pi and ci are the providers' and the consumer's expressed
-// intentions, indexed alike; omegas carries the per-provider ω (Equation 6
-// uses each provider's own observed satisfaction). Ties break on the lower
-// index so rankings are deterministic. pi, ci and omegas must have equal
-// length; entries beyond the shortest are ignored defensively.
-func Rank(pi, ci, omegas []float64, epsilon float64) []Ranked {
-	return RankTop(len(pi), pi, ci, omegas, epsilon)
-}
-
-// RankTop returns only the n best entries of R⃗_q, best first, without
-// materializing the full sort, the win on the mediation hot path where
-// q.n ≪ |Pq|. n ≥ |Pq| degrades to the full ranking (identical to Rank).
-// Ties break on the lower index exactly as in Rank, so RankTop(n, …) is
-// always a prefix of Rank(…).
-func RankTop(n int, pi, ci, omegas []float64, epsilon float64) []Ranked {
-	return RankTopScratch(nil, n, pi, ci, omegas, epsilon)
-}
-
 // Relative and absolute slack of scoreBound. The relative part covers what
 // separates the computed Score from the real-number value the mean
 // inequalities speak about: math.Pow's rounding (under 1 ulp per call), the
@@ -138,21 +119,30 @@ func ranksBefore(sa, sb float64, a, b int) bool {
 	return a < b
 }
 
-// RankTopScratch is RankTop with every intermediate — the score vector
-// (Scratch.F2), the top-n heap (Scratch.I1), and the returned ranking
-// (Scratch.R1) — carved from the scratch, making the whole
-// score/rank/select pipeline allocation-free once the buffers are warm.
-// The result is valid until the next call that uses R1; a nil scratch
-// restores the allocating behaviour of RankTop exactly.
+// RankTop scores the providers of Pq and returns the n best entries of the
+// ranking R⃗_q, best first (Section 5.3); n ≥ |Pq| gives the whole ranking.
+// pi and ci are the providers' and the consumer's expressed intentions,
+// indexed alike; omegas carries the per-provider ω (Equation 6 uses each
+// provider's own observed satisfaction). Ties break on the lower index so
+// rankings are deterministic, and RankTop(s, n, …) is always a prefix of
+// the whole ranking. pi, ci and omegas must have equal length; entries
+// beyond the shortest are ignored defensively.
 //
-// For n < |Pq| the scan is bound-and-prune: the first n candidates seed the
-// heap with exact scores; every later one is scored only if scoreBound is
-// not strictly below the heap's worst score. A skipped candidate's Score is
-// ≤ its bound < the n-th best so far, so it could not have entered the heap
-// under any tie-break, and the selected indexes and their Score bits are
-// those of scoring everyone. F2 then holds the scores of the evaluated
-// candidates only; the other slots are stale.
-func RankTopScratch(s *Scratch, n int, pi, ci, omegas []float64, epsilon float64) []Ranked {
+// Every intermediate — the score vector (Scratch.F2), the top-n heap
+// (Scratch.I1), and the returned ranking (Scratch.R1) — is carved from s,
+// making the whole score/rank/select pipeline allocation-free once the
+// buffers are warm. The result is valid until the next call that uses R1.
+//
+// For n < |Pq| the full sort is never materialized — the win on the
+// mediation hot path, where q.n ≪ |Pq| — and the scan is bound-and-prune:
+// the first n candidates seed the heap with exact scores; every later one
+// is scored only if scoreBound is not strictly below the heap's worst
+// score. A skipped candidate's Score is ≤ its bound < the n-th best so far,
+// so it could not have entered the heap under any tie-break, and the
+// selected indexes and their Score bits are those of scoring everyone. F2
+// then holds the scores of the evaluated candidates only; the other slots
+// are stale.
+func RankTop(s *Scratch, n int, pi, ci, omegas []float64, epsilon float64) []Ranked {
 	total := len(pi)
 	if len(ci) < total {
 		total = len(ci)
@@ -170,7 +160,7 @@ func RankTopScratch(s *Scratch, n int, pi, ci, omegas []float64, epsilon float64
 		for i := 0; i < total; i++ {
 			scores[i] = Score(pi[i], ci[i], omegas[i], epsilon)
 		}
-		idx = SelectTopNScratch(s, total, n, before)
+		idx = SelectTopN(s, total, n, before)
 	} else if n > 0 {
 		// idx is a max-heap under before: idx[0] is the worst of the n
 		// best so far, the one a further candidate has to beat.
@@ -203,15 +193,10 @@ func RankTopScratch(s *Scratch, n int, pi, ci, omegas []float64, epsilon float64
 
 // Select implements the allocation step of Algorithm 1 (lines 9-10): the
 // min(n, N) best-ranked providers get the query (All⃗oc[R⃗_q[i]] ← 1), the
-// rest do not. It returns the selected Pq indexes in rank order.
-func Select(n int, ranking []Ranked) []int {
-	return SelectScratch(nil, n, ranking)
-}
-
-// SelectScratch is Select with the selected set carved from the scratch's
-// second index buffer (Scratch.I2); valid until the next call that uses
-// I2. A nil scratch restores the allocating behaviour of Select exactly.
-func SelectScratch(s *Scratch, n int, ranking []Ranked) []int {
+// rest do not. It returns the selected Pq indexes in rank order, carved
+// from the scratch's second index buffer (Scratch.I2) and valid until the
+// next call that uses I2.
+func Select(s *Scratch, n int, ranking []Ranked) []int {
 	if n < 1 {
 		n = 1
 	}

@@ -73,13 +73,19 @@ func TestScoreMutualDesireBeatsOneSided(t *testing.T) {
 	}
 }
 
+// rankAll is the whole ranking R⃗_q at ε = 1, on a scratch of its own so the
+// result outlives later calls.
+func rankAll(pi, ci, om []float64) []Ranked {
+	return RankTop(new(Scratch), len(pi), pi, ci, om, 1)
+}
+
 func TestRankOrdering(t *testing.T) {
 	// eWine's Table 1 with intentions (binary, as in the example): only p5
 	// has positive intentions on both sides.
 	pi := []float64{1, -1, 1, -1, 1}
 	ci := []float64{-1, 1, -1, 1, 1}
 	om := []float64{0.5, 0.5, 0.5, 0.5, 0.5}
-	r := Rank(pi, ci, om, 1)
+	r := rankAll(pi, ci, om)
 	if len(r) != 5 {
 		t.Fatalf("ranking length = %d", len(r))
 	}
@@ -100,7 +106,7 @@ func TestRankDeterministicTies(t *testing.T) {
 	pi := []float64{0.5, 0.5, 0.5}
 	ci := []float64{0.5, 0.5, 0.5}
 	om := []float64{0.5, 0.5, 0.5}
-	r := Rank(pi, ci, om, 1)
+	r := rankAll(pi, ci, om)
 	for i, want := range []int{0, 1, 2} {
 		if r[i].Index != want {
 			t.Fatalf("tie-break not by index: %v", r)
@@ -109,7 +115,7 @@ func TestRankDeterministicTies(t *testing.T) {
 }
 
 func TestRankMismatchedLengths(t *testing.T) {
-	r := Rank([]float64{1, 1, 1}, []float64{1}, []float64{0.5, 0.5}, 1)
+	r := rankAll([]float64{1, 1, 1}, []float64{1}, []float64{0.5, 0.5})
 	if len(r) != 1 {
 		t.Errorf("ranking over mismatched inputs = %d entries, want 1", len(r))
 	}
@@ -117,20 +123,21 @@ func TestRankMismatchedLengths(t *testing.T) {
 
 func TestSelectAlgorithm1(t *testing.T) {
 	ranking := []Ranked{{Index: 2, Score: 0.9}, {Index: 0, Score: 0.5}, {Index: 1, Score: -1}}
+	var s Scratch
 	// q.n = 2 of N = 3.
-	if got := Select(2, ranking); len(got) != 2 || got[0] != 2 || got[1] != 0 {
+	if got := Select(&s, 2, ranking); len(got) != 2 || got[0] != 2 || got[1] != 0 {
 		t.Errorf("Select(2) = %v, want [2 0]", got)
 	}
 	// q.n > N: all providers selected (Algorithm 1's min(q.n, N)).
-	if got := Select(5, ranking); len(got) != 3 {
+	if got := Select(&s, 5, ranking); len(got) != 3 {
 		t.Errorf("Select(5) over 3 providers = %v, want all 3", got)
 	}
 	// q.n < 1 treated as 1.
-	if got := Select(0, ranking); len(got) != 1 || got[0] != 2 {
+	if got := Select(&s, 0, ranking); len(got) != 1 || got[0] != 2 {
 		t.Errorf("Select(0) = %v, want [2]", got)
 	}
 	// Empty ranking selects nothing.
-	if got := Select(1, nil); len(got) != 0 {
+	if got := Select(&s, 1, nil); len(got) != 0 {
 		t.Errorf("Select over empty ranking = %v, want empty", got)
 	}
 }
@@ -172,7 +179,7 @@ func TestScoreSignProperty(t *testing.T) {
 }
 
 func TestRankCompleteProperty(t *testing.T) {
-	// Rank is a permutation of the input indexes.
+	// The whole ranking is a permutation of the input indexes.
 	f := func(raw []float64) bool {
 		n := len(raw)
 		pi := make([]float64, n)
@@ -183,7 +190,7 @@ func TestRankCompleteProperty(t *testing.T) {
 			ci[i] = math.Mod(v*3, 1)
 			om[i] = 0.5
 		}
-		r := Rank(pi, ci, om, 1)
+		r := rankAll(pi, ci, om)
 		if len(r) != n {
 			return false
 		}

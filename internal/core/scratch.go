@@ -11,15 +11,14 @@ package core
 // A Scratch is NOT safe for concurrent use: it belongs to exactly one
 // mediation turn at a time (the mediator owns one; the server's mediation
 // lock serializes turns). Slices handed out by the accessors — and the
-// results of the *Scratch ranking helpers below — are valid until the next
-// call that uses the same buffer. All accessors tolerate a nil receiver by
-// falling back to plain make, so every helper degrades to its historical
-// allocating behaviour when no scratch is wired.
+// results of the ranking kernels — are valid until the next call that uses
+// the same buffer. The zero value is ready to use: a one-off caller
+// declares one on its stack and pays the allocations a fresh make would.
 //
 // Buffer assignments within one allocation turn (so callers and helpers do
-// not trample each other): RankTopScratch consumes F2, I1, and R1;
-// SelectTopNScratch consumes I1; SelectScratch consumes I2. Strategy code
-// uses F1/F3 for its own vectors (omegas, utilizations, bids, loads).
+// not trample each other): RankTop consumes F2, I1, and R1; SelectTopN
+// consumes I1; Select consumes I2. Strategy code uses F1/F3 for its own
+// vectors (omegas, utilizations, bids, loads).
 type Scratch struct {
 	f1, f2, f3 []float64
 	i1, i2     []int
@@ -29,58 +28,40 @@ type Scratch struct {
 // F1 returns the first float buffer resized to n (contents unspecified;
 // callers overwrite every slot).
 func (s *Scratch) F1(n int) []float64 {
-	if s == nil {
-		return make([]float64, n)
-	}
 	s.f1 = growFloats(s.f1, n)
 	return s.f1
 }
 
-// F2 returns the second float buffer resized to n. RankTopScratch uses it
+// F2 returns the second float buffer resized to n. RankTop uses it
 // for the score vector; since its scan prunes, only the slots of the
 // candidates it evaluated hold their scores afterwards, the rest are stale.
 func (s *Scratch) F2(n int) []float64 {
-	if s == nil {
-		return make([]float64, n)
-	}
 	s.f2 = growFloats(s.f2, n)
 	return s.f2
 }
 
 // F3 returns the third float buffer resized to n.
 func (s *Scratch) F3(n int) []float64 {
-	if s == nil {
-		return make([]float64, n)
-	}
 	s.f3 = growFloats(s.f3, n)
 	return s.f3
 }
 
-// I1 returns the first index buffer resized to n. SelectTopNScratch builds
+// I1 returns the first index buffer resized to n. SelectTopN builds
 // its heap — and therefore its result — in it.
 func (s *Scratch) I1(n int) []int {
-	if s == nil {
-		return make([]int, n)
-	}
 	s.i1 = growInts(s.i1, n)
 	return s.i1
 }
 
-// I2 returns the second index buffer resized to n. SelectScratch carves the
+// I2 returns the second index buffer resized to n. Select carves the
 // selected set from it.
 func (s *Scratch) I2(n int) []int {
-	if s == nil {
-		return make([]int, n)
-	}
 	s.i2 = growInts(s.i2, n)
 	return s.i2
 }
 
 // R1 returns the ranking buffer resized to n.
 func (s *Scratch) R1(n int) []Ranked {
-	if s == nil {
-		return make([]Ranked, n)
-	}
 	if cap(s.r1) < n {
 		s.r1 = make([]Ranked, n)
 	}

@@ -11,16 +11,10 @@ package core
 // max-heap of the n best seen so far: O(total·log n) comparisons rather
 // than O(total·log total). When n ≥ total it degrades to a plain full
 // sort, which is also the reference behaviour the property tests compare
-// against.
-func SelectTopN(total, n int, less func(a, b int) bool) []int {
-	return SelectTopNScratch(nil, total, n, less)
-}
-
-// SelectTopNScratch is SelectTopN with the heap — and therefore the result
-// slice — carved from the scratch's first index buffer (Scratch.I1). The
-// result is valid until the next call that uses I1; a nil scratch restores
-// the allocating behaviour of SelectTopN exactly.
-func SelectTopNScratch(s *Scratch, total, n int, less func(a, b int) bool) []int {
+// against. The heap — and therefore the result slice — is carved from the
+// scratch's first index buffer (Scratch.I1); the result is valid until the
+// next call that uses I1.
+func SelectTopN(s *Scratch, total, n int, less func(a, b int) bool) []int {
 	if n < 0 {
 		n = 0
 	}

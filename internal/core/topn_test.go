@@ -54,6 +54,7 @@ func equalInts(a, b []int) bool {
 // total+5), the heap selection equals the full stable sort.
 func TestSelectTopNAgainstOracle(t *testing.T) {
 	rng := randx.New(7)
+	var s Scratch // reused across every size, so stale heap contents are in play
 	for trial := 0; trial < 200; trial++ {
 		total := rng.Pick(60)
 		vals := make([]float64, total)
@@ -64,7 +65,7 @@ func TestSelectTopNAgainstOracle(t *testing.T) {
 		}
 		ns := []int{0, 1, total / 2, total - 1, total, total + 5}
 		for _, n := range ns {
-			got := SelectTopN(total, n, valueLess(vals))
+			got := SelectTopN(&s, total, n, valueLess(vals))
 			want := oracleTopN(total, n, valueLess(vals))
 			if !equalInts(got, want) {
 				t.Fatalf("trial %d: SelectTopN(%d, %d) = %v, oracle %v (vals %v)",
@@ -92,8 +93,8 @@ func TestSelectTopNPermutationInvariance(t *testing.T) {
 		for i, p := range perm {
 			pvals[i] = vals[p] // position i now holds original element perm[i]
 		}
-		base := SelectTopN(total, n, valueLess(vals))
-		permuted := SelectTopN(total, n, valueLess(pvals))
+		base := SelectTopN(new(Scratch), total, n, valueLess(vals))
+		permuted := SelectTopN(new(Scratch), total, n, valueLess(pvals))
 		// Map the permuted selection back to original identities.
 		back := make([]int, len(permuted))
 		for i, idx := range permuted {
@@ -112,14 +113,14 @@ func TestSelectTopNPermutationInvariance(t *testing.T) {
 // the selection must be exactly the n lowest indexes, in order.
 func TestSelectTopNTiesPickLowestIndexes(t *testing.T) {
 	vals := make([]float64, 20)
-	got := SelectTopN(20, 5, valueLess(vals))
+	got := SelectTopN(new(Scratch), 20, 5, valueLess(vals))
 	if !equalInts(got, []int{0, 1, 2, 3, 4}) {
 		t.Errorf("all-ties selection = %v, want [0 1 2 3 4]", got)
 	}
 }
 
-// TestRankTopIsPrefixOfRank: RankTop(n, …) must equal the first n entries
-// of the full ranking for every n, including the degenerate ones.
+// TestRankTopIsPrefixOfRank: RankTop(s, n, …) must equal the first n
+// entries of the full ranking for every n, including the degenerate ones.
 func TestRankTopIsPrefixOfRank(t *testing.T) {
 	rng := randx.New(9)
 	for trial := 0; trial < 50; trial++ {
@@ -133,9 +134,9 @@ func TestRankTopIsPrefixOfRank(t *testing.T) {
 			ci[i] = math.Round(rng.Uniform(-1, 1)*4) / 4
 			om[i] = math.Round(rng.Float64()*4) / 4
 		}
-		full := Rank(pi, ci, om, 1)
+		full := rankAll(pi, ci, om)
 		for _, n := range []int{0, 1, total / 2, total, total + 5} {
-			got := RankTop(n, pi, ci, om, 1)
+			got := RankTop(new(Scratch), n, pi, ci, om, 1)
 			want := n
 			if want > total {
 				want = total
@@ -154,13 +155,14 @@ func TestRankTopIsPrefixOfRank(t *testing.T) {
 
 // TestSelectTopNEmpty covers the zero-provider and zero-n edges.
 func TestSelectTopNEmpty(t *testing.T) {
-	if got := SelectTopN(0, 3, func(a, b int) bool { return a < b }); len(got) != 0 {
+	var s Scratch
+	if got := SelectTopN(&s, 0, 3, func(a, b int) bool { return a < b }); len(got) != 0 {
 		t.Errorf("empty input selected %v", got)
 	}
-	if got := SelectTopN(5, 0, func(a, b int) bool { return a < b }); len(got) != 0 {
+	if got := SelectTopN(&s, 5, 0, func(a, b int) bool { return a < b }); len(got) != 0 {
 		t.Errorf("n=0 selected %v", got)
 	}
-	if got := SelectTopN(5, -2, func(a, b int) bool { return a < b }); len(got) != 0 {
+	if got := SelectTopN(&s, 5, -2, func(a, b int) bool { return a < b }); len(got) != 0 {
 		t.Errorf("negative n selected %v", got)
 	}
 }

@@ -70,8 +70,9 @@ func runTable1(l *Lab) (*Result, error) {
 	avail := []float64{0.85, 0.57, 0.22, 0.15, 0}
 
 	omegas := []float64{0.5, 0.5, 0.5, 0.5, 0.5}
-	ranking := core.Rank(pi, ci, omegas, 1)
-	selected := core.Select(2, ranking)
+	var scratch core.Scratch
+	ranking := core.RankTop(&scratch, len(pi), pi, ci, omegas, 1)
+	selected := core.Select(&scratch, 2, ranking)
 	isSel := map[int]bool{}
 	for _, idx := range selected {
 		isSel[idx] = true

@@ -13,17 +13,18 @@ import (
 type BatchResult struct {
 	// Alloc is the allocation; nil when Err is set. It points into
 	// server-owned batch scratch — the Allocation itself and its
-	// Pq/CI/PI/Selected — which the next MediateBatch on this server, from
-	// any goroutine, overwrites: a caller reads it before anyone calls
-	// again, and callers that share a server concurrently read only Err.
+	// Pq/CI/PI/Selected — which the next mediation on this server
+	// (MediateBatch or Mediate, from any goroutine) overwrites: a caller
+	// reads it before anyone calls again, and callers that share a server
+	// concurrently read only Err.
 	Alloc *Allocation
 	// Err is the per-query mediation error (ErrNoProviders for an empty
 	// Pq, ErrServerClosed after Close, a validation error otherwise).
 	Err error
 }
 
-// batchScratch is the server-owned working memory MediateBatch reuses
-// across batches. Each batch bumps the epoch; per-class and per-(consumer,
+// batchScratch is the server-owned working memory Server.turn reuses
+// across batches (a Mediate call is a batch of one). Each batch bumps the epoch; per-class and per-(consumer,
 // class) cached vectors carry the epoch they were computed in, so
 // "recompute this batch?" is one integer compare and nothing is cleared or
 // reallocated between batches. Buffer capacities converge to the workload's
@@ -138,11 +139,8 @@ func (b *batchScratch) consumer(q *model.Query, pq []*model.Provider) []float64 
 // enqueued by earlier queries of the same batch shows up in Definition 8's
 // load term only from the next batch on — staleness bounded by one batch.)
 //
-// Intentions are computed synchronously in-process (the throughput path);
-// the concurrent Collector fan-out of Mediate is for slow or remote
-// participants and reports CollectErrors/CollectTimeouts instead. The
-// returned allocations live in the server's batch scratch and are valid
-// until the next MediateBatch call on this server (see BatchResult.Alloc);
+// The returned allocations live in the server's batch scratch and are valid
+// until the next mediation on this server (see BatchResult.Alloc);
 // steady-state cost is one allocation per batch, the result slice,
 // independent of |Pq|.
 func (s *Server) MediateBatch(ctx context.Context, qs []*model.Query) []BatchResult {
@@ -152,11 +150,22 @@ func (s *Server) MediateBatch(ctx context.Context, qs []*model.Query) []BatchRes
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.turn(ctx, qs, out)
+	return out
+}
+
+// turn is the one mediation body of the server: Algorithm 1 for each query
+// of qs in slice order at one clock reading, outcomes into out (indexed
+// like qs). Intentions are computed in-process from the model's own state,
+// and Definitions 7 and 8 clamp what they read of it, so the vectors need
+// none of the Collector's guards against what a remote participant may
+// answer. Callers hold s.mu.
+func (s *Server) turn(ctx context.Context, qs []*model.Query, out []BatchResult) {
 	if s.closed {
 		for i := range out {
 			out[i].Err = ErrServerClosed
 		}
-		return out
+		return
 	}
 	match := s.med.Match
 	if match == nil {
@@ -203,9 +212,10 @@ func (s *Server) MediateBatch(ctx context.Context, qs []*model.Query) []BatchRes
 		b.sel = append(b.sel, alloc.Selected...)
 		alloc.Selected = b.sel[start:len(b.sel):len(b.sel)]
 		if s.apply {
-			s.applyAllocation(now, q, alloc)
+			for _, idx := range alloc.Selected {
+				pq[idx].Assign(now, q.Units)
+			}
 		}
 		out[i].Alloc = alloc
 	}
-	return out
 }

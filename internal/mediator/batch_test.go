@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sqlb/internal/allocator"
+	"sqlb/internal/matchmaking"
 	"sqlb/internal/model"
 	"sqlb/internal/randx"
 )
@@ -39,59 +40,131 @@ func mintQueries(pop *model.Population, n int) []*model.Query {
 	return qs
 }
 
-func TestMediateBatchEquivalentToSequential(t *testing.T) {
-	// A batch must be observably identical to the same sequence of single
-	// mediations at the same clock reading: same selections, same intention
-	// vectors, same tracker bookkeeping.
-	popSeq, popBatch := batchFixture(t, 3, 16)
-	now := func() float64 { return 7 }
-	seq := NewServer(allocator.NewSQLB(), popSeq, 100*time.Millisecond, now)
-	bat := NewServer(allocator.NewSQLB(), popBatch, 100*time.Millisecond, now)
+// entranceFixture builds one population of a same-seed family: four query
+// classes and specialists advertising half of them, so Pq differs by class
+// and the index matchmaker has real posting lists to answer from.
+func entranceFixture() *model.Population {
+	cfg := model.DefaultConfig().WithClasses(4)
+	cfg.Consumers = 5
+	cfg.Providers = 24
+	cfg.CapabilitySelectivity = 0.5
+	return model.NewPopulation(cfg, randx.New(33), 0)
+}
 
-	const n = 40
-	wantAllocs := make([]*Allocation, n)
-	for i, q := range mintQueries(popSeq, n) {
-		alloc, err := seq.Mediate(context.Background(), q)
-		if err != nil {
-			t.Fatalf("sequential Mediate %d: %v", i, err)
-		}
-		wantAllocs[i] = alloc
+// mintClassQueries is mintQueries spread over every class of the population.
+func mintClassQueries(pop *model.Population, n int) []*model.Query {
+	qs := mintQueries(pop, n)
+	for i, q := range qs {
+		q.Class = (i / 2) % len(pop.Classes)
+		q.Units = pop.Classes[q.Class].Units
 	}
-	results := bat.MediateBatch(context.Background(), mintQueries(popBatch, n))
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("batch query %d: %v", i, r.Err)
+	return qs
+}
+
+// sameAllocation compares an entrance's allocation with the reference's:
+// the same providers in Pq, the same selection, bit-equal intentions.
+func sameAllocation(t *testing.T, entrance string, i int, got, want *Allocation) {
+	t.Helper()
+	if len(got.Pq) != len(want.Pq) || !equalInts(got.Selected, want.Selected) {
+		t.Fatalf("query %d: %s has |Pq| %d, selected %v; reference |Pq| %d, selected %v",
+			i, entrance, len(got.Pq), got.Selected, len(want.Pq), want.Selected)
+	}
+	for j := range want.Pq {
+		if got.Pq[j].ID != want.Pq[j].ID ||
+			math.Float64bits(got.CI[j]) != math.Float64bits(want.CI[j]) ||
+			math.Float64bits(got.PI[j]) != math.Float64bits(want.PI[j]) {
+			t.Fatalf("query %d candidate %d: %s has p%d ci %v pi %v, reference p%d ci %v pi %v", i, j, entrance,
+				got.Pq[j].ID, got.CI[j], got.PI[j], want.Pq[j].ID, want.CI[j], want.PI[j])
 		}
-		want := wantAllocs[i]
-		if len(r.Alloc.Selected) != len(want.Selected) {
-			t.Fatalf("query %d: batch selected %v, sequential %v", i, r.Alloc.Selected, want.Selected)
+	}
+}
+
+// samePopulationState compares what the mediations left behind in every
+// participant: the satisfaction windows and, under apply, the queues.
+func samePopulationState(t *testing.T, entrance string, got, want *model.Population) {
+	t.Helper()
+	for i, w := range want.Providers {
+		g := got.Providers[i]
+		if g.Public.Proposed() != w.Public.Proposed() || g.Public.Performed() != w.Public.Performed() ||
+			g.Public.Satisfaction() != w.Public.Satisfaction() || g.Private.Satisfaction() != w.Private.Satisfaction() ||
+			g.QueriesPerformed != w.QueriesPerformed || g.Backlog(0) != w.Backlog(0) {
+			t.Fatalf("provider %d: %s left %d/%d proposals, δs %v/%v, %d performed; reference %d/%d, %v/%v, %d", i, entrance,
+				g.Public.Performed(), g.Public.Proposed(), g.Public.Satisfaction(), g.Private.Satisfaction(), g.QueriesPerformed,
+				w.Public.Performed(), w.Public.Proposed(), w.Public.Satisfaction(), w.Private.Satisfaction(), w.QueriesPerformed)
 		}
-		for j := range want.Selected {
-			if r.Alloc.Selected[j] != want.Selected[j] {
-				t.Fatalf("query %d: batch selected %v, sequential %v", i, r.Alloc.Selected, want.Selected)
+	}
+	for i, w := range want.Consumers {
+		g := got.Consumers[i]
+		if g.Tracker.Queries() != w.Tracker.Queries() || g.Tracker.Satisfaction() != w.Tracker.Satisfaction() {
+			t.Fatalf("consumer %d: %s left %d queries, δs %v; reference %d, %v", i, entrance,
+				g.Tracker.Queries(), g.Tracker.Satisfaction(), w.Tracker.Queries(), w.Tracker.Satisfaction())
+		}
+	}
+}
+
+// TestMediateBatchEquivalentToSequential holds the server's two entrances
+// against an independent reference. Mediate and MediateBatch run one body,
+// so comparing them with each other would compare the code with itself; the
+// reference is Mediator.Allocate — the simulator's entrance, which gathers
+// intentions in its own loop and shares only the allocation commit with the
+// server — on a same-seed twin population, with the allocation applied by
+// hand when the servers apply theirs. Every entrance sees the same stream
+// at the same clock readings, batches of uneven size are consumed in turn
+// out of the reused scratch, and all three must agree query for query —
+// selections, intention bits — and in the state they leave behind.
+//
+// Under SetApply a batch's Definition 8 vector is a snapshot from the start
+// of the batch (stale by up to one batch, by contract), so there only
+// Mediate is held against the reference.
+func TestMediateBatchEquivalentToSequential(t *testing.T) {
+	for _, apply := range []bool{false, true} {
+		popRef, popSeq, popBatch := entranceFixture(), entranceFixture(), entranceFixture()
+		clock := 0.0
+		now := func() float64 { return clock }
+		ref := New(allocator.NewSQLB())
+		ref.Match = matchmaking.BuildIndex(popRef)
+		seq := NewServer(allocator.NewSQLB(), popSeq, 0, now)
+		seq.SetMatchmaker(matchmaking.BuildIndex(popSeq))
+		seq.SetApply(apply)
+		bat := NewServer(allocator.NewSQLB(), popBatch, 0, now)
+		bat.SetMatchmaker(matchmaking.BuildIndex(popBatch))
+
+		const n = 160
+		qsRef, qsSeq, qsBatch := mintClassQueries(popRef, n), mintClassQueries(popSeq, n), mintClassQueries(popBatch, n)
+		for lo, size := 0, 1; lo < n; lo, size = lo+size, size%7+2 {
+			hi := min(lo+size, n)
+			clock += 0.25
+			var results []BatchResult
+			if !apply {
+				results = bat.MediateBatch(context.Background(), qsBatch[lo:hi])
+			}
+			for i := lo; i < hi; i++ {
+				want, err := ref.Allocate(clock, qsRef[i], popRef)
+				if err != nil {
+					t.Fatalf("apply=%v query %d: reference: %v", apply, i, err)
+				}
+				if apply {
+					for _, idx := range want.Selected {
+						want.Pq[idx].Assign(clock, qsRef[i].Units)
+					}
+				}
+				got, err := seq.Mediate(context.Background(), qsSeq[i])
+				if err != nil {
+					t.Fatalf("apply=%v query %d: Mediate: %v", apply, i, err)
+				}
+				sameAllocation(t, "Mediate", i, got, want)
+				if !apply {
+					if r := results[i-lo]; r.Err != nil {
+						t.Fatalf("query %d: MediateBatch: %v", i, r.Err)
+					} else {
+						sameAllocation(t, "MediateBatch", i, r.Alloc, want)
+					}
+				}
 			}
 		}
-		for j := range want.CI {
-			if math.Abs(r.Alloc.CI[j]-want.CI[j]) > 1e-12 || math.Abs(r.Alloc.PI[j]-want.PI[j]) > 1e-12 {
-				t.Fatalf("query %d provider %d: intentions diverged (%v/%v vs %v/%v)",
-					i, j, r.Alloc.CI[j], r.Alloc.PI[j], want.CI[j], want.PI[j])
-			}
-		}
-		if r.Alloc.Degraded() {
-			t.Fatalf("query %d: in-process batch reported degraded collection", i)
-		}
-	}
-	// The commits' bookkeeping matches too.
-	for i, p := range popSeq.Providers {
-		pb := popBatch.Providers[i]
-		if p.Public.Proposed() != pb.Public.Proposed() || p.Public.Performed() != pb.Public.Performed() {
-			t.Fatalf("provider %d tracker diverged: %d/%d vs %d/%d",
-				i, p.Public.Proposed(), p.Public.Performed(), pb.Public.Proposed(), pb.Public.Performed())
-		}
-	}
-	for i, c := range popSeq.Consumers {
-		if c.Tracker.Queries() != popBatch.Consumers[i].Tracker.Queries() {
-			t.Fatalf("consumer %d query records diverged", i)
+		samePopulationState(t, "Mediate", popSeq, popRef)
+		if !apply {
+			samePopulationState(t, "MediateBatch", popBatch, popRef)
 		}
 	}
 }

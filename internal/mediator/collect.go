@@ -4,13 +4,13 @@ import (
 	"context"
 	"time"
 
-	"sqlb/internal/intention"
 	"sqlb/internal/model"
 )
 
-// ConsumerClient is a (possibly remote or slow) consumer endpoint the
-// mediator queries for intentions. In an e-marketplace deployment this is a
-// network call; the in-process adapters below evaluate Definition 7.
+// ConsumerClient is a remote or slow consumer endpoint the mediator queries
+// for intentions — in an e-marketplace deployment, a network call. Local
+// participants never travel this road: the mediator evaluates Definitions 7
+// and 8 for them in-process.
 type ConsumerClient interface {
 	// Intention returns the consumer's intention for allocating q to p.
 	Intention(ctx context.Context, q *model.Query, p *model.Provider) (float64, error)
@@ -133,33 +133,4 @@ func sanitize(v float64) float64 {
 		return -10
 	}
 	return v
-}
-
-// LocalConsumer adapts a model.Consumer to ConsumerClient, evaluating
-// Definition 7 in-process.
-type LocalConsumer struct {
-	C *model.Consumer
-}
-
-// Intention implements ConsumerClient.
-func (l LocalConsumer) Intention(_ context.Context, q *model.Query, p *model.Provider) (float64, error) {
-	return intention.Consumer(l.C.Preference(p, q.Class), p.Reputation, l.C.Upsilon, l.C.Epsilon), nil
-}
-
-// LocalProvider adapts a model.Provider to ProviderClient, evaluating
-// Definition 8 in-process at the given wall-clock anchor.
-type LocalProvider struct {
-	P *model.Provider
-	// Now supplies the simulation time for the utilization read; nil
-	// means "time 0".
-	Now func() float64
-}
-
-// Intention implements ProviderClient.
-func (l LocalProvider) Intention(_ context.Context, q *model.Query) (float64, error) {
-	now := 0.0
-	if l.Now != nil {
-		now = l.Now()
-	}
-	return intention.Provider(l.P.Preference(q.Class), l.P.OperationalLoad(now), l.P.SmoothSat, l.P.Epsilon), nil
 }

@@ -173,30 +173,3 @@ func TestCollectSanitizesGarbage(t *testing.T) {
 		t.Errorf("raw negative intention should pass, got %v", ci2[0])
 	}
 }
-
-func TestCollectWithLocalAdapters(t *testing.T) {
-	pop, q := collectFixture(t, 6)
-	providers := make([]ProviderClient, len(pop.Providers))
-	now := func() float64 { return 0 }
-	for i, p := range pop.Providers {
-		providers[i] = LocalProvider{P: p, Now: now}
-	}
-	c := &Collector{Timeout: time.Second}
-	ci, pi, _ := c.Collect(context.Background(), q, pop.Providers, LocalConsumer{C: pop.Consumers[0]}, providers)
-	// The concurrent path must agree with the synchronous fast path.
-	wantCI, wantPI := Intentions(0, q, pop.Providers)
-	for i := range ci {
-		if math.Abs(ci[i]-wantCI[i]) > 1e-12 || math.Abs(pi[i]-wantPI[i]) > 1e-12 {
-			t.Fatalf("concurrent/synchronous mismatch at %d: %v/%v vs %v/%v",
-				i, ci[i], pi[i], wantCI[i], wantPI[i])
-		}
-	}
-}
-
-func TestLocalProviderNilNow(t *testing.T) {
-	pop, q := collectFixture(t, 1)
-	lp := LocalProvider{P: pop.Providers[0]}
-	if _, err := lp.Intention(context.Background(), q); err != nil {
-		t.Fatalf("Intention: %v", err)
-	}
-}

@@ -1,9 +1,10 @@
 // Package mediator implements the mediation layer of Figure 1 and
 // Algorithm 1: matchmaking (finding Pq), obtaining the consumer's and the
-// providers' intentions (synchronously for the simulator, or concurrently
-// with a timeout for live deployments), driving the pluggable allocation
-// strategy, and notifying every provider in Pq of the mediation result so
-// that the satisfaction windows of Section 3 stay current.
+// providers' intentions (computed in-process for local participants;
+// Collector gathers them concurrently with a timeout from remote ones),
+// driving the pluggable allocation strategy, and notifying every provider
+// in Pq of the mediation result so that the satisfaction windows of
+// Section 3 stay current.
 package mediator
 
 import (
@@ -111,8 +112,8 @@ type Allocation struct {
 	// the whole Allocation on that path; callers that retain providers
 	// past that point must copy (SelectedProviders does). Allocations
 	// returned by Server.Mediate carry their own copies and are safe to
-	// retain; Server.MediateBatch results stay valid until the next batch
-	// on that server, from any caller (see BatchResult.Alloc).
+	// retain; Server.MediateBatch results stay valid until the next
+	// mediation on that server, from any caller (see BatchResult.Alloc).
 	Pq []*model.Provider
 	// CI and PI are the expressed intentions, indexed like Pq.
 	CI []float64
@@ -120,19 +121,11 @@ type Allocation struct {
 	// Selected are the indexes into Pq that got the query, best first
 	// (All⃗oc[p] = 1 for these, 0 for the rest).
 	Selected []int
-	// CollectErrors and CollectTimeouts count the intention answers that
-	// fell back to the collector's Default on the concurrent path (errored
-	// participants and answers outstanding at the timeout). Zero on the
-	// in-process synchronous path, where every intention is computed
-	// locally.
-	CollectErrors   int
-	CollectTimeouts int
 }
 
-// Degraded reports whether any intention behind this allocation fell back
-// to the collector's Default — the mediation committed on partial
-// information.
-func (a *Allocation) Degraded() bool { return a.CollectErrors > 0 || a.CollectTimeouts > 0 }
+// Degraded is always false: every mediation path computes its intentions
+// in-process. Kept only because the frozen benchmark/ calls it.
+func (a *Allocation) Degraded() bool { return false }
 
 // SelectedProviders returns the providers that got the query, best first.
 func (a *Allocation) SelectedProviders() []*model.Provider {
@@ -216,7 +209,8 @@ func New(strategy allocator.Allocator) *Mediator {
 
 // Allocate mediates one query at the given time: matchmaking, intention
 // gathering (lines 2-5 of Algorithm 1, computed synchronously here — see
-// Collector for the concurrent fork/join variant), allocation (lines 6-10),
+// Collector for the fork/join variant remote participants need), allocation
+// (lines 6-10),
 // and result notification (recording into every participant's satisfaction
 // windows). The strategy sees only public information: expressed intentions
 // and intention-based satisfactions.
@@ -257,35 +251,15 @@ func (m *Mediator) Allocate(now float64, q *model.Query, pop *model.Population) 
 	return &sc.alloc, nil
 }
 
-// AllocateCollected performs the allocation commit of Algorithm 1 (lines
-// 6-10) once the intention vectors have been gathered — by Intentions for
-// the in-process fast path or by a Collector for the concurrent/live path
-// (see Server). It scores, ranks, selects, and notifies every provider in
-// Pq of the mediation result. The returned Allocation owns its Selected set
-// and is safe to retain (Pq/CI/PI alias the caller's slices).
-func (m *Mediator) AllocateCollected(now float64, q *model.Query, pq []*model.Provider, ci, pi []float64) (*Allocation, error) {
-	alloc := &Allocation{}
-	if err := m.allocateInto(alloc, now, q, pq, ci, pi); err != nil {
-		return nil, err
-	}
-	alloc.Selected = append([]int(nil), alloc.Selected...)
-	return alloc, nil
-}
-
-// allocateInto is the shared allocation commit: it scores, ranks, selects,
-// records the result, and fills out in place. Out's Selected aliases the
-// strategy's scratch selection and is valid only until the next mediation
-// on this mediator — callers that let the allocation escape copy it
-// (AllocateCollected) or arena it (Server.MediateBatch).
+// allocateInto is the shared allocation commit (Algorithm 1 lines 6-10):
+// it scores, ranks, selects, records the result, and fills out in place.
+// Both callers (Allocate, Server.turn) pass a non-empty pq and intention
+// vectors they sized like it. Out's Selected aliases the strategy's scratch
+// selection and is valid only until the next mediation on this mediator —
+// the server, whose allocations outlive that, arenas it (Server.turn).
 func (m *Mediator) allocateInto(out *Allocation, now float64, q *model.Query, pq []*model.Provider, ci, pi []float64) error {
 	if m.Strategy == nil {
 		return errors.New("mediator: no allocation strategy configured")
-	}
-	if len(pq) == 0 {
-		return fmt.Errorf("%w (query %d)", ErrNoProviders, q.ID)
-	}
-	if len(ci) != len(pq) || len(pi) != len(pq) {
-		return fmt.Errorf("mediator: intention vectors sized %d/%d for %d providers", len(ci), len(pi), len(pq))
 	}
 	sc := &m.scratch
 	sc.provSat = growFloats(sc.provSat, len(pq))
@@ -318,10 +292,11 @@ func (m *Mediator) allocateInto(out *Allocation, now float64, q *model.Query, pq
 	return nil
 }
 
-// Intentions computes the consumer and provider intentions for a query
-// over Pq, per Definitions 7 and 8. This is the synchronous fast path used
-// by the simulator; the formulas are evaluated in-process because every
-// participant is local.
+// intentionsRange fills the [lo, hi) slots of the intention vectors per
+// Definitions 7 and 8 — the per-index map the sharded engine's phase
+// executor partitions. Slot i is a pure function of (q, pq[i], now): no
+// accumulator crosses indexes, so any partition of [0, len(pq)) produces
+// identical vectors.
 //
 // The vectors carry the *raw* definition values, which extend below -1
 // (Figure 2's surface reaches -2.5). Definition 9's negative branch needs
@@ -330,17 +305,6 @@ func (m *Mediator) allocateInto(out *Allocation, now float64, q *model.Query, pq
 // would keep piling onto favorites until they flee by overutilization.
 // The satisfaction windows clamp to [-1,1] at record time (Section 2's
 // expressed range), so the δ characteristics stay in [0,1].
-func Intentions(now float64, q *model.Query, pq []*model.Provider) (ci, pi []float64) {
-	ci = make([]float64, len(pq))
-	pi = make([]float64, len(pq))
-	intentionsRange(now, q, pq, ci, pi, 0, len(pq))
-	return ci, pi
-}
-
-// intentionsRange fills the [lo, hi) slots of the intention vectors — the
-// per-index map the sharded engine's phase executor partitions. Slot i is
-// a pure function of (q, pq[i], now): no accumulator crosses indexes, so
-// any partition of [0, len(pq)) produces identical vectors.
 func intentionsRange(now float64, q *model.Query, pq []*model.Provider, ci, pi []float64, lo, hi int) {
 	c := q.Consumer
 	for i := lo; i < hi; i++ {

@@ -194,7 +194,11 @@ func TestMediatorQNGreaterThanN(t *testing.T) {
 func TestIntentionsVectorSemantics(t *testing.T) {
 	pop := newPop(t, 1, 10)
 	q := newQuery(pop, 1, 1)
-	ci, pi := Intentions(0, q, pop.Providers)
+	alloc, err := New(allocator.NewSQLB()).Allocate(0, q, pop)
+	if err != nil {
+		t.Fatalf("Allocate: %v", err)
+	}
+	ci, pi := alloc.CI, alloc.PI
 	if len(ci) != 10 || len(pi) != 10 {
 		t.Fatalf("vector sizes %d/%d, want 10/10", len(ci), len(pi))
 	}

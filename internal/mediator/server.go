@@ -3,7 +3,6 @@ package mediator
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -12,22 +11,20 @@ import (
 )
 
 // Server runs a mediator as a long-lived concurrent service — the live
-// counterpart of Figure 1: consumers submit queries from any goroutine;
-// for each query the server fans out the intention requests concurrently
-// with a timeout (Algorithm 1 lines 2-5, via Collector) and then commits
-// the scoring, ranking, allocation, and result notification atomically.
-// Mediations are serialized at the commit — the paper's system has one
-// mediator, and the satisfaction windows are its bookkeeping — while the
-// per-query fan-out still overlaps slow participants within a mediation.
+// counterpart of Figure 1: consumers submit queries from any goroutine,
+// one at a time (Mediate) or in batches (MediateBatch), and each call is
+// one mediation turn under the server's lock: Algorithm 1 with intentions
+// computed in-process, then scoring, ranking, allocation, and result
+// notification. Mediations are serialized — the paper's system has one
+// mediator, and the satisfaction windows are its bookkeeping.
 type Server struct {
-	med       *Mediator
-	pop       *model.Population
-	collector *Collector
-	now       func() float64
+	med *Mediator
+	pop *model.Population
+	now func() float64
 
 	mu     sync.Mutex
 	closed bool
-	// batch is MediateBatch's reusable working memory; guarded by mu.
+	// batch is the mediation turn's reusable working memory; guarded by mu.
 	batch batchScratch
 	// apply makes the server commit each allocation onto the selected
 	// providers' queues (model.Provider.Assign) inside the mediation turn.
@@ -41,19 +38,16 @@ type Server struct {
 var ErrServerClosed = errors.New("mediator: server closed")
 
 // NewServer returns a server mediating over the population with the given
-// strategy. timeout bounds each query's intention collection; now supplies
-// the mediation clock (nil means wall-clock seconds since start).
-func NewServer(strategy allocator.Allocator, pop *model.Population, timeout time.Duration, now func() float64) *Server {
+// strategy; now supplies the mediation clock (nil means wall-clock seconds
+// since start). The timeout is ignored — no mediation path waits on a
+// participant any more — and stays only because the frozen benchmark/
+// passes one.
+func NewServer(strategy allocator.Allocator, pop *model.Population, _ time.Duration, now func() float64) *Server {
 	if now == nil {
 		start := time.Now()
 		now = func() float64 { return time.Since(start).Seconds() }
 	}
-	return &Server{
-		med:       New(strategy),
-		pop:       pop,
-		collector: &Collector{Timeout: timeout},
-		now:       now,
-	}
+	return &Server{med: New(strategy), pop: pop, now: now}
 }
 
 // SetMatchmaker replaces the matchmaking procedure (default AllProviders).
@@ -82,62 +76,26 @@ func (s *Server) WithPopulation(f func(*model.Population)) {
 	f(s.pop)
 }
 
-// applyAllocation enqueues the query's work on every selected provider.
-// Callers hold s.mu.
-func (s *Server) applyAllocation(now float64, q *model.Query, alloc *Allocation) {
-	for _, idx := range alloc.Selected {
-		alloc.Pq[idx].Assign(now, q.Units)
-	}
-}
-
-// Mediate allocates one query: concurrent intention collection, then an
-// atomic allocation commit. Safe for concurrent use.
+// Mediate allocates one query: a mediation turn of one, the same body
+// MediateBatch runs. The returned Allocation is a copy the caller owns —
+// safe to retain and to read while other goroutines mediate. Safe for
+// concurrent use.
 func (s *Server) Mediate(ctx context.Context, q *model.Query) (*Allocation, error) {
-	if q == nil || q.Consumer == nil {
-		return nil, errors.New("mediator: query needs a consumer")
-	}
+	var out [1]BatchResult
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrServerClosed
+	defer s.mu.Unlock()
+	s.turn(ctx, []*model.Query{q}, out[:])
+	if out[0].Err != nil {
+		return nil, out[0].Err
 	}
-
-	match := s.med.Match
-	if match == nil {
-		match = AllProviders{}
-	}
-	// Copy the matchmade set: an indexed matchmaker returns its internal
-	// posting list (see matchmaking.Index.Lookup), which a later
-	// mediation's lazy prune may compact in place. The returned
-	// Allocation escapes this lock, so the server must not alias mutable
-	// matchmaker storage; the single-threaded engine path skips the copy.
-	pq := append([]*model.Provider(nil), match.Match(q, s.pop)...)
-	if len(pq) == 0 {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w (query %d)", ErrNoProviders, q.ID)
-	}
-	t := s.now()
-
-	// Fan out the intention requests while holding the mediation turn:
-	// participants answer concurrently (each provider is touched by
-	// exactly one goroutine), and the commit below sees a consistent
-	// population.
-	providers := make([]ProviderClient, len(pq))
-	for i, p := range pq {
-		providers[i] = LocalProvider{P: p, Now: func() float64 { return t }}
-	}
-	ci, pi, st := s.collector.Collect(ctx, q, pq, LocalConsumer{C: q.Consumer}, providers)
-
-	alloc, err := s.med.AllocateCollected(t, q, pq, ci, pi)
-	if alloc != nil {
-		alloc.CollectErrors = st.Errors
-		alloc.CollectTimeouts = st.Timeouts
-		if s.apply {
-			s.applyAllocation(t, q, alloc)
-		}
-	}
-	s.mu.Unlock()
-	return alloc, err
+	a := out[0].Alloc
+	return &Allocation{
+		Query:    q,
+		Pq:       append([]*model.Provider(nil), a.Pq...),
+		CI:       append([]float64(nil), a.CI...),
+		PI:       append([]float64(nil), a.PI...),
+		Selected: append([]int(nil), a.Selected...),
+	}, nil
 }
 
 // Close marks the server closed; subsequent Submits fail fast.

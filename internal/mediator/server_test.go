@@ -2,6 +2,7 @@ package mediator
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -175,19 +176,153 @@ func TestServerAllocationSurvivesMatchmakerMutation(t *testing.T) {
 	}
 }
 
-func TestAllocateCollectedValidation(t *testing.T) {
+// TestAllocateValidation drives the allocation commit's refusals through
+// the entrances that reach it. (Intention vectors sized unlike Pq — the third
+// refusal, back when callers could hand the commit vectors they had gathered
+// themselves — cannot be built from outside any more: every entrance sizes
+// the vectors from the Pq it matched.)
+func TestAllocateValidation(t *testing.T) {
 	pop := newPop(t, 1, 3)
-	med := New(allocator.NewSQLB())
 	q := newQuery(pop, 1, 1)
-	if _, err := med.AllocateCollected(0, q, pop.Providers, []float64{1}, []float64{1, 1, 1}); err == nil {
-		t.Fatal("mismatched vectors accepted")
+	committed := func() int {
+		n := pop.Consumers[0].Tracker.Queries()
+		for _, p := range pop.Providers {
+			n += p.Public.Proposed()
+		}
+		return n
 	}
-	if _, err := med.AllocateCollected(0, q, nil, nil, nil); err == nil {
-		t.Fatal("empty Pq accepted")
-	}
-	bare := &Mediator{}
-	ci := []float64{0, 0, 0}
-	if _, err := bare.AllocateCollected(0, q, pop.Providers, ci, ci); err == nil {
+	before := committed()
+	if _, err := (&Mediator{}).Allocate(0, q, pop); err == nil {
 		t.Fatal("strategy-less mediator accepted")
+	}
+	bare := NewServer(nil, pop, 0, nil)
+	if _, err := bare.Mediate(context.Background(), q); err == nil {
+		t.Fatal("strategy-less server accepted a query")
+	}
+	if res := bare.MediateBatch(context.Background(), []*model.Query{q}); res[0].Err == nil || res[0].Alloc != nil {
+		t.Fatal("strategy-less server accepted a batch")
+	}
+	for _, p := range pop.Providers {
+		p.Alive = false
+	}
+	if _, err := New(allocator.NewSQLB()).Allocate(0, q, pop); !errors.Is(err, ErrNoProviders) {
+		t.Fatalf("empty Pq: err = %v, want ErrNoProviders", err)
+	}
+	if got := committed(); got != before {
+		t.Fatalf("refused mediations recorded %d tracker entries", got-before)
+	}
+}
+
+// TestDeadContextCommitsNothing: a mediation asked for under a cancelled or
+// expired context is refused with the context's error by both entrances —
+// no allocation, no entry in any satisfaction window — and leaves the
+// mediation lock free for the next caller. (Mediate used to fall back to
+// all-zero default intentions and commit an allocation computed from them.)
+func TestDeadContextCommitsNothing(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, release := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer release()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		want error
+	}{
+		{"cancelled", cancelled, context.Canceled},
+		{"deadline exceeded", expired, context.DeadlineExceeded},
+	} {
+		pop := newPop(t, 2, 6)
+		srv := NewServer(allocator.NewSQLB(), pop, 0, func() float64 { return 1 })
+		srv.SetApply(true)
+		q := newQuery(pop, 1, 2)
+		queries := q.Consumer.Tracker.Queries()
+
+		alloc, err := srv.Mediate(tc.ctx, q)
+		res := srv.MediateBatch(tc.ctx, []*model.Query{q, q})
+		if alloc != nil || !errors.Is(err, tc.want) {
+			t.Fatalf("%s: Mediate = %v, %v; want nil, %v", tc.name, alloc, err, tc.want)
+		}
+		for i, r := range res {
+			if r.Alloc != nil || r.Err != err {
+				t.Fatalf("%s: MediateBatch[%d] = %v, %v; Mediate's error was %v", tc.name, i, r.Alloc, r.Err, err)
+			}
+		}
+		for _, p := range pop.Providers {
+			if p.Public.Proposed() != 0 || p.Private.Proposed() != 0 || p.QueriesPerformed != 0 {
+				t.Fatalf("%s: provider %d saw %d proposals and performed %d queries of a refused mediation",
+					tc.name, p.ID, p.Public.Proposed(), p.QueriesPerformed)
+			}
+		}
+		if got := q.Consumer.Tracker.Queries(); got != queries {
+			t.Fatalf("%s: consumer recorded %d queries of a refused mediation", tc.name, got-queries)
+		}
+		// The lock is free and the server healthy.
+		if alloc, err := srv.Mediate(context.Background(), q); err != nil || len(alloc.Selected) != 2 {
+			t.Fatalf("%s: healthy Mediate after the refusals: %v, %v", tc.name, alloc, err)
+		}
+		if r := srv.MediateBatch(context.Background(), []*model.Query{q})[0]; r.Err != nil {
+			t.Fatalf("%s: healthy MediateBatch after the refusals: %v", tc.name, r.Err)
+		}
+		if got := pop.Providers[0].Public.Proposed(); got != 2 {
+			t.Fatalf("%s: provider 0 saw %d proposals after two healthy mediations", tc.name, got)
+		}
+	}
+}
+
+// TestServerMediateResultsAreRetainable is Mediate's durability contract
+// under concurrency (run under make race): four callers keep every result
+// they get, read it at once — while the others are mediating — and again
+// after everyone finished and one more batch reused the server's scratch.
+// A Mediate that handed out server-owned memory fails here twice over: the
+// race detector sees the unlocked read against a later turn's write, and
+// the re-read finds another mediation's providers.
+func TestServerMediateResultsAreRetainable(t *testing.T) {
+	const callers, each = 4, 64
+	pop := newPop(t, 4, 12)
+	srv := NewServer(allocator.NewSQLB(), pop, 0, nil)
+	srv.SetApply(true)
+	type kept struct {
+		alloc *Allocation
+		ids   []int // the selected providers as read right after the call
+	}
+	results := make([][]kept, callers)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				q := newQuery(pop, uint64(g*each+i+1), 1+i%3)
+				q.Consumer = pop.Consumers[(g+i)%len(pop.Consumers)]
+				alloc, err := srv.Mediate(context.Background(), q)
+				if err != nil {
+					t.Errorf("caller %d query %d: %v", g, i, err)
+					return
+				}
+				k := kept{alloc: alloc}
+				for _, idx := range alloc.Selected {
+					k.ids = append(k.ids, alloc.Pq[idx].ID)
+				}
+				results[g] = append(results[g], k)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if r := srv.MediateBatch(context.Background(), mintQueries(pop, 8)); r[0].Err != nil {
+		t.Fatalf("closing batch: %v", r[0].Err)
+	}
+	for g, ks := range results {
+		for i, k := range ks {
+			a := k.alloc
+			if len(a.CI) != len(a.Pq) || len(a.PI) != len(a.Pq) || len(a.Selected) != 1+i%3 {
+				t.Fatalf("caller %d query %d: retained allocation has |Pq| %d, |CI| %d, |PI| %d, %d selected",
+					g, i, len(a.Pq), len(a.CI), len(a.PI), len(a.Selected))
+			}
+			for j, idx := range a.Selected {
+				if p := a.Pq[idx]; p == nil || p.ID != k.ids[j] {
+					t.Fatalf("caller %d query %d: retained selection %d changed after later mediations", g, i, j)
+				}
+			}
+		}
 	}
 }

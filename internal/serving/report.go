@@ -30,9 +30,6 @@ type Report struct {
 	Mediated  uint64 `json:"mediated"`
 	Dropped   uint64 `json:"dropped"`
 	Errors    uint64 `json:"errors"`
-	// Degraded counts mediations that committed on partial intention
-	// information (errored or timed-out collection answers).
-	Degraded uint64 `json:"degraded_collections"`
 
 	MediationsPerSec float64 `json:"mediations_per_sec"`
 	LatencyMeanMs    float64 `json:"latency_mean_ms"`
@@ -67,8 +64,8 @@ func (r *Report) String() string {
 		r.TargetQPS, r.Workers, r.Batch, r.QueueDepth)
 	fmt.Fprintf(&b, "phases            warmup %.1fs, measure %.1fs\n", r.WarmupSeconds, r.MeasureSeconds)
 	fmt.Fprintf(&b, "admission         submitted %d, rejected %d (backpressure)\n", r.Submitted, r.Rejected)
-	fmt.Fprintf(&b, "mediations        %d done (%.1f/sec), dropped %d, errors %d, degraded %d\n",
-		r.Mediated, r.MediationsPerSec, r.Dropped, r.Errors, r.Degraded)
+	fmt.Fprintf(&b, "mediations        %d done (%.1f/sec), dropped %d, errors %d\n",
+		r.Mediated, r.MediationsPerSec, r.Dropped, r.Errors)
 	fmt.Fprintf(&b, "latency           mean %.3fms, p50 %.3fms, p95 %.3fms, p99 %.3fms, max %.3fms",
 		r.LatencyMeanMs, r.LatencyP50Ms, r.LatencyP95Ms, r.LatencyP99Ms, r.LatencyMaxMs)
 	return b.String()

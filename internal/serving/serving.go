@@ -9,8 +9,8 @@
 // (mediator.Server.MediateBatch amortizes matchmaking and the intention
 // vectors per batch), and a warmup/measure phase split yields a
 // steady-state report: mediations/sec and p50/p95/p99 mediation latency
-// from stats.Histogram, plus the rejection, drop, and degraded-collection
-// counts that the serving-accounting bugfixes made trustworthy.
+// from stats.Histogram, plus the rejection, drop, and error counts that the
+// serving-accounting bugfixes made trustworthy.
 package serving
 
 import (
@@ -46,9 +46,7 @@ type Config struct {
 	TargetQPS float64
 	// Workers is the mediation worker-pool size (0 = GOMAXPROCS).
 	Workers int
-	// Batch is the maximum mediations per batch (0 = 16). 1 uses the
-	// per-query concurrent-collection path (Server.Mediate) instead of
-	// MediateBatch.
+	// Batch is the maximum mediations per batch (0 = 16).
 	Batch int
 	// QueueDepth bounds the submit queue (0 = 1024); arrivals that find it
 	// full are rejected with ErrOverloaded.
@@ -57,8 +55,8 @@ type Config struct {
 	// observation window.
 	Warmup  time.Duration
 	Measure time.Duration
-	// CollectTimeout bounds each intention collection on the Batch=1 path
-	// (0 = 50ms).
+	// CollectTimeout is ignored — no mediation path waits on a participant
+	// any more — and stays only because the frozen benchmark/ sets it.
 	CollectTimeout time.Duration
 	// Seed derives the population, workload, and arrival randomness.
 	Seed uint64
@@ -94,9 +92,6 @@ func (c *Config) withDefaults() error {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
-	}
-	if c.CollectTimeout <= 0 {
-		c.CollectTimeout = 50 * time.Millisecond
 	}
 	if c.SnapshotInterval <= 0 {
 		c.SnapshotInterval = time.Second
@@ -144,7 +139,7 @@ func NewDriver(cfg Config) (*Driver, error) {
 	pop := model.NewPopulation(cfg.Model, popRng, 0)
 	gen := workload.NewGenerator(cfg.Model.QueryClasses, cfg.Model.QueryN, genRng)
 	gen.SetClassWeights(cfg.Model.ClassWeights())
-	srv := mediator.NewServer(cfg.Strategy, pop, cfg.CollectTimeout, nil)
+	srv := mediator.NewServer(cfg.Strategy, pop, 0, nil)
 	srv.SetMatchmaker(matchmaking.BuildIndex(pop))
 	srv.SetApply(true)
 	d := &Driver{
@@ -187,7 +182,6 @@ type workerStats struct {
 	hist     *stats.Histogram
 	mediated uint64
 	dropped  uint64
-	degraded uint64
 	errs     uint64
 	firstErr error
 	lastDone time.Time
@@ -300,7 +294,6 @@ func (d *Driver) Run(ctx context.Context) (*Report, error) {
 	for _, ws := range workers {
 		r.Mediated += ws.mediated
 		r.Dropped += ws.dropped
-		r.Degraded += ws.degraded
 		r.Errors += ws.errs
 		if err == nil {
 			err = ws.firstErr
@@ -344,26 +337,19 @@ func (d *Driver) work(ctx context.Context, ws *workerStats) {
 				break coalesce
 			}
 		}
-		if d.cfg.Batch <= 1 {
-			alloc, err := d.srv.Mediate(ctx, batch[0].q)
-			d.account(ws, batch[0], err == nil && alloc.Degraded(), err)
-			continue
-		}
 		qs = qs[:0]
 		for _, s := range batch {
 			qs = append(qs, s.q)
 		}
 		// Only Err is read: the allocations live in server scratch that
-		// another worker's batch may already be rewriting, and a batched
-		// mediation computes its intentions in-process, so it is never
-		// degraded.
+		// another worker's batch may already be rewriting.
 		for i, res := range d.srv.MediateBatch(ctx, qs) {
-			d.account(ws, batch[i], false, res.Err)
+			d.account(ws, batch[i], res.Err)
 		}
 	}
 }
 
-func (d *Driver) account(ws *workerStats, sub *submission, degraded bool, err error) {
+func (d *Driver) account(ws *workerStats, sub *submission, err error) {
 	if err != nil {
 		if !sub.measured {
 			return
@@ -398,8 +384,5 @@ func (d *Driver) account(ws *workerStats, sub *submission, degraded bool, err er
 	if d.tl != nil {
 		d.tl.mediated.Add(1)
 		d.tl.observe(lat)
-	}
-	if degraded {
-		ws.degraded++
 	}
 }

@@ -24,6 +24,16 @@ func smallConfig() Config {
 	}
 }
 
+// ledgerHolds asserts the report's accounting invariant: every measured
+// arrival ended in exactly one of rejected, mediated, dropped or errors.
+func ledgerHolds(t *testing.T, rep *Report) {
+	t.Helper()
+	if got := rep.Rejected + rep.Mediated + rep.Dropped + rep.Errors; got != rep.Submitted {
+		t.Fatalf("ledger broken: rejected %d + mediated %d + dropped %d + errors %d = %d, want submitted %d",
+			rep.Rejected, rep.Mediated, rep.Dropped, rep.Errors, got, rep.Submitted)
+	}
+}
+
 func TestDriverSmoke(t *testing.T) {
 	// Open-loop smoke run at small QPS: the driver must sustain the
 	// schedule, produce ordered latency quantiles, and keep the
@@ -39,19 +49,13 @@ func TestDriverSmoke(t *testing.T) {
 	if rep.Mediated == 0 {
 		t.Fatal("no mediations in the measure window")
 	}
-	if got := rep.Rejected + rep.Mediated + rep.Dropped + rep.Errors; got != rep.Submitted {
-		t.Fatalf("ledger broken: rejected %d + mediated %d + dropped %d + errors %d = %d, want submitted %d",
-			rep.Rejected, rep.Mediated, rep.Dropped, rep.Errors, got, rep.Submitted)
-	}
+	ledgerHolds(t, rep)
 	if !(rep.LatencyP50Ms <= rep.LatencyP95Ms && rep.LatencyP95Ms <= rep.LatencyP99Ms) {
 		t.Fatalf("quantiles out of order: p50 %v p95 %v p99 %v",
 			rep.LatencyP50Ms, rep.LatencyP95Ms, rep.LatencyP99Ms)
 	}
 	if rep.MediationsPerSec <= 0 {
 		t.Fatalf("mediations/sec = %v", rep.MediationsPerSec)
-	}
-	if rep.Degraded != 0 {
-		t.Fatalf("in-process batch path reported %d degraded collections", rep.Degraded)
 	}
 	// The traffic really hit the providers (SetApply): someone performed
 	// queries.
@@ -65,7 +69,7 @@ func TestDriverSmoke(t *testing.T) {
 }
 
 func TestDriverSingleQueryPath(t *testing.T) {
-	// Batch=1 exercises the per-query concurrent-collection path end to end.
+	// Batch=1 mediates every admitted arrival as a batch of one.
 	cfg := smallConfig()
 	cfg.Batch = 1
 	cfg.TargetQPS = 150
@@ -108,12 +112,9 @@ func TestDriverWorkersShareBatchScratch(t *testing.T) {
 	if rep.Mediated < uint64(cfg.Workers*cfg.Batch) {
 		t.Fatalf("only %d mediations: the workers never overlapped full batches", rep.Mediated)
 	}
-	if got := rep.Rejected + rep.Mediated + rep.Dropped + rep.Errors; got != rep.Submitted {
-		t.Fatalf("ledger broken: rejected %d + mediated %d + dropped %d + errors %d = %d, want submitted %d",
-			rep.Rejected, rep.Mediated, rep.Dropped, rep.Errors, got, rep.Submitted)
-	}
-	if rep.Degraded != 0 || rep.Errors != 0 {
-		t.Fatalf("batched path reported %d degraded, %d errors", rep.Degraded, rep.Errors)
+	ledgerHolds(t, rep)
+	if rep.Errors != 0 {
+		t.Fatalf("batched path reported %d errors", rep.Errors)
 	}
 }
 
@@ -194,5 +195,38 @@ func TestDriverContextCancel(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Fatalf("Run ignored cancellation for %v", elapsed)
+	}
+}
+
+// TestDriverCancelBooksBacklogAsErrors: a run at Batch 1 driven far past
+// what one worker sustains is cancelled with its queue full. The admitted
+// backlog must be refused by the dead context and booked under Errors —
+// not committed as mediations — with the ledger still exact, and a cut-short
+// run is not a failed one.
+func TestDriverCancelBooksBacklogAsErrors(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Model = model.DefaultConfig() // |Pq| = 400, so one worker falls behind
+	cfg.Workers = 1
+	cfg.Batch = 1
+	cfg.TargetQPS = 400000
+	cfg.QueueDepth = 512
+	cfg.Warmup = 0
+	cfg.Measure = 10 * time.Second // cancel cuts it short
+	d, err := NewDriver(cfg)
+	if err != nil {
+		t.Fatalf("NewDriver: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	rep, err := d.Run(ctx)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	ledgerHolds(t, rep)
+	if rep.Mediated == 0 || rep.Rejected == 0 {
+		t.Fatalf("fixture: %d mediated, %d rejected — the drive never filled the queue", rep.Mediated, rep.Rejected)
+	}
+	if rep.Errors == 0 {
+		t.Fatalf("the backlog admitted before the cancel was not booked as errors: %+v", rep)
 	}
 }

@@ -92,19 +92,18 @@ type (
 	// lookups maintained incrementally under provider churn.
 	MatchIndex = matchmaking.Index
 	// IntentionCollector gathers intentions concurrently with a timeout
-	// (Algorithm 1 lines 2-5) from possibly slow or remote participants.
+	// (Algorithm 1 lines 2-5) from slow or remote participants, validating
+	// what they answer. It is for endpoints outside the process (see
+	// examples/emarketplace); Mediator and MediationServer compute local
+	// participants' intentions in-process and never go through it.
 	IntentionCollector = mediator.Collector
 	// ConsumerClient and ProviderClient are participant endpoints the
 	// collector queries.
 	ConsumerClient = mediator.ConsumerClient
 	ProviderClient = mediator.ProviderClient
-	// LocalConsumer and LocalProvider adapt in-process participants to the
-	// client interfaces.
-	LocalConsumer = mediator.LocalConsumer
-	LocalProvider = mediator.LocalProvider
 	// MediationServer runs a mediator as a long-lived concurrent service:
-	// queries from any goroutine, per-query concurrent intention fan-out,
-	// serialized allocation commits.
+	// queries from any goroutine, one at a time or in batches, each call
+	// one serialized mediation turn.
 	MediationServer = mediator.Server
 	// MediationBatchResult is one query's outcome within a batched
 	// mediation turn (MediationServer.MediateBatch).
@@ -172,8 +171,9 @@ func BuildMatchIndex(pop *Population) *MatchIndex { return matchmaking.BuildInde
 func ByCapability() CapabilityMatcher { return mediator.ByCapability() }
 
 // NewMediationServer returns a concurrent mediation service over the
-// population; timeout bounds each query's intention collection and now
-// supplies the mediation clock (nil = wall clock).
+// population; now supplies the mediation clock (nil = wall clock). The
+// timeout is ignored and stays only because the frozen benchmark/ passes
+// one (see mediator.NewServer).
 func NewMediationServer(strategy Allocator, pop *Population, timeout time.Duration, now func() float64) *MediationServer {
 	return mediator.NewServer(strategy, pop, timeout, now)
 }
