@@ -5,10 +5,12 @@ GO ?= go
 # BENCH selects the regression benchmark set: the Rank/Select and
 # matchmaking hot-path micro-benchmarks, the serial-vs-parallel Lab runs,
 # the batched-vs-per-query mediation service path, the streaming
-# timeline CSV writer (rows/sec, 0 allocs/row), and the population-scale
-# pair (mediation over a 100k-provider Pq, bytes/participant at build).
+# timeline CSV writer (rows/sec, 0 allocs/row), the population-scale
+# pair (mediation over a 100k-provider Pq, bytes/participant at build), and
+# Definition 8 through its memo (both factors kept, the load factor
+# recomputed, the memo emptied, and 400 providers on live state).
 # Override with `make bench BENCH=.` for the full suite.
-BENCH ?= BenchmarkRank|BenchmarkSelectTopN|BenchmarkLab|BenchmarkMediatorAllocate|BenchmarkMatchmaking|BenchmarkServerMediate|BenchmarkTimelineCSV|BenchmarkSimulationShards|BenchmarkMediate100k|BenchmarkPopulationBuild100k
+BENCH ?= BenchmarkRank|BenchmarkSelectTopN|BenchmarkLab|BenchmarkMediatorAllocate|BenchmarkMatchmaking|BenchmarkServerMediate|BenchmarkTimelineCSV|BenchmarkSimulationShards|BenchmarkMediate100k|BenchmarkPopulationBuild100k|BenchmarkProviderIntention|BenchmarkIntentionsRange400
 
 # BENCH_COUNT repeats each benchmark -count times. The default single run
 # is fine for the trajectory record; use `make bench BENCH_COUNT=10` when a
@@ -62,11 +64,14 @@ cover:
 
 # fuzz runs the native Go fuzz targets, FUZZTIME each: the scenario parser
 # (arbitrary bytes must never panic, and accepted documents must validate
-# and re-parse identically) and the pruning bound of the ranking kernel
-# (for arbitrary pi, ci, ω, ε the pow-free bound is never below Score).
+# and re-parse identically), the pruning bound of the ranking kernel
+# (for arbitrary pi, ci, ω, ε the pow-free bound is never below Score), and
+# Definition 8's memo (whatever is done to a provider between evaluations,
+# Provider.Intention returns the bits of intention.Provider).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzScoreBound -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzProviderIntentionMemo -fuzztime $(FUZZTIME) ./internal/model
 
 # fmt-check fails if any file needs gofmt — the godoc/format gate CI runs.
 fmt-check:

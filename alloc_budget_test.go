@@ -10,12 +10,16 @@ package sqlb_test
 import (
 	"context"
 	"io"
+	"math"
 	"runtime"
 	"testing"
 
 	"sqlb"
+	"sqlb/internal/allocator"
 	"sqlb/internal/model"
+	"sqlb/internal/sim"
 	"sqlb/internal/timeline"
+	"sqlb/internal/workload"
 )
 
 // TestAllocBudgetMediatorAllocate pins the simulator's mediation fast path
@@ -39,6 +43,29 @@ func TestAllocBudgetMediatorAllocate(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, mediate); allocs != 0 {
 		t.Errorf("Mediator.Allocate: %v allocs/op in steady state, want 0", allocs)
+	}
+}
+
+// TestAllocBudgetProviderIntention pins Definition 8's entrance at zero
+// allocations whether it finds both kept factors (warm), recomputes the
+// load factor (a moved clock), or empties and refills the memo (a changed
+// δs): the memo's storage is carved when the population is built, never on
+// a call.
+func TestAllocBudgetProviderIntention(t *testing.T) {
+	p := sqlb.NewPopulation(model.DefaultConfig(), 9).Providers[0]
+	p.Assign(0, 1e6)
+	now, sink := 1.0, 0.0
+	for name, call := range map[string]func(){
+		"warm":      func() { sink += p.Intention(0, now) },
+		"cold load": func() { now += 0.01; sink += p.Intention(1, now) },
+		"cold δs":   func() { p.SmoothSat = 0.9 - p.SmoothSat; sink += p.Intention(0, now) },
+	} {
+		if allocs := testing.AllocsPerRun(100, call); allocs != 0 {
+			t.Errorf("Provider.Intention (%s): %v allocs/op, want 0", name, allocs)
+		}
+	}
+	if math.IsNaN(sink) {
+		t.Error("NaN intention")
 	}
 }
 
@@ -141,6 +168,35 @@ func TestAllocBudgetServerMediate(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, mediate); allocs > 5 {
 		t.Errorf("Server.Mediate: %v allocs/op in steady state at |Pq| = 400, want <= 5", allocs)
+	}
+}
+
+// TestAllocBudgetSimulationLoop pins what the event loop may allocate per
+// simulated query: the Query the generator mints, and nothing for the event
+// heap (typed, no boxing) or the in-flight ledger (entries by value). The
+// §4 samples and the growth of the heap slice and the ledger map to their
+// high-water marks are amortized into the slack.
+func TestAllocBudgetSimulationLoop(t *testing.T) {
+	eng, err := sim.New(sim.Options{
+		Config:   model.DefaultConfig().Scale(0.25),
+		Strategy: allocator.NewSQLB(),
+		Workload: workload.Constant(0.8),
+		Duration: 400,
+		Seed:     7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := eng.Run()
+	runtime.ReadMemStats(&after)
+	if res.Err != nil || res.IssuedQueries < 5000 {
+		t.Fatalf("run: err %v, %d queries", res.Err, res.IssuedQueries)
+	}
+	perQuery := float64(after.Mallocs-before.Mallocs) / float64(res.IssuedQueries)
+	if perQuery > 1.25 {
+		t.Errorf("Engine.Run: %.2f allocs per simulated query, want <= 1.25 (the minted Query plus amortized growth)", perQuery)
 	}
 }
 

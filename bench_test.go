@@ -12,6 +12,7 @@ package sqlb_test
 import (
 	"context"
 	"io"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -186,6 +187,85 @@ func BenchmarkScoreNegativeBranch(b *testing.B) {
 func BenchmarkProviderIntention(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		intention.Provider(0.6, 0.8, 0.5, 1)
+	}
+}
+
+// intentionSink keeps the compiler from discarding the benchmarked calls.
+var intentionSink float64
+
+// benchIntentionProvider is one paper-scale provider with work queued far
+// past the benchmark's clock, so its load is the backlog term and moves
+// with every clock reading.
+func benchIntentionProvider() *model.Provider {
+	p := sqlb.NewPopulation(model.DefaultConfig(), 9).Providers[0]
+	p.SetPreference(0, 0.6)
+	p.SmoothSat = 0.4
+	p.Assign(0, 1e9)
+	return p
+}
+
+// BenchmarkProviderIntentionWarm is Definition 8 through the model's
+// entrance with nothing changed since the last call: both factors are found.
+func BenchmarkProviderIntentionWarm(b *testing.B) {
+	p := benchIntentionProvider()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		intentionSink = p.Intention(0, 1)
+	}
+}
+
+// BenchmarkProviderIntentionColdLoad moves the clock, and with it the
+// load, on every call: the preference factor is found, the load factor is
+// one pow. This is the simulator's common case.
+func BenchmarkProviderIntentionColdLoad(b *testing.B) {
+	p := benchIntentionProvider()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		intentionSink = p.Intention(0, float64(i)*1e-3)
+	}
+}
+
+// BenchmarkProviderIntentionColdSat changes δs on every call, which empties
+// the memo: both factors are recomputed, the cost of a re-assessment.
+func BenchmarkProviderIntentionColdSat(b *testing.B) {
+	p := benchIntentionProvider()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.SmoothSat = 0.4 - float64(i&1)*0.1
+		intentionSink = p.Intention(0, 1)
+	}
+}
+
+// BenchmarkIntentionsRange400 is the Definition 8 half of the mediator's
+// intention gathering on live state: per iteration the clock advances by
+// one inter-arrival time at 80 % load, all 400 providers show their
+// intention for the query's class, and the most willing one is assigned
+// the query, so windows fill, backlogs build and drain, and the memo sees
+// repeated loads (idle and window-dominated providers) next to moving ones
+// (backlog-dominated providers).
+func BenchmarkIntentionsRange400(b *testing.B) {
+	cfg := model.DefaultConfig()
+	pop := sqlb.NewPopulation(cfg, 9)
+	dt := cfg.MeanQueryUnits() / (0.8 * pop.TotalCapacity())
+	now := 0.0
+	arrival := func(i int) {
+		now += dt
+		class := i % len(cfg.QueryClasses)
+		best, bestPI := 0, math.Inf(-1)
+		for j, p := range pop.Providers {
+			if pi := p.Intention(class, now); pi > bestPI {
+				best, bestPI = j, pi
+			}
+		}
+		pop.Providers[best].Assign(now, cfg.QueryClasses[class].Units)
+		intentionSink = bestPI
+	}
+	for i := 0; i < 20_000; i++ { // past the 60 s utilization window
+		arrival(i)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		arrival(i)
 	}
 }
 

@@ -10,6 +10,7 @@
 //	                 [-classes k] [-selectivity s] [-class-skew z]
 //	                 [-selectivities csv] [-scenarios csv] [-out dir]
 //	                 [-timeline-dir dir] [-list]
+//	                 [-cpuprofile file] [-memprofile file]
 //
 // The paper's full scale is -scale 1 -duration 10000 -sweep 10000
 // -repeats 10; the defaults reproduce the same shapes at laptop cost.
@@ -28,6 +29,7 @@ import (
 	"time"
 
 	"sqlb/internal/experiments"
+	"sqlb/internal/profiling"
 	"sqlb/internal/timeline"
 )
 
@@ -50,6 +52,8 @@ func main() {
 		sels      = flag.String("selectivities", "", "comma-separated selectivities for ext-selectivity (default 0.125,0.25,0.5,0.75,1)")
 		scens     = flag.String("scenarios", "", "comma-separated scenario presets or files for ext-scenarios (default: every preset)")
 		tlDir     = flag.String("timeline-dir", "", "stream every simulation run's timeline as <dir>/<run-id>.csv (replayable with sqlb-top)")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
+		memProf   = flag.String("memprofile", "", "write a heap profile taken after the last experiment to this file")
 	)
 	flag.Parse()
 
@@ -111,6 +115,10 @@ func main() {
 		}
 	}
 
+	stopProfile, err := profiling.Start(*cpuProf, *memProf)
+	if err != nil {
+		fatal("%v", err)
+	}
 	for _, id := range ids {
 		start := time.Now()
 		res, err := lab.RunAny(id)
@@ -130,6 +138,9 @@ func main() {
 			fmt.Printf("note: %s\n", n)
 		}
 		fmt.Println()
+	}
+	if err := stopProfile(); err != nil {
+		fatal("%v", err)
 	}
 }
 

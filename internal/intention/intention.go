@@ -48,14 +48,23 @@ func Consumer(pref, rep, upsilon, epsilon float64) float64 {
 //	      which only the provider itself can compute).
 //	epsilon ε > 0.
 //
+// Inputs are clamped to their documented domains (NaN counts as the lower
+// bound, an invalid ε as DefaultEpsilon).
+//
 // When the provider is satisfied (sat → 1) utilization dominates: it will
 // accept queries it does not love while it has capacity. When dissatisfied
 // (sat → 0) preferences dominate: it chases desired queries regardless of
 // load. Positive intentions only arise when the provider wants the query
 // and is not overutilized, which is what keeps response times good.
+//
+// This is the reference reading of the definition, written out in one
+// piece. model.Provider.Intention, the entrance the mediation paths use,
+// evaluates the same expressions through ProviderTerms so that it can keep
+// the two factors between calls; TestProviderTermsRecompose holds the two
+// spellings to the same bits.
 func Provider(pref, util, sat, epsilon float64) float64 {
 	pref = clamp(pref, -1, 1)
-	if util < 0 {
+	if !(util >= 0) { // negative or NaN
 		util = 0
 	}
 	sat = clamp(sat, 0, 1)
@@ -64,6 +73,64 @@ func Provider(pref, util, sat, epsilon float64) float64 {
 		return pow(pref, 1-sat) * pow(1-util, sat)
 	}
 	return -(pow(1-pref+epsilon, 1-sat) * pow(util+epsilon, sat))
+}
+
+// ProviderTerms is one evaluation of Definition 8 taken apart: the inputs
+// clamped to their domains, the branch they select, and the two factors
+// whose product (negated on the negative branch) is the intention,
+//
+//	 prf^(1−δs)      · (1−Ut)^δs       when prf > 0 ∧ Ut < 1,
+//	−(1−prf+ε)^(1−δs) · (Ut+ε)^δs      otherwise.
+//
+// These are Provider's own expressions, operation for operation. The first
+// factor reads only (Pref, Sat, Epsilon, Willing) and the second only
+// (Util, Sat, Epsilon, Willing), so a caller that keeps a factor for as
+// long as those four values keep their bits gets, through Intention, the
+// very float64 Provider returns.
+type ProviderTerms struct {
+	Pref, Util, Sat, Epsilon float64
+	// Willing selects the positive branch: the provider wants the query
+	// and is not overutilized.
+	Willing bool
+}
+
+// NewProviderTerms clamps Definition 8's inputs and decides its branch.
+func NewProviderTerms(pref, util, sat, epsilon float64) ProviderTerms {
+	pref = clamp(pref, -1, 1)
+	if !(util >= 0) { // negative or NaN
+		util = 0
+	}
+	return ProviderTerms{
+		Pref:    pref,
+		Util:    util,
+		Sat:     clamp(sat, 0, 1),
+		Epsilon: positive(epsilon),
+		Willing: pref > 0 && util < 1,
+	}
+}
+
+// PreferenceFactor is the factor of Definition 8 that reads the preference.
+func (t *ProviderTerms) PreferenceFactor() float64 {
+	if t.Willing {
+		return pow(t.Pref, 1-t.Sat)
+	}
+	return pow(1-t.Pref+t.Epsilon, 1-t.Sat)
+}
+
+// LoadFactor is the factor of Definition 8 that reads the utilization.
+func (t *ProviderTerms) LoadFactor() float64 {
+	if t.Willing {
+		return pow(1-t.Util, t.Sat)
+	}
+	return pow(t.Util+t.Epsilon, t.Sat)
+}
+
+// Intention forms pi_p(q) from the two factors of these terms.
+func (t *ProviderTerms) Intention(preferenceFactor, loadFactor float64) float64 {
+	if t.Willing {
+		return preferenceFactor * loadFactor
+	}
+	return -(preferenceFactor * loadFactor)
 }
 
 // ConsumerExpressed is Consumer clamped to the expressed range [-1,1] of
@@ -78,10 +145,7 @@ func ProviderExpressed(pref, util, sat, epsilon float64) float64 {
 }
 
 func clamp(v, lo, hi float64) float64 {
-	if math.IsNaN(v) {
-		return lo
-	}
-	if v < lo {
+	if !(v >= lo) { // below, or NaN
 		return lo
 	}
 	if v > hi {

@@ -173,6 +173,54 @@ func TestInputClamping(t *testing.T) {
 	}
 }
 
+// TestProviderNaNUtilizationReadsAsIdle: a NaN utilization is out of domain
+// on the low side, like a negative one. It used to slip past the `util < 0`
+// guard and come back as a NaN intention whenever δs > 0.
+func TestProviderNaNUtilizationReadsAsIdle(t *testing.T) {
+	for _, c := range []struct{ pref, sat, eps float64 }{
+		{0.6, 0.4, 1}, {-0.3, 0.4, 1}, {0.6, 1, 1}, {1, 0.5, 0.25}, {math.NaN(), 0.7, math.NaN()},
+	} {
+		got, idle := Provider(c.pref, math.NaN(), c.sat, c.eps), Provider(c.pref, 0, c.sat, c.eps)
+		if math.IsNaN(got) || math.Float64bits(got) != math.Float64bits(idle) {
+			t.Errorf("Provider(%v, NaN, %v, %v) = %v, want the idle reading %v", c.pref, c.sat, c.eps, got, idle)
+		}
+		if neg := Provider(c.pref, -3, c.sat, c.eps); math.Float64bits(neg) != math.Float64bits(idle) {
+			t.Errorf("Provider(%v, -3, %v, %v) = %v, want the idle reading %v", c.pref, c.sat, c.eps, neg, idle)
+		}
+	}
+}
+
+// TestProviderTermsRecompose: Provider is, bit for bit, its terms put back
+// together — the contract a caller that keeps the factors relies on — and
+// each factor ignores the input that belongs to the other.
+func TestProviderTermsRecompose(t *testing.T) {
+	f := func(pref, util, sat, eps, other float64) bool {
+		t1 := NewProviderTerms(pref, util, sat, eps)
+		if got, want := t1.Intention(t1.PreferenceFactor(), t1.LoadFactor()), Provider(pref, util, sat, eps); math.Float64bits(got) != math.Float64bits(want) {
+			return false
+		}
+		t2 := t1
+		t2.Util = other
+		t3 := t1
+		t3.Pref = other
+		return math.Float64bits(t2.PreferenceFactor()) == math.Float64bits(t1.PreferenceFactor()) &&
+			math.Float64bits(t3.LoadFactor()) == math.Float64bits(t1.LoadFactor())
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	hostile := []float64{0, math.Copysign(0, -1), 5e-324, 0.5, 1 - 1e-16, 1, 1 + 1e-16, -1, 3, 1e300, math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, a := range hostile {
+		for _, b := range hostile {
+			for _, c := range hostile {
+				if !f(a, b, c, a, b) || !f(c, a, b, b, c) {
+					t.Fatalf("recomposition differs on the palette at (%v, %v, %v)", a, b, c)
+				}
+			}
+		}
+	}
+}
+
 func TestEpsilonDefaultOnInvalid(t *testing.T) {
 	a := Provider(-0.5, 0.5, 0.5, 0) // ε=0 invalid → default 1
 	b := Provider(-0.5, 0.5, 0.5, 1)

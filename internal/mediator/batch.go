@@ -91,7 +91,7 @@ func (b *batchScratch) providers(match Matchmaker, pop *model.Population, now fl
 	}
 	pi = growFloats(pi, len(pq))
 	for j, p := range pq {
-		pi[j] = intention.Provider(p.Preference(q.Class), p.OperationalLoad(now), p.SmoothSat, p.Epsilon)
+		pi[j] = p.Intention(q.Class, now)
 	}
 	if memo {
 		b.pq[k], b.pi[k], b.stamp[k] = pq, pi, b.epoch

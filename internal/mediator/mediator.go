@@ -310,7 +310,7 @@ func intentionsRange(now float64, q *model.Query, pq []*model.Provider, ci, pi [
 	for i := lo; i < hi; i++ {
 		p := pq[i]
 		ci[i] = intention.Consumer(c.Preference(p, q.Class), p.Reputation, c.Upsilon, c.Epsilon)
-		pi[i] = intention.Provider(p.Preference(q.Class), p.OperationalLoad(now), p.SmoothSat, p.Epsilon)
+		pi[i] = p.Intention(q.Class, now)
 	}
 }
 

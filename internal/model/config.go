@@ -109,6 +109,11 @@ type Config struct {
 	HashedConsumerPrefs bool
 }
 
+// DefaultLoadHorizon is the backlog horizon (seconds) of DefaultConfig, and
+// what Provider.OperationalLoad falls back to for a provider whose
+// LoadHorizon is not a positive number.
+const DefaultLoadHorizon = 3
+
 // DefaultConfig returns the paper's Table 2 / Section 6.1 configuration.
 func DefaultConfig() Config {
 	return Config{
@@ -121,7 +126,7 @@ func DefaultConfig() Config {
 		Upsilon:             1,
 		Epsilon:             1,
 		UtilizationWindow:   60,
-		LoadHorizon:         3,
+		LoadHorizon:         DefaultLoadHorizon,
 		QueryClasses:        []QueryClass{{Units: 130}, {Units: 150}},
 		QueryN:              1,
 		HighCapacity:        100,

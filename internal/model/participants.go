@@ -187,6 +187,10 @@ type Provider struct {
 	// matchmaker's task-description match (the abstraction of q.d in
 	// Section 2) reduces to a bit test against this set.
 	caps []uint64
+
+	// memo keeps the pow factors of the provider's last Definition 8
+	// evaluations (see Intention).
+	memo intentionMemo
 }
 
 // CanServe reports whether the provider advertises the query class — the
@@ -211,6 +215,13 @@ func (p *Provider) Generalist() bool { return p.caps == nil }
 // total > 0 yields a provider that serves nothing; call ClearCapabilities
 // to restore the all-classes default.
 func (p *Provider) SetCapabilities(classes []int, total int) {
+	p.setCapabilities(classes, total)
+	p.ownMemoRow()
+}
+
+// setCapabilities is SetCapabilities without the memo row: NewPopulation
+// draws every capability set first and carves all rows from one array.
+func (p *Provider) setCapabilities(classes []int, total int) {
 	if total < 1 {
 		total = 1
 	}
@@ -223,7 +234,10 @@ func (p *Provider) SetCapabilities(classes []int, total int) {
 }
 
 // ClearCapabilities restores the all-classes default.
-func (p *Provider) ClearCapabilities() { p.caps = nil }
+func (p *Provider) ClearCapabilities() {
+	p.caps = nil
+	p.ownMemoRow()
+}
 
 // CapabilityClasses returns the advertised class indexes in ascending
 // order, or nil for a generalist. total bounds the enumeration (pass the
@@ -275,8 +289,8 @@ func (p *Provider) Utilization(now float64) float64 {
 func (p *Provider) OperationalLoad(now float64) float64 {
 	load := p.Util.Utilization(now)
 	h := p.LoadHorizon
-	if h <= 0 {
-		h = 5
+	if !(h > 0) { // unset, negative or NaN
+		h = DefaultLoadHorizon
 	}
 	if b := p.Backlog(now) / h; b > load {
 		load = b

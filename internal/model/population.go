@@ -19,7 +19,8 @@ type Population struct {
 // windows (normally 0).
 //
 // Memory layout: participants, trackers, utilization windows, ring storage,
-// and preference vectors are all carved from a handful of bulk arrays
+// preference vectors, and the providers' Definition 8 factor memos are all
+// carved from a handful of bulk arrays
 // instead of being allocated one object at a time. Participants created
 // together therefore sit adjacent in memory — the access order of the
 // mediation loop — and building a 100k-provider population is a few large
@@ -87,6 +88,18 @@ func NewPopulation(cfg Config, rng *randx.Rand, startTime float64) *Population {
 
 	assignCapabilities(pop.Providers, cfg, rng)
 
+	// Definition 8's preference-factor memo: one entry per advertised
+	// (provider, class), known only now that the capability sets are drawn.
+	slots := 0
+	for i := range providers {
+		slots += providers[i].advertisedClasses()
+	}
+	factors := make([]factorMemo, slots)
+	for i := range providers {
+		n := providers[i].advertisedClasses()
+		providers[i].memo.pref, factors = factors[:n:n], factors[n:]
+	}
+
 	consumers := make([]Consumer, cfg.Consumers)
 	consTrackers := make([]satisfaction.ConsumerTracker, cfg.Consumers)
 	var consPrefs []float64
@@ -138,7 +151,7 @@ func assignCapabilities(providers []*Provider, cfg Config, rng *randx.Rand) {
 			continue // stays a generalist (nil capability set)
 		}
 		perm := rng.Perm(total)
-		p.SetCapabilities(perm[:m], total)
+		p.setCapabilities(perm[:m], total)
 	}
 }
 

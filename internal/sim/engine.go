@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"sort"
@@ -54,7 +53,10 @@ type Engine struct {
 
 	aliveConsumers []*model.Consumer
 
-	inflight map[uint64]*inflightQuery
+	// inflight holds its entries by value: one per query in flight, written
+	// at the arrival and deleted at the last completion, with nothing
+	// allocated per query.
+	inflight map[uint64]inflightQuery
 
 	// response-time aggregates: whole-run and since-last-sample.
 	respHist                   *stats.Histogram
@@ -122,7 +124,7 @@ func New(opts Options) (*Engine, error) {
 		arrivalRng:    arrRng,
 		totalCapacity: pop.TotalCapacity(),
 		meanUnits:     opts.Config.MeanQueryUnitsWeighted(),
-		inflight:      make(map[uint64]*inflightQuery),
+		inflight:      make(map[uint64]inflightQuery),
 		respHist:      stats.DefaultResponseHistogram(),
 		autonomy:      opts.Autonomy.withDefaults(),
 		load:          opts.Workload,
@@ -188,7 +190,7 @@ func (e *Engine) Run() *Result {
 	}
 
 	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(event)
+		ev := e.events.pop()
 		if ev.time > e.opts.Duration {
 			break
 		}
@@ -273,7 +275,7 @@ func (e *Engine) handleArrival() {
 		e.dropped++
 		return
 	}
-	fl := &inflightQuery{issuedAt: q.IssuedAt, remaining: len(alloc.Selected)}
+	fl := inflightQuery{issuedAt: q.IssuedAt, remaining: len(alloc.Selected)}
 	if e.opts.Config.ReputationFeedbackAlpha > 0 {
 		fl.consumer = q.Consumer
 		fl.servers = alloc.SelectedProviders()
@@ -295,6 +297,7 @@ func (e *Engine) handleCompletion(qid uint64) {
 	}
 	fl.remaining--
 	if fl.remaining > 0 {
+		e.inflight[qid] = fl
 		return
 	}
 	delete(e.inflight, qid)

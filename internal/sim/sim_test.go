@@ -30,14 +30,13 @@ func smallOptions(strategy allocator.Allocator, frac float64, dur float64) Optio
 
 func TestEventHeapOrdering(t *testing.T) {
 	var h eventHeap
-	heap.Init(&h)
-	heap.Push(&h, event{time: 3, seq: 1})
-	heap.Push(&h, event{time: 1, seq: 2})
-	heap.Push(&h, event{time: 1, seq: 3})
-	heap.Push(&h, event{time: 2, seq: 4})
+	h.push(event{time: 3, seq: 1})
+	h.push(event{time: 1, seq: 2})
+	h.push(event{time: 1, seq: 3})
+	h.push(event{time: 2, seq: 4})
 	var order []event
-	for h.Len() > 0 {
-		order = append(order, heap.Pop(&h).(event))
+	for len(h) > 0 {
+		order = append(order, h.pop())
 	}
 	if order[0].time != 1 || order[0].seq != 2 {
 		t.Errorf("first event = %+v, want t=1 seq=2 (FIFO tie-break)", order[0])
@@ -53,14 +52,13 @@ func TestEventHeapOrdering(t *testing.T) {
 func TestEventHeapOrderingProperty(t *testing.T) {
 	f := func(times []uint16) bool {
 		var h eventHeap
-		heap.Init(&h)
 		for i, tt := range times {
-			heap.Push(&h, event{time: float64(tt % 100), seq: uint64(i)})
+			h.push(event{time: float64(tt % 100), seq: uint64(i)})
 		}
 		prev := -1.0
 		prevSeq := uint64(0)
-		for h.Len() > 0 {
-			e := heap.Pop(&h).(event)
+		for len(h) > 0 {
+			e := h.pop()
 			if e.time < prev {
 				return false
 			}
@@ -72,6 +70,55 @@ func TestEventHeapOrderingProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// boxedEventHeap is the event heap as it was: the same order driven by
+// container/heap. It is the reference the typed heap's pop sequence is
+// compared against.
+type boxedEventHeap []event
+
+func (h boxedEventHeap) Len() int           { return len(h) }
+func (h boxedEventHeap) Less(i, j int) bool { return h[i].before(h[j]) }
+func (h boxedEventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *boxedEventHeap) Push(x any)        { *h = append(*h, x.(event)) }
+func (h *boxedEventHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
+}
+
+// TestEventHeapMatchesContainerHeap drives random schedules — pushes and
+// pops interleaved the way the event loop interleaves them, with many time
+// ties — through the typed heap and through container/heap, and demands the
+// same event at every pop and the same drain at the end.
+func TestEventHeapMatchesContainerHeap(t *testing.T) {
+	f := func(script []uint16) bool {
+		var typed eventHeap
+		var boxed boxedEventHeap
+		seq := uint64(0)
+		for _, op := range script {
+			if op%3 == 0 && len(typed) > 0 {
+				if typed.pop() != heap.Pop(&boxed).(event) {
+					return false
+				}
+				continue
+			}
+			seq++
+			ev := event{time: float64(op % 16), seq: seq, kind: eventKind(op % 6), qid: uint64(op)}
+			typed.push(ev)
+			heap.Push(&boxed, ev)
+		}
+		for len(typed) > 0 {
+			if typed.pop() != heap.Pop(&boxed).(event) {
+				return false
+			}
+		}
+		return boxed.Len() == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }

@@ -96,6 +96,33 @@ func TestFacadeFormulas(t *testing.T) {
 	}
 }
 
+// TestFacadeProviderIntentionUnderHostileInputs: whatever a caller passes
+// for the preference, utilization, satisfaction and ε — NaN, ±Inf, signed
+// zeros, out-of-range magnitudes — Definition 8 answers with a number a
+// ranking can order, positive only for a wanted query below full load.
+func TestFacadeProviderIntentionUnderHostileInputs(t *testing.T) {
+	hostile := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 5e-324,
+		0.3, 0.5, 1 - 1e-16, 1, 1 + 1e-16, 2.5, -0.4, -1, -7, 1e300, -1e300,
+	}
+	for _, pref := range hostile {
+		for _, util := range hostile {
+			for _, sat := range hostile {
+				for _, eps := range hostile {
+					got := sqlb.ProviderIntention(pref, util, sat, eps)
+					if math.IsNaN(got) {
+						t.Fatalf("ProviderIntention(%v, %v, %v, %v) is NaN", pref, util, sat, eps)
+					}
+					wanted := pref > 0 && !(util >= 1) // a NaN utilization reads as idle
+					if (got > 0) != wanted {
+						t.Fatalf("ProviderIntention(%v, %v, %v, %v) = %v, want positive iff wanted and below full load", pref, util, sat, eps, got)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestFacadeExperimentList(t *testing.T) {
 	ids := sqlb.Experiments()
 	if len(ids) != 17 {
