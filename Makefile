@@ -7,8 +7,8 @@ GO ?= go
 # the batched-vs-per-query mediation service path, the streaming
 # timeline CSV writer (rows/sec, 0 allocs/row), the population-scale
 # pair (mediation over a 100k-provider Pq, bytes/participant at build), and
-# Definition 8 through its memo (both factors kept, the load factor
-# recomputed, the memo emptied, and 400 providers on live state).
+# Definition 8 through the model's entrances (exact, bounded, the memo
+# emptied, and 400 providers on live state).
 # Override with `make bench BENCH=.` for the full suite.
 BENCH ?= BenchmarkRank|BenchmarkSelectTopN|BenchmarkLab|BenchmarkMediatorAllocate|BenchmarkMatchmaking|BenchmarkServerMediate|BenchmarkTimelineCSV|BenchmarkSimulationShards|BenchmarkMediate100k|BenchmarkPopulationBuild100k|BenchmarkProviderIntention|BenchmarkIntentionsRange400
 
@@ -65,13 +65,16 @@ cover:
 # fuzz runs the native Go fuzz targets, FUZZTIME each: the scenario parser
 # (arbitrary bytes must never panic, and accepted documents must validate
 # and re-parse identically), the pruning bound of the ranking kernel
-# (for arbitrary pi, ci, ω, ε the pow-free bound is never below Score), and
+# (for arbitrary pi, ci, ω, ε the pow-free bound is never below Score),
 # Definition 8's memo (whatever is done to a provider between evaluations,
-# Provider.Intention returns the bits of intention.Provider).
+# Provider.Intention returns the bits of intention.Provider), and its
+# bounded entrance (under the same scripts Provider.IntentionOrBound returns
+# those bits or a value between them and −1 that rates like them).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzScoreBound -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzProviderIntentionMemo -fuzztime $(FUZZTIME) ./internal/model
+	$(GO) test -run '^$$' -fuzz FuzzIntentionBound -fuzztime $(FUZZTIME) ./internal/model
 
 # fmt-check fails if any file needs gofmt — the godoc/format gate CI runs.
 fmt-check:

@@ -22,14 +22,48 @@ import (
 	"sqlb/internal/workload"
 )
 
+// countResolves wraps a strategy and counts the provider intentions it
+// resolved: the slots of PI that held a deferred bound when it was called
+// and Definition 8's exact value when it returned. The budgets below are
+// pinned with that happening, on populations loaded until providers are
+// unwilling. Its one buffer grows to |Pq| and is reused.
+type countResolves struct {
+	allocator.Allocator
+	before   []float64
+	resolved int
+}
+
+func (c *countResolves) Allocate(req *allocator.Request) []int {
+	c.before = append(c.before[:0], req.PI...)
+	selected := c.Allocator.Allocate(req)
+	for i, v := range req.PI {
+		if v != c.before[i] {
+			c.resolved++
+		}
+	}
+	return selected
+}
+
+// overload queues ten seconds of work on every provider and moves its δs
+// off the initial ½: each is then on Definition 8's negative branch with a
+// load factor that costs a pow, where the mediator gathers a bound.
+func overload(pop *model.Population) {
+	for _, p := range pop.Providers {
+		p.Assign(0, 10*p.Capacity)
+		p.SmoothSat = 0.6
+	}
+}
+
 // TestAllocBudgetMediatorAllocate pins the simulator's mediation fast path
 // at zero steady-state allocations: matchmaking, intention gathering,
-// scoring/ranking/selection, and result notification all run out of the
-// mediator's scratch once its buffers are warm.
+// scoring/ranking/selection with its resolves, and result notification all
+// run out of the mediator's scratch once its buffers are warm.
 func TestAllocBudgetMediatorAllocate(t *testing.T) {
 	cfg := model.DefaultConfig() // full 400-provider Pq
 	pop := sqlb.NewPopulation(cfg, 9)
-	med := sqlb.NewMediator(sqlb.NewSQLB())
+	overload(pop)
+	strategy := &countResolves{Allocator: sqlb.NewSQLB()}
+	med := sqlb.NewMediator(strategy)
 	q := &model.Query{ID: 1, Consumer: pop.Consumers[0], Class: 0, Units: 130, N: 1}
 	now := 0.0
 	mediate := func() {
@@ -41,8 +75,12 @@ func TestAllocBudgetMediatorAllocate(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		mediate() // warm the scratch to the population's high-water mark
 	}
+	strategy.resolved = 0
 	if allocs := testing.AllocsPerRun(100, mediate); allocs != 0 {
 		t.Errorf("Mediator.Allocate: %v allocs/op in steady state, want 0", allocs)
+	}
+	if strategy.resolved < 100 {
+		t.Errorf("%d intentions resolved over the measured mediations, want at least one each", strategy.resolved)
 	}
 }
 
@@ -105,7 +143,9 @@ func TestAllocBudgetServerMediateBatch(t *testing.T) {
 	cfg.Providers = 1000
 	cfg.CapabilitySelectivity = 0.1
 	pop := sqlb.NewPopulation(cfg, 17)
-	srv := sqlb.NewMediationServer(sqlb.NewSQLB(), pop, 0, func() float64 { return 0 })
+	overload(pop)
+	strategy := &countResolves{Allocator: sqlb.NewSQLB()}
+	srv := sqlb.NewMediationServer(strategy, pop, 0, func() float64 { return 0 })
 	srv.SetMatchmaker(sqlb.BuildMatchIndex(pop))
 	qs := make([]*model.Query, 16)
 	for i := range qs {
@@ -128,8 +168,12 @@ func TestAllocBudgetServerMediateBatch(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		batch() // warm per-class buffers, ci cache, and selection arena
 	}
+	strategy.resolved = 0
 	if allocs := testing.AllocsPerRun(50, batch); allocs > 1 {
 		t.Errorf("MediateBatch: %v allocs per 16-query batch in steady state, want <= 1", allocs)
+	}
+	if strategy.resolved < 50 {
+		t.Errorf("%d intentions resolved over the measured batches, want at least one each", strategy.resolved)
 	}
 	const batches = 200
 	var before, after runtime.MemStats
@@ -177,9 +221,10 @@ func TestAllocBudgetServerMediate(t *testing.T) {
 // §4 samples and the growth of the heap slice and the ledger map to their
 // high-water marks are amortized into the slack.
 func TestAllocBudgetSimulationLoop(t *testing.T) {
+	strategy := &countResolves{Allocator: allocator.NewSQLB()}
 	eng, err := sim.New(sim.Options{
 		Config:   model.DefaultConfig().Scale(0.25),
-		Strategy: allocator.NewSQLB(),
+		Strategy: strategy,
 		Workload: workload.Constant(0.8),
 		Duration: 400,
 		Seed:     7,
@@ -191,8 +236,8 @@ func TestAllocBudgetSimulationLoop(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	res := eng.Run()
 	runtime.ReadMemStats(&after)
-	if res.Err != nil || res.IssuedQueries < 5000 {
-		t.Fatalf("run: err %v, %d queries", res.Err, res.IssuedQueries)
+	if res.Err != nil || res.IssuedQueries < 5000 || strategy.resolved < 5000 {
+		t.Fatalf("run: err %v, %d queries, %d intentions resolved", res.Err, res.IssuedQueries, strategy.resolved)
 	}
 	perQuery := float64(after.Mallocs-before.Mallocs) / float64(res.IssuedQueries)
 	if perQuery > 1.25 {

@@ -204,20 +204,10 @@ func benchIntentionProvider() *model.Provider {
 	return p
 }
 
-// BenchmarkProviderIntentionWarm is Definition 8 through the model's
-// entrance with nothing changed since the last call: both factors are found.
-func BenchmarkProviderIntentionWarm(b *testing.B) {
-	p := benchIntentionProvider()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		intentionSink = p.Intention(0, 1)
-	}
-}
-
-// BenchmarkProviderIntentionColdLoad moves the clock, and with it the
-// load, on every call: the preference factor is found, the load factor is
-// one pow. This is the simulator's common case.
-func BenchmarkProviderIntentionColdLoad(b *testing.B) {
+// BenchmarkProviderIntentionExact is Definition 8 through the model's exact
+// entrance on a moving clock: the preference factor is found, the load
+// factor is one pow. This is what a resolve costs, less the load reading.
+func BenchmarkProviderIntentionExact(b *testing.B) {
 	p := benchIntentionProvider()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -225,8 +215,20 @@ func BenchmarkProviderIntentionColdLoad(b *testing.B) {
 	}
 }
 
+// BenchmarkProviderIntentionOrBound is the entrance the mediation paths
+// gather through, on the same overloaded provider: the preference factor is
+// found and the load factor is bounded, no pow. This is the simulator's
+// common case.
+func BenchmarkProviderIntentionOrBound(b *testing.B) {
+	p := benchIntentionProvider()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		intentionSink, _ = p.IntentionOrBound(0, float64(i)*1e-3)
+	}
+}
+
 // BenchmarkProviderIntentionColdSat changes δs on every call, which empties
-// the memo: both factors are recomputed, the cost of a re-assessment.
+// the memo: both factors are computed, the cost of a re-assessment.
 func BenchmarkProviderIntentionColdSat(b *testing.B) {
 	p := benchIntentionProvider()
 	b.ResetTimer()
@@ -239,10 +241,9 @@ func BenchmarkProviderIntentionColdSat(b *testing.B) {
 // BenchmarkIntentionsRange400 is the Definition 8 half of the mediator's
 // intention gathering on live state: per iteration the clock advances by
 // one inter-arrival time at 80 % load, all 400 providers show their
-// intention for the query's class, and the most willing one is assigned
-// the query, so windows fill, backlogs build and drain, and the memo sees
-// repeated loads (idle and window-dominated providers) next to moving ones
-// (backlog-dominated providers).
+// intention for the query's class — exact when willing, a bound when not —
+// and the most willing one is assigned the query, so windows fill and
+// backlogs build and drain.
 func BenchmarkIntentionsRange400(b *testing.B) {
 	cfg := model.DefaultConfig()
 	pop := sqlb.NewPopulation(cfg, 9)
@@ -253,7 +254,7 @@ func BenchmarkIntentionsRange400(b *testing.B) {
 		class := i % len(cfg.QueryClasses)
 		best, bestPI := 0, math.Inf(-1)
 		for j, p := range pop.Providers {
-			if pi := p.Intention(class, now); pi > bestPI {
+			if pi, _ := p.IntentionOrBound(class, now); pi > bestPI {
 				best, bestPI = j, pi
 			}
 		}
@@ -288,7 +289,7 @@ func benchRank(b *testing.B, n int) {
 	var s core.Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.RankTop(&s, n, pi, ci, om, 1)
+		core.RankTop(&s, n, pi, ci, om, 1, nil)
 	}
 }
 
@@ -312,7 +313,7 @@ func benchRankTop(b *testing.B, total, n int) {
 	var s core.Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.RankTop(&s, n, pi, ci, om, 1)
+		core.RankTop(&s, n, pi, ci, om, 1, nil)
 	}
 }
 

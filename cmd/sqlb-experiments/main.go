@@ -10,7 +10,7 @@
 //	                 [-classes k] [-selectivity s] [-class-skew z]
 //	                 [-selectivities csv] [-scenarios csv] [-out dir]
 //	                 [-timeline-dir dir] [-list]
-//	                 [-cpuprofile file] [-memprofile file]
+//	                 [-cpuprofile file] [-memprofile file] [-trace file]
 //
 // The paper's full scale is -scale 1 -duration 10000 -sweep 10000
 // -repeats 10; the defaults reproduce the same shapes at laptop cost.
@@ -54,6 +54,7 @@ func main() {
 		tlDir     = flag.String("timeline-dir", "", "stream every simulation run's timeline as <dir>/<run-id>.csv (replayable with sqlb-top)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile taken after the last experiment to this file")
+		traceOut  = flag.String("trace", "", "write a runtime execution trace of the selected experiments to this file (go tool trace)")
 	)
 	flag.Parse()
 
@@ -115,7 +116,7 @@ func main() {
 		}
 	}
 
-	stopProfile, err := profiling.Start(*cpuProf, *memProf)
+	stopProfile, err := profiling.Start(*cpuProf, *memProf, *traceOut)
 	if err != nil {
 		fatal("%v", err)
 	}

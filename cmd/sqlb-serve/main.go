@@ -24,7 +24,7 @@
 //	           [-classes k] [-selectivity s] [-class-skew z]
 //	           [-seed n] [-json file]
 //	           [-timeline file] [-snapshot-interval d] [-top]
-//	           [-cpuprofile file] [-memprofile file]
+//	           [-cpuprofile file] [-memprofile file] [-trace file]
 package main
 
 import (
@@ -65,6 +65,7 @@ func main() {
 		top       = flag.Bool("top", false, "render the live sqlb-top dashboard while the run executes")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run (population build excluded) to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
+		traceOut  = flag.String("trace", "", "write a runtime execution trace of the run to this file (go tool trace)")
 	)
 	flag.Parse()
 
@@ -136,7 +137,7 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "sqlb-serve: driving %.0f qps for %v (after %v warmup)...\n",
 		*qps, *measure, *warmup)
-	stopProfile, err := profiling.Start(*cpuProf, *memProf)
+	stopProfile, err := profiling.Start(*cpuProf, *memProf, *traceOut)
 	if err != nil {
 		fatal("%v", err)
 	}

@@ -45,7 +45,7 @@
 //	         [-classes k] [-selectivity s] [-class-skew z]
 //	         [-autonomy off|dissat-starve|full]
 //	         [-timeline file] [-csv file] [-top]
-//	         [-cpuprofile file] [-memprofile file]
+//	         [-cpuprofile file] [-memprofile file] [-trace file]
 package main
 
 import (
@@ -87,6 +87,7 @@ func main() {
 		scenFlag = flag.String("scenario", "", "time-varying load/churn scenario: a preset ("+strings.Join(scenario.Names(), ", ")+") or a scenario file")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of all repetitions to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile taken after the last repetition to this file")
+		traceOut = flag.String("trace", "", "write a runtime execution trace of all repetitions to this file (go tool trace)")
 	)
 	flag.Parse()
 
@@ -169,7 +170,7 @@ func main() {
 	// Fan the repetitions out over the worker budget. Each repetition gets
 	// its own strategy instance and seed, so results[r] is the same whether
 	// the runs happen serially or concurrently.
-	stopProfile, err := profiling.Start(*cpuProf, *memProf)
+	stopProfile, err := profiling.Start(*cpuProf, *memProf, *traceOut)
 	if err != nil {
 		fatal("%v", err)
 	}

@@ -75,7 +75,7 @@ func main() {
 		omegas[i] = core.Omega(0.5, 0.5)
 	}
 	var scratch core.Scratch
-	ranking := core.RankTop(&scratch, len(pi), pi, ci, omegas, 1)
+	ranking := core.RankTop(&scratch, len(pi), pi, ci, omegas, 1, nil)
 	selected := core.Select(&scratch, q.N, ranking)
 
 	fmt.Println("provider  prov.int  cons.int    score  rank")

@@ -23,12 +23,17 @@ type Request struct {
 	Query *model.Query
 	// Pq is the set of providers able to treat the query.
 	Pq []*model.Provider
-	// CI[i] is the consumer's expressed intention for allocating the query
-	// to Pq[i] (Definition 7, clamped to [-1,1]).
+	// CI[i] is the consumer's intention for allocating the query to Pq[i]:
+	// Definition 7's raw value, which extends below -1.
 	CI []float64
-	// PI[i] is Pq[i]'s expressed intention for performing the query
-	// (Definition 8, clamped to [-1,1]).
+	// PI[i] is Pq[i]'s intention for performing the query: Definition 8's
+	// raw value, or, while Lazy still defers it, an upper bound ≤ -1 of it
+	// (mediator.Allocation states the contract). A strategy resolves PI[i]
+	// before it reads it; core.RankTop, given PI and Lazy, does.
 	PI []float64
+	// Lazy resolves deferred entries of PI; nil when all are exact, as in
+	// a hand-built request.
+	Lazy core.Resolver
 	// ConsumerSat is the mediator-observed, intention-based δs(q.c).
 	ConsumerSat float64
 	// ProviderSat[i] is the mediator-observed, intention-based δs(Pq[i]).
@@ -53,6 +58,16 @@ func (r *Request) scratch() *core.Scratch {
 		r.Scratch = new(core.Scratch)
 	}
 	return r.Scratch
+}
+
+// ResolvePI makes every entry of PI exact, for a strategy that reads all.
+func (r *Request) ResolvePI() {
+	if r.Lazy == nil {
+		return
+	}
+	for i := range r.PI {
+		r.Lazy.Resolve(i)
+	}
 }
 
 // N returns min(q.n, |Pq|), the number of providers to select.

@@ -42,7 +42,7 @@ func (k *KnBest) Allocate(req *Request) []int {
 	// Only the k·n score survivors are materialized; the load round then
 	// picks the n least loaded among them.
 	kn := n * factor
-	short := core.RankTop(sc, kn, req.PI, req.CI, omegas, k.Epsilon)
+	short := core.RankTop(sc, kn, req.PI, req.CI, omegas, k.Epsilon, req.Lazy)
 	loads := sc.F3(len(short))
 	for i, r := range short {
 		loads[i] = req.Pq[r.Index].OperationalLoad(req.Now)
@@ -80,6 +80,7 @@ func (*SQLBEconomic) Name() string { return "SQLB-econ" }
 // Allocate implements Allocator.
 func (*SQLBEconomic) Allocate(req *Request) []int {
 	sc := req.scratch()
+	req.ResolvePI()
 	values := sc.F1(len(req.Pq))
 	for i := range req.Pq {
 		sat := 0.0

@@ -52,6 +52,6 @@ func (s *SQLB) Allocate(req *Request) []int {
 			omegas[i] = core.Omega(req.ConsumerSat, sat)
 		}
 	}
-	ranking := core.RankTop(sc, req.N(), req.PI, req.CI, omegas, s.Epsilon)
+	ranking := core.RankTop(sc, req.N(), req.PI, req.CI, omegas, s.Epsilon, req.Lazy)
 	return core.Select(sc, req.N(), ranking)
 }

@@ -234,10 +234,10 @@ func TestRankTopPrunedEqualsOracle(t *testing.T) {
 				want := oracleRank(n, pi, ci, om, eps)
 				// A zero-value scratch and one warm with the stale buffers
 				// of every earlier call must both agree with the oracle.
-				if got := RankTop(new(Scratch), n, pi, ci, om, eps); !sameRanking(got, want) {
+				if got := RankTop(new(Scratch), n, pi, ci, om, eps, nil); !sameRanking(got, want) {
 					t.Fatalf("%s, total %d, n %d, ε %v: fresh-scratch RankTop = %v, oracle %v", fam.name, total, n, eps, got, want)
 				}
-				if got := RankTop(&scratch, n, pi, ci, om, eps); !sameRanking(got, want) {
+				if got := RankTop(&scratch, n, pi, ci, om, eps, nil); !sameRanking(got, want) {
 					t.Fatalf("%s, total %d, n %d, ε %v: warm-scratch RankTop = %v, oracle %v", fam.name, total, n, eps, got, want)
 				}
 			}
@@ -258,7 +258,7 @@ func TestRankTopEvaluatesFewCandidates(t *testing.T) {
 		for i := range buf {
 			buf[i] = poison
 		}
-		RankTop(s, n, pi, ci, om, 1)
+		RankTop(s, n, pi, ci, om, 1, nil)
 		count := 0
 		for _, v := range s.F2(total) {
 			if math.Float64bits(v) != math.Float64bits(poison) {

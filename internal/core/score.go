@@ -119,10 +119,19 @@ func ranksBefore(sa, sb float64, a, b int) bool {
 	return a < b
 }
 
+// Resolver stands behind a pi vector some of whose entries are deferred:
+// upper bounds ≤ −1 of the provider's intention, left by whoever gathered
+// the vector because a losing candidate does not need the exact value's pow
+// (model.Provider.IntentionOrBound).
+type Resolver interface {
+	// Resolve makes pi[i] exact if it is a bound.
+	Resolve(i int)
+}
+
 // RankTop scores the providers of Pq and returns the n best entries of the
 // ranking R⃗_q, best first (Section 5.3); n ≥ |Pq| gives the whole ranking.
-// pi and ci are the providers' and the consumer's expressed intentions,
-// indexed alike; omegas carries the per-provider ω (Equation 6 uses each
+// pi and ci are the providers' and the consumer's intentions, indexed
+// alike; omegas carries the per-provider ω (Equation 6 uses each
 // provider's own observed satisfaction). Ties break on the lower index so
 // rankings are deterministic, and RankTop(s, n, …) is always a prefix of
 // the whole ranking. pi, ci and omegas must have equal length; entries
@@ -142,7 +151,13 @@ func ranksBefore(sa, sb float64, a, b int) bool {
 // selected indexes and their Score bits are those of scoring everyone. F2
 // then holds the scores of the evaluated candidates only; the other slots
 // are stale.
-func RankTop(s *Scratch, n int, pi, ci, omegas []float64, epsilon float64) []Ranked {
+//
+// lazy is nil when every pi[i] is exact. Otherwise RankTop resolves a
+// candidate before it scores it, and only then: Score does not increase
+// when pi decreases on the negative branch, so scoreBound of a deferred
+// entry bounds the score of the exact one, and a candidate pruned on it
+// stays deferred.
+func RankTop(s *Scratch, n int, pi, ci, omegas []float64, epsilon float64, lazy Resolver) []Ranked {
 	total := len(pi)
 	if len(ci) < total {
 		total = len(ci)
@@ -155,10 +170,16 @@ func RankTop(s *Scratch, n int, pi, ci, omegas []float64, epsilon float64) []Ran
 	}
 	scores := s.F2(total)
 	before := func(a, b int) bool { return ranksBefore(scores[a], scores[b], a, b) }
+	score := func(i int) {
+		if lazy != nil {
+			lazy.Resolve(i)
+		}
+		scores[i] = Score(pi[i], ci[i], omegas[i], epsilon)
+	}
 	var idx []int
 	if n == total {
 		for i := 0; i < total; i++ {
-			scores[i] = Score(pi[i], ci[i], omegas[i], epsilon)
+			score(i)
 		}
 		idx = SelectTopN(s, total, n, before)
 	} else if n > 0 {
@@ -167,7 +188,7 @@ func RankTop(s *Scratch, n int, pi, ci, omegas []float64, epsilon float64) []Ran
 		idx = s.I1(n)
 		for i := range idx {
 			idx[i] = i
-			scores[i] = Score(pi[i], ci[i], omegas[i], epsilon)
+			score(i)
 		}
 		for i := n/2 - 1; i >= 0; i-- {
 			siftDown(idx, i, before)
@@ -176,7 +197,7 @@ func RankTop(s *Scratch, n int, pi, ci, omegas []float64, epsilon float64) []Ran
 			if scoreBound(pi[i], ci[i], omegas[i], epsilon) < scores[idx[0]] {
 				continue
 			}
-			scores[i] = Score(pi[i], ci[i], omegas[i], epsilon)
+			score(i)
 			if before(i, idx[0]) {
 				idx[0] = i
 				siftDown(idx, 0, before)

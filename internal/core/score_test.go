@@ -76,7 +76,7 @@ func TestScoreMutualDesireBeatsOneSided(t *testing.T) {
 // rankAll is the whole ranking R⃗_q at ε = 1, on a scratch of its own so the
 // result outlives later calls.
 func rankAll(pi, ci, om []float64) []Ranked {
-	return RankTop(new(Scratch), len(pi), pi, ci, om, 1)
+	return RankTop(new(Scratch), len(pi), pi, ci, om, 1, nil)
 }
 
 func TestRankOrdering(t *testing.T) {

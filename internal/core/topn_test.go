@@ -136,7 +136,7 @@ func TestRankTopIsPrefixOfRank(t *testing.T) {
 		}
 		full := rankAll(pi, ci, om)
 		for _, n := range []int{0, 1, total / 2, total, total + 5} {
-			got := RankTop(new(Scratch), n, pi, ci, om, 1)
+			got := RankTop(new(Scratch), n, pi, ci, om, 1, nil)
 			want := n
 			if want > total {
 				want = total

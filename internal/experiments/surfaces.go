@@ -71,7 +71,7 @@ func runTable1(l *Lab) (*Result, error) {
 
 	omegas := []float64{0.5, 0.5, 0.5, 0.5, 0.5}
 	var scratch core.Scratch
-	ranking := core.RankTop(&scratch, len(pi), pi, ci, omegas, 1)
+	ranking := core.RankTop(&scratch, len(pi), pi, ci, omegas, 1, nil)
 	selected := core.Select(&scratch, 2, ranking)
 	isSel := map[int]bool{}
 	for _, idx := range selected {

@@ -133,6 +133,45 @@ func (t *ProviderTerms) Intention(preferenceFactor, loadFactor float64) float64 
 	return -(preferenceFactor * loadFactor)
 }
 
+// boundRelSlack is what Bound gives away to hold for the value the machine
+// computes: the roundings of the root, the harmonic mean, LoadFactor's pow
+// and Intention's product are each of the order of 1e-16.
+const boundRelSlack = 1e-9
+
+// Bound returns, for terms on the negative branch, a pow-free value between
+// Intention(preferenceFactor, LoadFactor()) and −1, or ok false when it has
+// none to offer — or none worth having: for δs ∈ {0, ½, 1}, or an idle
+// provider's Ut+ε = 1, the exact load factor costs no pow either (pow
+// answers exponents 0 and 1 itself, math.Pow takes ½ as Sqrt and returns a
+// base of 1 as it is). With r = √(Ut+ε) and 2δs = m + f, m ∈ {0, 1},
+// f ∈ [0, 1], the harmonic mean of r and 1 with weights f and 1−f is at most
+// r^f, so
+//
+//	pi = −pf·r^m·r^f ≤ −pf·r^m·r / (f + (1−f)·r) = −L,
+//
+// and −L, deflated by the slack, is offered when 1 ≤ L ≤ MaxFloat64. (The
+// root halves the distance to 1 on the log scale, where the mean inequality
+// is tight: the plain mean of Ut+ε and 1 never exceeds 1/(1−δs), however
+// overloaded the provider.) Such a value is all anyone needs of an
+// intention that loses: it clamps to −1 like pi (Section 2's expressed
+// range), and Definition 9 does not increase when pi decreases on its
+// negative branch, so a score bound taken from it bounds the score of pi.
+func (t *ProviderTerms) Bound(preferenceFactor float64) (bound float64, ok bool) {
+	base := t.Util + t.Epsilon
+	if t.Willing || t.Sat == 0 || t.Sat == 0.5 || t.Sat == 1 || base == 1 {
+		return 0, false
+	}
+	r, f, rm := math.Sqrt(base), 2*t.Sat, 1.0
+	if f > 1 {
+		rm, f = r, f-1
+	}
+	l := preferenceFactor * rm * r / (f + (1-f)*r) * (1 - boundRelSlack)
+	if !(l >= 1 && l <= math.MaxFloat64) {
+		return 0, false
+	}
+	return -l, true
+}
+
 // ConsumerExpressed is Consumer clamped to the expressed range [-1,1] of
 // Section 2 — the value a consumer actually communicates to the mediator.
 func ConsumerExpressed(pref, rep, upsilon, epsilon float64) float64 {

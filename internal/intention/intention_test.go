@@ -260,3 +260,45 @@ func TestProviderSignProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestProviderBound holds ProviderTerms.Bound to what it promises over a
+// grid of loads up to 50 times capacity: nothing on the positive branch or
+// where the exact load factor costs no pow (δs ∈ {0, ½, 1}, Ut+ε = 1);
+// otherwise a value between the intention and −1 — and, the reason it takes
+// a root, within a tenth of the intention up to five times capacity, where
+// the plain harmonic mean of Ut+ε and 1 has lost a quarter.
+func TestProviderBound(t *testing.T) {
+	offered := 0
+	for _, eps := range []float64{0.3, 1, 2} {
+		for _, pref := range []float64{-1, -0.3, 0, 0.4, 1} {
+			for _, util := range []float64{0, 0.5, 0.99, 1, 1.5, 4, 9, 50} {
+				for _, sat := range []float64{0, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 1} {
+					terms := NewProviderTerms(pref, util, sat, eps)
+					pi := Provider(pref, util, sat, eps)
+					b, ok := terms.Bound(terms.PreferenceFactor())
+					if terms.Willing || sat == 0 || sat == 0.5 || sat == 1 || util+eps == 1 || pi > -1 {
+						if ok && pi > -1 {
+							t.Errorf("pref %v util %v sat %v eps %v: bound %v offered for intention %v > −1", pref, util, sat, eps, b, pi)
+						} else if ok {
+							t.Errorf("pref %v util %v sat %v eps %v: bound %v offered where the exact value is as cheap", pref, util, sat, eps, b)
+						}
+						continue
+					}
+					if !ok {
+						continue // an intention too close to −1 for the slack
+					}
+					offered++
+					if !(pi <= b && b <= -1) {
+						t.Errorf("pref %v util %v sat %v eps %v: bound %v, intention %v", pref, util, sat, eps, b, pi)
+					}
+					if util+eps <= 5 && b > 0.9*pi {
+						t.Errorf("pref %v util %v sat %v eps %v: bound %v is more than a tenth above intention %v", pref, util, sat, eps, b, pi)
+					}
+				}
+			}
+		}
+	}
+	if offered < 500 { // 574 when written
+		t.Errorf("%d bounds offered over the grid, want one for most unwilling points with a pow to save", offered)
+	}
+}

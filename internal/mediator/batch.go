@@ -32,15 +32,17 @@ type BatchResult struct {
 // BatchResult slice it returns.
 type batchScratch struct {
 	epoch uint64
-	// pq/pi/stamp hold one entry per query class of the population. The
-	// provider intentions of Definition 8 depend only on (provider, class,
-	// clock) — not on the consumer — so one PI⃗ vector serves every query
-	// of the class in the batch. The pq buffers also isolate the batch from
-	// the matchmaker: an index's posting list may be compacted in place by
-	// a later turn's lazy prune, so the batch copies into storage it owns.
-	pq    [][]*model.Provider
-	pi    [][]float64
-	stamp []uint64
+	// pq/pi/deferred/stamp hold one entry per query class of the
+	// population. The provider intentions of Definition 8 depend only on
+	// (provider, class, clock) — not on the consumer — so one PI⃗ vector
+	// serves every query of the class in the batch. The pq buffers also
+	// isolate the batch from the matchmaker: an index's posting list may be
+	// compacted in place by a later turn's lazy prune, so the batch copies
+	// into storage it owns.
+	pq       [][]*model.Provider
+	pi       [][]float64
+	deferred [][]float64
+	stamp    []uint64
 	// ci is per (consumer, class): Definition 7 reads the consumer's
 	// preferences and the providers' reputations, neither of which a
 	// mediation commit updates. Entries persist across batches (bounded by
@@ -74,29 +76,29 @@ func (b *batchScratch) memoizes(class int) bool {
 	return class >= 0 && class < len(b.stamp)
 }
 
-// providers returns Pq and the provider intentions PI⃗ for q, memoized per
-// class for the batch.
-func (b *batchScratch) providers(match Matchmaker, pop *model.Population, now float64, q *model.Query) (pq []*model.Provider, pi []float64) {
+// providers returns Pq and the provider intentions PI⃗ for q, exact or
+// deferred as intentionsRange leaves them, memoized per class for the batch.
+func (b *batchScratch) providers(match Matchmaker, pop *model.Population, now float64, q *model.Query) (pq []*model.Provider, pi, deferred []float64) {
 	k, memo := q.Class, b.memoizes(q.Class)
 	if memo {
 		if b.stamp[k] == b.epoch {
-			return b.pq[k], b.pi[k]
+			return b.pq[k], b.pi[k], b.deferred[k]
 		}
-		pq, pi = b.pq[k][:0], b.pi[k]
+		pq, pi, deferred = b.pq[k][:0], b.pi[k], b.deferred[k]
 	}
 	if bm, ok := match.(BufferedMatchmaker); ok {
 		pq = bm.MatchInto(pq, q, pop)
 	} else {
 		pq = append(pq, match.Match(q, pop)...)
 	}
-	pi = growFloats(pi, len(pq))
+	pi, deferred = growFloats(pi, len(pq)), growFloats(deferred, len(pq))
 	for j, p := range pq {
-		pi[j] = p.Intention(q.Class, now)
+		pi[j], deferred[j] = p.IntentionOrBound(q.Class, now)
 	}
 	if memo {
-		b.pq[k], b.pi[k], b.stamp[k] = pq, pi, b.epoch
+		b.pq[k], b.pi[k], b.deferred[k], b.stamp[k] = pq, pi, deferred, b.epoch
 	}
-	return pq, pi
+	return pq, pi, deferred
 }
 
 // consumer returns the consumer intentions CI⃗ of q over pq, memoized per
@@ -177,6 +179,7 @@ func (s *Server) turn(ctx context.Context, qs []*model.Query, out []BatchResult)
 		classes := len(s.pop.Classes)
 		b.pq = make([][]*model.Provider, classes)
 		b.pi = make([][]float64, classes)
+		b.deferred = make([][]float64, classes)
 		b.stamp = make([]uint64, classes)
 		b.ci = make(map[ciKey]*ciEntry)
 	}
@@ -195,14 +198,14 @@ func (s *Server) turn(ctx context.Context, qs []*model.Query, out []BatchResult)
 			out[i].Err = errors.New("mediator: query needs a consumer")
 			continue
 		}
-		pq, pi := b.providers(match, s.pop, now, q)
+		pq, pi, deferred := b.providers(match, s.pop, now, q)
 		if len(pq) == 0 {
 			out[i].Err = fmt.Errorf("%w (query %d)", ErrNoProviders, q.ID)
 			continue
 		}
 		ci := b.consumer(q, pq)
 		alloc := &b.allocs[i]
-		if err := s.med.allocateInto(alloc, now, q, pq, ci, pi); err != nil {
+		if err := s.med.allocateInto(alloc, now, q, pq, ci, pi, deferred); err != nil {
 			out[i].Err = err
 			continue
 		}

@@ -42,13 +42,23 @@ func mintQueries(pop *model.Population, n int) []*model.Query {
 
 // entranceFixture builds one population of a same-seed family: four query
 // classes and specialists advertising half of them, so Pq differs by class
-// and the index matchmaker has real posting lists to answer from.
+// and the index matchmaker has real posting lists to answer from. The
+// providers have re-assessed themselves — δs is off its initial ½, where a
+// load factor costs no pow and nothing would be deferred — and half of them
+// start with a backlog, so unwilling.
 func entranceFixture() *model.Population {
 	cfg := model.DefaultConfig().WithClasses(4)
 	cfg.Consumers = 5
 	cfg.Providers = 24
 	cfg.CapabilitySelectivity = 0.5
-	return model.NewPopulation(cfg, randx.New(33), 0)
+	pop := model.NewPopulation(cfg, randx.New(33), 0)
+	for i, p := range pop.Providers {
+		p.SmoothSat = 0.3 + 0.05*float64(i%9)
+		if i%2 == 0 {
+			p.Assign(0, 8*p.Capacity)
+		}
+	}
+	return pop
 }
 
 // mintClassQueries is mintQueries spread over every class of the population.
@@ -61,9 +71,27 @@ func mintClassQueries(pop *model.Population, n int) []*model.Query {
 	return qs
 }
 
-// sameAllocation compares an entrance's allocation with the reference's:
-// the same providers in Pq, the same selection, bit-equal intentions.
-func sameAllocation(t *testing.T, entrance string, i int, got, want *Allocation) {
+// resolveAll makes a strategy look at every provider intention before it
+// allocates, so that the mediator it is given to leaves PI exact in every
+// slot: the reference side of a comparison under Allocation's PI contract.
+type resolveAll struct{ allocator.Allocator }
+
+func (r resolveAll) Allocate(req *allocator.Request) []int {
+	req.ResolvePI()
+	return r.Allocator.Allocate(req)
+}
+
+// piHolds is Allocation's contract for one slot of PI, given Definition 8's
+// exact value: those bits, or an upper bound ≤ −1 of them.
+func piHolds(got, exact float64) bool {
+	return math.Float64bits(got) == math.Float64bits(exact) || (exact <= got && got <= -1)
+}
+
+// sameAllocation compares an entrance's allocation with the reference's,
+// which ran under resolveAll: the same providers in Pq, the same selection,
+// bit-equal consumer intentions, provider intentions that hold the contract
+// against the reference's exact ones and are exact for everyone selected.
+func sameAllocation(t *testing.T, entrance string, i int, got, want *Allocation) (bounds int) {
 	t.Helper()
 	if len(got.Pq) != len(want.Pq) || !equalInts(got.Selected, want.Selected) {
 		t.Fatalf("query %d: %s has |Pq| %d, selected %v; reference |Pq| %d, selected %v",
@@ -72,11 +100,20 @@ func sameAllocation(t *testing.T, entrance string, i int, got, want *Allocation)
 	for j := range want.Pq {
 		if got.Pq[j].ID != want.Pq[j].ID ||
 			math.Float64bits(got.CI[j]) != math.Float64bits(want.CI[j]) ||
-			math.Float64bits(got.PI[j]) != math.Float64bits(want.PI[j]) {
+			!piHolds(got.PI[j], want.PI[j]) {
 			t.Fatalf("query %d candidate %d: %s has p%d ci %v pi %v, reference p%d ci %v pi %v", i, j, entrance,
 				got.Pq[j].ID, got.CI[j], got.PI[j], want.Pq[j].ID, want.CI[j], want.PI[j])
 		}
+		if got.PI[j] != want.PI[j] {
+			bounds++
+		}
 	}
+	for _, j := range got.Selected {
+		if math.Float64bits(got.PI[j]) != math.Float64bits(want.PI[j]) {
+			t.Fatalf("query %d: %s selected p%d on pi %v, reference has %v", i, entrance, got.Pq[j].ID, got.PI[j], want.PI[j])
+		}
+	}
+	return bounds
 }
 
 // samePopulationState compares what the mediations left behind in every
@@ -111,7 +148,8 @@ func samePopulationState(t *testing.T, entrance string, got, want *model.Populat
 // hand when the servers apply theirs. Every entrance sees the same stream
 // at the same clock readings, batches of uneven size are consumed in turn
 // out of the reused scratch, and all three must agree query for query —
-// selections, intention bits — and in the state they leave behind.
+// selections, intentions (the reference resolves every PI, the entrances
+// only those SQLB asks for) — and in the state they leave behind.
 //
 // Under SetApply a batch's Definition 8 vector is a snapshot from the start
 // of the batch (stale by up to one batch, by contract), so there only
@@ -121,7 +159,7 @@ func TestMediateBatchEquivalentToSequential(t *testing.T) {
 		popRef, popSeq, popBatch := entranceFixture(), entranceFixture(), entranceFixture()
 		clock := 0.0
 		now := func() float64 { return clock }
-		ref := New(allocator.NewSQLB())
+		ref := New(resolveAll{allocator.NewSQLB()})
 		ref.Match = matchmaking.BuildIndex(popRef)
 		seq := NewServer(allocator.NewSQLB(), popSeq, 0, now)
 		seq.SetMatchmaker(matchmaking.BuildIndex(popSeq))
@@ -130,6 +168,7 @@ func TestMediateBatchEquivalentToSequential(t *testing.T) {
 		bat.SetMatchmaker(matchmaking.BuildIndex(popBatch))
 
 		const n = 160
+		bounds := 0
 		qsRef, qsSeq, qsBatch := mintClassQueries(popRef, n), mintClassQueries(popSeq, n), mintClassQueries(popBatch, n)
 		for lo, size := 0, 1; lo < n; lo, size = lo+size, size%7+2 {
 			hi := min(lo+size, n)
@@ -152,7 +191,7 @@ func TestMediateBatchEquivalentToSequential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("apply=%v query %d: Mediate: %v", apply, i, err)
 				}
-				sameAllocation(t, "Mediate", i, got, want)
+				bounds += sameAllocation(t, "Mediate", i, got, want)
 				if !apply {
 					if r := results[i-lo]; r.Err != nil {
 						t.Fatalf("query %d: MediateBatch: %v", i, r.Err)
@@ -161,6 +200,9 @@ func TestMediateBatchEquivalentToSequential(t *testing.T) {
 					}
 				}
 			}
+		}
+		if bounds == 0 {
+			t.Errorf("apply=%v: no provider intention was left as a bound; the comparison ran on exact values only", apply)
 		}
 		samePopulationState(t, "Mediate", popSeq, popRef)
 		if !apply {
@@ -364,7 +406,7 @@ func TestMediateBatchesConsumedInTurn(t *testing.T) {
 	popSeq, popBatch := batchFixture(t, 5, 24)
 	clock := 0.0
 	now := func() float64 { return clock }
-	seq := NewServer(allocator.NewSQLB(), popSeq, 100*time.Millisecond, now)
+	seq := NewServer(resolveAll{allocator.NewSQLB()}, popSeq, 100*time.Millisecond, now)
 	bat := NewServer(allocator.NewSQLB(), popBatch, 100*time.Millisecond, now)
 	seq.SetApply(true)
 	bat.SetApply(true)
@@ -389,7 +431,7 @@ func TestMediateBatchesConsumedInTurn(t *testing.T) {
 				t.Fatalf("query %d: batch selected %v, sequential %v", lo+i, r.Alloc.Selected, want.Selected)
 			}
 			for j := range want.CI {
-				if r.Alloc.CI[j] != want.CI[j] || r.Alloc.PI[j] != want.PI[j] {
+				if r.Alloc.CI[j] != want.CI[j] || !piHolds(r.Alloc.PI[j], want.PI[j]) {
 					t.Fatalf("query %d provider %d: intentions diverged (%v/%v vs %v/%v)",
 						lo+i, j, r.Alloc.CI[j], r.Alloc.PI[j], want.CI[j], want.PI[j])
 				}

@@ -115,7 +115,13 @@ type Allocation struct {
 	// retain; Server.MediateBatch results stay valid until the next
 	// mediation on that server, from any caller (see BatchResult.Alloc).
 	Pq []*model.Provider
-	// CI and PI are the expressed intentions, indexed like Pq.
+	// CI and PI are the raw intentions of Definitions 7 and 8, indexed
+	// like Pq; they extend below -1, and the satisfaction windows record
+	// their clamp to [-1,1], Section 2's expressed range. CI is exact.
+	// PI[i] is Definition 8's exact bits whenever it is > -1 or the
+	// strategy consulted it; otherwise it is an upper bound ≤ -1 of them,
+	// and its clamp is -1 either way. No selection, score or window
+	// depends on which of the two a slot holds.
 	CI []float64
 	PI []float64
 	// Selected are the indexes into Pq that got the query, best first
@@ -171,6 +177,8 @@ type medScratch struct {
 	pq       []*model.Provider
 	ci       []float64
 	pi       []float64
+	deferred []float64 // see lazyPI
+	lazy     lazyPI
 	provSat  []float64
 	selStamp []uint64 // selStamp[i] == epoch ⇔ Pq[i] selected this mediation
 	epoch    uint64
@@ -184,6 +192,28 @@ func growFloats(buf []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return buf[:n]
+}
+
+// lazyPI is the core.Resolver of the mediation in hand. deferred[i] is what
+// Provider.IntentionOrBound said of slot i: the load reading pi[i] was
+// bounded at, or model.Exact. Resolving at that reading gives the value a
+// gathering loop without bounds would have written, even when an earlier
+// query of the batch has since been assigned to the provider. In a batch pi
+// and deferred are the class's shared vectors, so what one query resolves
+// the next ones of its class find exact.
+type lazyPI struct {
+	pq       []*model.Provider
+	pi       []float64
+	deferred []float64
+	class    int
+}
+
+// Resolve implements core.Resolver.
+func (l *lazyPI) Resolve(i int) {
+	if load := l.deferred[i]; load >= 0 {
+		l.deferred[i] = model.Exact
+		l.pi[i] = l.pq[i].IntentionAt(l.class, load)
+	}
 }
 
 // forRange runs fn over [0, n): through Exec when configured, serially
@@ -239,13 +269,14 @@ func (m *Mediator) Allocate(now float64, q *model.Query, pop *model.Population) 
 	sc := &m.scratch
 	sc.ci = growFloats(sc.ci, len(pq))
 	sc.pi = growFloats(sc.pi, len(pq))
-	ci, pi := sc.ci, sc.pi
+	sc.deferred = growFloats(sc.deferred, len(pq))
+	ci, pi, deferred := sc.ci, sc.pi, sc.deferred
 	if m.Exec != nil {
-		m.Exec(len(pq), func(lo, hi int) { intentionsRange(now, q, pq, ci, pi, lo, hi) })
+		m.Exec(len(pq), func(lo, hi int) { intentionsRange(now, q, pq, ci, pi, deferred, lo, hi) })
 	} else {
-		intentionsRange(now, q, pq, ci, pi, 0, len(pq))
+		intentionsRange(now, q, pq, ci, pi, deferred, 0, len(pq))
 	}
-	if err := m.allocateInto(&sc.alloc, now, q, pq, ci, pi); err != nil {
+	if err := m.allocateInto(&sc.alloc, now, q, pq, ci, pi, deferred); err != nil {
 		return nil, err
 	}
 	return &sc.alloc, nil
@@ -254,10 +285,11 @@ func (m *Mediator) Allocate(now float64, q *model.Query, pop *model.Population) 
 // allocateInto is the shared allocation commit (Algorithm 1 lines 6-10):
 // it scores, ranks, selects, records the result, and fills out in place.
 // Both callers (Allocate, Server.turn) pass a non-empty pq and intention
-// vectors they sized like it. Out's Selected aliases the strategy's scratch
-// selection and is valid only until the next mediation on this mediator —
-// the server, whose allocations outlive that, arenas it (Server.turn).
-func (m *Mediator) allocateInto(out *Allocation, now float64, q *model.Query, pq []*model.Provider, ci, pi []float64) error {
+// vectors they sized like it (deferred: see lazyPI). Out's Selected aliases
+// the strategy's scratch selection and is valid only until the next
+// mediation on this mediator — the server, whose allocations outlive that,
+// arenas it (Server.turn).
+func (m *Mediator) allocateInto(out *Allocation, now float64, q *model.Query, pq []*model.Provider, ci, pi, deferred []float64) error {
 	if m.Strategy == nil {
 		return errors.New("mediator: no allocation strategy configured")
 	}
@@ -275,11 +307,13 @@ func (m *Mediator) allocateInto(out *Allocation, now float64, q *model.Query, pq
 			provSat[i] = pq[i].Public.Satisfaction()
 		}
 	}
+	sc.lazy = lazyPI{pq: pq, pi: pi, deferred: deferred, class: q.Class}
 	sc.req = allocator.Request{
 		Query:       q,
 		Pq:          pq,
 		CI:          ci,
 		PI:          pi,
+		Lazy:        &sc.lazy,
 		ConsumerSat: q.Consumer.Tracker.Satisfaction(),
 		ProviderSat: provSat,
 		Now:         now,
@@ -305,12 +339,16 @@ func (m *Mediator) allocateInto(out *Allocation, now float64, q *model.Query, pq
 // would keep piling onto favorites until they flee by overutilization.
 // The satisfaction windows clamp to [-1,1] at record time (Section 2's
 // expressed range), so the δ characteristics stay in [0,1].
-func intentionsRange(now float64, q *model.Query, pq []*model.Provider, ci, pi []float64, lo, hi int) {
+//
+// That depth is paid for only where it is used: an unwilling provider's
+// slot gets IntentionOrBound's pow-free bound, and the exact value is
+// computed if the strategy resolves the slot (lazyPI).
+func intentionsRange(now float64, q *model.Query, pq []*model.Provider, ci, pi, deferred []float64, lo, hi int) {
 	c := q.Consumer
 	for i := lo; i < hi; i++ {
 		p := pq[i]
 		ci[i] = intention.Consumer(c.Preference(p, q.Class), p.Reputation, c.Upsilon, c.Epsilon)
-		pi[i] = p.Intention(q.Class, now)
+		pi[i], deferred[i] = p.IntentionOrBound(q.Class, now)
 	}
 }
 

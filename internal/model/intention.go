@@ -12,28 +12,54 @@ import (
 //
 //	intention.Provider(p.Preference(class), p.OperationalLoad(now), p.SmoothSat, p.Epsilon)
 //
-// It is the one in-process entrance to Definition 8 (Mediator.Allocate and
-// the server's batch turn both come through here), and it keeps the two pow
-// factors of the definition from one call to the next. Each kept factor
-// carries the exact inputs it was computed from and is used again only
-// while those inputs keep their bits; otherwise intention.ProviderTerms
-// recomputes it by the definition's own expression. Nothing has to announce a change: SetPreference, Smooth,
-// Assign, a moving clock, or a direct write to Epsilon, SmoothSat or
-// LoadHorizon all show up as a different key. The preference factor changes
-// only when the provider re-assesses its satisfaction, so at |Pq| = 400
-// almost every evaluation finds it; the load factor is found whenever the
-// load reading repeats (an idle provider, or one whose window, not its
-// backlog, sets the load between two assignments).
+// It is the exact in-process entrance to Definition 8; the mediation paths
+// gather through IntentionOrBound and come back, by IntentionAt, for the
+// slots a strategy resolves. The definition's preference factor is kept
+// from one call to the next with the exact inputs it was computed from, and
+// is used again only while those keep their bits, so nothing has to
+// announce a change: SetPreference, Smooth, or a direct write to Epsilon or
+// SmoothSat all show up as a different key. It changes only when the
+// provider re-assesses its satisfaction; almost every evaluation finds it.
+// The load factor is computed on every call: most loads are backlogs,
+// which move with every arrival.
 //
-// Intention writes the provider's own memo and nothing else, so the rule
-// for calling it concurrently is the one for Assign or the trackers' Record:
-// one goroutine per provider at a time, which the Exec partition and the
-// server lock already guarantee.
+// The entrances write the provider's own memo and nothing else, so the rule
+// for calling them concurrently is the one for Assign or the trackers'
+// Record: one goroutine per provider at a time, which the Exec partition
+// and the server lock already guarantee.
 func (p *Provider) Intention(class int, now float64) float64 {
-	pref, load := p.Preference(class), p.OperationalLoad(now)
+	return p.IntentionAt(class, p.OperationalLoad(now))
+}
+
+// IntentionAt is Intention at a load reading taken earlier: the exact value
+// behind a bound, whatever has been assigned to the provider since.
+func (p *Provider) IntentionAt(class int, load float64) float64 {
+	pi, _ := p.intention(class, load, false)
+	return pi
+}
+
+// Exact is IntentionOrBound's deferredAt for a value that is not a bound.
+const Exact = -1
+
+// IntentionOrBound is Intention for a caller that can do with less of an
+// unwilling provider: on Definition 8's negative branch it returns, instead
+// of pi and its pow, intention.ProviderTerms.Bound whenever that has one to
+// offer — a v with pi ≤ v ≤ −1, which clamps and rates like pi and ranks
+// no lower. deferredAt is then the load reading v was taken at (clamped to
+// the definition's domain, so ≥ 0), and IntentionAt(class, deferredAt) the
+// pi it stands for. Everything else — the positive branch, a load factor
+// that costs no pow — comes back exact, the bits of Intention, with
+// deferredAt Exact.
+func (p *Provider) IntentionOrBound(class int, now float64) (v, deferredAt float64) {
+	return p.intention(class, p.OperationalLoad(now), true)
+}
+
+// intention is the one evaluation behind the entrances above.
+func (p *Provider) intention(class int, load float64, boundWillDo bool) (v, deferredAt float64) {
+	pref := p.Preference(class)
 	slot := p.memoSlot(class)
 	if slot < 0 {
-		return intention.Provider(pref, load, p.SmoothSat, p.Epsilon)
+		return intention.Provider(pref, load, p.SmoothSat, p.Epsilon), Exact
 	}
 	t := intention.NewProviderTerms(pref, load, p.SmoothSat, p.Epsilon)
 	m := &p.memo
@@ -45,12 +71,12 @@ func (p *Provider) Intention(class int, now float64) float64 {
 		pf = t.PreferenceFactor()
 		m.pref[slot].store(t.Pref, pf, t.Willing)
 	}
-	lf, ok := m.load.lookup(t.Util, t.Willing)
-	if !ok {
-		lf = t.LoadFactor()
-		m.load.store(t.Util, lf, t.Willing)
+	if boundWillDo {
+		if b, ok := t.Bound(pf); ok {
+			return b, t.Util
+		}
 	}
-	return t.Intention(pf, lf)
+	return t.Intention(pf, t.LoadFactor()), Exact
 }
 
 // intentionMemo is what a provider keeps of its last Definition 8
@@ -58,8 +84,6 @@ func (p *Provider) Intention(class int, now float64) float64 {
 // here, and a call that brings another pair empties them all first.
 type intentionMemo struct {
 	sat, epsilon float64
-	// load is the load factor; it does not depend on the query class.
-	load factorMemo
 	// pref holds the preference factor of each advertised class, at the
 	// index memoSlot gives. A class the provider does not advertise has no
 	// entry: no sound matchmaker proposes it, and a population of
@@ -71,16 +95,15 @@ type intentionMemo struct {
 
 func (m *intentionMemo) rekey(sat, epsilon float64) {
 	m.sat, m.epsilon = sat, epsilon
-	m.load = factorMemo{}
 	clear(m.pref)
 }
 
-// factorMemo is one kept pow factor: the input it was computed from (the
-// clamped preference, or the load) and the factor itself, stored as is for
-// the positive branch of Definition 8 and negated for the negative one.
-// Both branches' factors are strictly positive, so the sign tells the
-// branch and the zero value is an empty entry. Were a factor ever to come
-// out zero or NaN it would merely be recomputed on every call.
+// factorMemo is one kept pow factor: the clamped preference it was computed
+// from and the factor itself, stored as is for the positive branch of
+// Definition 8 and negated for the negative one. Both branches' factors are
+// strictly positive, so the sign tells the branch and the zero value is an
+// empty entry. Were a factor ever to come out zero or NaN it would merely
+// be recomputed on every call.
 type factorMemo struct {
 	key    float64
 	signed float64

@@ -7,6 +7,7 @@ import (
 
 	"sqlb/internal/intention"
 	"sqlb/internal/randx"
+	"sqlb/internal/satisfaction"
 )
 
 // Provider.Intention is accepted on one ground: whatever has happened to the
@@ -19,6 +20,10 @@ import (
 // two after every step; a property test feeds it random scripts, the fuzz
 // target lets the fuzzer write them. A separate test poisons the memo to
 // show that it is read at all, and that each kind of change misses it.
+//
+// IntentionOrBound goes through the same driver on its own ground
+// (checkIntentionOrBound): exact bits, or a bound that is as good as them
+// to everyone who does not rank on it.
 
 // memoFloats are the operands scripted writes draw from: signed zeros,
 // subnormals, the edges of each input's domain, the load threshold of the
@@ -60,10 +65,35 @@ func checkIntention(t *testing.T, p *Provider, now float64, step int) {
 	}
 }
 
+// checkIntentionOrBound holds IntentionOrBound, on the same classes, to its
+// contract: either Intention's exact bits, or a bound v with
+// Intention ≤ v ≤ −1 that rates like it in a satisfaction window, together
+// with the load reading at which IntentionAt gives those exact bits back.
+func checkIntentionOrBound(t *testing.T, p *Provider, now float64, step int) {
+	t.Helper()
+	for _, c := range []int{0, 1, 2, -1, memoTestClasses, 1 << 40} {
+		want := intention.Provider(p.Preference(c), p.OperationalLoad(now), p.SmoothSat, p.Epsilon)
+		v, at := p.IntentionOrBound(c, now)
+		if at == Exact {
+			if math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("step %d class %d now %v: IntentionOrBound = %v and calls it exact, definition = %v", step, c, now, v, want)
+			}
+			continue
+		}
+		if !(want <= v && v <= -1) || satisfaction.Rate(v) != satisfaction.Rate(want) {
+			t.Fatalf("step %d class %d now %v: bound %v for intention %v\npref %v load %v sat %v eps %v",
+				step, c, now, v, want, p.Preference(c), p.OperationalLoad(now), p.SmoothSat, p.Epsilon)
+		}
+		if got := p.IntentionAt(c, at); !(at >= 0) || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d class %d now %v: bound taken at load %v, where IntentionAt = %v; definition = %v", step, c, now, at, got, want)
+		}
+	}
+}
+
 // runMemoScript interprets script as operations on one provider: an opcode
 // byte, then operand bytes as the operation needs them (missing operands
-// read as zero).
-func runMemoScript(t *testing.T, script []byte) {
+// read as zero). check runs after every operation.
+func runMemoScript(t *testing.T, script []byte, check func(t *testing.T, p *Provider, now float64, step int)) {
 	t.Helper()
 	next := func() byte {
 		if len(script) == 0 {
@@ -78,7 +108,7 @@ func runMemoScript(t *testing.T, script []byte) {
 
 	p := memoTestProvider(next()%2 == 1)
 	now := 0.0
-	checkIntention(t, p, now, -1)
+	check(t, p, now, -1)
 	for step := 0; len(script) > 0; step++ {
 		switch next() % 14 {
 		case 0: // a short clock step: backlog-dominated loads move, window-dominated ones repeat
@@ -111,11 +141,11 @@ func runMemoScript(t *testing.T, script []byte) {
 		case 11:
 			p.ClearCapabilities()
 		case 12: // a clock reading the simulator never produces; the clock itself stays put
-			checkIntention(t, p, value(), step)
+			check(t, p, value(), step)
 		case 13: // hostile work units
 			p.Assign(now, value())
 		}
-		checkIntention(t, p, now, step)
+		check(t, p, now, step)
 	}
 }
 
@@ -135,14 +165,18 @@ var memoSeedScripts = [][]byte{
 }
 
 func TestProviderIntentionEqualsDefinition(t *testing.T) {
+	both := func(t *testing.T, p *Provider, now float64, step int) {
+		checkIntentionOrBound(t, p, now, step)
+		checkIntention(t, p, now, step)
+	}
 	for _, s := range memoSeedScripts {
-		runMemoScript(t, s)
+		runMemoScript(t, s, both)
 	}
 	r := rand.New(rand.NewSource(15))
 	for i := 0; i < 400; i++ {
 		script := make([]byte, 1+r.Intn(120))
 		r.Read(script)
-		runMemoScript(t, script)
+		runMemoScript(t, script, both)
 	}
 }
 
@@ -154,15 +188,27 @@ func FuzzProviderIntentionMemo(f *testing.F) {
 		if len(script) > 4096 {
 			t.Skip("longer scripts only repeat shorter ones")
 		}
-		runMemoScript(t, script)
+		runMemoScript(t, script, checkIntention)
 	})
 }
 
-// TestProviderIntentionMemoIsReadAndRevalidated scales the two kept factors
-// by powers of two (exact in floating point) and reads the scaling back off
-// the result: a repeat evaluation therefore used both and ran no pow; a
-// moved load recomputed the load factor alone; a changed preference the
-// preference factor alone; a changed δs or ε both.
+func FuzzIntentionBound(f *testing.F) {
+	for _, s := range memoSeedScripts {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 4096 {
+			t.Skip("longer scripts only repeat shorter ones")
+		}
+		runMemoScript(t, script, checkIntentionOrBound)
+	})
+}
+
+// TestProviderIntentionMemoIsReadAndRevalidated scales the kept preference
+// factor by two (exact in floating point) and reads the scaling back off
+// the result: a repeat evaluation, a moved load and the bounded entrance
+// therefore all used it and ran no pow for it; a changed preference, δs or
+// ε recomputed it.
 func TestProviderIntentionMemoIsReadAndRevalidated(t *testing.T) {
 	p := memoTestProvider(false)
 	p.SetPreference(0, 0.6)
@@ -172,10 +218,7 @@ func TestProviderIntentionMemoIsReadAndRevalidated(t *testing.T) {
 		return intention.Provider(p.Preference(class), p.OperationalLoad(now), p.SmoothSat, p.Epsilon)
 	}
 	definition := func(now float64) float64 { return definitionOf(0, now) }
-	poison := func() {
-		p.memo.pref[p.memoSlot(0)].signed *= 2
-		p.memo.load.signed *= 4
-	}
+	poison := func() { p.memo.pref[p.memoSlot(0)].signed *= 2 }
 	expect := func(what string, got, want float64) {
 		t.Helper()
 		if got != want {
@@ -184,26 +227,31 @@ func TestProviderIntentionMemoIsReadAndRevalidated(t *testing.T) {
 	}
 
 	expect("first evaluation", p.Intention(0, 1), definition(1))
+	bound, at := p.IntentionOrBound(0, 1)
+	if at == Exact {
+		t.Fatalf("an overloaded provider's intention %v was not deferred", bound)
+	}
 	poison()
-	expect("repeat: both factors kept", p.Intention(0, 1), 8*definition(1))
-	expect("moved clock: load factor recomputed, preference factor kept", p.Intention(0, 2), 2*definition(2))
-	poison() // preference ×4 by now, load ×4
+	expect("repeat: preference factor kept", p.Intention(0, 1), 2*definition(1))
+	expect("moved clock: preference factor kept", p.Intention(0, 2), 2*definition(2))
+	if twice, _ := p.IntentionOrBound(0, 1); twice != 2*bound {
+		t.Errorf("bound %v with the kept factor doubled, %v before: IntentionOrBound does not read the memo", twice, bound)
+	}
 	p.SetPreference(0, 0.7)
-	expect("changed preference: preference factor recomputed, load factor kept", p.Intention(0, 2), 4*definition(2))
+	expect("changed preference: recomputed", p.Intention(0, 2), definition(2))
 	poison()
 	p.SmoothSat = 0.3
-	expect("changed δs: both recomputed", p.Intention(0, 2), definition(2))
+	expect("changed δs: recomputed", p.Intention(0, 2), definition(2))
 	poison()
 	p.Epsilon = 0.5
-	expect("changed ε: both recomputed", p.Intention(0, 2), definition(2))
+	expect("changed ε: recomputed", p.Intention(0, 2), definition(2))
 
-	// The other class has its own preference factor and shares the load
-	// factor.
+	// The other class has its own preference factor.
 	p.SetPreference(1, -0.2)
 	expect("second class, first evaluation", p.Intention(1, 2), definitionOf(1, 2))
 	poison()
-	expect("second class reads the shared load factor", p.Intention(1, 2), 4*definitionOf(1, 2))
-	expect("first class keeps its own preference factor", p.Intention(0, 2), 8*definition(2))
+	expect("second class keeps its own preference factor", p.Intention(1, 2), definitionOf(1, 2))
+	expect("first class keeps its own preference factor", p.Intention(0, 2), 2*definition(2))
 }
 
 // TestProviderIntentionMemoRows checks the storage: NewPopulation carves one

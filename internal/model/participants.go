@@ -188,8 +188,8 @@ type Provider struct {
 	// Section 2) reduces to a bit test against this set.
 	caps []uint64
 
-	// memo keeps the pow factors of the provider's last Definition 8
-	// evaluations (see Intention).
+	// memo keeps the preference factors of the provider's last Definition
+	// 8 evaluations (see Intention).
 	memo intentionMemo
 }
 

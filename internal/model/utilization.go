@@ -55,7 +55,13 @@ func (u *UtilizationWindow) Add(now, units float64) {
 
 // Utilization returns Ut at time now.
 func (u *UtilizationWindow) Utilization(now float64) float64 {
-	u.evict(now)
+	// With nothing to expire and no drift to clear evict would do nothing:
+	// it compacts only after moving head, and every call leaves the
+	// compaction condition false, which Add's append keeps false. This
+	// read is on every candidate's path.
+	if u.sum < 0 || (u.head < len(u.events) && u.events[u.head].at <= now-u.window) {
+		u.evict(now)
+	}
 	eff := now - u.start
 	if eff > u.window {
 		eff = u.window

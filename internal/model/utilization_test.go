@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -114,5 +115,53 @@ func TestUtilizationMonotoneEvictionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestUtilizationFastPathEqualsAlwaysEvict: Utilization skips evict when
+// nothing can expire and there is no drift to clear. A twin window that
+// runs evict before every read — what Utilization did unconditionally —
+// must return the same bits and hold the same state after every step of a
+// random script of assignments (hostile units included), reads, and clock
+// moves in both directions.
+func TestUtilizationFastPathEqualsAlwaysEvict(t *testing.T) {
+	units := []float64{1, 130, 1e-300, 0, -1, -500, 1e300, math.Inf(1), math.NaN()}
+	r := rand.New(rand.NewSource(19))
+	for script := 0; script < 300; script++ {
+		hostile := script%3 == 0
+		fast, ref := NewUtilizationWindow(10, 50, 0), NewUtilizationWindow(10, 50, 0)
+		now := 0.0
+		for step := 0; step < 200; step++ {
+			switch r.Intn(8) {
+			case 0, 1, 2:
+				u := 100 + 100*r.Float64()
+				if hostile {
+					u = units[r.Intn(len(units))]
+				}
+				fast.Add(now, u)
+				ref.Add(now, u)
+			case 3:
+				now += r.Float64()
+			case 4:
+				now += fast.Window() * (0.5 + r.Float64())
+			case 5:
+				now -= 3 * r.Float64() // a clock that runs backwards
+			case 6:
+				if hostile {
+					now = []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1e17, 0}[r.Intn(5)]
+				}
+			}
+			ref.evict(now)
+			got, want := fast.Utilization(now), ref.Utilization(now)
+			// NaN + NaN keeps either operand's payload, as the compiler
+			// orders them at each inlined call, so NaNs compare as one.
+			same := func(a, b float64) bool {
+				return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+			}
+			if !same(got, want) || !same(fast.sum, ref.sum) || fast.head != ref.head || len(fast.events) != len(ref.events) {
+				t.Fatalf("script %d step %d now %v: fast path Ut %v sum %v head %d len %d; always-evict Ut %v sum %v head %d len %d",
+					script, step, now, got, fast.sum, fast.head, len(fast.events), want, ref.sum, ref.head, len(ref.events))
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
-// Package profiling wires the -cpuprofile / -memprofile flags of the
-// commands to runtime/pprof, so an optimisation can start from a profile
-// of the real binary (ROADMAP aim 1) instead of a benchmark stand-in.
+// Package profiling wires the -cpuprofile / -memprofile / -trace flags of
+// the commands to runtime/pprof and runtime/trace, so an optimisation can
+// start from a profile of the real binary (ROADMAP aim 1) instead of a
+// benchmark stand-in.
 package profiling
 
 import (
@@ -8,14 +9,16 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"runtime/trace"
 )
 
-// Start begins a CPU profile into cpuPath (when non-empty) and returns the
-// function that ends it and then writes the heap profile to memPath (when
-// non-empty). The caller runs stop once, after the measured work; with both
+// Start begins a CPU profile into cpuPath and an execution trace (for
+// `go tool trace`) into tracePath, each when non-empty, and returns the
+// function that ends them and then writes the heap profile to memPath (when
+// non-empty). The caller runs stop once, after the measured work; with all
 // paths empty Start does nothing and stop returns nil.
-func Start(cpuPath, memPath string) (stop func() error, err error) {
-	var cpu *os.File
+func Start(cpuPath, memPath, tracePath string) (stop func() error, err error) {
+	var cpu, tr *os.File
 	if cpuPath != "" {
 		if cpu, err = os.Create(cpuPath); err != nil {
 			return nil, fmt.Errorf("cpu profile: %w", err)
@@ -25,7 +28,27 @@ func Start(cpuPath, memPath string) (stop func() error, err error) {
 			return nil, fmt.Errorf("cpu profile: %w", err)
 		}
 	}
+	if tracePath != "" {
+		if tr, err = os.Create(tracePath); err == nil {
+			if err = trace.Start(tr); err != nil {
+				tr.Close()
+			}
+		}
+		if err != nil {
+			if cpu != nil {
+				pprof.StopCPUProfile()
+				cpu.Close()
+			}
+			return nil, fmt.Errorf("execution trace: %w", err)
+		}
+	}
 	return func() error {
+		if tr != nil {
+			trace.Stop()
+			if err := tr.Close(); err != nil {
+				return fmt.Errorf("execution trace: %w", err)
+			}
+		}
 		if cpu != nil {
 			pprof.StopCPUProfile()
 			if err := cpu.Close(); err != nil {

@@ -76,7 +76,9 @@ const (
 type (
 	// Allocator is a pluggable query-allocation strategy.
 	Allocator = allocator.Allocator
-	// AllocationRequest is the per-query input an Allocator sees.
+	// AllocationRequest is the per-query input an Allocator sees. A custom
+	// strategy that reads PI calls ResolvePI first: the mediator leaves the
+	// intentions of unwilling providers as bounds until asked.
 	AllocationRequest = allocator.Request
 	// SQLBMethod is the paper's satisfaction-based method.
 	SQLBMethod = allocator.SQLB
