@@ -10,7 +10,7 @@ GO ?= go
 # Definition 8 through the model's entrances (exact, bounded, the memo
 # emptied, and 400 providers on live state).
 # Override with `make bench BENCH=.` for the full suite.
-BENCH ?= BenchmarkRank|BenchmarkSelectTopN|BenchmarkLab|BenchmarkMediatorAllocate|BenchmarkMatchmaking|BenchmarkServerMediate|BenchmarkTimelineCSV|BenchmarkSimulationShards|BenchmarkMediate100k|BenchmarkPopulationBuild100k|BenchmarkProviderIntention|BenchmarkIntentionsRange400
+BENCH ?= BenchmarkRank|BenchmarkSelectTopN|BenchmarkLab|BenchmarkMediatorAllocate|BenchmarkMatchmaking|BenchmarkServerMediate|BenchmarkTimelineCSV|BenchmarkSimulation|BenchmarkMediate100k|BenchmarkPopulationBuild100k|BenchmarkProviderIntention|BenchmarkIntentionsRange400
 
 # BENCH_COUNT repeats each benchmark -count times. The default single run
 # is fine for the trajectory record; use `make bench BENCH_COUNT=10` when a
@@ -48,10 +48,11 @@ test:
 	$(GO) test -cover ./...
 
 # race covers the packages with real concurrency: the parallel experiment
-# Lab, the simulation engine it fans out, the mediator server, and the
-# serving driver's worker pool.
+# Lab, the mediator server, and the serving driver's worker pool. One
+# simulation runs on one goroutine; the Lab's tests run many at once, which
+# is where the simulator's code meets the race detector.
 race:
-	$(GO) test -race ./internal/experiments/... ./internal/sim/... ./internal/mediator/... ./internal/matchmaking/... ./internal/serving/...
+	$(GO) test -race ./internal/experiments/... ./internal/mediator/... ./internal/matchmaking/... ./internal/serving/...
 
 vet:
 	$(GO) vet ./...

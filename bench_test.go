@@ -466,12 +466,10 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 	}
 }
 
-// benchSimulationShards runs the full paper-scale population (200/400 —
-// the Pq loops the shards split are 400 wide) at one shard count; the
-// sweep across counts is the speedup curve EXPERIMENTS.md §8 records.
-// Results are byte-identical at every count (TestShardedDeterminism), so
-// this measures pure wall-clock.
-func benchSimulationShards(b *testing.B, shards int) {
+// BenchmarkSimulation runs the full paper-scale population (200/400, so
+// every Pq is 400 wide) for 150 simulated seconds: the simulator's
+// wall-clock per run.
+func BenchmarkSimulation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opts := sim.Options{
 			Config:   model.DefaultConfig(),
@@ -479,7 +477,6 @@ func benchSimulationShards(b *testing.B, shards int) {
 			Workload: workload.Constant(0.8),
 			Duration: 150,
 			Seed:     7,
-			Shards:   shards,
 		}
 		eng, err := sim.New(opts)
 		if err != nil {
@@ -492,14 +489,6 @@ func benchSimulationShards(b *testing.B, shards int) {
 		b.ReportMetric(float64(res.IssuedQueries), "queries/run")
 	}
 }
-
-func BenchmarkSimulationShards1(b *testing.B) { benchSimulationShards(b, 1) }
-
-func BenchmarkSimulationShards2(b *testing.B) { benchSimulationShards(b, 2) }
-
-func BenchmarkSimulationShards4(b *testing.B) { benchSimulationShards(b, 4) }
-
-func BenchmarkSimulationShards8(b *testing.B) { benchSimulationShards(b, 8) }
 
 // --- mediation service: batched vs per-query mediation ---
 

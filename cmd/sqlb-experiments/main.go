@@ -5,7 +5,7 @@
 // Usage:
 //
 //	sqlb-experiments [-run id[,id...]] [-scale f] [-duration s] [-sweep s]
-//	                 [-repeats n] [-seed n] [-workers n] [-shards n]
+//	                 [-repeats n] [-seed n] [-workers n]
 //	                 [-workloads csv]
 //	                 [-classes k] [-selectivity s] [-class-skew z]
 //	                 [-selectivities csv] [-scenarios csv] [-out dir]
@@ -42,7 +42,6 @@ func main() {
 		repeats   = flag.Int("repeats", 2, "repetitions per configuration (paper: 10)")
 		seed      = flag.Uint64("seed", 1, "base seed")
 		workers   = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS; output is identical at any value)")
-		shards    = flag.Int("shards", 0, "shard workers per simulation; output is identical at any value (0 = SQLB_SHARDS env, then serial)")
 		workloads = flag.String("workloads", "", "comma-separated workload fractions (default 0.2..1.0)")
 		outDir    = flag.String("out", "", "directory for CSV output (omit to skip)")
 		list      = flag.Bool("list", false, "list experiment IDs and exit")
@@ -75,7 +74,6 @@ func main() {
 		Repeats:       *repeats,
 		BaseSeed:      *seed,
 		Workers:       *workers,
-		Shards:        *shards,
 		Classes:       *classes,
 		Selectivity:   *select_,
 		ClassSkew:     *skew,

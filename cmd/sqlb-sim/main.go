@@ -30,18 +30,12 @@
 // in-process while the first repetition runs. The timeline is a pure
 // observer: results are byte-identical with or without it.
 //
-// -shards fans each simulation's population-dimension work out to that
-// many shard workers behind the engine's virtual-clock barrier; results
-// are byte-identical at every value (0 consults SQLB_SHARDS, then runs
-// serially). Orthogonal to -workers, which parallelizes across
-// repetitions.
-//
 // Usage:
 //
 //	sqlb-sim [-method sqlb|capacity|mariposa|random|knbest|sqlb-econ]
 //	         [-workload f] [-ramp] [-scenario name|file]
 //	         [-duration s] [-scale f] [-seed n]
-//	         [-repeats n] [-workers n] [-shards n]
+//	         [-repeats n] [-workers n]
 //	         [-classes k] [-selectivity s] [-class-skew z]
 //	         [-autonomy off|dissat-starve|full]
 //	         [-timeline file] [-csv file] [-top]
@@ -76,7 +70,6 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "run seed (repetition r uses seed+r)")
 		repeats  = flag.Int("repeats", 1, "repetitions to run and average (paper: 10)")
 		workers  = flag.Int("workers", 0, "concurrent repetitions (0 = GOMAXPROCS)")
-		shards   = flag.Int("shards", 0, "shard workers per simulation; any value is byte-identical (0 = SQLB_SHARDS env, then serial)")
 		autonomy = flag.String("autonomy", "off", "departures: off, dissat-starve, full")
 		tlPath   = flag.String("timeline", "", "stream the first repetition's timeline snapshots to this CSV file (watch with sqlb-top)")
 		csvPath  = flag.String("csv", "", "synonym for -timeline (streams the timeline schema; first repetition only)")
@@ -207,7 +200,6 @@ func main() {
 				Seed:           repSeed,
 				SampleInterval: *duration / 50,
 				Autonomy:       auto,
-				Shards:         *shards,
 				Timeline:       sink,
 			}
 			eng, err := sim.New(opts)

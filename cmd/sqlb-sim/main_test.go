@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"sqlb/internal/timeline"
 )
@@ -103,30 +104,23 @@ func TestSingleRunKeepsPlainCSVPath(t *testing.T) {
 	}
 }
 
-// TestShardsFlagDeterminism: the -shards flag changes nothing observable —
-// the full stdout report and the exported timeline are byte-identical to
-// the serial run.
-func TestShardsFlagDeterminism(t *testing.T) {
-	outputs := map[string]string{}
-	files := map[string]string{}
-	for _, shards := range []string{"1", "4"} {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "tl.csv")
-		out := runSim(t, "-shards", shards, "-timeline", path,
-			"-duration", "300", "-scale", "0.05", "-autonomy", "full",
-			"-scenario", "staged-churn")
-		outputs[shards] = strings.ReplaceAll(out, dir, "")
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("shards=%s timeline: %v", shards, err)
+// TestNonFiniteDurationFails: a NaN or infinite -duration would never end
+// the event loop. It must exit non-zero at once, with an error naming the
+// field.
+func TestNonFiniteDurationFails(t *testing.T) {
+	for _, d := range []string{"NaN", "Inf", "-Inf"} {
+		cmd := exec.Command(os.Args[0], "-duration", d, "-scale", "0.05")
+		cmd.Env = append(os.Environ(), "SQLB_SIM_MAIN=1")
+		start := time.Now()
+		out, err := cmd.CombinedOutput()
+		if err == nil {
+			t.Errorf("-duration %s exited 0:\n%s", d, out)
 		}
-		files[shards] = string(b)
-	}
-	if outputs["1"] != outputs["4"] {
-		t.Errorf("-shards 4 stdout differs from -shards 1:\n%s\nvs\n%s",
-			outputs["4"], outputs["1"])
-	}
-	if files["1"] != files["4"] {
-		t.Error("-shards 4 timeline CSV differs from -shards 1")
+		if !strings.Contains(string(out), "duration") {
+			t.Errorf("-duration %s: error does not name the field:\n%s", d, out)
+		}
+		if el := time.Since(start); el > 5*time.Second {
+			t.Errorf("-duration %s took %v to fail", d, el)
+		}
 	}
 }

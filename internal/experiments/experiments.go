@@ -52,12 +52,6 @@ type Config struct {
 	// byte-identical tables and figures. Default runtime.GOMAXPROCS(0);
 	// 1 recovers fully serial execution.
 	Workers int
-	// Shards is passed through to sim.Options.Shards for every run: the
-	// intra-simulation parallelism, orthogonal to Workers (the across-run
-	// parallelism). Like Workers, any value produces byte-identical
-	// artifacts (sim's TestShardedDeterminism); 0 defers to the engine's
-	// SQLB_SHARDS/serial fallback.
-	Shards int
 
 	// Classes overrides the workload's query-class count (model.Config.
 	// WithClasses); 0 keeps the paper's two classes (130/150 units).
@@ -327,7 +321,6 @@ func (l *Lab) rampResults(method allocator.Allocator) ([]*sim.Result, error) {
 				Duration:       l.cfg.Duration,
 				Seed:           l.seedFor("ramp", method.Name(), 0, rep),
 				SampleInterval: l.cfg.SampleInterval,
-				Shards:         l.cfg.Shards,
 				Timeline:       l.runSink(fmt.Sprintf("ramp/%s/rep%d", method.Name(), rep)),
 			}
 			eng, err := sim.New(opts)
@@ -397,7 +390,6 @@ func (l *Lab) sweepResults(kind sweepKind, method allocator.Allocator, frac floa
 				Duration: l.cfg.SweepDuration,
 				Seed:     l.seedFor(string(kind), method.Name(), pct, rep),
 				Autonomy: kind.autonomy(),
-				Shards:   l.cfg.Shards,
 				Timeline: l.runSink(fmt.Sprintf("%s/%s/w%d/rep%d", kind, method.Name(), pct, rep)),
 			}
 			eng, err := sim.New(opts)

@@ -58,7 +58,6 @@ func (l *Lab) extensionRun(strategy allocator.Allocator, rep int, mutate func(*m
 		Duration: l.cfg.SweepDuration,
 		Seed:     l.seedFor("extension", strategy.Name(), 80, rep),
 		Autonomy: sim.FullAutonomy(),
-		Shards:   l.cfg.Shards,
 	}
 	eng, err := sim.New(opts)
 	if err != nil {

@@ -196,47 +196,3 @@ func TestParallelLabSharesBundles(t *testing.T) {
 		}
 	}
 }
-
-// TestShardedLabDeterminism closes the loop on the two parallelism axes:
-// a Lab running serially must emit the same bytes as one fanning runs out
-// over 8 workers with each simulation itself sharded 4 ways. Composes the
-// Workers contract above with sim's TestShardedDeterminism.
-func TestShardedLabDeterminism(t *testing.T) {
-	snapshot := func(workers, shards int) map[string]string {
-		lab := NewLab(Config{
-			Scale:          0.05,
-			Duration:       300,
-			SweepDuration:  400,
-			Repeats:        2,
-			BaseSeed:       17,
-			SampleInterval: 50,
-			Workloads:      []float64{0.4, 0.8},
-			Workers:        workers,
-			Shards:         shards,
-		})
-		out := map[string]string{}
-		for _, id := range []string{"fig4a", "fig4i", "fig5c", "ext-scenarios"} {
-			res, err := lab.RunAny(id)
-			if err != nil {
-				t.Fatalf("%s: %v", id, err)
-			}
-			for _, c := range res.Charts {
-				out[c.ID] = c.CSV()
-			}
-			for _, tbl := range res.Tables {
-				out[tbl.ID] = tbl.CSV()
-			}
-		}
-		return out
-	}
-	serial := snapshot(1, 1)
-	sharded := snapshot(8, 4)
-	if len(serial) != len(sharded) {
-		t.Fatalf("artifact counts differ: %d serial vs %d sharded", len(serial), len(sharded))
-	}
-	for id, csv := range serial {
-		if sharded[id] != csv {
-			t.Errorf("%s: Workers=8/Shards=4 CSV differs from the serial lab", id)
-		}
-	}
-}

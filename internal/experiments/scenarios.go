@@ -58,7 +58,6 @@ func runExtScenarios(l *Lab) (*Result, error) {
 			Seed:           l.seedFor("scenario/"+scn.Name, m.Name(), 0, rep),
 			SampleInterval: l.cfg.SweepDuration / 50,
 			Autonomy:       sim.FullAutonomy(),
-			Shards:         l.cfg.Shards,
 		}
 		eng, err := sim.New(opts)
 		if err != nil {

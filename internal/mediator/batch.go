@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"sqlb/internal/intention"
 	"sqlb/internal/model"
 )
 
@@ -77,7 +76,8 @@ func (b *batchScratch) memoizes(class int) bool {
 }
 
 // providers returns Pq and the provider intentions PI⃗ for q, exact or
-// deferred as intentionsRange leaves them, memoized per class for the batch.
+// deferred as providerIntentions leaves them, memoized per class for the
+// batch.
 func (b *batchScratch) providers(match Matchmaker, pop *model.Population, now float64, q *model.Query) (pq []*model.Provider, pi, deferred []float64) {
 	k, memo := q.Class, b.memoizes(q.Class)
 	if memo {
@@ -86,15 +86,8 @@ func (b *batchScratch) providers(match Matchmaker, pop *model.Population, now fl
 		}
 		pq, pi, deferred = b.pq[k][:0], b.pi[k], b.deferred[k]
 	}
-	if bm, ok := match.(BufferedMatchmaker); ok {
-		pq = bm.MatchInto(pq, q, pop)
-	} else {
-		pq = append(pq, match.Match(q, pop)...)
-	}
-	pi, deferred = growFloats(pi, len(pq)), growFloats(deferred, len(pq))
-	for j, p := range pq {
-		pi[j], deferred[j] = p.IntentionOrBound(q.Class, now)
-	}
+	pq = matchInto(match, pq, q, pop)
+	pi, deferred = providerIntentions(now, q.Class, pq, pi, deferred)
 	if memo {
 		b.pq[k], b.pi[k], b.deferred[k], b.stamp[k] = pq, pi, deferred, b.epoch
 	}
@@ -117,11 +110,7 @@ func (b *batchScratch) consumer(q *model.Query, pq []*model.Provider) []float64 
 		}
 		ci = e.buf
 	}
-	c := q.Consumer
-	ci = growFloats(ci, len(pq))
-	for j, p := range pq {
-		ci[j] = intention.Consumer(c.Preference(p, q.Class), p.Reputation, c.Upsilon, c.Epsilon)
-	}
+	ci = consumerIntentions(q, pq, ci)
 	if e != nil {
 		e.buf, e.epoch = ci, b.epoch
 	}
@@ -169,10 +158,6 @@ func (s *Server) turn(ctx context.Context, qs []*model.Query, out []BatchResult)
 		}
 		return
 	}
-	match := s.med.Match
-	if match == nil {
-		match = AllProviders{}
-	}
 	b := &s.batch
 	b.epoch++
 	if b.ci == nil {
@@ -198,7 +183,7 @@ func (s *Server) turn(ctx context.Context, qs []*model.Query, out []BatchResult)
 			out[i].Err = errors.New("mediator: query needs a consumer")
 			continue
 		}
-		pq, pi, deferred := b.providers(match, s.pop, now, q)
+		pq, pi, deferred := b.providers(s.med.Match, s.pop, now, q)
 		if len(pq) == 0 {
 			out[i].Err = fmt.Errorf("%w (query %d)", ErrNoProviders, q.ID)
 			continue

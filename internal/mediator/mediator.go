@@ -40,8 +40,8 @@ type Matchmaker interface {
 // appends the matchmade set to buf (reusing its capacity) instead of
 // allocating a fresh slice per query. The mediator's fast path probes for it
 // and lends its own scratch buffer; the ordering contract is the same as
-// Match's. Matchmakers that already answer from internal storage without
-// allocating (the inverted index) need not implement it.
+// Match's. A matchmaker without it (the inverted index) has its answer
+// copied into the same buffer (see matchInto).
 type BufferedMatchmaker interface {
 	Matchmaker
 	// MatchInto appends the alive providers able to treat q to buf and
@@ -106,11 +106,10 @@ type Allocation struct {
 	// Query is the mediated query.
 	Query *model.Query
 	// Pq is the matchmade provider set. When obtained from Mediator.
-	// Allocate it aliases mediator scratch or the index's internal posting
-	// list (both kept allocation-free for the simulator's hot path) and is
-	// only valid until the next mediation or provider churn event — as is
-	// the whole Allocation on that path; callers that retain providers
-	// past that point must copy (SelectedProviders does). Allocations
+	// Allocate it aliases mediator scratch (kept allocation-free for the
+	// simulator's hot path) and is only valid until the next mediation on
+	// that mediator — as is the whole Allocation on that path; callers that
+	// retain providers past that point must copy (SelectedProviders does). Allocations
 	// returned by Server.Mediate carry their own copies and are safe to
 	// retain; Server.MediateBatch results stay valid until the next
 	// mediation on that server, from any caller (see BatchResult.Alloc).
@@ -148,21 +147,10 @@ type Mediator struct {
 	Strategy allocator.Allocator
 	// Match is the matchmaking procedure; nil means AllProviders.
 	Match Matchmaker
-	// Exec, when non-nil, runs the mediator's O(|Pq|) index-range loops —
-	// intention gathering, satisfaction extraction, and the result
-	// notification — through an external executor (the sharded engine's
-	// worker pool). The contract mirrors the engine's phase barrier: Exec
-	// must cover [0, n) with disjoint [lo, hi) calls and return only after
-	// all of them completed; the loop bodies are pure per-index maps (slot
-	// writes into vectors indexed like Pq, or writes to provider i alone),
-	// so any partition — including the nil serial one — produces identical
-	// bytes. Nil keeps the historical single-threaded loops.
-	Exec func(n int, fn func(lo, hi int))
 
 	// scratch holds the mediator's reusable per-mediation buffers. A
 	// mediator serializes its mediations (the engine's event loop, the
-	// server's mu), so one set suffices; the sharded executor only ever
-	// writes disjoint index ranges of these vectors.
+	// server's mu), so one set suffices.
 	scratch medScratch
 }
 
@@ -216,21 +204,6 @@ func (l *lazyPI) Resolve(i int) {
 	}
 }
 
-// forRange runs fn over [0, n): through Exec when configured, serially
-// otherwise. Hot-path callers branch on Exec themselves before building a
-// closure — a func literal passed to the Exec field escapes to the heap, so
-// the serial (Exec == nil) path must run its loop inline to stay
-// allocation-free.
-func (m *Mediator) forRange(n int, fn func(lo, hi int)) {
-	if m.Exec != nil {
-		m.Exec(n, fn)
-		return
-	}
-	if n > 0 {
-		fn(0, n)
-	}
-}
-
 // New returns a mediator using the given strategy and the all-providers
 // matchmaker.
 func New(strategy allocator.Allocator) *Mediator {
@@ -247,39 +220,73 @@ func New(strategy allocator.Allocator) *Mediator {
 //
 // This is the simulator's hot path and allocates nothing in steady state:
 // the returned Allocation and every slice it carries live in the mediator's
-// scratch and are valid only until the next mediation on this mediator (or
-// provider churn, for Pq). Callers that retain anything past that point
-// must copy (SelectedProviders does); Server.Mediate returns durable
-// allocations instead.
+// scratch and are valid only until the next mediation on this mediator.
+// Callers that retain anything past that point must copy (SelectedProviders
+// does); Server.Mediate returns durable allocations instead.
 func (m *Mediator) Allocate(now float64, q *model.Query, pop *model.Population) (*Allocation, error) {
-	match := m.Match
-	if match == nil {
-		match = AllProviders{}
-	}
-	var pq []*model.Provider
-	if bm, ok := match.(BufferedMatchmaker); ok {
-		m.scratch.pq = bm.MatchInto(m.scratch.pq[:0], q, pop)
-		pq = m.scratch.pq
-	} else {
-		pq = match.Match(q, pop)
-	}
+	sc := &m.scratch
+	sc.pq = matchInto(m.Match, sc.pq[:0], q, pop)
+	pq := sc.pq
 	if len(pq) == 0 {
 		return nil, fmt.Errorf("%w (query %d)", ErrNoProviders, q.ID)
 	}
-	sc := &m.scratch
-	sc.ci = growFloats(sc.ci, len(pq))
-	sc.pi = growFloats(sc.pi, len(pq))
-	sc.deferred = growFloats(sc.deferred, len(pq))
-	ci, pi, deferred := sc.ci, sc.pi, sc.deferred
-	if m.Exec != nil {
-		m.Exec(len(pq), func(lo, hi int) { intentionsRange(now, q, pq, ci, pi, deferred, lo, hi) })
-	} else {
-		intentionsRange(now, q, pq, ci, pi, deferred, 0, len(pq))
-	}
-	if err := m.allocateInto(&sc.alloc, now, q, pq, ci, pi, deferred); err != nil {
+	sc.pi, sc.deferred = providerIntentions(now, q.Class, pq, sc.pi, sc.deferred)
+	sc.ci = consumerIntentions(q, pq, sc.ci)
+	if err := m.allocateInto(&sc.alloc, now, q, pq, sc.ci, sc.pi, sc.deferred); err != nil {
 		return nil, err
 	}
 	return &sc.alloc, nil
+}
+
+// matchInto appends Pq for q to buf (line 1 of Algorithm 1): through
+// MatchInto when the matchmaker has it, else by copying Match's answer.
+// Either way Pq lives in storage the caller owns, so a later lazy prune of
+// an index posting list cannot reach into a mediation in progress. A nil
+// matchmaker is AllProviders.
+func matchInto(match Matchmaker, buf []*model.Provider, q *model.Query, pop *model.Population) []*model.Provider {
+	if match == nil {
+		match = AllProviders{}
+	}
+	if bm, ok := match.(BufferedMatchmaker); ok {
+		return bm.MatchInto(buf, q, pop)
+	}
+	return append(buf, match.Match(q, pop)...)
+}
+
+// providerIntentions fills pi and deferred, resized to len(pq), with
+// Definition 8 for every provider of pq (lines 2-5 of Algorithm 1, the
+// provider half). It is the one provider gather of every mediation path:
+// Allocate calls it per query, the batch once per class and turn.
+//
+// The vector carries the *raw* definition values, which extend below -1
+// (Figure 2's surface reaches -2.5). Definition 9's negative branch needs
+// that depth: an overutilized provider the consumer loves must eventually
+// rank below a willing provider the consumer is lukewarm about, or load
+// would keep piling onto favorites until they flee by overutilization.
+// The satisfaction windows clamp to [-1,1] at record time (Section 2's
+// expressed range), so the δ characteristics stay in [0,1].
+//
+// That depth is paid for only where it is used: an unwilling provider's
+// slot gets IntentionOrBound's pow-free bound, and the exact value is
+// computed if the strategy resolves the slot (lazyPI).
+func providerIntentions(now float64, class int, pq []*model.Provider, pi, deferred []float64) ([]float64, []float64) {
+	pi, deferred = growFloats(pi, len(pq)), growFloats(deferred, len(pq))
+	for i, p := range pq {
+		pi[i], deferred[i] = p.IntentionOrBound(class, now)
+	}
+	return pi, deferred
+}
+
+// consumerIntentions fills ci, resized to len(pq), with Definition 7: q's
+// consumer's intention towards every provider of pq (the consumer half of
+// lines 2-5).
+func consumerIntentions(q *model.Query, pq []*model.Provider, ci []float64) []float64 {
+	c := q.Consumer
+	ci = growFloats(ci, len(pq))
+	for i, p := range pq {
+		ci[i] = intention.Consumer(c.Preference(p, q.Class), p.Reputation, c.Upsilon, c.Epsilon)
+	}
+	return ci
 }
 
 // allocateInto is the shared allocation commit (Algorithm 1 lines 6-10):
@@ -296,16 +303,8 @@ func (m *Mediator) allocateInto(out *Allocation, now float64, q *model.Query, pq
 	sc := &m.scratch
 	sc.provSat = growFloats(sc.provSat, len(pq))
 	provSat := sc.provSat
-	if m.Exec != nil {
-		m.Exec(len(pq), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				provSat[i] = pq[i].Public.Satisfaction()
-			}
-		})
-	} else {
-		for i := range pq {
-			provSat[i] = pq[i].Public.Satisfaction()
-		}
+	for i := range pq {
+		provSat[i] = pq[i].Public.Satisfaction()
 	}
 	sc.lazy = lazyPI{pq: pq, pi: pi, deferred: deferred, class: q.Class}
 	sc.req = allocator.Request{
@@ -326,39 +325,10 @@ func (m *Mediator) allocateInto(out *Allocation, now float64, q *model.Query, pq
 	return nil
 }
 
-// intentionsRange fills the [lo, hi) slots of the intention vectors per
-// Definitions 7 and 8 — the per-index map the sharded engine's phase
-// executor partitions. Slot i is a pure function of (q, pq[i], now): no
-// accumulator crosses indexes, so any partition of [0, len(pq)) produces
-// identical vectors.
-//
-// The vectors carry the *raw* definition values, which extend below -1
-// (Figure 2's surface reaches -2.5). Definition 9's negative branch needs
-// that depth: an overutilized provider the consumer loves must eventually
-// rank below a willing provider the consumer is lukewarm about, or load
-// would keep piling onto favorites until they flee by overutilization.
-// The satisfaction windows clamp to [-1,1] at record time (Section 2's
-// expressed range), so the δ characteristics stay in [0,1].
-//
-// That depth is paid for only where it is used: an unwilling provider's
-// slot gets IntentionOrBound's pow-free bound, and the exact value is
-// computed if the strategy resolves the slot (lazyPI).
-func intentionsRange(now float64, q *model.Query, pq []*model.Provider, ci, pi, deferred []float64, lo, hi int) {
-	c := q.Consumer
-	for i := lo; i < hi; i++ {
-		p := pq[i]
-		ci[i] = intention.Consumer(c.Preference(p, q.Class), p.Reputation, c.Upsilon, c.Epsilon)
-		pi[i], deferred[i] = p.IntentionOrBound(q.Class, now)
-	}
-}
-
 // record performs the mediation-result notification: the consumer logs the
 // allocation against its shown intentions (Equations 1-2) and every
 // provider in Pq — selected or not — logs the proposal in both its public
-// (intention-fed) and private (preference-fed) windows. The consumer write
-// stays on the caller; the provider loop shards cleanly (provider i's
-// windows are touched by iteration i alone, and the selected-set stamps are
-// read-only once written), so it runs through Exec when configured.
+// (intention-fed) and private (preference-fed) windows.
 //
 // The selected set is marked with an epoch stamp instead of a per-call map:
 // selStamp[i] == epoch means Pq[i] was selected this mediation, and bumping
@@ -378,21 +348,9 @@ func (m *Mediator) record(q *model.Query, pq []*model.Provider, ci, pi []float64
 			sc.selStamp[idx] = sc.epoch
 		}
 	}
-	stamp, epoch := sc.selStamp, sc.epoch
-	if m.Exec != nil {
-		m.Exec(len(pq), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				p := pq[i]
-				performed := stamp[i] == epoch
-				p.Public.Record(pi[i], performed)
-				p.Private.Record(p.Preference(q.Class), performed)
-			}
-		})
-	} else {
-		for i, p := range pq {
-			performed := stamp[i] == epoch
-			p.Public.Record(pi[i], performed)
-			p.Private.Record(p.Preference(q.Class), performed)
-		}
+	for i, p := range pq {
+		performed := sc.selStamp[i] == sc.epoch
+		p.Public.Record(pi[i], performed)
+		p.Private.Record(p.Preference(q.Class), performed)
 	}
 }

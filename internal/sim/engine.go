@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 
 	"sqlb/internal/matchmaking"
@@ -36,13 +35,6 @@ type Engine struct {
 	mixBuf []float64
 
 	arrivalRng *randx.Rand
-
-	// shards is the resolved shard count; pool is the worker pool behind
-	// the per-event barrier (nil when shards == 1 — the serial engine).
-	// See shard.go for the contract that keeps any shard count
-	// byte-identical.
-	shards int
-	pool   *shardPool
 
 	events eventHeap
 	seq    uint64
@@ -101,7 +93,7 @@ type inflightQuery struct {
 // the run seed. Returns an error if the options are invalid.
 func New(opts Options) (*Engine, error) {
 	if err := opts.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
+		return nil, err
 	}
 	master := randx.New(opts.Seed)
 	popRng := master.Split()
@@ -130,7 +122,6 @@ func New(opts Options) (*Engine, error) {
 		load:          opts.Workload,
 		scn:           opts.Scenario.Scaled(opts.Duration),
 		churnRng:      churnRng,
-		shards:        opts.effectiveShards(),
 	}
 	if e.scn != nil && e.scn.Load != nil {
 		e.load = e.scn.Load
@@ -156,19 +147,9 @@ func (e *Engine) Population() *model.Population { return e.pop }
 // inspect posting lists to assert the matchmaking state).
 func (e *Engine) MatchIndex() *matchmaking.Index { return e.index }
 
-// Shards reports the resolved shard count of the run (1 = serial engine).
-func (e *Engine) Shards() int { return e.shards }
-
 // Run executes the simulation and returns its result. It can be called
 // once per engine.
 func (e *Engine) Run() *Result {
-	if e.shards > 1 {
-		e.pool = newShardPool(e.shards)
-		defer e.pool.close()
-		// The mediator's O(|Pq|) loops — intention gathering, satisfaction
-		// extraction, result notification — fork across the same pool.
-		e.med.Exec = e.pool.run
-	}
 	// Churn waves are scheduled first so a wave at t=0 (an initially
 	// degraded system) applies before the first arrival mediates.
 	if e.scn != nil {
@@ -391,89 +372,32 @@ func (e *Engine) takeSample() {
 	}
 }
 
-// providerValues gathers one metric value per alive provider, in provider
-// index order — the sharded replacement for model.Population.ProviderValues
-// on the sampling path. The gather phase is a pure per-index map (slot i
-// holds provider i's value and alive bit); the compaction fold runs on the
-// event loop in index order, so the returned slice is byte-identical to
-// the serial scan at any shard count.
-func (e *Engine) providerValues(f func(*model.Provider) float64) []float64 {
-	ps := e.pop.Providers
-	if e.pool == nil {
-		return e.pop.ProviderValues(true, f)
-	}
-	vals := make([]float64, len(ps))
-	alive := make([]bool, len(ps))
-	e.pool.run(len(ps), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if p := ps[i]; p.Alive {
-				alive[i] = true
-				vals[i] = f(p)
-			}
-		}
-	})
-	n := 0
-	for i := range vals {
-		if alive[i] {
-			vals[n] = vals[i]
-			n++
-		}
-	}
-	return vals[:n]
-}
-
-// consumerValues is providerValues over the consumer population.
-func (e *Engine) consumerValues(f func(*model.Consumer) float64) []float64 {
-	cs := e.pop.Consumers
-	if e.pool == nil {
-		return e.pop.ConsumerValues(true, f)
-	}
-	vals := make([]float64, len(cs))
-	alive := make([]bool, len(cs))
-	e.pool.run(len(cs), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if c := cs[i]; c.Alive {
-				alive[i] = true
-				vals[i] = f(c)
-			}
-		}
-	})
-	n := 0
-	for i := range vals {
-		if alive[i] {
-			vals[n] = vals[i]
-			n++
-		}
-	}
-	return vals[:n]
-}
-
 func (e *Engine) snapshot() Sample {
 	s := Sample{
 		Time:             e.now,
 		WorkloadFraction: e.load.Fraction(e.now),
-		ProvSatIntention: metrics.Summarize(e.providerValues(func(p *model.Provider) float64 {
+		ProvSatIntention: metrics.Summarize(e.pop.ProviderValues(true, func(p *model.Provider) float64 {
 			return p.Public.Satisfaction()
 		})),
-		ProvSatPreference: metrics.Summarize(e.providerValues(func(p *model.Provider) float64 {
+		ProvSatPreference: metrics.Summarize(e.pop.ProviderValues(true, func(p *model.Provider) float64 {
 			return p.SmoothSat
 		})),
-		ProvAllocSatPreference: metrics.Summarize(e.providerValues(func(p *model.Provider) float64 {
+		ProvAllocSatPreference: metrics.Summarize(e.pop.ProviderValues(true, func(p *model.Provider) float64 {
 			if p.SmoothAdq == 0 {
 				return 1
 			}
 			return clampAllocSat(p.SmoothSat / p.SmoothAdq)
 		})),
-		ProvAdequationPreference: metrics.Summarize(e.providerValues(func(p *model.Provider) float64 {
+		ProvAdequationPreference: metrics.Summarize(e.pop.ProviderValues(true, func(p *model.Provider) float64 {
 			return p.SmoothAdq
 		})),
-		ConsSat: metrics.Summarize(e.consumerValues(func(c *model.Consumer) float64 {
+		ConsSat: metrics.Summarize(e.pop.ConsumerValues(true, func(c *model.Consumer) float64 {
 			return c.Tracker.Satisfaction()
 		})),
-		ConsAllocSat: metrics.Summarize(e.consumerValues(func(c *model.Consumer) float64 {
+		ConsAllocSat: metrics.Summarize(e.pop.ConsumerValues(true, func(c *model.Consumer) float64 {
 			return clampAllocSat(c.Tracker.AllocationSatisfaction())
 		})),
-		Utilization: metrics.Summarize(e.providerValues(func(p *model.Provider) float64 {
+		Utilization: metrics.Summarize(e.pop.ProviderValues(true, func(p *model.Provider) float64 {
 			return p.MeasuredLoad(e.now)
 		})),
 		AliveProviders:         len(e.pop.AliveProviders()),
@@ -492,23 +416,16 @@ func (e *Engine) snapshot() Sample {
 
 // smoothAssessments folds the current tracker readings into every alive
 // participant's long-run self-assessment (Definition 8's exponent and the
-// departure rules consult it). Each participant's smoothing touches that
-// participant alone and draws no randomness, so the loops shard freely.
+// departure rules consult it).
 func (e *Engine) smoothAssessments() {
-	ps := e.pop.Providers
-	e.pool.run(len(ps), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if ps[i].Alive {
-				ps[i].Smooth(e.smoothAlpha, e.now)
-			}
+	for _, p := range e.pop.Providers {
+		if p.Alive {
+			p.Smooth(e.smoothAlpha, e.now)
 		}
-	})
-	cs := e.aliveConsumers
-	e.pool.run(len(cs), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			cs[i].Smooth(e.smoothAlphaC)
-		}
-	})
+	}
+	for _, c := range e.aliveConsumers {
+		c.Smooth(e.smoothAlphaC)
+	}
 }
 
 // checkDepartures applies the Section 6.3.2 rules. The "optimal
@@ -516,42 +433,31 @@ func (e *Engine) smoothAssessments() {
 // paper: at 80% workload the optimal utilization is 0.8). Dissatisfaction
 // is judged on the participants' long-run self-assessment of their
 // private, preference-based characteristics (see Options.SmoothingAlpha).
-// The check runs in two phases so it shards: the rule evaluation is a pure
-// per-participant read (a provider's verdict depends only on its own
-// smoothed state and the current optimal), computed into an index-addressed
-// slot vector behind the barrier; the mutations — flipping Alive, index
-// removal, the ledger appends — then apply on the event loop in index
-// order, exactly the order the historical single loop produced.
+// One index-order pass evaluates and applies: a participant's verdict reads
+// only its own smoothed state and the current optimal, so an earlier
+// departure in the pass cannot change a later verdict.
 func (e *Engine) checkDepartures() {
 	optimal := e.load.Fraction(e.now)
 	a := e.autonomy
 	if a.ProvidersDissatisfaction || a.ProvidersStarvation || a.ProvidersOverutilization {
-		ps := e.pop.Providers
-		reasons := make([]model.DepartureReason, len(ps))
-		e.pool.run(len(ps), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				p := ps[i]
-				if !p.Alive {
-					continue
-				}
-				switch {
-				case a.ProvidersDissatisfaction &&
-					p.SmoothSat < p.SmoothAdq-a.ProviderDissatMargin:
-					reasons[i] = model.ReasonDissatisfaction
-				case a.ProvidersStarvation &&
-					p.SmoothUt < a.StarvationFraction*optimal:
-					reasons[i] = model.ReasonStarvation
-				case a.ProvidersOverutilization &&
-					p.SmoothUt > overThreshold(a, optimal):
-					reasons[i] = model.ReasonOverutilization
-				}
-			}
-		})
-		for i, reason := range reasons {
-			if reason == model.ReasonNone {
+		for _, p := range e.pop.Providers {
+			if !p.Alive {
 				continue
 			}
-			p := ps[i]
+			var reason model.DepartureReason
+			switch {
+			case a.ProvidersDissatisfaction &&
+				p.SmoothSat < p.SmoothAdq-a.ProviderDissatMargin:
+				reason = model.ReasonDissatisfaction
+			case a.ProvidersStarvation &&
+				p.SmoothUt < a.StarvationFraction*optimal:
+				reason = model.ReasonStarvation
+			case a.ProvidersOverutilization &&
+				p.SmoothUt > overThreshold(a, optimal):
+				reason = model.ReasonOverutilization
+			default:
+				continue
+			}
 			p.Alive = false
 			p.DepartedAt = e.now
 			p.DepartReason = reason
@@ -565,16 +471,9 @@ func (e *Engine) checkDepartures() {
 		}
 	}
 	if a.ConsumersMayLeave {
-		cs := e.aliveConsumers
-		leaving := make([]bool, len(cs))
-		e.pool.run(len(cs), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				leaving[i] = cs[i].SmoothSat < cs[i].SmoothAdq-a.ConsumerDissatMargin
-			}
-		})
-		kept := cs[:0]
-		for i, c := range cs {
-			if leaving[i] {
+		kept := e.aliveConsumers[:0]
+		for _, c := range e.aliveConsumers {
+			if c.SmoothSat < c.SmoothAdq-a.ConsumerDissatMargin {
 				c.Alive = false
 				c.DepartedAt = e.now
 				c.DepartReason = model.ReasonDissatisfaction

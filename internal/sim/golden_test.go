@@ -10,23 +10,48 @@ import (
 	"sort"
 	"testing"
 
+	"sqlb/internal/allocator"
 	"sqlb/internal/scenario"
+	"sqlb/internal/timeline"
 )
 
 // goldenPath holds the recorded cross-PR determinism pins: a SHA-256 per
-// (case, shard count) over the serialized Result and the streamed timeline
-// CSV. TestShardedDeterminism proves the shard count is invisible *within*
-// one build; this file pins the bytes *across* refactors — the memory-layout
-// work (arena population store, mediation scratch space) must leave every
-// simulation bit-for-bit identical to the recording made before it landed.
+// case over the serialized Result and the streamed timeline CSV. It pins the
+// bytes *across* refactors — a change that claims to be behaviour-neutral
+// must leave every simulation bit-for-bit identical to the recording made
+// before it landed.
 //
 // Regenerate deliberately (a behaviour-changing PR must say so) with:
 //
 //	SQLB_UPDATE_GOLDEN=1 go test ./internal/sim -run TestGoldenDeterminism
 const goldenPath = "testdata/golden_determinism.json"
 
-// goldenCases mirrors the TestShardedDeterminism grid: the homogeneous
-// paper setup, a heterogeneous capability workload, and every scenario
+// runCase executes one golden case with a timeline CSV sink attached,
+// returning the serialized Result and the raw CSV bytes — the two artifacts
+// the determinism contract covers.
+func runCase(t *testing.T, mutate func(*Options)) (string, []byte) {
+	t.Helper()
+	opts := smallOptions(allocator.NewSQLB(), 0.8, 500)
+	if mutate != nil {
+		mutate(&opts)
+	}
+	var buf bytes.Buffer
+	opts.Timeline = timeline.NewCSVSink(&buf)
+	eng, err := New(opts)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	res := eng.Run()
+	if err := eng.TimelineErr(); err != nil {
+		t.Fatalf("timeline: %v", err)
+	}
+	if res.Err != nil {
+		t.Fatalf("Result.Err: %v", res.Err)
+	}
+	return serializeResult(res), buf.Bytes()
+}
+
+// goldenCases is the determinism grid: the homogeneous paper setup, a heterogeneous capability workload, and every scenario
 // preset, each with full autonomy and a timeline sink attached.
 func goldenCases() []struct {
 	name   string
@@ -61,8 +86,8 @@ func goldenCases() []struct {
 	return cases
 }
 
-// TestGoldenDeterminism compares every golden case, at the serial engine
-// and one sharded count, against the recorded digests.
+// TestGoldenDeterminism compares every golden case against the recorded
+// digests.
 func TestGoldenDeterminism(t *testing.T) {
 	data, err := os.ReadFile(goldenPath)
 	update := os.Getenv("SQLB_UPDATE_GOLDEN") != ""
@@ -78,11 +103,9 @@ func TestGoldenDeterminism(t *testing.T) {
 
 	got := map[string]string{}
 	for _, tc := range goldenCases() {
-		for _, shards := range []int{1, 4} {
-			res, csv := runSharded(t, shards, tc.mutate)
-			sum := sha256.Sum256(append([]byte(res), csv...))
-			got[tc.name+"/shards="+string(rune('0'+shards))] = hex.EncodeToString(sum[:])
-		}
+		res, csv := runCase(t, tc.mutate)
+		sum := sha256.Sum256(append([]byte(res), csv...))
+		got[tc.name] = hex.EncodeToString(sum[:])
 	}
 
 	if update {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sqlb/internal/allocator"
+	"sqlb/internal/scenario"
 	"sqlb/internal/workload"
 )
 
@@ -56,5 +57,33 @@ func TestQueryAccountingInvariant(t *testing.T) {
 	}
 	if res.InFlightAtEnd == 0 && res.CompletedQueries == 0 {
 		t.Fatal("degenerate run: nothing completed or in flight")
+	}
+}
+
+// TestShardedQueryAccountingInvariant pins the same ledger under churn
+// waves, with a selecting strategy and the empty-selection regression
+// shape, so no outage or rejoin edge leaks or double-counts a query. The
+// name dates from the per-event sharded engine; the check is serial now.
+func TestShardedQueryAccountingInvariant(t *testing.T) {
+	for _, strat := range []struct {
+		name string
+		a    allocator.Allocator
+	}{{"sqlb", allocator.NewSQLB()}, {"empty-selection", emptyAllocator{}}} {
+		opts := smallOptions(strat.a, 0.9, 300)
+		opts.Scenario = &scenario.Scenario{Name: "churn", Waves: []scenario.Wave{
+			{Time: 100, Kind: scenario.WaveOutage, Fraction: 0.5},
+			{Time: 200, Kind: scenario.WaveRejoin, Fraction: 1},
+		}}
+		eng, err := New(opts)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		res := eng.Run()
+		got := res.CompletedQueries + res.DroppedQueries + uint64(res.InFlightAtEnd)
+		if got != res.IssuedQueries {
+			t.Fatalf("%s: completed %d + dropped %d + inflight %d = %d, want issued %d",
+				strat.name, res.CompletedQueries, res.DroppedQueries,
+				res.InFlightAtEnd, got, res.IssuedQueries)
+		}
 	}
 }

@@ -265,11 +265,12 @@ func scriptedRun(entrance string, cfg model.Config, churn bool, strategy *traced
 	return pop
 }
 
-// engineRun is the same comparison through the simulator's event loop.
-func engineRun(t *testing.T, shards int, cfg model.Config, churn bool, strategy *traced) *model.Population {
+// engineRun is the same comparison through the simulator's event loop, over
+// span × 16 time units.
+func engineRun(t *testing.T, span int, cfg model.Config, churn bool, strategy *traced) *model.Population {
 	t.Helper()
 	opts := Options{
-		Config: cfg, Strategy: strategy, Workload: workload.Constant(1), Duration: 16, Seed: 77, Shards: shards,
+		Config: cfg, Strategy: strategy, Workload: workload.Constant(1), Duration: 16 * float64(span), Seed: 77,
 		SmoothingAlpha: 0.3, SmoothingInterval: 2,
 	}
 	if churn {
@@ -290,15 +291,15 @@ func engineRun(t *testing.T, shards int, cfg model.Config, churn bool, strategy 
 }
 
 // TestLazyIntentionsEqualResolveEverything is the differential test: six
-// strategies × three populations × five entrances, with q.n ∈ {1, 4, |Pq|}
+// strategies × three populations × four entrances, with q.n ∈ {1, 4, |Pq|}
 // — cycled query by query on the scripted entrances, one run each through
-// the engine, whose generator fixes q.n per run (the sharded engine
-// partitions the gathering and notification loops, which do not read q.n,
-// so it takes one of the three).
+// the engine, whose generator fixes q.n per run. "engine/k" runs the engine
+// for k × 16 time units; the long run at q.n = 4 carries the comparison
+// through more smoothing rounds and churn aftermath.
 func TestLazyIntentionsEqualResolveEverything(t *testing.T) {
 	type run struct {
 		entrance string
-		shards   int // engine runs only
+		span     int // engine runs only
 		qn       int // 0 cycles
 	}
 	runs := []run{{"Allocate", 0, 0}, {"Mediate", 0, 0}, {"MediateBatch", 0, 0},
@@ -311,8 +312,8 @@ func TestLazyIntentionsEqualResolveEverything(t *testing.T) {
 				cfg.QueryN = r.qn
 				lazy, eager := &traced{inner: st.build()}, &traced{inner: st.build(), eager: true}
 				var popL, popE *model.Population
-				if r.shards > 0 {
-					popL, popE = engineRun(t, r.shards, cfg, pp.churn, lazy), engineRun(t, r.shards, cfg, pp.churn, eager)
+				if r.span > 0 {
+					popL, popE = engineRun(t, r.span, cfg, pp.churn, lazy), engineRun(t, r.span, cfg, pp.churn, eager)
 				} else {
 					popL, popE = scriptedRun(r.entrance, cfg, pp.churn, lazy), scriptedRun(r.entrance, cfg, pp.churn, eager)
 				}

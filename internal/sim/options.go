@@ -3,8 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"os"
-	"strconv"
+	"math"
 
 	"sqlb/internal/allocator"
 	"sqlb/internal/model"
@@ -150,17 +149,6 @@ type Options struct {
 	ConsumerSmoothingAlpha float64
 	// SmoothingInterval is the cadence of the self-assessment update.
 	SmoothingInterval float64
-	// Shards fans the engine's population-dimension work — intention
-	// gathering and result notification per mediation, §4 metric gathers,
-	// assessment smoothing, departure-rule evaluation — out to this many
-	// shard workers behind the event loop's virtual-clock barrier. The
-	// result is byte-identical at every value (see shardPool): parallel
-	// phases are pure index-addressed maps and every fold, RNG draw, and
-	// cross-participant mutation stays on the event loop in index order.
-	// 0 consults the SQLB_SHARDS environment variable (the CI matrix runs
-	// the suite with SQLB_SHARDS=4) and falls back to 1, the serial
-	// engine; 1 runs serially with no pool.
-	Shards int
 	// Timeline, when non-nil, receives one timeline.Snapshot per metric
 	// sample (and one for the final state) — the streaming observability
 	// hook behind sqlb-top and the -timeline/-csv exports. The sink is a
@@ -208,31 +196,16 @@ func (o *Options) Validate() error {
 			}
 		}
 	}
-	if o.Duration <= 0 {
-		errs = append(errs, errors.New("sim: duration must be positive"))
+	// The negated comparisons reject NaN too: a NaN horizon never ends the
+	// event loop, and NaN event times would corrupt the heap order.
+	if !(o.Duration > 0) || math.IsInf(o.Duration, 0) {
+		errs = append(errs, errors.New("sim: duration must be positive and finite"))
 	}
-	if o.SampleInterval < 0 {
-		errs = append(errs, errors.New("sim: sample interval must be >= 0"))
+	if !(o.SampleInterval >= 0) || math.IsInf(o.SampleInterval, 0) {
+		errs = append(errs, errors.New("sim: sample interval must be >= 0 and finite"))
 	}
-	if o.Shards < 0 {
-		errs = append(errs, errors.New("sim: shards must be >= 0"))
+	if math.IsNaN(o.SmoothingInterval) || math.IsInf(o.SmoothingInterval, 0) {
+		errs = append(errs, errors.New("sim: smoothing interval must be finite"))
 	}
 	return errors.Join(errs...)
-}
-
-// effectiveShards resolves Options.Shards: explicit positive values win,
-// 0 falls back to the SQLB_SHARDS environment variable (ignored unless a
-// positive integer) and then to 1. Determinism makes the fallback safe:
-// every test and recorded artifact produces the same bytes under any
-// override, which is exactly what the CI sharded matrix entry relies on.
-func (o *Options) effectiveShards() int {
-	if o.Shards > 0 {
-		return o.Shards
-	}
-	if v := os.Getenv("SQLB_SHARDS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 1
 }

@@ -33,20 +33,16 @@ func scenarioOptions(name string, strategy allocator.Allocator, dur float64) Opt
 // and for consumers (who never rejoin) alive == initial − departures.
 // Cumulative counters on the samples make this exact even when a wave and
 // a sample share a timestamp. Checked across every churn preset, with and
-// without autonomy departures mixed in, on the serial and a sharded
-// engine (the remaining shard counts are swept by
-// TestShardedConservationInvariant).
+// without autonomy departures mixed in.
 func TestScenarioPopulationConservation(t *testing.T) {
 	for _, name := range scenario.Names() {
 		for _, auto := range []struct {
-			label  string
-			a      Autonomy
-			shards int
-		}{{"captive", Autonomy{}, 1}, {"full-autonomy", FullAutonomy(), 4}} {
+			label string
+			a     Autonomy
+		}{{"captive", Autonomy{}}, {"full-autonomy", FullAutonomy()}} {
 			t.Run(name+"/"+auto.label, func(t *testing.T) {
 				opts := scenarioOptions(name, allocator.NewSQLB(), 1000)
 				opts.Autonomy = auto.a
-				opts.Shards = auto.shards
 				eng, err := New(opts)
 				if err != nil {
 					t.Fatalf("New: %v", err)
@@ -310,4 +306,145 @@ func TestScenarioMixValidation(t *testing.T) {
 	if err := opts.Validate(); err != nil {
 		t.Fatalf("2-wide mix rejected for a 2-class run: %v", err)
 	}
+}
+
+// TestShardedConservationInvariant runs the population-conservation
+// invariant (alive = initial − departures + rejoins at every sample) over
+// the two churn-heaviest presets under full autonomy, at a run length
+// TestScenarioPopulationConservation does not use. The name dates from the
+// per-event sharded engine; the check is serial now.
+func TestShardedConservationInvariant(t *testing.T) {
+	for _, name := range []string{"outage-30pct", "staged-churn"} {
+		opts := scenarioOptions(name, allocator.NewSQLB(), 800)
+		opts.Autonomy = FullAutonomy()
+		eng, err := New(opts)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		res := eng.Run()
+		for i, s := range append(append([]Sample{}, res.Samples...), res.Final) {
+			if got, want := s.AliveProviders, res.Providers-s.ProviderDepartureCount+s.ProviderJoinCount; got != want {
+				t.Fatalf("%s sample %d (t=%v): alive providers %d != %d − %d + %d",
+					name, i, s.Time, got, res.Providers,
+					s.ProviderDepartureCount, s.ProviderJoinCount)
+			}
+			if got, want := s.AliveConsumers, res.Consumers-s.ConsumerDepartureCount; got != want {
+				t.Fatalf("%s sample %d (t=%v): alive consumers %d != %d − %d",
+					name, i, s.Time, got, res.Consumers, s.ConsumerDepartureCount)
+			}
+		}
+	}
+}
+
+// TestEngineEpochEdges aims the ledgers at the instants where an event loop
+// can silently drop or double-count: a churn wave sharing its timestamp with
+// a sample, a wave at exactly t = Duration, and a 100% outage that empties
+// every posting list mid-run. Waves are scheduled before anything else, so
+// at a shared instant the wave applies first and the sample counts it.
+func TestEngineEpochEdges(t *testing.T) {
+	waves := func(ws ...scenario.Wave) *scenario.Scenario {
+		return &scenario.Scenario{Name: "edge", Waves: ws}
+	}
+	cases := []struct {
+		name   string
+		mutate func(*Options)
+		check  func(t *testing.T, res *Result)
+	}{
+		{"wave-on-sample-boundary", func(o *Options) {
+			o.SampleInterval = 25
+			o.Scenario = waves(
+				scenario.Wave{Time: 250, Kind: scenario.WaveOutage, Fraction: 0.25},
+				scenario.Wave{Time: 375, Kind: scenario.WaveRejoin, Fraction: 0.25},
+			)
+			o.Autonomy = FullAutonomy()
+		}, func(t *testing.T, res *Result) {
+			for _, s := range res.Samples {
+				if s.Time == 250 && countAt(res.ProviderDepartures, 250, model.ReasonOutage) == 0 {
+					t.Fatal("the outage at t=250 removed nobody")
+				}
+				if s.Time == 375 && s.ProviderJoinCount == 0 {
+					t.Error("the sample at t=375 misses the rejoin wave of its instant")
+				}
+				if s.Time == 250 && s.ProviderDepartureCount < countBefore(res.ProviderDepartures, 250)+
+					countAt(res.ProviderDepartures, 250, model.ReasonOutage) {
+					t.Error("the sample at t=250 misses the outage wave of its instant")
+				}
+			}
+		}},
+		{"wave-at-duration", func(o *Options) {
+			o.Scenario = waves(scenario.Wave{Time: 500, Kind: scenario.WaveOutage, Fraction: 0.25})
+		}, func(t *testing.T, res *Result) {
+			n := countAt(res.ProviderDepartures, res.Duration, model.ReasonOutage)
+			if n == 0 {
+				t.Fatal("the wave at t = Duration was not applied")
+			}
+			if res.Final.AliveProviders != res.Providers-n {
+				t.Errorf("final alive providers %d, want %d − %d", res.Final.AliveProviders, res.Providers, n)
+			}
+		}},
+		{"full-outage", func(o *Options) {
+			o.Scenario = waves(
+				scenario.Wave{Time: 100, Kind: scenario.WaveOutage, Fraction: 1},
+				scenario.Wave{Time: 300, Kind: scenario.WaveRejoin, Fraction: 1},
+			)
+		}, func(t *testing.T, res *Result) {
+			if res.DroppedQueries == 0 {
+				t.Error("no query dropped while every provider was out")
+			}
+			for _, s := range res.Samples {
+				if s.Time > 100 && s.Time < 300 && s.AliveProviders != 0 {
+					t.Errorf("t=%v: %d providers alive during a 100%% outage", s.Time, s.AliveProviders)
+				}
+			}
+			if res.Final.AliveProviders != res.Providers {
+				t.Errorf("final alive providers %d, want all %d back", res.Final.AliveProviders, res.Providers)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := smallOptions(allocator.NewSQLB(), 0.8, 500)
+			tc.mutate(&opts)
+			eng, err := New(opts)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			res := eng.Run()
+			if res.Err != nil {
+				t.Fatalf("Result.Err = %v", res.Err)
+			}
+			if got := res.CompletedQueries + res.DroppedQueries + uint64(res.InFlightAtEnd); got != res.IssuedQueries {
+				t.Errorf("completed + dropped + in flight = %d, want issued %d", got, res.IssuedQueries)
+			}
+			for _, s := range append(append([]Sample{}, res.Samples...), res.Final) {
+				if got, want := s.AliveProviders, res.Providers-s.ProviderDepartureCount+s.ProviderJoinCount; got != want {
+					t.Fatalf("t=%v: alive providers %d != %d − %d + %d",
+						s.Time, got, res.Providers, s.ProviderDepartureCount, s.ProviderJoinCount)
+				}
+			}
+			tc.check(t, res)
+		})
+	}
+}
+
+// countAt counts the departures at exactly time t for the reason.
+func countAt(ds []Departure, t float64, reason model.DepartureReason) int {
+	n := 0
+	for _, d := range ds {
+		if d.Time == t && d.Reason == reason {
+			n++
+		}
+	}
+	return n
+}
+
+// countBefore counts the departures strictly before time t.
+func countBefore(ds []Departure, t float64) int {
+	n := 0
+	for _, d := range ds {
+		if d.Time < t {
+			n++
+		}
+	}
+	return n
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -138,6 +139,26 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if _, err := New(bad); err == nil {
 		t.Fatal("New must reject invalid options")
+	}
+
+	// A non-finite horizon never ends the event loop, and a non-finite
+	// cadence puts non-finite times on the heap: each is refused by name.
+	for _, tc := range []struct {
+		field string
+		set   func(*Options, float64)
+	}{
+		{"duration", func(o *Options, v float64) { o.Duration = v }},
+		{"sample interval", func(o *Options, v float64) { o.SampleInterval = v }},
+		{"smoothing interval", func(o *Options, v float64) { o.SmoothingInterval = v }},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			o := good
+			tc.set(&o, v)
+			err := o.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("%s = %v: Validate() = %v, want an error naming the field", tc.field, v, err)
+			}
+		}
 	}
 }
 

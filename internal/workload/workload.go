@@ -47,9 +47,10 @@ func (r Ramp) Fraction(t float64) float64 {
 // the total system capacity, so λ = x · totalCapacity / E[units per query].
 // The reference capacity is the *initial* total capacity: when providers
 // depart, the offered load stays, which is exactly how departures hurt the
-// remaining system (Section 6.3.2).
+// remaining system (Section 6.3.2). A NaN fraction offers no load, like a
+// non-positive one: its rate would put NaN event times on the heap.
 func ArrivalRate(fraction, totalCapacity, meanUnits float64) float64 {
-	if fraction <= 0 || totalCapacity <= 0 || meanUnits <= 0 {
+	if !(fraction > 0) || totalCapacity <= 0 || meanUnits <= 0 {
 		return 0
 	}
 	return fraction * totalCapacity / meanUnits

@@ -43,7 +43,7 @@ func TestArrivalRate(t *testing.T) {
 	if got := ArrivalRate(0.5, cap, 140); math.Abs(got-cap/280) > 1e-9 {
 		t.Errorf("half-workload rate = %v", got)
 	}
-	for _, bad := range [][3]float64{{0, 1, 1}, {1, 0, 1}, {1, 1, 0}, {-1, 1, 1}} {
+	for _, bad := range [][3]float64{{0, 1, 1}, {1, 0, 1}, {1, 1, 0}, {-1, 1, 1}, {math.NaN(), 1, 1}} {
 		if got := ArrivalRate(bad[0], bad[1], bad[2]); got != 0 {
 			t.Errorf("degenerate ArrivalRate(%v) = %v, want 0", bad, got)
 		}
