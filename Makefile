@@ -8,9 +8,10 @@ GO ?= go
 # timeline CSV writer (rows/sec, 0 allocs/row), the population-scale
 # pair (mediation over a 100k-provider Pq, bytes/participant at build), and
 # Definition 8 through the model's entrances (exact, bounded, the memo
-# emptied, and 400 providers on live state).
+# emptied, and 400 providers on live state), and the result notification of
+# a 400-wide Pq into the population's tracker rings.
 # Override with `make bench BENCH=.` for the full suite.
-BENCH ?= BenchmarkRank|BenchmarkSelectTopN|BenchmarkLab|BenchmarkMediatorAllocate|BenchmarkMatchmaking|BenchmarkServerMediate|BenchmarkTimelineCSV|BenchmarkSimulation|BenchmarkMediate100k|BenchmarkPopulationBuild100k|BenchmarkProviderIntention|BenchmarkIntentionsRange400
+BENCH ?= BenchmarkRank|BenchmarkSelectTopN|BenchmarkLab|BenchmarkMediatorAllocate|BenchmarkMatchmaking|BenchmarkServerMediate|BenchmarkTimelineCSV|BenchmarkSimulation|BenchmarkMediate100k|BenchmarkPopulationBuild100k|BenchmarkProviderIntention|BenchmarkIntentionsRange400|BenchmarkNotify400
 
 # BENCH_COUNT repeats each benchmark -count times. The default single run
 # is fine for the trajectory record; use `make bench BENCH_COUNT=10` when a

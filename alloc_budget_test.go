@@ -216,9 +216,9 @@ func TestAllocBudgetServerMediate(t *testing.T) {
 }
 
 // TestAllocBudgetSimulationLoop pins what the event loop may allocate per
-// simulated query: the Query the generator mints, and nothing for the event
-// heap (typed, no boxing) or the in-flight ledger (entries by value). The
-// §4 samples and the growth of the heap slice and the ledger map to their
+// simulated query: nothing for the query (minted in place), the event heap
+// (typed, no boxing) or the in-flight ledger (entries by value). The §4
+// samples and the growth of the heap slice and the ledger map to their
 // high-water marks are amortized into the slack.
 func TestAllocBudgetSimulationLoop(t *testing.T) {
 	strategy := &countResolves{Allocator: allocator.NewSQLB()}
@@ -240,8 +240,8 @@ func TestAllocBudgetSimulationLoop(t *testing.T) {
 		t.Fatalf("run: err %v, %d queries, %d intentions resolved", res.Err, res.IssuedQueries, strategy.resolved)
 	}
 	perQuery := float64(after.Mallocs-before.Mallocs) / float64(res.IssuedQueries)
-	if perQuery > 1.25 {
-		t.Errorf("Engine.Run: %.2f allocs per simulated query, want <= 1.25 (the minted Query plus amortized growth)", perQuery)
+	if perQuery > 0.25 {
+		t.Errorf("Engine.Run: %.2f allocs per simulated query, want <= 0.25 (amortized growth only)", perQuery)
 	}
 }
 

@@ -369,6 +369,25 @@ func BenchmarkProviderTrackerRecord(b *testing.B) {
 	}
 }
 
+// BenchmarkNotify400 is the result notification of one paper-scale
+// mediation on its own: every provider of a 400-wide Pq records the
+// proposal in its public and private tracker, in ID order, and one of them
+// performs it. Every tracker has seen the same number of proposals, so the
+// sweep writes consecutive words of one line of the population's ring block
+// (satisfaction.InitCohort).
+func BenchmarkNotify400(b *testing.B) {
+	pop := sqlb.NewPopulation(model.DefaultConfig(), 9)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sel := i % len(pop.Providers)
+		for j, p := range pop.Providers {
+			p.Public.Record(0.3, j == sel)
+			p.Private.Record(p.Preference(0), j == sel)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pop.Providers)), "ns/cand")
+}
+
 // --- matchmaking: indexed posting-list lookup vs naive population scan ---
 
 // matchPop builds a |P|-provider population over nClasses classes at the
@@ -697,7 +716,8 @@ func BenchmarkExtensionSQLBEconomic(b *testing.B) {
 // scalePop builds a population-scale cohort: hashed consumer preferences
 // (no O(|C|·|P|) preference matrix) and an explicit provider window —
 // Config.Scale would grow ProviderK with |P|, which at 100k providers is
-// 1.6 GB of ring storage for dynamics the sweep does not measure.
+// 0.8 GB of ring storage at the paper's k for dynamics the sweep does not
+// measure.
 func scalePop(b *testing.B, providers, consumers int) *sqlb.Population {
 	b.Helper()
 	cfg := sqlb.DefaultConfig()

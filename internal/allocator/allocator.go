@@ -19,7 +19,9 @@ import (
 // uses. Strategies that ignore intentions (Capacity-based) simply do not
 // read those fields.
 type Request struct {
-	// Query is the query to allocate.
+	// Query is the query to allocate. Like the rest of the request it is
+	// valid for the call only: the simulator mints every arrival into the
+	// same Query.
 	Query *model.Query
 	// Pq is the set of providers able to treat the query.
 	Pq []*model.Provider

@@ -328,7 +328,10 @@ func (m *Mediator) allocateInto(out *Allocation, now float64, q *model.Query, pq
 // record performs the mediation-result notification: the consumer logs the
 // allocation against its shown intentions (Equations 1-2) and every
 // provider in Pq — selected or not — logs the proposal in both its public
-// (intention-fed) and private (preference-fed) windows.
+// (intention-fed) and private (preference-fed) windows. Pq is in ascending
+// ID order, the order in which a population lays its tracker words along a
+// line (satisfaction.InitCohort): where the trackers have seen equally many
+// proposals, this loop writes memory in sequence.
 //
 // The selected set is marked with an epoch stamp instead of a per-call map:
 // selStamp[i] == epoch means Pq[i] was selected this mediation, and bumping

@@ -25,8 +25,8 @@ import (
 //
 // The entrances write the provider's own memo and nothing else, so the rule
 // for calling them concurrently is the one for Assign or the trackers'
-// Record: one goroutine per provider at a time, which the Exec partition
-// and the server lock already guarantee.
+// Record: one goroutine per provider at a time, which the simulator's one
+// event loop and the server lock already guarantee.
 func (p *Provider) Intention(class int, now float64) float64 {
 	return p.IntentionAt(class, p.OperationalLoad(now))
 }

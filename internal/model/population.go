@@ -24,11 +24,14 @@ type Population struct {
 // instead of being allocated one object at a time. Participants created
 // together therefore sit adjacent in memory — the access order of the
 // mediation loop — and building a 100k-provider population is a few large
-// allocations instead of ~1M small ones. The *Provider/*Consumer pointer
-// API is unchanged (the pointers index into the bulk arrays, and population
-// membership is fixed after construction: churn toggles Alive, it never
-// appends). The RNG draw sequence is exactly the per-object constructor's,
-// so every seeded run is byte-identical to the previous layout.
+// allocations instead of ~1M small ones. The provider trackers' rings are
+// one block laid out line-major (satisfaction.InitCohort): slot s of every
+// tracker is adjacent, the order a result notification writes them in.
+// The *Provider/*Consumer pointer API is unchanged (the pointers index into
+// the bulk arrays, and population membership is fixed after construction:
+// churn toggles Alive, it never appends). The RNG draw sequence is exactly
+// the per-object constructor's, so every seeded run is byte-identical to
+// the previous layout.
 func NewPopulation(cfg Config, rng *randx.Rand, startTime float64) *Population {
 	pop := &Population{
 		Consumers: make([]*Consumer, cfg.Consumers),
@@ -41,16 +44,17 @@ func NewPopulation(cfg Config, rng *randx.Rand, startTime float64) *Population {
 	adapt := assignClasses(cfg.Providers, cfg.AdaptShares, rng)
 	capc := assignClasses(cfg.Providers, cfg.CapacityShares, rng)
 
-	provK, consK := cfg.ProviderK, cfg.ConsumerK
-	if provK < 1 {
-		provK = 1
-	}
+	consK := cfg.ConsumerK
 	if consK < 1 {
 		consK = 1
 	}
-	arena := satisfaction.NewArena(2*consK*cfg.Consumers, 2*provK*cfg.Providers)
+	arena := satisfaction.NewArena(2 * consK * cfg.Consumers)
 	providers := make([]Provider, cfg.Providers)
+	// Provider i's public and private trackers are 2i and 2i+1 of one
+	// cohort, so the result notification of a mediation writes both of a
+	// provider's words in one line and sweeps Pq along it.
 	provTrackers := make([]satisfaction.ProviderTracker, 2*cfg.Providers)
+	satisfaction.InitCohort(provTrackers, cfg.ProviderK, cfg.InitialSatisfaction, cfg.PriorSamples)
 	utils := make([]UtilizationWindow, cfg.Providers)
 	nClasses := len(cfg.QueryClasses)
 	provPrefs := make([]float64, cfg.Providers*nClasses)
@@ -73,8 +77,6 @@ func NewPopulation(cfg Config, rng *randx.Rand, startTime float64) *Population {
 			Alive:         true,
 			interestBand:  cfg.InterestBands[interest[i]],
 		}
-		p.Public.Init(arena, cfg.ProviderK, cfg.InitialSatisfaction, cfg.PriorSamples)
-		p.Private.Init(arena, cfg.ProviderK, cfg.InitialSatisfaction, cfg.PriorSamples)
 		p.Util = &utils[i]
 		p.Util.Init(cfg.UtilizationWindow, p.Capacity, startTime)
 		p.LoadHorizon = cfg.LoadHorizon

@@ -1,5 +1,7 @@
 package model
 
+import "math"
+
 // UtilizationWindow computes Ut(p), the provider utilization of Section 2,
 // as the work assigned to the provider during the trailing window divided
 // by the capacity the provider offers over that window:
@@ -19,6 +21,10 @@ type UtilizationWindow struct {
 	events   []utilEvent // FIFO deque, head..len valid
 	head     int
 	sum      float64
+	// oldest is events[head].at, +Inf when nothing is pending: all that
+	// Utilization must know to tell that nothing can expire, kept in the
+	// header so that read does not reach into the deque.
+	oldest float64
 }
 
 type utilEvent struct {
@@ -43,12 +49,15 @@ func (u *UtilizationWindow) Init(w, capacity, start float64) {
 	if capacity <= 0 {
 		capacity = 1e-9
 	}
-	*u = UtilizationWindow{window: w, capacity: capacity, start: start}
+	*u = UtilizationWindow{window: w, capacity: capacity, start: start, oldest: math.Inf(1)}
 }
 
 // Add records units of work assigned at time now.
 func (u *UtilizationWindow) Add(now, units float64) {
 	u.evict(now)
+	if u.head == len(u.events) {
+		u.oldest = now
+	}
 	u.events = append(u.events, utilEvent{at: now, units: units})
 	u.sum += units
 }
@@ -59,7 +68,7 @@ func (u *UtilizationWindow) Utilization(now float64) float64 {
 	// it compacts only after moving head, and every call leaves the
 	// compaction condition false, which Add's append keeps false. This
 	// read is on every candidate's path.
-	if u.sum < 0 || (u.head < len(u.events) && u.events[u.head].at <= now-u.window) {
+	if u.sum < 0 || u.oldest <= now-u.window {
 		u.evict(now)
 	}
 	eff := now - u.start
@@ -86,6 +95,10 @@ func (u *UtilizationWindow) evict(now float64) {
 	for u.head < len(u.events) && u.events[u.head].at <= cutoff {
 		u.sum -= u.events[u.head].units
 		u.head++
+	}
+	u.oldest = math.Inf(1)
+	if u.head < len(u.events) {
+		u.oldest = u.events[u.head].at
 	}
 	// Compact once the dead prefix dominates, to keep memory bounded.
 	if u.head > 0 && u.head*2 >= len(u.events) {

@@ -123,7 +123,8 @@ func TestUtilizationMonotoneEvictionProperty(t *testing.T) {
 // runs evict before every read — what Utilization did unconditionally —
 // must return the same bits and hold the same state after every step of a
 // random script of assignments (hostile units included), reads, and clock
-// moves in both directions.
+// moves in both directions; and the fast path's oldest must be the time of
+// the deque's head event, +Inf when it is empty.
 func TestUtilizationFastPathEqualsAlwaysEvict(t *testing.T) {
 	units := []float64{1, 130, 1e-300, 0, -1, -500, 1e300, math.Inf(1), math.NaN()}
 	r := rand.New(rand.NewSource(19))
@@ -161,6 +162,13 @@ func TestUtilizationFastPathEqualsAlwaysEvict(t *testing.T) {
 			if !same(got, want) || !same(fast.sum, ref.sum) || fast.head != ref.head || len(fast.events) != len(ref.events) {
 				t.Fatalf("script %d step %d now %v: fast path Ut %v sum %v head %d len %d; always-evict Ut %v sum %v head %d len %d",
 					script, step, now, got, fast.sum, fast.head, len(fast.events), want, ref.sum, ref.head, len(ref.events))
+			}
+			oldest := math.Inf(1)
+			if fast.head < len(fast.events) {
+				oldest = fast.events[fast.head].at
+			}
+			if !same(fast.oldest, oldest) {
+				t.Fatalf("script %d step %d: oldest %v, head event at %v", script, step, fast.oldest, oldest)
 			}
 		}
 	}

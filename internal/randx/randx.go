@@ -10,18 +10,32 @@ import "math/rand/v2"
 // Rand wraps math/rand/v2 with the distributions the simulator needs.
 type Rand struct {
 	*rand.Rand
+	// pcg is the source behind Rand. Float64 reads it directly: the same
+	// draw rand.Rand.Float64 makes, without the call through the Source
+	// interface, which a population build pays once per preference.
+	pcg *rand.PCG
 }
 
 // New returns a deterministic generator for the given seed.
 func New(seed uint64) *Rand {
-	return &Rand{rand.New(rand.NewPCG(seed, seed^0x9E3779B97F4A7C15))}
+	return newPCG(seed, seed^0x9E3779B97F4A7C15)
+}
+
+func newPCG(seed1, seed2 uint64) *Rand {
+	pcg := rand.NewPCG(seed1, seed2)
+	return &Rand{Rand: rand.New(pcg), pcg: pcg}
 }
 
 // Split derives an independent generator from this one; used to give each
 // subsystem (population build, arrivals, per-repetition runs) its own
 // stream so adding draws in one place does not perturb the others.
 func (r *Rand) Split() *Rand {
-	return &Rand{rand.New(rand.NewPCG(r.Uint64(), r.Uint64()))}
+	return newPCG(r.Uint64(), r.Uint64())
+}
+
+// Float64 returns a uniform draw in [0, 1), the bits of rand.Rand.Float64.
+func (r *Rand) Float64() float64 {
+	return float64(r.pcg.Uint64()<<11>>11) / (1 << 53)
 }
 
 // Uniform returns a uniform draw in [lo, hi).

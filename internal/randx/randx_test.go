@@ -2,6 +2,7 @@ package randx
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -22,6 +23,32 @@ func TestDeterminism(t *testing.T) {
 	}
 	if same > 2 {
 		t.Errorf("different seeds produced %d identical draws of 100", same)
+	}
+}
+
+// TestFloat64IsRandFloat64 pins that Float64, which reads the PCG source
+// directly, draws the bits math/rand/v2's Float64 draws from the same
+// source, and that it shares one stream with the methods Rand inherits.
+func TestFloat64IsRandFloat64(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 2007, 1 << 63} {
+		r := New(seed)
+		ref := rand.New(rand.NewPCG(seed, seed^0x9E3779B97F4A7C15))
+		for i := 0; i < 2000; i++ {
+			var got, want float64
+			switch i % 4 {
+			case 0:
+				got, want = r.Float64(), ref.Float64()
+			case 1:
+				got, want = r.Uniform(-0.5, 2), -0.5+2.5*ref.Float64()
+			case 2:
+				got, want = float64(r.Pick(37)), float64(ref.IntN(37))
+			case 3:
+				got, want = r.ExpFloat64(), ref.ExpFloat64()
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d draw %d: %v, math/rand/v2 %v", seed, i, got, want)
+			}
+		}
 	}
 }
 

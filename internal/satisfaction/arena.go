@@ -1,34 +1,30 @@
 package satisfaction
 
-// Arena bulk-allocates the ring storage behind many windows and trackers.
-// A population of 100k providers owns 200k provider rings and one of 1M
-// consumers owns 2M windows; allocating each ring separately costs one heap
-// object (and one pointer dereference per access) apiece, which dominates
-// both the build time and the resident overhead at that scale. An arena
-// instead carves every ring of a cohort out of a few large contiguous
+// Arena bulk-allocates the ring storage behind many windows. A population
+// of 1M consumers owns 2M windows; allocating each ring separately costs
+// one heap object (and one pointer dereference per access) apiece, which
+// dominates both the build time and the resident overhead at that scale. An
+// arena instead carves every ring of a cohort out of a few large contiguous
 // blocks: participants created together stay adjacent in memory, which is
-// exactly the access order of the mediation loop.
+// exactly the access order of the mediation loop. (Provider trackers lay
+// their rings out with InitCohort instead.)
 //
 // Rings are fixed-capacity and never grow, so carved buffers are sliced
 // with a full slice expression — an accidental append cannot bleed into a
 // neighbour's ring. A nil *Arena is valid everywhere and falls back to
-// plain per-ring allocations, keeping NewWindow/NewProviderTracker and any
-// external callers untouched.
+// plain per-ring allocations, keeping NewWindow and any external callers
+// untouched.
 type Arena struct {
-	floats  []float64
-	entries []entry
+	floats []float64
 }
 
-// NewArena returns an arena pre-sized for floatCap window slots and
-// entryCap provider-tracker slots. Exceeding a reservation is not an error;
-// further blocks are allocated in chunks as needed.
-func NewArena(floatCap, entryCap int) *Arena {
+// NewArena returns an arena pre-sized for floatCap window slots. Exceeding
+// the reservation is not an error; further blocks are allocated in chunks
+// as needed.
+func NewArena(floatCap int) *Arena {
 	a := &Arena{}
 	if floatCap > 0 {
 		a.floats = make([]float64, floatCap)
-	}
-	if entryCap > 0 {
-		a.entries = make([]entry, entryCap)
 	}
 	return a
 }
@@ -51,22 +47,5 @@ func (a *Arena) floatBuf(k int) []float64 {
 	}
 	buf := a.floats[:k:k]
 	a.floats = a.floats[k:]
-	return buf
-}
-
-// entryBuf carves k tracker-entry slots; nil arena → plain allocation.
-func (a *Arena) entryBuf(k int) []entry {
-	if a == nil {
-		return make([]entry, k)
-	}
-	if len(a.entries) < k {
-		n := arenaChunk
-		if n < k {
-			n = k
-		}
-		a.entries = make([]entry, n)
-	}
-	buf := a.entries[:k:k]
-	a.entries = a.entries[k:]
 	return buf
 }

@@ -1,5 +1,7 @@
 package satisfaction
 
+import "math"
+
 // ProviderTracker maintains the Section 3.2 characteristics of one provider
 // over the k last queries proposed to it (the set PQ_p^k, vector PPI_p).
 // Every proposed query records the provider's shown intention; the subset
@@ -14,8 +16,14 @@ package satisfaction
 // and the departure decisions use). Section 3 notes the definitions apply to
 // either with no technical difference.
 type ProviderTracker struct {
-	entries      []entry
-	head         int
+	// ring holds the window's proposals as tracker words (see performedBit):
+	// slot s is ring[s*stride], so a tracker of a cohort reads its own
+	// column of the cohort's block (InitCohort) and a lone tracker has
+	// stride 1.
+	ring         []uint64
+	pos          int // ring index of the next slot to overwrite
+	stride       int
+	k            int
 	n            int
 	propSum      float64
 	perfSum      float64
@@ -24,10 +32,10 @@ type ProviderTracker struct {
 	priorSamples int
 }
 
-type entry struct {
-	rated     float64 // (intention+1)/2 ∈ [0,1]
-	performed bool
-}
+// performedBit marks a tracker word whose proposal the provider performed.
+// The rest of the word is the float64 bits of the rated value, which Rate
+// keeps in [0,1], so the sign bit is free: one 8-byte word per proposal.
+const performedBit = 1 << 63
 
 // NewProviderTracker returns a tracker with window capacity k over proposed
 // queries, initial characteristic value prior, and a warm-up length of
@@ -39,25 +47,40 @@ type entry struct {
 // allocation (a provider that rarely performs reads spells of zero
 // satisfaction even when the queries it does get are fine).
 func NewProviderTracker(k int, prior float64, priorSamples int) *ProviderTracker {
-	t := &ProviderTracker{}
-	t.Init(nil, k, prior, priorSamples)
-	return t
+	ts := make([]ProviderTracker, 1)
+	InitCohort(ts, k, prior, priorSamples)
+	return &ts[0]
 }
 
-// Init (re)initializes the tracker in place with its entry ring carved from
-// the arena (nil arena → a plain allocation), so population builders can lay
-// trackers out in bulk arrays backed by one contiguous entry block.
-func (t *ProviderTracker) Init(a *Arena, k int, prior float64, priorSamples int) {
+// InitCohort (re)initializes every tracker of ts in place, with the
+// NewProviderTracker parameters, over one block of k·len(ts) words laid out
+// line-major: line s holds slot s of every tracker, in the order of ts.
+//
+// The layout follows the result notification of Algorithm 1, which records
+// one proposal into each provider of Pq in ascending ID order. Trackers that
+// have seen the same number of proposals — every alive provider of a
+// population whose matchmaker returns all of them — share the slot they
+// write next, so a notification sweep writes consecutive words of one line
+// instead of one cache line (and, at k = 500, one page) per tracker. Where
+// the counts differ, a tracker still writes a single word, and neighbours in
+// ts — a provider's public and private tracker — share its line.
+func InitCohort(ts []ProviderTracker, k int, prior float64, priorSamples int) {
 	if k < 1 {
 		k = 1
 	}
 	if priorSamples < 0 {
 		priorSamples = 0
 	}
-	*t = ProviderTracker{
-		entries:      a.entryBuf(k),
-		prior:        prior,
-		priorSamples: priorSamples,
+	stride := len(ts)
+	block := make([]uint64, k*stride)
+	for i := range ts {
+		ts[i] = ProviderTracker{
+			ring:         block[i : i+(k-1)*stride+1],
+			stride:       stride,
+			k:            k,
+			prior:        prior,
+			priorSamples: priorSamples,
+		}
 	}
 }
 
@@ -65,25 +88,27 @@ func (t *ProviderTracker) Init(a *Arena, k int, prior float64, priorSamples int)
 // provider showed for it, and whether the provider performed it.
 func (t *ProviderTracker) Record(shown float64, performed bool) {
 	r := Rate(shown)
-	if t.n == len(t.entries) {
-		old := t.entries[t.head]
-		t.propSum -= old.rated
-		if old.performed {
-			t.perfSum -= old.rated
+	if t.n == t.k {
+		old := t.ring[t.pos]
+		rated := math.Float64frombits(old &^ performedBit)
+		t.propSum -= rated
+		if old&performedBit != 0 {
+			t.perfSum -= rated
 			t.perfN--
 		}
 	} else {
 		t.n++
 	}
-	t.entries[t.head] = entry{rated: r, performed: performed}
+	w := math.Float64bits(r)
 	t.propSum += r
 	if performed {
+		w |= performedBit
 		t.perfSum += r
 		t.perfN++
 	}
-	t.head++
-	if t.head == len(t.entries) {
-		t.head = 0
+	t.ring[t.pos] = w
+	if t.pos += t.stride; t.pos >= len(t.ring) {
+		t.pos = 0
 	}
 }
 

@@ -66,14 +66,19 @@ type trackerOracle struct {
 	k            int
 	prior        float64
 	priorSamples int
-	history      []entry
+	history      []proposal
+}
+
+type proposal struct {
+	rated     float64
+	performed bool
 }
 
 func (o *trackerOracle) record(shown float64, performed bool) {
-	o.history = append(o.history, entry{rated: Rate(shown), performed: performed})
+	o.history = append(o.history, proposal{rated: Rate(shown), performed: performed})
 }
 
-func (o *trackerOracle) window() []entry {
+func (o *trackerOracle) window() []proposal {
 	if len(o.history) <= o.k {
 		return o.history
 	}
@@ -187,18 +192,14 @@ func TestProviderTrackerMatchesOracle(t *testing.T) {
 // the same arena do not bleed into each other.
 func TestArenaBackedEquivalence(t *testing.T) {
 	const k, n = 7, 10
-	a := NewArena(2*k*n+k*n, k*n)
+	a := NewArena(3 * k * n)
 	plainW := make([]*Window, n)
 	arenaW := make([]Window, n)
-	plainT := make([]*ProviderTracker, n)
-	arenaT := make([]ProviderTracker, n)
 	plainC := make([]*ConsumerTracker, n)
 	arenaC := make([]ConsumerTracker, n)
 	for i := 0; i < n; i++ {
 		plainW[i] = NewWindow(k, 0.5, 3)
 		arenaW[i].Init(a, k, 0.5, 3)
-		plainT[i] = NewProviderTracker(k, 0.5, 3)
-		arenaT[i].Init(a, k, 0.5, 3)
 		plainC[i] = NewConsumerTracker(k, 0.5, 3)
 		arenaC[i].Init(a, k, 0.5, 3)
 	}
@@ -210,8 +211,6 @@ func TestArenaBackedEquivalence(t *testing.T) {
 		v := rng.Uniform(-1, 1)
 		plainW[i].Push(v)
 		arenaW[i].Push(v)
-		plainT[i].Record(v, step%2 == 0)
-		arenaT[i].Record(v, step%2 == 0)
 		plainC[i].RecordAllocation(intentions, selected, 2)
 		arenaC[i].RecordAllocation(intentions, selected, 2)
 	}
@@ -219,11 +218,93 @@ func TestArenaBackedEquivalence(t *testing.T) {
 		if plainW[i].Mean() != arenaW[i].Mean() {
 			t.Fatalf("window %d: plain=%v arena=%v", i, plainW[i].Mean(), arenaW[i].Mean())
 		}
-		if plainT[i].Adequation() != arenaT[i].Adequation() || plainT[i].Satisfaction() != arenaT[i].Satisfaction() {
-			t.Fatalf("tracker %d diverged", i)
-		}
 		if plainC[i].Adequation() != arenaC[i].Adequation() || plainC[i].Satisfaction() != arenaC[i].Satisfaction() {
 			t.Fatalf("consumer tracker %d diverged", i)
 		}
+	}
+}
+
+// TestCohortMatchesLoneTrackers pins that a tracker whose ring is a column
+// of a cohort's block reads exactly — bit for bit — like a lone tracker fed
+// the same proposals, whether the cohort's trackers record in lockstep (the
+// layout's streaming case) or at diverging counts, and that no tracker's
+// writes reach a neighbour's column.
+func TestCohortMatchesLoneTrackers(t *testing.T) {
+	rng := randx.New(0xc0407)
+	for trial := 0; trial < 40; trial++ {
+		k := 1 + int(rng.Uint64()%12)
+		n := 1 + int(rng.Uint64()%9)
+		priorSamples := int(rng.Uint64() % 6)
+		lockstep := trial%2 == 0
+		cohort := make([]ProviderTracker, n)
+		InitCohort(cohort, k, 0.5, priorSamples)
+		lone := make([]*ProviderTracker, n)
+		for i := range lone {
+			lone[i] = NewProviderTracker(k, 0.5, priorSamples)
+		}
+		record := func(i int) {
+			shown := rng.Uniform(-1.2, 1.2)
+			performed := rng.Uint64()%3 != 0
+			cohort[i].Record(shown, performed)
+			lone[i].Record(shown, performed)
+		}
+		for step := 0; step < 4*k; step++ {
+			if lockstep {
+				for i := range cohort {
+					record(i)
+				}
+			} else {
+				record(int(rng.Uint64() % uint64(n)))
+			}
+			for i := range cohort {
+				c, l := &cohort[i], lone[i]
+				if math.Float64bits(c.Adequation()) != math.Float64bits(l.Adequation()) ||
+					math.Float64bits(c.Satisfaction()) != math.Float64bits(l.Satisfaction()) ||
+					c.Proposed() != l.Proposed() || c.Performed() != l.Performed() {
+					t.Fatalf("trial %d step %d tracker %d (k=%d n=%d lockstep=%v): cohort (%v,%v,%d,%d) lone (%v,%v,%d,%d)",
+						trial, step, i, k, n, lockstep,
+						c.Adequation(), c.Satisfaction(), c.Proposed(), c.Performed(),
+						l.Adequation(), l.Satisfaction(), l.Proposed(), l.Performed())
+				}
+			}
+		}
+	}
+}
+
+// TestCohortLineMajor pins the layout itself: one lockstep sweep over a
+// cohort writes line 0 of its block, tracker i's word at offset i, the
+// performed bit in the sign of the rated value — including the rated value
+// 0 of the lowest intention, whose word is the sign bit alone.
+func TestCohortLineMajor(t *testing.T) {
+	const k, n = 3, 5
+	cohort := make([]ProviderTracker, n)
+	InitCohort(cohort, k, 0.5, 0)
+	shown := []float64{-1, -0.5, 0, 0.5, 1}
+	for i := range cohort {
+		cohort[i].Record(shown[i], i%2 == 0)
+	}
+	line := cohort[0].ring[:n]
+	for i, w := range line {
+		want := math.Float64bits(Rate(shown[i]))
+		if i%2 == 0 {
+			want |= performedBit
+		}
+		if w != want {
+			t.Errorf("line 0 word %d = %#x, want %#x", i, w, want)
+		}
+	}
+	if line[0] != performedBit {
+		t.Errorf("performed proposal rated 0: word %#x, want the sign bit alone", line[0])
+	}
+	// Slide the rated-0 performed proposal out: it must leave both sums and
+	// the performed count, as a positive rating would.
+	for s := 0; s < k; s++ {
+		cohort[0].Record(1, false)
+	}
+	if got := cohort[0].Performed(); got != 0 {
+		t.Errorf("after eviction Performed() = %d, want 0", got)
+	}
+	if got := cohort[0].Adequation(); got != 1 {
+		t.Errorf("after eviction Adequation() = %v, want 1", got)
 	}
 }

@@ -45,6 +45,11 @@ type Engine struct {
 
 	aliveConsumers []*model.Consumer
 
+	// query is the arrival in hand, minted in place (Generator.NextInto):
+	// the in-flight ledger copies what it needs, so no arrival's query
+	// outlives the next one.
+	query model.Query
+
 	// inflight holds its entries by value: one per query in flight, written
 	// at the arrival and deleted at the last completion, with nothing
 	// allocated per query.
@@ -233,7 +238,8 @@ func (e *Engine) handleArrival() {
 		e.mixBuf = e.scn.MixWeightsAt(e.now, e.mixBuf)
 		e.gen.SetClassWeights(e.mixBuf)
 	}
-	q := e.gen.Next(e.now, c)
+	q := &e.query
+	e.gen.NextInto(q, e.now, c)
 	e.issued++
 
 	alloc, err := e.med.Allocate(e.now, q, e.pop)

@@ -108,13 +108,23 @@ func (g *Generator) SetClassWeights(weights []float64) {
 
 // Next mints the next query for consumer c at time now.
 func (g *Generator) Next(now float64, c *model.Consumer) *model.Query {
+	q := new(model.Query)
+	g.NextInto(q, now, c)
+	return q
+}
+
+// NextInto mints the next query into q, overwriting it: the query Next
+// would have returned, in storage the caller owns. The simulator mints
+// every arrival into one Query this way, since nothing it keeps past the
+// mediation points to the query.
+func (g *Generator) NextInto(q *model.Query, now float64, c *model.Consumer) {
 	g.nextID++
 	class := g.pickClass()
 	units := 0.0
 	if class < len(g.classes) {
 		units = g.classes[class].Units
 	}
-	return &model.Query{
+	*q = model.Query{
 		ID:       g.nextID,
 		Consumer: c,
 		Class:    class,

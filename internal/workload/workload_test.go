@@ -89,6 +89,32 @@ func TestGeneratorQueries(t *testing.T) {
 	}
 }
 
+// TestGeneratorNextIntoMatchesNext pins that minting into caller-owned
+// storage, reused for every query, gives the stream Next gives — under the
+// uniform and the skewed class mix — and overwrites every field.
+func TestGeneratorNextIntoMatchesNext(t *testing.T) {
+	cfg := model.DefaultConfig().WithClasses(4)
+	cfg.Consumers = 2
+	cfg.Providers = 1
+	pop := model.NewPopulation(cfg, randx.New(1), 0)
+	for _, skew := range []float64{0, 1} {
+		cfg.ClassSkew = skew
+		fresh := NewGenerator(cfg.QueryClasses, 2, randx.New(9))
+		inPlace := NewGenerator(cfg.QueryClasses, 2, randx.New(9))
+		fresh.SetClassWeights(cfg.ClassWeights())
+		inPlace.SetClassWeights(cfg.ClassWeights())
+		q := model.Query{ID: 1 << 40, Consumer: pop.Consumers[1], Class: 99, Units: -1, N: 7, IssuedAt: -1}
+		for i := 0; i < 2000; i++ {
+			c := pop.Consumers[i%2]
+			want := fresh.Next(float64(i), c)
+			inPlace.NextInto(&q, float64(i), c)
+			if q != *want {
+				t.Fatalf("skew %v query %d: NextInto %+v, Next %+v", skew, i, q, *want)
+			}
+		}
+	}
+}
+
 func TestGeneratorQNFloor(t *testing.T) {
 	g := NewGenerator([]model.QueryClass{{Units: 100}}, 0, randx.New(3))
 	cfg := model.DefaultConfig()
