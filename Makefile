@@ -13,9 +13,11 @@ GO ?= go
 # Override with `make bench BENCH=.` for the full suite.
 BENCH ?= BenchmarkRank|BenchmarkSelectTopN|BenchmarkLab|BenchmarkMediatorAllocate|BenchmarkMatchmaking|BenchmarkServerMediate|BenchmarkTimelineCSV|BenchmarkSimulation|BenchmarkMediate100k|BenchmarkPopulationBuild100k|BenchmarkProviderIntention|BenchmarkIntentionsRange400|BenchmarkNotify400
 
-# BENCH_COUNT repeats each benchmark -count times. The default single run
-# is fine for the trajectory record; use `make bench BENCH_COUNT=10` when a
-# delta looks noisy and you want spread before believing it.
+# BENCH_COUNT repeats each benchmark -count times; tools/benchjson keeps one
+# record per benchmark (median ns/op and metrics, min/max ns/op, run count).
+# The default single run is fine for a quick look; use `make bench
+# BENCH_COUNT=10` when a delta looks noisy and you want spread before
+# believing it.
 BENCH_COUNT ?= 1
 
 # SERVE_JSON is where serve-bench drops the sqlb-serve steady-state report;
@@ -66,8 +68,8 @@ cover:
 
 # fuzz runs the native Go fuzz targets, FUZZTIME each: the scenario parser
 # (arbitrary bytes must never panic, and accepted documents must validate
-# and re-parse identically), the pruning bound of the ranking kernel
-# (for arbitrary pi, ci, ω, ε the pow-free bound is never below Score),
+# and re-parse identically), the pruning bounds of the ranking kernel
+# (for arbitrary pi, ci, ω, ε neither pow-free bound is below Score),
 # Definition 8's memo (whatever is done to a provider between evaluations,
 # Provider.Intention returns the bits of intention.Provider), and its
 # bounded entrance (under the same scripts Provider.IntentionOrBound returns
@@ -101,21 +103,27 @@ serve-bench:
 # |Pq| = 400) spend their CPU, and prints the head of each profile; an
 # optimisation starts from these files and EXPERIMENTS.md quotes the
 # .top.txt heads. sim_paper is the simulator at 80 % load, the regime the
-# paper studies. serve_paper is sqlb-serve, batches of 32 from one worker at
-# 8000 qps on the wall clock — about 54 times what 400 providers can
-# perform, so every provider intention is deeply negative; it also records
-# the allocation profile.
+# paper studies. serve_paper is BenchmarkServePaperLoop: batches of 32
+# through MediateBatch on the repository benchmark's virtual clock, which
+# holds the population at the same 80 % load; it also records the
+# allocation profile. serve_overload is sqlb-serve on the wall clock at
+# 8000 qps, about 68 times the ~118 qps the population performs at 80 %
+# load: every provider intention is deeply negative and nothing prunes, so
+# read it as the overload regime, not the benchmark's.
 PPROF_TOP = $(GO) tool pprof -top -nodecount 20
 profile:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) build -o $(PROFILE_DIR)/sqlb-sim ./cmd/sqlb-sim
 	$(GO) build -o $(PROFILE_DIR)/sqlb-serve ./cmd/sqlb-serve
 	$(PROFILE_DIR)/sqlb-sim -scale 1 -duration 600 -workload 0.8 -seed 1 -cpuprofile $(PROFILE_DIR)/sim_paper.cpu.pprof
+	$(GO) test -run '^$$' -bench '^BenchmarkServePaperLoop$$' -benchtime 200000x -o $(PROFILE_DIR)/sqlb.test \
+		-cpuprofile $(PROFILE_DIR)/serve_paper.cpu.pprof -memprofile $(PROFILE_DIR)/serve_paper.mem.pprof .
 	$(PROFILE_DIR)/sqlb-serve -scale 1 -qps 8000 -batch 32 -workers 1 -queue 4096 -warmup 1s -measure 5s \
-		-cpuprofile $(PROFILE_DIR)/serve_paper.cpu.pprof -memprofile $(PROFILE_DIR)/serve_paper.mem.pprof
+		-cpuprofile $(PROFILE_DIR)/serve_overload.cpu.pprof
 	$(PPROF_TOP) $(PROFILE_DIR)/sqlb-sim $(PROFILE_DIR)/sim_paper.cpu.pprof | tee $(PROFILE_DIR)/sim_paper.cpu.top.txt
-	$(PPROF_TOP) $(PROFILE_DIR)/sqlb-serve $(PROFILE_DIR)/serve_paper.cpu.pprof | tee $(PROFILE_DIR)/serve_paper.cpu.top.txt
-	$(PPROF_TOP) -sample_index=alloc_space $(PROFILE_DIR)/sqlb-serve $(PROFILE_DIR)/serve_paper.mem.pprof | tee $(PROFILE_DIR)/serve_paper.mem.top.txt
+	$(PPROF_TOP) $(PROFILE_DIR)/sqlb.test $(PROFILE_DIR)/serve_paper.cpu.pprof | tee $(PROFILE_DIR)/serve_paper.cpu.top.txt
+	$(PPROF_TOP) -sample_index=alloc_space $(PROFILE_DIR)/sqlb.test $(PROFILE_DIR)/serve_paper.mem.pprof | tee $(PROFILE_DIR)/serve_paper.mem.top.txt
+	$(PPROF_TOP) $(PROFILE_DIR)/sqlb-serve $(PROFILE_DIR)/serve_overload.cpu.pprof | tee $(PROFILE_DIR)/serve_overload.cpu.top.txt
 
 # benchmark-selftest vets and tests the repository benchmark (its own
 # module under benchmark/, outside ./...) at smoke scale: metric names match

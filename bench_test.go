@@ -317,6 +317,8 @@ func benchRankTop(b *testing.B, total, n int) {
 	}
 }
 
+func BenchmarkRankTop400n1(b *testing.B) { benchRankTop(b, 400, 1) }
+
 func BenchmarkRankTop400n4(b *testing.B) { benchRankTop(b, 400, 4) }
 
 func BenchmarkRankTop400n32(b *testing.B) { benchRankTop(b, 400, 32) }
@@ -575,6 +577,48 @@ func BenchmarkServerMediateBatch16(b *testing.B) {
 				b.Fatal(r.Err)
 			}
 		}
+	}
+}
+
+// BenchmarkServePaperLoop is the serving regime `make profile` records: the
+// Table 2 population (|Pq| = 400) mediated in batches of 32 through
+// MediateBatch from one closed-loop caller, on a virtual clock that
+// advances each query by the mean service demand of a query at 80 % of the
+// population's capacity — the repository benchmark's serve-paper clock — so
+// provider load sits at the paper's reference point however fast the host
+// mediates. A warm-up of 20 000 mediations precedes the timer; ns/op is
+// per mediation.
+func BenchmarkServePaperLoop(b *testing.B) {
+	const batch = 32
+	cfg := sqlb.DefaultConfig()
+	pop := sqlb.NewPopulation(cfg, 2007)
+	dt := cfg.MeanQueryUnitsWeighted() * float64(cfg.QueryN) / (0.8 * pop.TotalCapacity())
+	now := 0.0
+	srv := sqlb.NewMediationServer(sqlb.NewSQLB(), pop, time.Second, func() float64 { return now })
+	srv.SetMatchmaker(sqlb.BuildMatchIndex(pop))
+	gen, pick := workload.NewGenerator(cfg.QueryClasses, cfg.QueryN, randx.New(1)), randx.New(2)
+	gen.SetClassWeights(cfg.ClassWeights())
+	stream := make([]*model.Query, 1<<12)
+	for i := range stream {
+		stream[i] = gen.Next(0, pop.Consumers[pick.Pick(len(pop.Consumers))])
+	}
+	ctx, next := context.Background(), 0
+	mediate := func() {
+		qs := stream[next : next+batch]
+		next = (next + batch) % len(stream)
+		now += batch * dt
+		for _, r := range srv.MediateBatch(ctx, qs) {
+			if r.Err != nil {
+				b.Fatal(r.Err)
+			}
+		}
+	}
+	for i := 0; i < 20000; i += batch {
+		mediate()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i += batch {
+		mediate()
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -12,18 +13,32 @@ import (
 )
 
 // The bound-and-prune scan of RankTop is accepted on two grounds,
-// both checked here against a literal reading of Definition 9: scoreBound
-// never falls below Score (soundness), and the pruned ranking has the same
-// indexes and the same score bits as scoring every candidate and sorting
-// them all (equivalence).
+// both checked here against a literal reading of Definition 9: neither
+// bound level (scoreBound, halfMeanBound) ever falls below Score
+// (soundness), and the pruned ranking has the same indexes and the same
+// score bits as scoring every candidate and sorting them all (equivalence).
 
-// boundHolds is the soundness property. A NaN bound is a refusal to bound
+// boundHolds is the soundness property, for both levels, given ω and ε as
+// RankTop normalizes them for the bounds. A NaN bound is a refusal to bound
 // (the scan scores the candidate). A NaN score under a numeric bound is
 // fine too: NaN ranks below every number, and the scan only skips when the
 // bound is below a numeric threshold.
 func boundHolds(pi, ci, omega, epsilon float64) bool {
-	b := scoreBound(pi, ci, omega, epsilon)
-	return math.IsNaN(b) || !(Score(pi, ci, omega, epsilon) > b)
+	score := Score(pi, ci, omega, epsilon)
+	w, e := clamp01(omega), positiveEpsilon(epsilon)
+	for _, b := range []float64{scoreBound(pi, ci, w, e), halfMeanBound(pi, ci, w, e)} {
+		if !math.IsNaN(b) && score > b {
+			return false
+		}
+	}
+	return true
+}
+
+// boundFailure describes a boundHolds failure with both levels' values.
+func boundFailure(pi, ci, omega, epsilon float64) string {
+	w, e := clamp01(omega), positiveEpsilon(epsilon)
+	return fmt.Sprintf("at (%v, %v, %v, %v): scoreBound = %v, halfMeanBound = %v, Score = %v", pi, ci, omega, epsilon,
+		scoreBound(pi, ci, w, e), halfMeanBound(pi, ci, w, e), Score(pi, ci, omega, epsilon))
 }
 
 // hostileFloats are the operands the mean inequalities are most likely to
@@ -54,8 +69,7 @@ func TestScoreBoundDominatesScore(t *testing.T) {
 			for _, omega := range []float64{0, 5e-324, 1e-20, 0.001, 0.5, 0.999, 1 - 1e-16, 1, -1, 2, math.NaN()} {
 				for _, eps := range []float64{1, 0, -1, 5e-324, 1e-9, 1e300, math.MaxFloat64, math.Inf(1), math.NaN()} {
 					if !boundHolds(pi, ci, omega, eps) {
-						t.Fatalf("scoreBound(%v, %v, %v, %v) = %v < Score = %v", pi, ci, omega, eps,
-							scoreBound(pi, ci, omega, eps), Score(pi, ci, omega, eps))
+						t.Fatal(boundFailure(pi, ci, omega, eps))
 					}
 				}
 			}
@@ -93,8 +107,7 @@ func FuzzScoreBound(f *testing.F) {
 	f.Add(-1e308, 0.5, 0.5, 1e308)
 	f.Fuzz(func(t *testing.T, pi, ci, omega, epsilon float64) {
 		if !boundHolds(pi, ci, omega, epsilon) {
-			t.Fatalf("scoreBound(%v, %v, %v, %v) = %v < Score = %v", pi, ci, omega, epsilon,
-				scoreBound(pi, ci, omega, epsilon), Score(pi, ci, omega, epsilon))
+			t.Fatal(boundFailure(pi, ci, omega, epsilon))
 		}
 	})
 }
@@ -192,8 +205,8 @@ var rankFamilies = []struct {
 			pi[i], ci[i], om[i] = rng.Uniform(-2.5, 0), rng.Uniform(-2.5, 1), rng.Float64()
 		}
 	}},
-	// Strictly ascending positive scores: every candidate beats the heap's
-	// worst, nothing prunes.
+	// Strictly ascending positive scores: in index order every candidate
+	// would beat the heap's worst; best first, the seeds are the winners.
 	{"ascending", func(rng *randx.Rand, pi, ci, om []float64) {
 		o := rng.Float64()
 		for i := range pi {
@@ -248,8 +261,9 @@ func TestRankTopPrunedEqualsOracle(t *testing.T) {
 // TestRankTopEvaluatesFewCandidates pins that the scan prunes at all: the
 // score buffer is poisoned, and a slot the call left poisoned is a
 // candidate whose Score was never computed. On uniform intentions the
-// bound removes most of a 400-wide Pq; on ascending scores it must remove
-// none, and n == total keeps the full evaluation.
+// bounds remove most of a 400-wide Pq; ascending scores, the worst case of
+// a scan seeded in index order, cost best first little more than the n
+// seeds; and n == total keeps the full evaluation.
 func TestRankTopEvaluatesFewCandidates(t *testing.T) {
 	const total = 400
 	poison := math.Float64frombits(0x7ff8_dead_beef_0001)
@@ -280,7 +294,63 @@ func TestRankTopEvaluatesFewCandidates(t *testing.T) {
 		t.Errorf("n == total scored %d of %d candidates", got, total)
 	}
 	rankFamilies[4].fill(rng, pi, ci, om)
-	if got := evaluated(&s, 4, pi, ci, om); got != total {
-		t.Errorf("ascending scores, n=4: %d of %d candidates scored, want all", got, total)
+	if got := evaluated(&s, 4, pi, ci, om); got > 4+2 {
+		t.Errorf("ascending scores, n=4: %d of %d candidates scored, want at most n+2", got, total)
+	}
+}
+
+// countingResolver stands behind a pi vector whose entries below −1 are
+// deferred: Resolve writes the exact value and counts the call.
+type countingResolver struct {
+	pi, exact []float64
+	calls     []int
+}
+
+func (r *countingResolver) Resolve(i int) {
+	r.calls[i]++
+	r.pi[i] = r.exact[i]
+}
+
+// TestRankTopScoresSeedsOnce: RankTop resolves (and so scores) every seed —
+// one of the n highest bounds of the vector it was handed — and no
+// candidate twice; a seed's bound is never below the heap's worst, so only
+// the scan's seed test keeps it from being scored again. Deferred entries
+// are upper bounds ≤ −1 of the exact ones, as
+// model.Provider.IntentionOrBound leaves them, and the ranking agrees with
+// the oracle on the exact intentions.
+func TestRankTopScoresSeedsOnce(t *testing.T) {
+	rng := randx.New(29)
+	for trial := 0; trial < 240; trial++ {
+		total := 2 + rng.Pick(300)
+		pi, ci, om := make([]float64, total), make([]float64, total), make([]float64, total)
+		rankFamilies[trial%len(rankFamilies)].fill(rng, pi, ci, om)
+		r := &countingResolver{pi: pi, exact: append([]float64(nil), pi...), calls: make([]int, total)}
+		for i, v := range pi {
+			if v < -1 {
+				pi[i] = math.Max(-1, v+rng.Float64())
+			}
+		}
+		n := []int{1, 2, 4, total - 1}[trial%4]
+		bounds := make([]float64, total)
+		for i := range bounds {
+			if bounds[i] = scoreBound(pi[i], ci[i], clamp01(om[i]), 1); math.IsNaN(bounds[i]) {
+				bounds[i] = math.Inf(1)
+			}
+		}
+		seeds := SelectTopN(new(Scratch), total, n, func(a, b int) bool { return ranksBefore(bounds[a], bounds[b], a, b) })
+		got := RankTop(new(Scratch), n, pi, ci, om, 1, r)
+		for i, c := range r.calls {
+			if c > 1 {
+				t.Fatalf("trial %d, n %d: candidate %d resolved %d times", trial, n, i, c)
+			}
+		}
+		for _, i := range seeds {
+			if r.calls[i] != 1 {
+				t.Fatalf("trial %d, n %d: seed %d resolved %d times", trial, n, i, r.calls[i])
+			}
+		}
+		if want := oracleRank(n, r.exact, ci, om, 1); !sameRanking(got, want) {
+			t.Fatalf("trial %d, n %d: RankTop = %v, oracle %v", trial, n, got, want)
+		}
 	}
 }

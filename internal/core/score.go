@@ -39,10 +39,7 @@ func Omega(consumerSat, providerSat float64) float64 {
 //
 // A provider scores positively only when both sides want the interaction.
 func Score(pi, ci, omega, epsilon float64) float64 {
-	omega = clamp01(omega)
-	if !(epsilon > 0) {
-		epsilon = DefaultEpsilon
-	}
+	omega, epsilon = clamp01(omega), positiveEpsilon(epsilon)
 	if pi > 0 && ci > 0 {
 		return pow(pi, omega) * pow(ci, 1-omega)
 	}
@@ -69,6 +66,11 @@ const (
 	boundAbsSlack = 1e-300
 )
 
+// noBound is what a bound returns when it has none to offer. It is NaN,
+// which every < comparison refuses; a variable, not a math.NaN() call,
+// keeps scoreBound within the compiler's inlining budget.
+var noBound = math.NaN()
+
 // scoreBound returns an upper bound on Score(pi, ci, omega, epsilon) that
 // costs no math.Pow, or NaN when it has none to offer. With weights ω and
 // 1−ω the geometric mean lies between the harmonic and the arithmetic one:
@@ -77,16 +79,14 @@ const (
 //	−(a^ω · b^(1−ω)) ≤ −1 / (ω/a + (1−ω)/b)                (a, b > 0)
 //
 // where a = 1−pi+ε and b = 1−ci+ε are the bases of Definition 9's negative
-// branch. The bound is inflated by the slack above, so it is never below
-// the Score the machine computes; outside the inequalities' domain (a
-// non-positive base, an operand that makes 0·∞, an overflow) it is NaN.
-// Callers compare with <, which is false for NaN and so falls through to
-// the exact score.
+// branch. ω and ε must be as Score uses them, clamp01(ω) and
+// positiveEpsilon(ε); the caller normalizes them, which keeps this small
+// enough to inline. The bound is inflated by the slack above, so it is
+// never below the Score the machine computes; outside the inequalities'
+// domain (a non-positive base, an operand that makes 0·∞, an overflow) it
+// is NaN. Callers compare with <, which is false for NaN and so falls
+// through to the exact score.
 func scoreBound(pi, ci, omega, epsilon float64) float64 {
-	omega = clamp01(omega)
-	if !(epsilon > 0) {
-		epsilon = DefaultEpsilon
-	}
 	if pi > 0 && ci > 0 {
 		return (omega*pi+(1-omega)*ci)*(1+boundRelSlack) + boundAbsSlack
 	}
@@ -95,9 +95,28 @@ func scoreBound(pi, ci, omega, epsilon float64) float64 {
 	// Near MaxFloat64 the reciprocals are subnormal and hm can round up to
 	// +Inf while the true mean is finite: no bound then either.
 	if !(a > 0 && b > 0 && hm <= math.MaxFloat64) {
-		return math.NaN()
+		return noBound
 	}
 	return -hm*(1-boundRelSlack) + boundAbsSlack
+}
+
+// halfMeanBound is scoreBound's tighter second level, still pow-free: the
+// weighted power means of order ±½ lie between the geometric mean and
+// those of order ±1, M₋₁ ≤ M₋½ ≤ G ≤ M½ ≤ M₁, so Score ≤ (ω·√pi +
+// (1−ω)·√ci)² on the positive branch and ≤ −(ω/√a + (1−ω)/√b)⁻² on the
+// negative one, with scoreBound's a, b, slack, NaN rule and ω and ε.
+func halfMeanBound(pi, ci, omega, epsilon float64) float64 {
+	if pi > 0 && ci > 0 {
+		m := omega*math.Sqrt(pi) + (1-omega)*math.Sqrt(ci)
+		return m*m*(1+boundRelSlack) + boundAbsSlack
+	}
+	a, b := 1-pi+epsilon, 1-ci+epsilon
+	r := 1 / (omega/math.Sqrt(a) + (1-omega)/math.Sqrt(b))
+	m := r * r
+	if !(a > 0 && b > 0 && m <= math.MaxFloat64) {
+		return noBound
+	}
+	return -m*(1-boundRelSlack) + boundAbsSlack
 }
 
 // ranksBefore is the ranking order of R⃗_q as a strict total order on
@@ -143,28 +162,25 @@ type Resolver interface {
 // buffers are warm. The result is valid until the next call that uses R1.
 //
 // For n < |Pq| the full sort is never materialized — the win on the
-// mediation hot path, where q.n ≪ |Pq| — and the scan is bound-and-prune:
-// the first n candidates seed the heap with exact scores; every later one
-// is scored only if scoreBound is not strictly below the heap's worst
-// score. A skipped candidate's Score is ≤ its bound < the n-th best so far,
-// so it could not have entered the heap under any tie-break, and the
-// selected indexes and their Score bits are those of scoring everyone. F2
-// then holds the scores of the evaluated candidates only; the other slots
-// are stale.
+// mediation hot path, where q.n ≪ |Pq| — and the scan is best-first
+// bound-and-prune: the n candidates with the highest scoreBound (NaN
+// counting as +Inf, ties to the lower index) seed the heap with exact
+// scores, and any other is scored only if neither scoreBound nor
+// halfMeanBound is strictly below the heap's worst score. A skipped
+// candidate's Score is ≤ its bound < the n-th best so far, so it could not
+// have entered the heap under any tie-break; the heap order being a strict
+// total order, the selected indexes and their Score bits are those of
+// scoring everyone, in whatever order they are visited. F2 then holds the
+// scores of the evaluated candidates only; the other slots are stale.
 //
 // lazy is nil when every pi[i] is exact. Otherwise RankTop resolves a
 // candidate before it scores it, and only then: Score does not increase
-// when pi decreases on the negative branch, so scoreBound of a deferred
+// when pi decreases on the negative branch, so either bound of a deferred
 // entry bounds the score of the exact one, and a candidate pruned on it
 // stays deferred.
 func RankTop(s *Scratch, n int, pi, ci, omegas []float64, epsilon float64, lazy Resolver) []Ranked {
-	total := len(pi)
-	if len(ci) < total {
-		total = len(ci)
-	}
-	if len(omegas) < total {
-		total = len(omegas)
-	}
+	total := min(len(pi), len(ci), len(omegas))
+	pi, ci, omegas = pi[:total], ci[:total], omegas[:total]
 	if n > total {
 		n = total
 	}
@@ -183,24 +199,45 @@ func RankTop(s *Scratch, n int, pi, ci, omegas []float64, epsilon float64, lazy 
 		}
 		idx = SelectTopN(s, total, n, before)
 	} else if n > 0 {
-		// idx is a max-heap under before: idx[0] is the worst of the n
-		// best so far, the one a further candidate has to beat.
-		idx = s.I1(n)
-		for i := range idx {
-			idx[i] = i
+		s.bounds = growFloats(s.bounds, total)
+		bounds, top, best, eps := s.bounds, 0, math.Inf(-1), positiveEpsilon(epsilon)
+		for i := range bounds {
+			b := scoreBound(pi[i], ci[i], clamp01(omegas[i]), eps)
+			if b != b {
+				b = math.Inf(1)
+			}
+			bounds[i] = b
+			if b > best {
+				top, best = i, b
+			}
+		}
+		higher := func(a, b int) bool { return ranksBefore(bounds[a], bounds[b], a, b) }
+		if n == 1 {
+			idx = s.I1(1)
+			idx[0] = top
+		} else {
+			idx = SelectTopN(s, total, n, higher)
+		}
+		// A candidate is a seed unless the lowest seed outranks its bound.
+		last := idx[n-1]
+		for _, i := range idx {
 			score(i)
 		}
+		// idx is a max-heap under before: idx[0] is the worst of the n
+		// best so far, the one a further candidate has to beat.
 		for i := n/2 - 1; i >= 0; i-- {
 			siftDown(idx, i, before)
 		}
-		for i := n; i < total; i++ {
-			if scoreBound(pi[i], ci[i], omegas[i], epsilon) < scores[idx[0]] {
+		worst := scores[idx[0]]
+		for i, b := range bounds {
+			if b < worst || !higher(last, i) || halfMeanBound(pi[i], ci[i], clamp01(omegas[i]), eps) < worst {
 				continue
 			}
 			score(i)
 			if before(i, idx[0]) {
 				idx[0] = i
 				siftDown(idx, 0, before)
+				worst = scores[idx[0]]
 			}
 		}
 		sortIdx(idx, before)
@@ -230,6 +267,14 @@ func Select(s *Scratch, n int, ranking []Ranked) []int {
 		selected[i] = ranking[i].Index
 	}
 	return selected
+}
+
+// positiveEpsilon is ε as Definition 9 uses it: DefaultEpsilon unless ε > 0.
+func positiveEpsilon(epsilon float64) float64 {
+	if epsilon > 0 {
+		return epsilon
+	}
+	return DefaultEpsilon
 }
 
 func clamp01(v float64) float64 {

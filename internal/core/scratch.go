@@ -16,11 +16,13 @@ package core
 // declares one on its stack and pays the allocations a fresh make would.
 //
 // Buffer assignments within one allocation turn (so callers and helpers do
-// not trample each other): RankTop consumes F2, I1, and R1; SelectTopN
+// not trample each other): RankTop consumes F2, I1, and R1, and keeps its
+// candidates' score bounds in a vector no accessor hands out; SelectTopN
 // consumes I1; Select consumes I2. Strategy code uses F1/F3 for its own
 // vectors (omegas, utilizations, bids, loads).
 type Scratch struct {
 	f1, f2, f3 []float64
+	bounds     []float64
 	i1, i2     []int
 	r1         []Ranked
 }

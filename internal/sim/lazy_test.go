@@ -347,14 +347,28 @@ func TestLazyIntentionsEqualResolveEverything(t *testing.T) {
 // lazyProbe counts, for every candidate of every mediation, what the
 // gathering loop deferred and what the strategy then resolved. It reads
 // only what any strategy may: a slot was deferred when it does not hold
-// Provider.Intention's bits on entry, resolved when it does on return.
+// Provider.Intention's bits on entry, resolved when it does on return. It
+// also counts the exact Definition 9 scores core.RankTop computed: it
+// poisons the score vector (Scratch.F2) before the call, and a slot that
+// no longer holds the poison was scored.
 type lazyProbe struct {
 	allocator.Allocator
 	exact []float64
 	lazyCounts
+	mediations, scored int
 }
 
+// scorePoison is a NaN payload no Definition 9 evaluation produces.
+var scorePoison = math.Float64frombits(0x7ff8_dead_beef_0001)
+
 func (s *lazyProbe) Allocate(req *allocator.Request) []int {
+	if req.Scratch == nil {
+		req.Scratch = new(core.Scratch)
+	}
+	scores := req.Scratch.F2(len(req.Pq))
+	for i := range scores {
+		scores[i] = scorePoison
+	}
 	s.exact = s.exact[:0]
 	for i, p := range req.Pq {
 		s.exact = append(s.exact, p.Intention(req.Query.Class, req.Now))
@@ -364,7 +378,13 @@ func (s *lazyProbe) Allocate(req *allocator.Request) []int {
 		}
 	}
 	s.candidates += len(req.Pq)
+	s.mediations++
 	selected := s.Allocator.Allocate(req)
+	for _, v := range scores {
+		if math.Float64bits(v) != math.Float64bits(scorePoison) {
+			s.scored++
+		}
+	}
 	for i, p := range req.Pq {
 		if s.exact[i] != s.exact[i] && math.Float64bits(req.PI[i]) == math.Float64bits(p.Intention(req.Query.Class, req.Now)) {
 			s.resolved++
@@ -374,10 +394,11 @@ func (s *lazyProbe) Allocate(req *allocator.Request) []int {
 }
 
 // BenchmarkLazyIntentionCounts is the counting probe EXPERIMENTS.md §13
-// quotes: the runs of `sqlb-sim -scale 1 -duration 300 -workload 0.8
-// -seed 1`, of the benchmark's sim-narrow shape and of `sqlb-sim -scale 1
-// -duration 150 -workload 1.3 -seed 1`, reporting how many Definition 8
-// evaluations stood as bounds and how many of those were asked for exactly.
+// and §15 quote: the runs of `sqlb-sim -scale 1 -duration 300 -workload
+// 0.8 -seed 1`, of the benchmark's sim-narrow shape and of `sqlb-sim
+// -scale 1 -duration 150 -workload 1.3 -seed 1`, reporting how many
+// Definition 8 evaluations stood as bounds, how many of those were asked
+// for exactly, and how many exact Definition 9 scores a mediation cost.
 //
 //	go test -run '^$' -bench LazyIntentionCounts -benchtime 1x ./internal/sim
 func BenchmarkLazyIntentionCounts(b *testing.B) {
@@ -409,6 +430,7 @@ func BenchmarkLazyIntentionCounts(b *testing.B) {
 				b.ReportMetric(float64(probe.candidates), "evaluations")
 				b.ReportMetric(float64(probe.deferred), "deferred")
 				b.ReportMetric(float64(probe.resolved), "resolved")
+				b.ReportMetric(float64(probe.scored)/float64(probe.mediations), "scores/mediation")
 			}
 		})
 	}

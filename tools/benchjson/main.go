@@ -1,7 +1,7 @@
 // Command benchjson converts `go test -bench` output on stdin into a JSON
 // regression record. `make bench` pipes the benchmark suite through it to
 // produce BENCH_results.json, giving future PRs a perf trajectory to diff
-// against:
+// against (the repeats of `-count n` collapse into one record each):
 //
 //	go test -run '^$' -bench ... | go run ./tools/benchjson -out BENCH_results.json
 package main
@@ -14,16 +14,23 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 )
 
-// Benchmark is one parsed result line. Extra metrics reported via
-// b.ReportMetric (unit → value) ride along in Metrics.
+// Benchmark is one parsed result line, or after collapse one benchmark's
+// record: Iterations, NsPerOp and the extra metrics reported via
+// b.ReportMetric (unit → value) are medians over Runs runs. Procs is the
+// GOMAXPROCS the run stamped on its name.
 type Benchmark struct {
 	Name       string             `json:"name"`
+	Procs      int                `json:"gomaxprocs"`
+	Runs       int                `json:"runs"`
 	Iterations int64              `json:"iterations"`
 	NsPerOp    float64            `json:"ns_per_op"`
+	NsPerOpMin float64            `json:"ns_per_op_min"`
+	NsPerOpMax float64            `json:"ns_per_op_max"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
 }
 
@@ -55,19 +62,21 @@ func main() {
 		CPUs:      runtime.NumCPU(),
 	}
 
+	var runs []Benchmark
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Println(line) // stay transparent: the human-readable output passes through
 		if b, ok := parseLine(line); ok {
-			report.Benchmarks = append(report.Benchmarks, b)
+			runs = append(runs, b)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: read: %v\n", err)
 		os.Exit(1)
 	}
+	report.Benchmarks = collapse(runs)
 	if len(report.Benchmarks) == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines found on stdin")
 		os.Exit(1)
@@ -95,7 +104,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: write: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(report.Benchmarks), *out)
+	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks (%d runs) to %s\n", len(report.Benchmarks), len(runs), *out)
 	printDelta(os.Stdout, previous, report.Benchmarks)
 }
 
@@ -123,24 +132,15 @@ func loadPrevious(path string) map[string]Benchmark {
 // table makes perf regressions visible in the `make bench` output itself
 // instead of only in the git diff of BENCH_results.json.
 func printDelta(w io.Writer, prev map[string]Benchmark, cur []Benchmark) {
-	if len(prev) == 0 {
-		return
-	}
 	rows := 0
-	for _, b := range cur {
-		if _, ok := prev[b.Name]; ok {
-			rows++
-		}
-	}
-	if rows == 0 {
-		return
-	}
-	fmt.Fprintf(w, "\ndelta vs previous record (old -> new):\n")
-	fmt.Fprintf(w, "%-44s %26s %26s %18s\n", "benchmark", "ns/op", "B/op", "allocs/op")
 	for _, b := range cur {
 		p, ok := prev[b.Name]
 		if !ok {
 			continue
+		}
+		if rows++; rows == 1 {
+			fmt.Fprintf(w, "\ndelta vs previous record (old -> new):\n")
+			fmt.Fprintf(w, "%-44s %26s %26s %18s\n", "benchmark", "ns/op", "B/op", "allocs/op")
 		}
 		fmt.Fprintf(w, "%-44s %26s %26s %18s\n", b.Name,
 			deltaCell(p.NsPerOp, b.NsPerOp),
@@ -174,19 +174,51 @@ func fmtNum(v float64) string {
 	return strconv.FormatFloat(v, 'f', 0, 64)
 }
 
-// trimProcSuffix strips the trailing "-<GOMAXPROCS>" go test appends to
-// benchmark names, so records diff cleanly across machines.
-func trimProcSuffix(name string) string {
-	i := strings.LastIndexByte(name, '-')
-	if i <= 0 || i == len(name)-1 {
-		return name
+// collapse merges the runs that share a name and GOMAXPROCS into one
+// record each, in order of first appearance.
+func collapse(runs []Benchmark) []Benchmark {
+	var out []Benchmark
+	groups := map[string][]Benchmark{}
+	key := func(b Benchmark) string { return b.Name + "-" + strconv.Itoa(b.Procs) }
+	for _, b := range runs {
+		if groups[key(b)] == nil {
+			out = append(out, Benchmark{Name: b.Name, Procs: b.Procs, Metrics: map[string]float64{}})
+		}
+		groups[key(b)] = append(groups[key(b)], b)
 	}
-	for _, ch := range name[i+1:] {
-		if ch < '0' || ch > '9' {
-			return name
+	for i := range out {
+		b, g := &out[i], groups[key(out[i])]
+		b.Runs = len(g)
+		iters, _, _ := spread(g, func(r Benchmark) float64 { return float64(r.Iterations) })
+		b.Iterations = int64(iters)
+		b.NsPerOp, b.NsPerOpMin, b.NsPerOpMax = spread(g, func(r Benchmark) float64 { return r.NsPerOp })
+		for unit := range g[0].Metrics {
+			b.Metrics[unit], _, _ = spread(g, func(r Benchmark) float64 { return r.Metrics[unit] })
 		}
 	}
-	return name[:i]
+	return out
+}
+
+// spread returns the median (the mean of the middle two for an even
+// count), the minimum and the maximum of f over the runs.
+func spread(runs []Benchmark, f func(Benchmark) float64) (med, lo, hi float64) {
+	vs := make([]float64, len(runs))
+	for i, r := range runs {
+		vs[i] = f(r)
+	}
+	sort.Float64s(vs)
+	return (vs[(len(vs)-1)/2] + vs[len(vs)/2]) / 2, vs[0], vs[len(vs)-1]
+}
+
+// splitProcSuffix strips the trailing "-<GOMAXPROCS>" go test appends to
+// benchmark names, so records diff cleanly across machines, and returns it
+// (1 when absent: go test appends nothing at GOMAXPROCS 1).
+func splitProcSuffix(name string) (string, int) {
+	i := strings.LastIndexByte(name, '-')
+	if procs, err := strconv.Atoi(name[i+1:]); i > 0 && err == nil && procs > 0 {
+		return name[:i], procs
+	}
+	return name, 1
 }
 
 // parseLine parses one benchmark result line, e.g.
@@ -203,10 +235,8 @@ func parseLine(line string) (Benchmark, bool) {
 	if err != nil {
 		return Benchmark{}, false
 	}
-	b := Benchmark{
-		Name:       trimProcSuffix(fields[0]),
-		Iterations: iters,
-	}
+	b := Benchmark{Iterations: iters}
+	b.Name, b.Procs = splitProcSuffix(fields[0])
 	// The remainder alternates value/unit pairs.
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)

@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -86,6 +87,55 @@ func TestParseTranscriptAndDelta(t *testing.T) {
 		if i := strings.Index(s, "delta vs previous"); i < 0 || strings.Contains(s[i:], absent) {
 			t.Errorf("delta table missing or lists %q:\n%s", absent, s)
 		}
+	}
+}
+
+// TestCountRepeatsCollapse: the repeats of `-count n` become one record per
+// benchmark with the median ns/op and metrics, the ns/op range and the run
+// count, in first-appearance order and stamped with the GOMAXPROCS of the
+// name suffix; the delta table compares the medians.
+func TestCountRepeatsCollapse(t *testing.T) {
+	const repeats = `BenchmarkRankTop400n1-2   	 1000	 5000 ns/op	 0 B/op	 0 allocs/op
+BenchmarkNotify400-2      	 2000	   15 ns/op	 12 ns/candidate
+BenchmarkRankTop400n1-2   	 1000	 9000 ns/op	 0 B/op	 0 allocs/op
+BenchmarkNotify400-2      	 4000	   11 ns/op	 10 ns/candidate
+BenchmarkRankTop400n1-2   	 3000	 6000 ns/op	 0 B/op	 0 allocs/op
+BenchmarkSerial           	   10	  100 ns/op
+`
+	out := filepath.Join(t.TempDir(), "bench.json")
+	data, err := json.Marshal(Report{Benchmarks: []Benchmark{{Name: "BenchmarkRankTop400n1", NsPerOp: 8000}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(out, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-out", out)
+	cmd.Env = append(os.Environ(), "BENCHJSON_MAIN=1")
+	cmd.Stdin = strings.NewReader(repeats)
+	stdout, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("benchjson: %v\n%s", err, stdout)
+	}
+	if data, err = os.ReadFile(out); err != nil {
+		t.Fatal(err)
+	}
+	var got Report
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	want := []Benchmark{
+		{Name: "BenchmarkRankTop400n1", Procs: 2, Runs: 3, Iterations: 1000, NsPerOp: 6000, NsPerOpMin: 5000, NsPerOpMax: 9000,
+			Metrics: map[string]float64{"B/op": 0, "allocs/op": 0}},
+		{Name: "BenchmarkNotify400", Procs: 2, Runs: 2, Iterations: 3000, NsPerOp: 13, NsPerOpMin: 11, NsPerOpMax: 15,
+			Metrics: map[string]float64{"ns/candidate": 11}},
+		{Name: "BenchmarkSerial", Procs: 1, Runs: 1, Iterations: 10, NsPerOp: 100, NsPerOpMin: 100, NsPerOpMax: 100},
+	}
+	if !reflect.DeepEqual(got.Benchmarks, want) {
+		t.Errorf("records\n%+v\nwant\n%+v", got.Benchmarks, want)
+	}
+	if !regexp.MustCompile(`(?m)^BenchmarkRankTop400n1\s+8000 -> 6000 \(-25\.0%\)`).Match(stdout) {
+		t.Errorf("delta row does not compare the median:\n%s", stdout)
 	}
 }
 
