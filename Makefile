@@ -8,10 +8,11 @@ GO ?= go
 # timeline CSV writer (rows/sec, 0 allocs/row), the population-scale
 # pair (mediation over a 100k-provider Pq, bytes/participant at build), and
 # Definition 8 through the model's entrances (exact, bounded, the memo
-# emptied, and 400 providers on live state), and the result notification of
-# a 400-wide Pq into the population's tracker rings.
+# emptied, and 400 providers on live state), the result notification of
+# a 400-wide Pq into the population's tracker rings, and the serving regime
+# `make profile` records (BenchmarkServePaperLoop).
 # Override with `make bench BENCH=.` for the full suite.
-BENCH ?= BenchmarkRank|BenchmarkSelectTopN|BenchmarkLab|BenchmarkMediatorAllocate|BenchmarkMatchmaking|BenchmarkServerMediate|BenchmarkTimelineCSV|BenchmarkSimulation|BenchmarkMediate100k|BenchmarkPopulationBuild100k|BenchmarkProviderIntention|BenchmarkIntentionsRange400|BenchmarkNotify400
+BENCH ?= BenchmarkRank|BenchmarkSelectTopN|BenchmarkLab|BenchmarkMediatorAllocate|BenchmarkMatchmaking|BenchmarkServerMediate|BenchmarkTimelineCSV|BenchmarkSimulation|BenchmarkMediate100k|BenchmarkPopulationBuild100k|BenchmarkProviderIntention|BenchmarkIntentionsRange400|BenchmarkNotify400|BenchmarkServePaperLoop
 
 # BENCH_COUNT repeats each benchmark -count times; tools/benchjson keeps one
 # record per benchmark (median ns/op and metrics, min/max ns/op, run count).
@@ -71,14 +72,18 @@ cover:
 # and re-parse identically), the pruning bounds of the ranking kernel
 # (for arbitrary pi, ci, ω, ε neither pow-free bound is below Score),
 # Definition 8's memo (whatever is done to a provider between evaluations,
-# Provider.Intention returns the bits of intention.Provider), and its
-# bounded entrance (under the same scripts Provider.IntentionOrBound returns
-# those bits or a value between them and −1 that rates like them).
+# Provider.Intention returns the bits of intention.Provider), its bounded
+# entrance (under the same scripts Provider.IntentionOrBound returns those
+# bits or a value between them and −1 that rates like them), and the
+# mediator's consumer-intention rows (whatever churn, feedback, field writes
+# and SetPreference do between mediations, every CI slot and Equation 1
+# value a mediation reads has the bits of a fresh evaluation).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzScoreBound -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzProviderIntentionMemo -fuzztime $(FUZZTIME) ./internal/model
 	$(GO) test -run '^$$' -fuzz FuzzIntentionBound -fuzztime $(FUZZTIME) ./internal/model
+	$(GO) test -run '^$$' -fuzz FuzzConsumerRows -fuzztime $(FUZZTIME) ./internal/mediator
 
 # fmt-check fails if any file needs gofmt — the godoc/format gate CI runs.
 fmt-check:

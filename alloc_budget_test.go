@@ -11,6 +11,7 @@ import (
 	"context"
 	"io"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -76,8 +77,16 @@ func TestAllocBudgetMediatorAllocate(t *testing.T) {
 		mediate() // warm the scratch to the population's high-water mark
 	}
 	strategy.resolved = 0
+	evals := reflect.ValueOf(med).Elem().FieldByName("rows").FieldByName("evals")
+	before := evals.Uint()
 	if allocs := testing.AllocsPerRun(100, mediate); allocs != 0 {
 		t.Errorf("Mediator.Allocate: %v allocs/op in steady state, want 0", allocs)
+	}
+	// The consumer's row is kept, and so is the count of Definition 7
+	// evaluations tests read (TestWorkCounts): a plain integer nothing
+	// moves on a row hit.
+	if n := evals.Uint() - before; n != 0 {
+		t.Errorf("Mediator.Allocate: %d Definition 7 evaluations over warm mediations of one consumer, want 0", n)
 	}
 	if strategy.resolved < 100 {
 		t.Errorf("%d intentions resolved over the measured mediations, want at least one each", strategy.resolved)
@@ -166,11 +175,11 @@ func TestAllocBudgetServerMediateBatch(t *testing.T) {
 		}
 	}
 	for i := 0; i < 5; i++ {
-		batch() // warm per-class buffers, ci cache, and selection arena
+		batch() // warm per-class buffers, consumer rows, and selection arena
 	}
 	strategy.resolved = 0
-	if allocs := testing.AllocsPerRun(50, batch); allocs > 1 {
-		t.Errorf("MediateBatch: %v allocs per 16-query batch in steady state, want <= 1", allocs)
+	if allocs := testing.AllocsPerRun(50, batch); allocs != 1 {
+		t.Errorf("MediateBatch: %v allocs per 16-query batch in steady state, want 1 (its result slice)", allocs)
 	}
 	if strategy.resolved < 50 {
 		t.Errorf("%d intentions resolved over the measured batches, want at least one each", strategy.resolved)
@@ -208,7 +217,7 @@ func TestAllocBudgetServerMediate(t *testing.T) {
 		}
 	}
 	for i < 2*len(qs) {
-		mediate() // warm the per-class buffers and the (consumer, class) cache
+		mediate() // warm the per-class buffers and the consumer rows
 	}
 	if allocs := testing.AllocsPerRun(100, mediate); allocs > 5 {
 		t.Errorf("Server.Mediate: %v allocs/op in steady state at |Pq| = 400, want <= 5", allocs)

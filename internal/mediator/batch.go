@@ -23,30 +23,29 @@ type BatchResult struct {
 }
 
 // batchScratch is the server-owned working memory Server.turn reuses
-// across batches (a Mediate call is a batch of one). Each batch bumps the epoch; per-class and per-(consumer,
-// class) cached vectors carry the epoch they were computed in, so
+// across batches (a Mediate call is a batch of one). Each batch bumps the
+// epoch; per-class vectors carry the epoch they were computed in, so
 // "recompute this batch?" is one integer compare and nothing is cleared or
 // reallocated between batches. Buffer capacities converge to the workload's
 // high-water mark, after which a batch's only heap allocation is the
 // BatchResult slice it returns.
 type batchScratch struct {
 	epoch uint64
-	// pq/pi/deferred/stamp hold one entry per query class of the
+	// pq/pi/deferred/id/stamp hold one entry per query class of the
 	// population. The provider intentions of Definition 8 depend only on
 	// (provider, class, clock) — not on the consumer — so one PI⃗ vector
-	// serves every query of the class in the batch. The pq buffers also
-	// isolate the batch from the matchmaker: an index's posting list may be
-	// compacted in place by a later turn's lazy prune, so the batch copies
-	// into storage it owns.
+	// serves every query of the class in the batch; id is Pq's content id
+	// in the row store (ciRows). The pq buffers also isolate the batch from
+	// the matchmaker: an index's posting list may be compacted in place by
+	// a later turn's lazy prune, so the batch copies into storage it owns.
 	pq       [][]*model.Provider
 	pi       [][]float64
 	deferred [][]float64
+	id       []uint64
 	stamp    []uint64
-	// ci is per (consumer, class): Definition 7 reads the consumer's
-	// preferences and the providers' reputations, neither of which a
-	// mediation commit updates. Entries persist across batches (bounded by
-	// consumers × population classes) and revalidate by epoch.
-	ci map[ciKey]*ciEntry
+	// ci[i] backs the consumer intentions of the batch's query i when the
+	// row store keeps no row for it.
+	ci [][]float64
 	// sel backs the per-query Selected copies: reset per batch, appended
 	// per query. A regrow strands the old block with the earlier results
 	// of the batch that reference it, so they stay intact.
@@ -54,16 +53,6 @@ type batchScratch struct {
 	// allocs is the Allocation slab the results point into, reused from
 	// batch to batch.
 	allocs []Allocation
-}
-
-type ciKey struct {
-	consumer *model.Consumer
-	class    int
-}
-
-type ciEntry struct {
-	epoch uint64
-	buf   []float64
 }
 
 // memoizes reports whether the caches hold entries for class. One the
@@ -75,52 +64,30 @@ func (b *batchScratch) memoizes(class int) bool {
 	return class >= 0 && class < len(b.stamp)
 }
 
-// providers returns Pq and the provider intentions PI⃗ for q, exact or
-// deferred as providerIntentions leaves them, memoized per class for the
-// batch.
-func (b *batchScratch) providers(match Matchmaker, pop *model.Population, now float64, q *model.Query) (pq []*model.Provider, pi, deferred []float64) {
+// providers returns Pq, the provider intentions PI⃗ for q, exact or
+// deferred as providerIntentions leaves them, and Pq's content id,
+// memoized per class for the batch.
+func (b *batchScratch) providers(med *Mediator, pop *model.Population, now float64, q *model.Query) (pq []*model.Provider, pi, deferred []float64, id uint64) {
 	k, memo := q.Class, b.memoizes(q.Class)
 	if memo {
 		if b.stamp[k] == b.epoch {
-			return b.pq[k], b.pi[k], b.deferred[k]
+			return b.pq[k], b.pi[k], b.deferred[k], b.id[k]
 		}
 		pq, pi, deferred = b.pq[k][:0], b.pi[k], b.deferred[k]
 	}
-	pq = matchInto(match, pq, q, pop)
-	pi, deferred = providerIntentions(now, q.Class, pq, pi, deferred)
+	pq = matchInto(med.Match, pq, q, pop)
+	pi, deferred = med.providerIntentions(now, q.Class, pq, pi, deferred)
+	id = med.rows.identify(q.Class, len(b.stamp), pq)
 	if memo {
-		b.pq[k], b.pi[k], b.deferred[k], b.stamp[k] = pq, pi, deferred, b.epoch
+		b.pq[k], b.pi[k], b.deferred[k], b.id[k], b.stamp[k] = pq, pi, deferred, id, b.epoch
 	}
-	return pq, pi, deferred
-}
-
-// consumer returns the consumer intentions CI⃗ of q over pq, memoized per
-// (consumer, class) for the batch.
-func (b *batchScratch) consumer(q *model.Query, pq []*model.Provider) []float64 {
-	var e *ciEntry
-	var ci []float64
-	if b.memoizes(q.Class) {
-		key := ciKey{consumer: q.Consumer, class: q.Class}
-		if e = b.ci[key]; e == nil {
-			e = &ciEntry{}
-			b.ci[key] = e
-		}
-		if e.epoch == b.epoch {
-			return e.buf
-		}
-		ci = e.buf
-	}
-	ci = consumerIntentions(q, pq, ci)
-	if e != nil {
-		e.buf, e.epoch = ci, b.epoch
-	}
-	return ci
+	return pq, pi, deferred, id
 }
 
 // MediateBatch mediates a batch of queries under one mediation turn: one
 // lock acquisition, one matchmaking lookup and one provider-intention
-// vector per distinct query class, one consumer-intention vector per
-// distinct (consumer, class) pair — while the allocation commits (scoring,
+// vector per distinct query class, consumer-intention rows from the
+// mediator's row store (ciRows) — while the allocation commits (scoring,
 // ranking, selection, result notification) still run per query in slice
 // order, reading tracker state updated by the commits before them. The
 // results are therefore identical to calling Mediate sequentially on the
@@ -160,17 +127,18 @@ func (s *Server) turn(ctx context.Context, qs []*model.Query, out []BatchResult)
 	}
 	b := &s.batch
 	b.epoch++
-	if b.ci == nil {
+	if b.stamp == nil {
 		classes := len(s.pop.Classes)
 		b.pq = make([][]*model.Provider, classes)
 		b.pi = make([][]float64, classes)
 		b.deferred = make([][]float64, classes)
+		b.id = make([]uint64, classes)
 		b.stamp = make([]uint64, classes)
-		b.ci = make(map[ciKey]*ciEntry)
 	}
 	b.sel = b.sel[:0]
 	if cap(b.allocs) < len(qs) {
 		b.allocs = make([]Allocation, len(qs))
+		b.ci = append(b.ci, make([][]float64, len(qs)-len(b.ci))...)
 	}
 	b.allocs = b.allocs[:len(qs)]
 	now := s.now()
@@ -183,14 +151,14 @@ func (s *Server) turn(ctx context.Context, qs []*model.Query, out []BatchResult)
 			out[i].Err = errors.New("mediator: query needs a consumer")
 			continue
 		}
-		pq, pi, deferred := b.providers(s.med.Match, s.pop, now, q)
+		pq, pi, deferred, id := b.providers(s.med, s.pop, now, q)
 		if len(pq) == 0 {
 			out[i].Err = fmt.Errorf("%w (query %d)", ErrNoProviders, q.ID)
 			continue
 		}
-		ci := b.consumer(q, pq)
+		ci, adq := s.med.rows.consumer(q, pq, id, &b.ci[i])
 		alloc := &b.allocs[i]
-		if err := s.med.allocateInto(alloc, now, q, pq, ci, pi, deferred); err != nil {
+		if err := s.med.allocateInto(alloc, now, q, pq, ci, adq, pi, deferred); err != nil {
 			out[i].Err = err
 			continue
 		}

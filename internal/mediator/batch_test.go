@@ -382,8 +382,8 @@ func TestMediateBatchHostileClasses(t *testing.T) {
 		if got := len(bat.batch.stamp); got != len(popBatch.Classes) {
 			t.Fatalf("bounded=%v: per-class cache holds %d classes, population defines %d", bounded, got, len(popBatch.Classes))
 		}
-		if got, most := len(bat.batch.ci), len(popBatch.Classes)*len(popBatch.Consumers); got > most {
-			t.Fatalf("bounded=%v: consumer-intention cache holds %d entries, bound is %d", bounded, got, most)
+		if got, most := rowCount(&bat.med.rows), len(popBatch.Classes)*len(popBatch.Consumers); got > most {
+			t.Fatalf("bounded=%v: consumer-intention store holds %d rows, bound is %d", bounded, got, most)
 		}
 		locked := make(chan struct{})
 		go func() {

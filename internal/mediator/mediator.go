@@ -10,10 +10,10 @@ package mediator
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"sqlb/internal/allocator"
 	"sqlb/internal/core"
-	"sqlb/internal/intention"
 	"sqlb/internal/model"
 )
 
@@ -116,7 +116,8 @@ type Allocation struct {
 	Pq []*model.Provider
 	// CI and PI are the raw intentions of Definitions 7 and 8, indexed
 	// like Pq; they extend below -1, and the satisfaction windows record
-	// their clamp to [-1,1], Section 2's expressed range. CI is exact.
+	// their clamp to [-1,1], Section 2's expressed range. CI is exact; it
+	// may be a row the mediator keeps across mediations, so it is read-only.
 	// PI[i] is Definition 8's exact bits whenever it is > -1 or the
 	// strategy consulted it; otherwise it is an upper bound ≤ -1 of them,
 	// and its clamp is -1 either way. No selection, score or window
@@ -152,6 +153,9 @@ type Mediator struct {
 	// mediator serializes its mediations (the engine's event loop, the
 	// server's mu), so one set suffices.
 	scratch medScratch
+	// rows keeps consumer-intention rows across mediations, for Allocate
+	// and the server's turns alike.
+	rows ciRows
 }
 
 // medScratch is the reusable working memory of one mediator: the intention,
@@ -230,9 +234,9 @@ func (m *Mediator) Allocate(now float64, q *model.Query, pop *model.Population) 
 	if len(pq) == 0 {
 		return nil, fmt.Errorf("%w (query %d)", ErrNoProviders, q.ID)
 	}
-	sc.pi, sc.deferred = providerIntentions(now, q.Class, pq, sc.pi, sc.deferred)
-	sc.ci = consumerIntentions(q, pq, sc.ci)
-	if err := m.allocateInto(&sc.alloc, now, q, pq, sc.ci, sc.pi, sc.deferred); err != nil {
+	sc.pi, sc.deferred = m.providerIntentions(now, q.Class, pq, sc.pi, sc.deferred)
+	ci, adq := m.rows.consumer(q, pq, m.rows.identify(q.Class, len(pop.Classes), pq), &sc.ci)
+	if err := m.allocateInto(&sc.alloc, now, q, pq, ci, adq, sc.pi, sc.deferred); err != nil {
 		return nil, err
 	}
 	return &sc.alloc, nil
@@ -269,34 +273,33 @@ func matchInto(match Matchmaker, buf []*model.Provider, q *model.Query, pop *mod
 // That depth is paid for only where it is used: an unwilling provider's
 // slot gets IntentionOrBound's pow-free bound, and the exact value is
 // computed if the strategy resolves the slot (lazyPI).
-func providerIntentions(now float64, class int, pq []*model.Provider, pi, deferred []float64) ([]float64, []float64) {
+//
+// The same loop checks each provider's reputation against the row store's
+// shadow (ciRows), and a mismatch bumps the store's version: that is what
+// lets a consumer-intention row over pq be read after it. A Pq too small
+// for rows skips the check; a row over a larger Pq holding the same
+// provider is read only after that Pq's own gather has checked it.
+func (m *Mediator) providerIntentions(now float64, class int, pq []*model.Provider, pi, deferred []float64) ([]float64, []float64) {
 	pi, deferred = growFloats(pi, len(pq)), growFloats(deferred, len(pq))
+	rowed := len(pq) >= rowMinPq
 	for i, p := range pq {
 		pi[i], deferred[i] = p.IntentionOrBound(class, now)
+		if id := uint(p.ID); rowed && (id >= uint(len(m.rows.shadow)) || m.rows.shadow[id] != (repShadow{p, math.Float64bits(p.Reputation)})) {
+			m.rows.reshadow(p)
+		}
 	}
 	return pi, deferred
 }
 
-// consumerIntentions fills ci, resized to len(pq), with Definition 7: q's
-// consumer's intention towards every provider of pq (the consumer half of
-// lines 2-5).
-func consumerIntentions(q *model.Query, pq []*model.Provider, ci []float64) []float64 {
-	c := q.Consumer
-	ci = growFloats(ci, len(pq))
-	for i, p := range pq {
-		ci[i] = intention.Consumer(c.Preference(p, q.Class), p.Reputation, c.Upsilon, c.Epsilon)
-	}
-	return ci
-}
-
 // allocateInto is the shared allocation commit (Algorithm 1 lines 6-10):
 // it scores, ranks, selects, records the result, and fills out in place.
-// Both callers (Allocate, Server.turn) pass a non-empty pq and intention
-// vectors they sized like it (deferred: see lazyPI). Out's Selected aliases
+// Both callers (Allocate, Server.turn) pass a non-empty pq, intention
+// vectors they sized like it (deferred: see lazyPI) and adq, Equation 1
+// over ci. Out's Selected aliases
 // the strategy's scratch selection and is valid only until the next
 // mediation on this mediator — the server, whose allocations outlive that,
 // arenas it (Server.turn).
-func (m *Mediator) allocateInto(out *Allocation, now float64, q *model.Query, pq []*model.Provider, ci, pi, deferred []float64) error {
+func (m *Mediator) allocateInto(out *Allocation, now float64, q *model.Query, pq []*model.Provider, ci []float64, adq float64, pi, deferred []float64) error {
 	if m.Strategy == nil {
 		return errors.New("mediator: no allocation strategy configured")
 	}
@@ -320,13 +323,14 @@ func (m *Mediator) allocateInto(out *Allocation, now float64, q *model.Query, pq
 	}
 	selected := m.Strategy.Allocate(&sc.req)
 
-	m.record(q, pq, ci, pi, selected)
+	m.record(q, pq, ci, adq, pi, selected)
 	*out = Allocation{Query: q, Pq: pq, CI: ci, PI: pi, Selected: selected}
 	return nil
 }
 
 // record performs the mediation-result notification: the consumer logs the
-// allocation against its shown intentions (Equations 1-2) and every
+// allocation against its shown intentions (Equations 1-2, Equation 1 being
+// adq as the row store keeps it) and every
 // provider in Pq — selected or not — logs the proposal in both its public
 // (intention-fed) and private (preference-fed) windows. Pq is in ascending
 // ID order, the order in which a population lays its tracker words along a
@@ -338,8 +342,8 @@ func (m *Mediator) allocateInto(out *Allocation, now float64, q *model.Query, pq
 // the epoch invalidates every stale mark at once. The epoch is a uint64 and
 // never reused, so a fresh (zeroed) stamp buffer can never read as
 // selected.
-func (m *Mediator) record(q *model.Query, pq []*model.Provider, ci, pi []float64, selected []int) {
-	q.Consumer.Tracker.RecordAllocation(ci, selected, q.N)
+func (m *Mediator) record(q *model.Query, pq []*model.Provider, ci []float64, adq float64, pi []float64, selected []int) {
+	q.Consumer.Tracker.RecordAllocationWith(adq, ci, selected, q.N)
 	sc := &m.scratch
 	if cap(sc.selStamp) < len(pq) {
 		sc.selStamp = make([]uint64, len(pq))

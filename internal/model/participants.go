@@ -46,7 +46,11 @@ type Consumer struct {
 	hashedPrefs  bool
 	prefSeed     uint64
 	prefOverride map[int]float64
+	prefVersion  uint64
 }
+
+// PreferenceVersion counts SetPreference calls (the mediator's rows key on it).
+func (c *Consumer) PreferenceVersion() uint64 { return c.prefVersion }
 
 // Preference returns prf_c(q, p) ∈ [-1,1], the consumer's private
 // preference for allocating a query of the given class to provider p.
@@ -75,6 +79,7 @@ func (c *Consumer) SetPreference(providerID int, pref float64) {
 	if providerID < 0 {
 		return
 	}
+	c.prefVersion++
 	if c.hashedPrefs {
 		if c.prefOverride == nil {
 			c.prefOverride = make(map[int]float64)

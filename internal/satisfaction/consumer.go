@@ -62,10 +62,17 @@ func (t *ConsumerTracker) Init(a *Arena, k int, prior float64, priorSamples int)
 
 // RecordAllocation records one query allocation: the consumer's intentions
 // towards every provider in Pq, the subset of indexes that received the
-// query, and the desired number of results q.n. The satisfaction sum is
-// folded inline — this sits on the mediation hot path and must not allocate.
+// query, and the desired number of results q.n.
 func (t *ConsumerTracker) RecordAllocation(intentions []float64, selected []int, n int) {
-	t.adequation.Push(QueryAdequation(intentions))
+	t.RecordAllocationWith(QueryAdequation(intentions), intentions, selected, n)
+}
+
+// RecordAllocationWith is RecordAllocation given adequation, Equation 1 of
+// intentions, by a caller that keeps it. The satisfaction sum (Equation 2)
+// is folded inline — this sits on the mediation hot path and must not
+// allocate.
+func (t *ConsumerTracker) RecordAllocationWith(adequation float64, intentions []float64, selected []int, n int) {
+	t.adequation.Push(adequation)
 	if n < 1 {
 		n = 1
 	}
@@ -76,13 +83,6 @@ func (t *ConsumerTracker) RecordAllocation(intentions []float64, selected []int,
 		}
 	}
 	t.satisfaction.Push((sum/float64(n) + 1) / 2)
-}
-
-// RecordValues records pre-computed per-query adequation and satisfaction
-// values; used when the caller computes Equations 1-2 itself.
-func (t *ConsumerTracker) RecordValues(adequation, satisfaction float64) {
-	t.adequation.Push(adequation)
-	t.satisfaction.Push(satisfaction)
 }
 
 // Adequation returns δa(c) (Definition 1) ∈ [0,1].

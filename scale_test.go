@@ -7,9 +7,12 @@
 package sqlb_test
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"sqlb"
+	"sqlb/internal/intention"
 	"sqlb/internal/model"
 )
 
@@ -82,5 +85,38 @@ func TestScale1MConsumersSmoke(t *testing.T) {
 		if len(alloc.Selected) != 2 {
 			t.Fatalf("mediation %d selected %d providers, want 2", i, len(alloc.Selected))
 		}
+	}
+
+	// The mediator's consumer-intention rows are 80 KB each over this Pq:
+	// the store admits rows up to its byte cap and no further, and a
+	// consumer past it is still mediated on Definition 7's exact values.
+	const rowCap = 32 << 20 // mediator.rowMaxBytes
+	rows := reflect.ValueOf(med).Elem().FieldByName("rows")
+	for i := 0; i < rowCap/(8*cfg.Providers)+20; i++ {
+		c := pop.Consumers[999_999-i*7]
+		q := &model.Query{ID: uint64(100 + i), Consumer: c, Class: i % 2, Units: 130, N: 1}
+		alloc, err := med.Allocate(float64(5+i), q, pop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes := rows.FieldByName("bytes").Int(); bytes > rowCap {
+			t.Fatalf("after %d consumers the row store holds %d bytes, cap %d", i+1, bytes, rowCap)
+		}
+		if i%50 != 0 {
+			continue
+		}
+		for j, p := range alloc.Pq {
+			want := intention.Consumer(c.Preference(p, q.Class), p.Reputation, c.Upsilon, c.Epsilon)
+			if math.Float64bits(alloc.CI[j]) != math.Float64bits(want) {
+				t.Fatalf("consumer %d provider %d: CI %v, Definition 7 %v", c.ID, p.ID, alloc.CI[j], want)
+			}
+		}
+	}
+	n, it := 0, rows.FieldByName("rows").MapRange()
+	for it.Next() {
+		n += it.Value().Len()
+	}
+	if want := rowCap / (8 * cfg.Providers); n != want {
+		t.Errorf("row store holds %d rows, want the %d that fit under its cap", n, want)
 	}
 }
