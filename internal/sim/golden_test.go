@@ -51,8 +51,9 @@ func runCase(t *testing.T, mutate func(*Options)) (string, []byte) {
 	return serializeResult(res), buf.Bytes()
 }
 
-// goldenCases is the determinism grid: the homogeneous paper setup, a heterogeneous capability workload, and every scenario
-// preset, each with full autonomy and a timeline sink attached.
+// goldenCases is the determinism grid: the homogeneous paper setup, two
+// heterogeneous capability workloads, and every scenario preset, each with
+// full autonomy and a timeline sink attached.
 func goldenCases() []struct {
 	name   string
 	mutate func(*Options)
@@ -66,6 +67,16 @@ func goldenCases() []struct {
 			o.Config = o.Config.WithClasses(6)
 			o.Config.CapabilitySelectivity = 0.34
 			o.Config.ClassSkew = 1
+			o.Autonomy = FullAutonomy()
+		}},
+		// One class per specialist plus a share of generalists, under churn:
+		// the shape whose providers the population lays out class by class.
+		{"narrow-generalists", func(o *Options) {
+			o.Config = o.Config.WithClasses(16)
+			o.Config.CapabilitySelectivity = 1.0 / 16
+			o.Config.GeneralistShare = 0.1
+			o.Scenario, _ = scenario.Preset("staged-churn")
+			o.SampleInterval = o.Duration / 40
 			o.Autonomy = FullAutonomy()
 		}},
 	}
