@@ -9,10 +9,12 @@ GO ?= go
 # pair (mediation over a 100k-provider Pq, bytes/participant at build), and
 # Definition 8 through the model's entrances (exact, bounded, the memo
 # emptied, and 400 providers on live state), the result notification of
-# a 400-wide Pq into the population's tracker rings, and the serving regime
-# `make profile` records (BenchmarkServePaperLoop).
+# a 400-wide Pq into the population's tracker rings, the serving regime
+# `make profile` records (BenchmarkServePaperLoop), and the many-classes
+# population of the repository benchmark's sim-narrow (one mediation over a
+# class's ~16 providers, and the build with its bytes/participant).
 # Override with `make bench BENCH=.` for the full suite.
-BENCH ?= BenchmarkRank|BenchmarkSelectTopN|BenchmarkLab|BenchmarkMediatorAllocate|BenchmarkMatchmaking|BenchmarkServerMediate|BenchmarkTimelineCSV|BenchmarkSimulation|BenchmarkMediate100k|BenchmarkPopulationBuild100k|BenchmarkProviderIntention|BenchmarkIntentionsRange400|BenchmarkNotify400|BenchmarkServePaperLoop
+BENCH ?= BenchmarkRank|BenchmarkSelectTopN|BenchmarkLab|BenchmarkMediatorAllocate|BenchmarkMatchmaking|BenchmarkServerMediate|BenchmarkTimelineCSV|BenchmarkSimulation|BenchmarkMediate100k|BenchmarkPopulationBuild100k|BenchmarkProviderIntention|BenchmarkIntentionsRange400|BenchmarkNotify400|BenchmarkServePaperLoop|BenchmarkMediateNarrow|BenchmarkPopulationBuildNarrow
 
 # BENCH_COUNT repeats each benchmark -count times; tools/benchjson keeps one
 # record per benchmark (median ns/op and metrics, min/max ns/op, run count).
@@ -40,7 +42,7 @@ FUZZTIME ?= 30s
 # `go tool pprof -top` heads.
 PROFILE_DIR ?= artifacts/profile
 
-.PHONY: all build test race vet fmt-check cover fuzz bench serve-bench profile benchmark-selftest loc clean
+.PHONY: all build test race vet fmt-check cover fuzz bench bench-smoke serve-bench profile benchmark-selftest loc clean
 
 all: vet fmt-check build test
 
@@ -94,6 +96,13 @@ fmt-check:
 # steady-state serving report behind, it rides along under the "serving" key.
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -count $(BENCH_COUNT) -benchmem . | $(GO) run ./tools/benchjson -out BENCH_results.json -serving $(SERVE_JSON)
+
+# bench-smoke runs every benchmark bench records once (-benchtime 1x) and
+# through tools/benchjson, so CI keeps the list bench records working; a
+# failing benchmark fails the target. The numbers are not kept.
+bench-smoke:
+	$(GO) test -run '^$$' -bench '$(BENCH)' -benchtime 1x -benchmem . > BENCH_results.ci.txt
+	$(GO) run ./tools/benchjson -out BENCH_results.ci.json < BENCH_results.ci.txt
 
 # serve-bench measures the mediator-as-a-service throughput path at
 # |P| = 10000: sqlb-serve drives an open-loop schedule against the live

@@ -22,6 +22,7 @@ import (
 	"sqlb/internal/core"
 	"sqlb/internal/experiments"
 	"sqlb/internal/intention"
+	"sqlb/internal/matchmaking"
 	"sqlb/internal/metrics"
 	"sqlb/internal/model"
 	"sqlb/internal/randx"
@@ -810,6 +811,57 @@ func BenchmarkPopulationBuild100k(b *testing.B) {
 		runtime.GC()
 		runtime.ReadMemStats(&m1)
 	}
+	participants := float64(len(pop.Providers) + len(pop.Consumers))
+	b.ReportMetric(float64(m1.HeapAlloc-m0.HeapAlloc)/participants, "bytes/participant")
+}
+
+// narrowConfig is the repository benchmark's sim-narrow population: 1000
+// consumers, 2000 providers, each advertising one of 128 classes, so a Pq
+// holds about 15.6 providers.
+func narrowConfig() sqlb.Config {
+	cfg := sqlb.DefaultConfig().WithClasses(128)
+	cfg.Consumers, cfg.Providers, cfg.ProviderK = 1000, 2000, 100
+	cfg.CapabilitySelectivity = 1.0 / 128
+	return cfg
+}
+
+// BenchmarkMediateNarrow is one Mediator.Allocate over the sim-narrow
+// population through its match index, rotating class and consumer: a Pq of
+// a class's few providers, which the population lays out as one run of
+// each per-provider slab.
+func BenchmarkMediateNarrow(b *testing.B) {
+	pop := sqlb.NewPopulation(narrowConfig(), 1)
+	med := sqlb.NewMediator(sqlb.NewSQLB())
+	med.Match = matchmaking.BuildIndex(pop)
+	q := &model.Query{ID: 1, N: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.Class = i % len(pop.Classes)
+		q.Units = pop.Classes[q.Class].Units
+		q.Consumer = pop.Consumers[i%len(pop.Consumers)]
+		if _, err := med.Allocate(float64(i)*0.001, q, pop); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPopulationBuildNarrow builds the sim-narrow population: ns/op is
+// the set-up a narrow run pays, bytes/participant what it keeps resident.
+func BenchmarkPopulationBuildNarrow(b *testing.B) {
+	var pop *sqlb.Population
+	var m0, m1 runtime.MemStats
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		pop = nil
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		b.StartTimer()
+		pop = sqlb.NewPopulation(narrowConfig(), 1)
+	}
+	b.StopTimer()
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
 	participants := float64(len(pop.Providers) + len(pop.Consumers))
 	b.ReportMetric(float64(m1.HeapAlloc-m0.HeapAlloc)/participants, "bytes/participant")
 }

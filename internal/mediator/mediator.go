@@ -333,8 +333,10 @@ func (m *Mediator) allocateInto(out *Allocation, now float64, q *model.Query, pq
 // adq as the row store keeps it) and every
 // provider in Pq — selected or not — logs the proposal in both its public
 // (intention-fed) and private (preference-fed) windows. Pq is in ascending
-// ID order, the order in which a population lays its tracker words along a
-// line (satisfaction.InitCohort): where the trackers have seen equally many
+// ID order, and a population lays its tracker words along a line in Pq's
+// order (satisfaction.InitCohort): ID order when every Pq is the whole
+// population, one contiguous run per class under capability matchmaking
+// (model.NewPopulation). Where the trackers have seen equally many
 // proposals, this loop writes memory in sequence.
 //
 // The selected set is marked with an epoch stamp instead of a per-call map:

@@ -32,18 +32,21 @@ type Consumer struct {
 
 	// Alive is false once the consumer has left the system.
 	Alive bool
+	// hashedPrefs: prefSeed stands in for prefs (below).
+	hashedPrefs bool
 	// DepartedAt and DepartReason record the departure, if any.
 	DepartedAt   float64
 	DepartReason DepartureReason
 
-	// prefs[p.ID] is prf_c(·, p), drawn from the interest band of p's
-	// interest class. Per the experimental setup the preference depends on
-	// the provider, not on the query class. Nil when the population runs
-	// with hashed preferences (Config.HashedConsumerPrefs): then prefSeed
-	// derives prf_c(p) on demand and prefOverride carries any scripted
-	// overrides.
+	// prefs[layout.slot[p.ID]] is prf_c(·, p), drawn from the interest band
+	// of p's interest class (prefs[p.ID] when layout, the consumer's own
+	// population's, is nil). Per the experimental setup the preference
+	// depends on the provider, not on the query class. Nil when the
+	// population runs with hashed preferences (Config.HashedConsumerPrefs):
+	// then prefSeed derives prf_c(p) on demand and prefOverride carries any
+	// scripted overrides.
 	prefs        []float64
-	hashedPrefs  bool
+	layout       *layout
 	prefSeed     uint64
 	prefOverride map[int]float64
 	prefVersion  uint64
@@ -70,7 +73,16 @@ func (c *Consumer) Preference(p *Provider, queryClass int) float64 {
 	if p.ID >= len(c.prefs) {
 		return 0
 	}
-	return c.prefs[p.ID]
+	return c.prefs[c.prefIndex(p.ID)]
+}
+
+// prefIndex is where prf_c(·, p) of provider id < len(prefs) sits in the
+// preference row.
+func (c *Consumer) prefIndex(id int) int {
+	if c.layout != nil {
+		return int(c.layout.slot[id])
+	}
+	return id
 }
 
 // SetPreference overrides prf_c(·, p); used by examples that script
@@ -88,7 +100,7 @@ func (c *Consumer) SetPreference(providerID int, pref float64) {
 		return
 	}
 	if providerID < len(c.prefs) {
-		c.prefs[providerID] = satisfaction.Clamp(pref)
+		c.prefs[c.prefIndex(providerID)] = satisfaction.Clamp(pref)
 	}
 }
 

@@ -1,6 +1,8 @@
 package model
 
 import (
+	"math/bits"
+
 	"sqlb/internal/randx"
 	"sqlb/internal/satisfaction"
 )
@@ -12,6 +14,17 @@ type Population struct {
 	Providers []*Provider
 	Classes   []QueryClass
 	Config    Config
+
+	// layout is where each provider sits in the population's slabs; nil
+	// when they sit in ID order.
+	layout *layout
+}
+
+// layout maps a provider ID to its position in the slabs of a population
+// that does not keep them in ID order (see NewPopulation). Consumers hold a
+// pointer to it, not the slice, which keeps Consumer at two cache lines.
+type layout struct {
+	slot []int32
 }
 
 // NewPopulation builds a population from the configuration, drawing class
@@ -20,18 +33,20 @@ type Population struct {
 //
 // Memory layout: participants, trackers, utilization windows, ring storage,
 // preference vectors, and the providers' Definition 8 factor memos are all
-// carved from a handful of bulk arrays
-// instead of being allocated one object at a time. Participants created
-// together therefore sit adjacent in memory — the access order of the
-// mediation loop — and building a 100k-provider population is a few large
-// allocations instead of ~1M small ones. The provider trackers' rings are
-// one block laid out line-major (satisfaction.InitCohort): slot s of every
-// tracker is adjacent, the order a result notification writes them in.
-// The *Provider/*Consumer pointer API is unchanged (the pointers index into
-// the bulk arrays, and population membership is fixed after construction:
-// churn toggles Alive, it never appends). The RNG draw sequence is exactly
-// the per-object constructor's, so every seeded run is byte-identical to
-// the previous layout.
+// carved from a handful of bulk arrays, so building a 100k-provider
+// population is a few large allocations instead of ~1M small ones. The slabs
+// a mediation reads per candidate — Provider structs, utilization windows,
+// tracker cohort, factor memos, dense consumer preference rows — follow the
+// order the matchmaker hands out Pq: ID order when every Pq is the whole
+// population (the paper's setup); under capability matchmaking, by lowest
+// advertised class, generalists first and ID order within a class, so a
+// narrow Pq is one contiguous run of each slab, not |Pq| scattered lines.
+// The tracker rings are one block laid out line-major
+// (satisfaction.InitCohort), the order a result notification writes them
+// in. pop.Providers[i] is still ID i, Pq still ascends by ID, and membership
+// is fixed after construction (churn toggles Alive, it never appends). The
+// RNG draws are the per-object constructor's, in ID order, so every seeded
+// run is byte-identical to the ID-ordered layout.
 func NewPopulation(cfg Config, rng *randx.Rand, startTime float64) *Population {
 	pop := &Population{
 		Consumers: make([]*Consumer, cfg.Consumers),
@@ -50,9 +65,9 @@ func NewPopulation(cfg Config, rng *randx.Rand, startTime float64) *Population {
 	}
 	arena := satisfaction.NewArena(2 * consK * cfg.Consumers)
 	providers := make([]Provider, cfg.Providers)
-	// Provider i's public and private trackers are 2i and 2i+1 of one
-	// cohort, so the result notification of a mediation writes both of a
-	// provider's words in one line and sweeps Pq along it.
+	// The provider at position k has public and private trackers 2k and
+	// 2k+1 of one cohort, so the result notification of a mediation writes
+	// both of a provider's words in one line and sweeps Pq along it.
 	provTrackers := make([]satisfaction.ProviderTracker, 2*cfg.Providers)
 	satisfaction.InitCohort(provTrackers, cfg.ProviderK, cfg.InitialSatisfaction, cfg.PriorSamples)
 	utils := make([]UtilizationWindow, cfg.Providers)
@@ -69,17 +84,13 @@ func NewPopulation(cfg Config, rng *randx.Rand, startTime float64) *Population {
 			CapClass:      capc[i],
 			Capacity:      cfg.CapacityFor(capc[i]),
 			Reputation:    rng.Uniform(cfg.ReputationBand[0], cfg.ReputationBand[1]),
-			Public:        &provTrackers[2*i],
-			Private:       &provTrackers[2*i+1],
 			SmoothSat:     cfg.InitialSatisfaction,
 			SmoothAdq:     cfg.InitialSatisfaction,
 			SmoothUt:      cfg.InitialSatisfaction,
+			LoadHorizon:   cfg.LoadHorizon,
 			Alive:         true,
 			interestBand:  cfg.InterestBands[interest[i]],
 		}
-		p.Util = &utils[i]
-		p.Util.Init(cfg.UtilizationWindow, p.Capacity, startTime)
-		p.LoadHorizon = cfg.LoadHorizon
 		band := cfg.AdaptBands[p.AdaptClass]
 		p.prefs = provPrefs[i*nClasses : (i+1)*nClasses : (i+1)*nClasses]
 		for c := range p.prefs {
@@ -90,23 +101,43 @@ func NewPopulation(cfg Config, rng *randx.Rand, startTime float64) *Population {
 
 	assignCapabilities(pop.Providers, cfg, rng)
 
+	// order[k] is the ID of the provider at position k; nil is ID order.
+	var order []int32
+	if cfg.Heterogeneous() {
+		pop.layout, order = classMajor(providers, nClasses)
+		slot := pop.layout.slot
+		for k := range providers {
+			for j := slot[providers[k].ID]; int(j) != k; j = slot[providers[k].ID] {
+				providers[k], providers[j] = providers[j], providers[k]
+			}
+		}
+	}
+
 	// Definition 8's preference-factor memo: one entry per advertised
 	// (provider, class), known only now that the capability sets are drawn.
 	slots := 0
-	for i := range providers {
-		slots += providers[i].advertisedClasses()
+	for k := range providers {
+		slots += providers[k].advertisedClasses()
 	}
 	factors := make([]factorMemo, slots)
-	for i := range providers {
-		n := providers[i].advertisedClasses()
-		providers[i].memo.pref, factors = factors[:n:n], factors[n:]
+	for k := range providers {
+		p := &providers[k]
+		pop.Providers[p.ID] = p
+		p.Public, p.Private = &provTrackers[2*k], &provTrackers[2*k+1]
+		p.Util = &utils[k]
+		p.Util.Init(cfg.UtilizationWindow, p.Capacity, startTime)
+		n := p.advertisedClasses()
+		p.memo.pref, factors = factors[:n:n], factors[n:]
 	}
 
 	consumers := make([]Consumer, cfg.Consumers)
 	consTrackers := make([]satisfaction.ConsumerTracker, cfg.Consumers)
-	var consPrefs []float64
+	var consPrefs, draws []float64
 	if !cfg.HashedConsumerPrefs {
 		consPrefs = make([]float64, cfg.Consumers*cfg.Providers)
+		if order != nil {
+			draws = make([]float64, cfg.Providers)
+		}
 	}
 	for i := range consumers {
 		c := &consumers[i]
@@ -125,14 +156,58 @@ func NewPopulation(cfg Config, rng *randx.Rand, startTime float64) *Population {
 			c.prefSeed = rng.Uint64()
 		} else {
 			c.prefs = consPrefs[i*cfg.Providers : (i+1)*cfg.Providers : (i+1)*cfg.Providers]
-			for j, p := range pop.Providers {
-				band := cfg.InterestBands[p.InterestClass]
-				c.prefs[j] = rng.Uniform(band[0], band[1])
+			c.layout = pop.layout
+			// The row is drawn in ID order, the RNG's, and copied in
+			// layout order: stores scattered over the freshly zeroed row
+			// cost more than the copy.
+			row := c.prefs
+			if order != nil {
+				row = draws
+			}
+			for j, class := range interest {
+				band := cfg.InterestBands[class]
+				row[j] = rng.Uniform(band[0], band[1])
+			}
+			for k, id := range order {
+				c.prefs[k] = draws[id]
 			}
 		}
 		pop.Consumers[i] = c
 	}
 	return pop
+}
+
+// classMajor lays providers out by their lowest advertised class with a
+// stable counting sort: generalists first, then class 0's, class 1's, …, and
+// last any provider that advertises nothing, each run in ascending ID. It
+// returns the layout and its inverse, the ID at each position.
+func classMajor(providers []Provider, nClasses int) (*layout, []int32) {
+	key := func(p *Provider) int {
+		if p.caps == nil {
+			return 0
+		}
+		for w, word := range p.caps {
+			if word != 0 {
+				return 1 + min(w*64+bits.TrailingZeros64(word), nClasses)
+			}
+		}
+		return 1 + nClasses
+	}
+	start := make([]int32, nClasses+3)
+	for k := range providers {
+		start[key(&providers[k])+1]++
+	}
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	l := &layout{slot: make([]int32, len(providers))}
+	order := make([]int32, len(providers))
+	for id := range providers {
+		pos := &start[key(&providers[id])]
+		l.slot[id], order[*pos] = *pos, int32(id)
+		*pos++
+	}
+	return l, order
 }
 
 // assignCapabilities draws each provider's advertised capability set for

@@ -22,6 +22,7 @@ package main
 
 import (
 	"bufio"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -158,7 +159,7 @@ func runPairs(log io.Writer, cfg runConfig) error {
 		}
 		cfg.baseDir = dir
 	}
-	parent, err := commit(cfg.baseDir)
+	parent, err := describe(cfg.baseDir)
 	if err != nil {
 		return fmt.Errorf("parent checkout: %w", err)
 	}
@@ -167,7 +168,7 @@ func runPairs(log io.Writer, cfg runConfig) error {
 			return fmt.Errorf("parent checkout %s holds %s, not -base %s", cfg.baseDir, parent, cfg.base)
 		}
 	}
-	change, err := commit(cfg.changeDir)
+	change, err := describe(cfg.changeDir)
 	if err != nil {
 		return fmt.Errorf("change checkout: %w", err)
 	}
@@ -238,17 +239,50 @@ func git(dir string, args ...string) (string, error) {
 }
 
 // commit names what dir holds: its commit, "+dirty" when the tree differs
-// from it. A directory that is not a git checkout is an error: nothing
-// would say what it holds.
+// from it, tracked files or untracked ones git does not ignore. A directory
+// that is not a git checkout is an error: nothing would say what it holds.
 func commit(dir string) (string, error) {
 	sha, err := git(dir, "rev-parse", "HEAD")
 	if err != nil {
 		return "", fmt.Errorf("%s is not a git checkout: %w", dir, err)
 	}
-	if status, _ := git(dir, "status", "--porcelain", "--untracked-files=no"); status != "" {
+	if status, _ := git(dir, "status", "--porcelain"); status != "" {
 		sha += "+dirty"
 	}
 	return sha, nil
+}
+
+// describe is commit with, for a dirty tree, the SHA-256 of what makes it
+// dirty: the binary diff of the tracked files against HEAD, then every
+// untracked file git does not ignore, by path and content. Two dirty trees
+// at one commit read apart.
+func describe(dir string) (string, error) {
+	name, err := commit(dir)
+	if err != nil || !strings.HasSuffix(name, "+dirty") {
+		return name, err
+	}
+	h := sha256.New()
+	diff, err := git(dir, "diff", "--binary", "HEAD")
+	if err != nil {
+		return "", err
+	}
+	io.WriteString(h, diff)
+	untracked, err := git(dir, "ls-files", "-z", "--others", "--exclude-standard")
+	if err != nil {
+		return "", err
+	}
+	for _, path := range strings.Split(untracked, "\x00") {
+		if path == "" {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, path))
+		if err != nil {
+			return "", err
+		}
+		fmt.Fprintf(h, "\x00%s\x00%d\x00", path, len(data))
+		h.Write(data)
+	}
+	return fmt.Sprintf("%s (content sha256 %x)", name, h.Sum(nil)), nil
 }
 
 // host describes what the runs shared: cores, GOMAXPROCS, whether the CPU

@@ -248,3 +248,37 @@ func TestRunPairsNamesItsParent(t *testing.T) {
 		}
 	}
 }
+
+// TestDescribeHashesADirtyTree checks that the header names a dirty tree's
+// content: two different edits at one commit, and an untracked file, give
+// three different hashes, and a clean tree gives none.
+func TestDescribeHashesADirtyTree(t *testing.T) {
+	dir := t.TempDir()
+	sha := fakeBenchmark(t, dir, "10")
+	if got, err := describe(dir); err != nil || got != sha {
+		t.Fatalf("clean tree: %q, %v; want %q", got, err, sha)
+	}
+	write := func(name, content string) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := map[string]string{}
+	for _, step := range []struct{ name, file, content string }{
+		{"one edit", "benchmark/run.sh", "one"},
+		{"another edit", "benchmark/run.sh", "two"},
+		{"an untracked file", "new.go", "package x"},
+	} {
+		write(step.file, step.content)
+		got, err := describe(dir)
+		if err != nil || !strings.HasPrefix(got, sha+"+dirty (content sha256 ") {
+			t.Fatalf("%s: %q, %v", step.name, got, err)
+		}
+		for name, prev := range seen {
+			if prev == got {
+				t.Errorf("%s and %s both read %q", step.name, name, got)
+			}
+		}
+		seen[step.name] = got
+	}
+}
