@@ -72,20 +72,17 @@ cover:
 # fuzz runs the native Go fuzz targets, FUZZTIME each: the scenario parser
 # (arbitrary bytes must never panic, and accepted documents must validate
 # and re-parse identically), the pruning bounds of the ranking kernel
-# (for arbitrary pi, ci, ω, ε neither pow-free bound is below Score),
-# Definition 8's memo (whatever is done to a provider between evaluations,
-# Provider.Intention returns the bits of intention.Provider), its bounded
-# entrance (under the same scripts Provider.IntentionOrBound returns those
-# bits or a value between them and −1 that rates like them), and the
-# mediator's consumer-intention rows (whatever churn, feedback, field writes
-# and SetPreference do between mediations, every CI slot and Equation 1
-# value a mediation reads has the bits of a fresh evaluation).
+# (for arbitrary pi, ci, ω, ε neither pow-free bound is below Score), and
+# every mediation entrance against a naive Algorithm 1 (whatever churn,
+# clock, load, feedback, field writes, capability edits and SetPreference
+# do between mediations, Mediator.Allocate, Server.Mediate and
+# Server.MediateBatch decide and record what the reference does on a twin
+# population: FuzzMediation, docs/ARCHITECTURE.md "Equivalence: one
+# reference").
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzScoreBound -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzProviderIntentionMemo -fuzztime $(FUZZTIME) ./internal/model
-	$(GO) test -run '^$$' -fuzz FuzzIntentionBound -fuzztime $(FUZZTIME) ./internal/model
-	$(GO) test -run '^$$' -fuzz FuzzConsumerRows -fuzztime $(FUZZTIME) ./internal/mediator
+	$(GO) test -run '^$$' -fuzz FuzzMediation -fuzztime $(FUZZTIME) ./internal/mediator
 
 # fmt-check fails if any file needs gofmt — the godoc/format gate CI runs.
 fmt-check:

@@ -172,17 +172,6 @@ func (t *ProviderTerms) Bound(preferenceFactor float64) (bound float64, ok bool)
 	return -l, true
 }
 
-// ConsumerExpressed is Consumer clamped to the expressed range [-1,1] of
-// Section 2 — the value a consumer actually communicates to the mediator.
-func ConsumerExpressed(pref, rep, upsilon, epsilon float64) float64 {
-	return clamp(Consumer(pref, rep, upsilon, epsilon), -1, 1)
-}
-
-// ProviderExpressed is Provider clamped to the expressed range [-1,1].
-func ProviderExpressed(pref, util, sat, epsilon float64) float64 {
-	return clamp(Provider(pref, util, sat, epsilon), -1, 1)
-}
-
 func clamp(v, lo, hi float64) float64 {
 	if !(v >= lo) { // below, or NaN
 		return lo

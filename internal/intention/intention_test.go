@@ -146,18 +146,6 @@ func TestFigure2SurfaceShape(t *testing.T) {
 	}
 }
 
-func TestExpressedClamped(t *testing.T) {
-	if got := ConsumerExpressed(-1, -1, 0.5, 1); got != -1 {
-		t.Errorf("expressed consumer intention = %v, want clamped -1", got)
-	}
-	if got := ProviderExpressed(-1, 2, 0.5, 1); got != -1 {
-		t.Errorf("expressed provider intention = %v, want clamped -1", got)
-	}
-	if got := ProviderExpressed(0.5, 0.2, 0.5, 1); got < -1 || got > 1 {
-		t.Errorf("expressed intention out of range: %v", got)
-	}
-}
-
 func TestInputClamping(t *testing.T) {
 	// Garbage inputs must not produce NaN.
 	cases := []float64{

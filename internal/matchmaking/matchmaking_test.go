@@ -41,22 +41,47 @@ func TestBuildIndexHomogeneous(t *testing.T) {
 	}
 }
 
-func TestIndexMatchesNaiveScanHeterogeneous(t *testing.T) {
-	pop := capPop(t, 40, 8, 0.25, 3)
+// checkScan holds the index's Pq for class to the naive sound-and-complete
+// procedure: a full scan for the alive providers that advertise the class,
+// in ID order.
+func checkScan(t *testing.T, ix *Index, pop *model.Population, class int) {
+	t.Helper()
+	var want []*model.Provider
+	for _, p := range pop.Providers {
+		if p.Alive && p.CanServe(class) {
+			want = append(want, p)
+		}
+	}
+	got := ix.Lookup(class)
+	if len(got) != len(want) {
+		t.Fatalf("class %d: index %d providers, scan %d", class, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("class %d: index[%d] = provider %d, scan has %d", class, i, got[i].ID, want[i].ID)
+		}
+	}
+}
+
+// TestIndexEquivalenceWithHandEditedCapabilities covers capability sets
+// that the population builder never produces: empty sets and single-class
+// specialists set before the index is built, and a set edited after it
+// (Remove→edit→Add around the edit, the documented protocol).
+func TestIndexEquivalenceWithHandEditedCapabilities(t *testing.T) {
+	const classes = 5
+	pop := capPop(t, 12, classes, 0, 4)
+	pop.Providers[0].SetCapabilities(nil, classes)
+	pop.Providers[1].SetCapabilities([]int{4}, classes)
 	ix := BuildIndex(pop)
-	oracle := mediator.ByCapability()
-	for c := 0; c < 8; c++ {
-		q := &model.Query{Class: c}
-		want := oracle.Match(q, pop)
-		got := ix.Lookup(c)
-		if len(got) != len(want) {
-			t.Fatalf("class %d: index %d providers, scan %d", c, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("class %d: index[%d] = provider %d, scan has %d", c, i, got[i].ID, want[i].ID)
-			}
-		}
+	for c := 0; c < classes; c++ {
+		checkScan(t, ix, pop, c)
+	}
+	p := pop.Providers[3]
+	ix.Remove(p)
+	p.SetCapabilities([]int{0, 2}, classes)
+	ix.Add(p)
+	for c := 0; c < classes; c++ {
+		checkScan(t, ix, pop, c)
 	}
 }
 

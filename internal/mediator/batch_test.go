@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"sqlb/internal/allocator"
-	"sqlb/internal/matchmaking"
 	"sqlb/internal/model"
 	"sqlb/internal/randx"
 )
@@ -40,177 +39,6 @@ func mintQueries(pop *model.Population, n int) []*model.Query {
 	return qs
 }
 
-// entranceFixture builds one population of a same-seed family: four query
-// classes and specialists advertising half of them, so Pq differs by class
-// and the index matchmaker has real posting lists to answer from. The
-// providers have re-assessed themselves — δs is off its initial ½, where a
-// load factor costs no pow and nothing would be deferred — and half of them
-// start with a backlog, so unwilling.
-func entranceFixture() *model.Population {
-	cfg := model.DefaultConfig().WithClasses(4)
-	cfg.Consumers = 5
-	cfg.Providers = 24
-	cfg.CapabilitySelectivity = 0.5
-	pop := model.NewPopulation(cfg, randx.New(33), 0)
-	for i, p := range pop.Providers {
-		p.SmoothSat = 0.3 + 0.05*float64(i%9)
-		if i%2 == 0 {
-			p.Assign(0, 8*p.Capacity)
-		}
-	}
-	return pop
-}
-
-// mintClassQueries is mintQueries spread over every class of the population.
-func mintClassQueries(pop *model.Population, n int) []*model.Query {
-	qs := mintQueries(pop, n)
-	for i, q := range qs {
-		q.Class = (i / 2) % len(pop.Classes)
-		q.Units = pop.Classes[q.Class].Units
-	}
-	return qs
-}
-
-// resolveAll makes a strategy look at every provider intention before it
-// allocates, so that the mediator it is given to leaves PI exact in every
-// slot: the reference side of a comparison under Allocation's PI contract.
-type resolveAll struct{ allocator.Allocator }
-
-func (r resolveAll) Allocate(req *allocator.Request) []int {
-	req.ResolvePI()
-	return r.Allocator.Allocate(req)
-}
-
-// piHolds is Allocation's contract for one slot of PI, given Definition 8's
-// exact value: those bits, or an upper bound ≤ −1 of them.
-func piHolds(got, exact float64) bool {
-	return math.Float64bits(got) == math.Float64bits(exact) || (exact <= got && got <= -1)
-}
-
-// sameAllocation compares an entrance's allocation with the reference's,
-// which ran under resolveAll: the same providers in Pq, the same selection,
-// bit-equal consumer intentions, provider intentions that hold the contract
-// against the reference's exact ones and are exact for everyone selected.
-func sameAllocation(t *testing.T, entrance string, i int, got, want *Allocation) (bounds int) {
-	t.Helper()
-	if len(got.Pq) != len(want.Pq) || !equalInts(got.Selected, want.Selected) {
-		t.Fatalf("query %d: %s has |Pq| %d, selected %v; reference |Pq| %d, selected %v",
-			i, entrance, len(got.Pq), got.Selected, len(want.Pq), want.Selected)
-	}
-	for j := range want.Pq {
-		if got.Pq[j].ID != want.Pq[j].ID ||
-			math.Float64bits(got.CI[j]) != math.Float64bits(want.CI[j]) ||
-			!piHolds(got.PI[j], want.PI[j]) {
-			t.Fatalf("query %d candidate %d: %s has p%d ci %v pi %v, reference p%d ci %v pi %v", i, j, entrance,
-				got.Pq[j].ID, got.CI[j], got.PI[j], want.Pq[j].ID, want.CI[j], want.PI[j])
-		}
-		if got.PI[j] != want.PI[j] {
-			bounds++
-		}
-	}
-	for _, j := range got.Selected {
-		if math.Float64bits(got.PI[j]) != math.Float64bits(want.PI[j]) {
-			t.Fatalf("query %d: %s selected p%d on pi %v, reference has %v", i, entrance, got.Pq[j].ID, got.PI[j], want.PI[j])
-		}
-	}
-	return bounds
-}
-
-// samePopulationState compares what the mediations left behind in every
-// participant: the satisfaction windows and, under apply, the queues.
-func samePopulationState(t *testing.T, entrance string, got, want *model.Population) {
-	t.Helper()
-	for i, w := range want.Providers {
-		g := got.Providers[i]
-		if g.Public.Proposed() != w.Public.Proposed() || g.Public.Performed() != w.Public.Performed() ||
-			g.Public.Satisfaction() != w.Public.Satisfaction() || g.Private.Satisfaction() != w.Private.Satisfaction() ||
-			g.QueriesPerformed != w.QueriesPerformed || g.Backlog(0) != w.Backlog(0) {
-			t.Fatalf("provider %d: %s left %d/%d proposals, δs %v/%v, %d performed; reference %d/%d, %v/%v, %d", i, entrance,
-				g.Public.Performed(), g.Public.Proposed(), g.Public.Satisfaction(), g.Private.Satisfaction(), g.QueriesPerformed,
-				w.Public.Performed(), w.Public.Proposed(), w.Public.Satisfaction(), w.Private.Satisfaction(), w.QueriesPerformed)
-		}
-	}
-	for i, w := range want.Consumers {
-		g := got.Consumers[i]
-		if g.Tracker.Queries() != w.Tracker.Queries() || g.Tracker.Satisfaction() != w.Tracker.Satisfaction() {
-			t.Fatalf("consumer %d: %s left %d queries, δs %v; reference %d, %v", i, entrance,
-				g.Tracker.Queries(), g.Tracker.Satisfaction(), w.Tracker.Queries(), w.Tracker.Satisfaction())
-		}
-	}
-}
-
-// TestMediateBatchEquivalentToSequential holds the server's two entrances
-// against an independent reference. Mediate and MediateBatch run one body,
-// so comparing them with each other would compare the code with itself; the
-// reference is Mediator.Allocate — the simulator's entrance, which gathers
-// intentions in its own loop and shares only the allocation commit with the
-// server — on a same-seed twin population, with the allocation applied by
-// hand when the servers apply theirs. Every entrance sees the same stream
-// at the same clock readings, batches of uneven size are consumed in turn
-// out of the reused scratch, and all three must agree query for query —
-// selections, intentions (the reference resolves every PI, the entrances
-// only those SQLB asks for) — and in the state they leave behind.
-//
-// Under SetApply a batch's Definition 8 vector is a snapshot from the start
-// of the batch (stale by up to one batch, by contract), so there only
-// Mediate is held against the reference.
-func TestMediateBatchEquivalentToSequential(t *testing.T) {
-	for _, apply := range []bool{false, true} {
-		popRef, popSeq, popBatch := entranceFixture(), entranceFixture(), entranceFixture()
-		clock := 0.0
-		now := func() float64 { return clock }
-		ref := New(resolveAll{allocator.NewSQLB()})
-		ref.Match = matchmaking.BuildIndex(popRef)
-		seq := NewServer(allocator.NewSQLB(), popSeq, 0, now)
-		seq.SetMatchmaker(matchmaking.BuildIndex(popSeq))
-		seq.SetApply(apply)
-		bat := NewServer(allocator.NewSQLB(), popBatch, 0, now)
-		bat.SetMatchmaker(matchmaking.BuildIndex(popBatch))
-
-		const n = 160
-		bounds := 0
-		qsRef, qsSeq, qsBatch := mintClassQueries(popRef, n), mintClassQueries(popSeq, n), mintClassQueries(popBatch, n)
-		for lo, size := 0, 1; lo < n; lo, size = lo+size, size%7+2 {
-			hi := min(lo+size, n)
-			clock += 0.25
-			var results []BatchResult
-			if !apply {
-				results = bat.MediateBatch(context.Background(), qsBatch[lo:hi])
-			}
-			for i := lo; i < hi; i++ {
-				want, err := ref.Allocate(clock, qsRef[i], popRef)
-				if err != nil {
-					t.Fatalf("apply=%v query %d: reference: %v", apply, i, err)
-				}
-				if apply {
-					for _, idx := range want.Selected {
-						want.Pq[idx].Assign(clock, qsRef[i].Units)
-					}
-				}
-				got, err := seq.Mediate(context.Background(), qsSeq[i])
-				if err != nil {
-					t.Fatalf("apply=%v query %d: Mediate: %v", apply, i, err)
-				}
-				bounds += sameAllocation(t, "Mediate", i, got, want)
-				if !apply {
-					if r := results[i-lo]; r.Err != nil {
-						t.Fatalf("query %d: MediateBatch: %v", i, r.Err)
-					} else {
-						sameAllocation(t, "MediateBatch", i, r.Alloc, want)
-					}
-				}
-			}
-		}
-		if bounds == 0 {
-			t.Errorf("apply=%v: no provider intention was left as a bound; the comparison ran on exact values only", apply)
-		}
-		samePopulationState(t, "Mediate", popSeq, popRef)
-		if !apply {
-			samePopulationState(t, "MediateBatch", popBatch, popRef)
-		}
-	}
-}
-
 func TestMediateBatchPerQueryErrors(t *testing.T) {
 	pop := newPop(t, 2, 4)
 	srv := NewServer(allocator.NewSQLB(), pop, 50*time.Millisecond, func() float64 { return 0 })
@@ -219,9 +47,9 @@ func TestMediateBatchPerQueryErrors(t *testing.T) {
 	noConsumer.Consumer = nil
 	unservable := newQuery(pop, 3, 1)
 	unservable.Class = 99 // no provider advertises it under a class-bounded matchmaker
-	srv.SetMatchmaker(CapabilityMatcher{Capable: func(p *model.Provider, class int) bool {
+	srv.SetMatchmaker(matchFunc(func(p *model.Provider, class int) bool {
 		return class < 2
-	}})
+	}))
 	res := srv.MediateBatch(context.Background(), []*model.Query{good, noConsumer, unservable, nil})
 	if res[0].Err != nil || res[0].Alloc == nil {
 		t.Fatalf("good query failed: %v", res[0].Err)
@@ -324,7 +152,7 @@ func TestServerMediateCloseRace(t *testing.T) {
 // TestMediateBatchHostileClasses: a query whose class the population does
 // not define — negative, just past the end, absurdly large — gets the same
 // outcome from MediateBatch as from Mediate under both kinds of matchmaker
-// (a class-bounded one finds it no provider, AllProviders matches everyone), the
+// (a class-bounded one finds it no provider, a nil one matches everyone), the
 // per-class cache does not grow to reach it, and the mediation lock is
 // released afterwards.
 func TestMediateBatchHostileClasses(t *testing.T) {
@@ -335,9 +163,9 @@ func TestMediateBatchHostileClasses(t *testing.T) {
 		seq := NewServer(allocator.NewSQLB(), popSeq, 100*time.Millisecond, now)
 		bat := NewServer(allocator.NewSQLB(), popBatch, 100*time.Millisecond, now)
 		if bounded {
-			onlyDefined := CapabilityMatcher{Capable: func(_ *model.Provider, class int) bool {
+			onlyDefined := matchFunc(func(_ *model.Provider, class int) bool {
 				return class >= 0 && class < len(popSeq.Classes)
-			}}
+			})
 			seq.SetMatchmaker(onlyDefined)
 			bat.SetMatchmaker(onlyDefined)
 		}
@@ -377,7 +205,7 @@ func TestMediateBatchHostileClasses(t *testing.T) {
 			t.Fatal("fixture: the class-bounded matchmaker served a hostile class")
 		}
 		if !bounded && wantErr[1] != nil {
-			t.Fatalf("fixture: AllProviders refused a hostile class: %v", wantErr[1])
+			t.Fatalf("fixture: the nil matchmaker refused a hostile class: %v", wantErr[1])
 		}
 		if got := len(bat.batch.stamp); got != len(popBatch.Classes) {
 			t.Fatalf("bounded=%v: per-class cache holds %d classes, population defines %d", bounded, got, len(popBatch.Classes))
@@ -396,65 +224,4 @@ func TestMediateBatchHostileClasses(t *testing.T) {
 			t.Fatalf("bounded=%v: mediation lock still held after the batch", bounded)
 		}
 	}
-}
-
-// TestMediateBatchesConsumedInTurn is the lifetime contract in use: a
-// caller that reads each batch's results before its next call sees, batch
-// after batch out of the same reused scratch, what sequential Mediate
-// returns — selections, intention vectors, and the trackers' state.
-func TestMediateBatchesConsumedInTurn(t *testing.T) {
-	popSeq, popBatch := batchFixture(t, 5, 24)
-	clock := 0.0
-	now := func() float64 { return clock }
-	seq := NewServer(resolveAll{allocator.NewSQLB()}, popSeq, 100*time.Millisecond, now)
-	bat := NewServer(allocator.NewSQLB(), popBatch, 100*time.Millisecond, now)
-	seq.SetApply(true)
-	bat.SetApply(true)
-	const n = 120
-	qsSeq, qsBatch := mintQueries(popSeq, n), mintQueries(popBatch, n)
-	// Batches of uneven size, so the slab shrinks and regrows; one query
-	// per class and batch keeps Definition 8's load term identical on both
-	// sides (see MediateBatch on intra-batch staleness under SetApply).
-	for lo, size := 0, 1; lo < n; lo, size = lo+size, size%2+1 {
-		hi := min(lo+size, n)
-		clock++
-		results := bat.MediateBatch(context.Background(), qsBatch[lo:hi])
-		for i, r := range results {
-			want, err := seq.Mediate(context.Background(), qsSeq[lo+i])
-			if err != nil || r.Err != nil {
-				t.Fatalf("query %d: sequential err %v, batch err %v", lo+i, err, r.Err)
-			}
-			if r.Alloc.Query != qsBatch[lo+i] {
-				t.Fatalf("query %d: result carries query %d", lo+i, r.Alloc.Query.ID)
-			}
-			if !equalInts(r.Alloc.Selected, want.Selected) {
-				t.Fatalf("query %d: batch selected %v, sequential %v", lo+i, r.Alloc.Selected, want.Selected)
-			}
-			for j := range want.CI {
-				if r.Alloc.CI[j] != want.CI[j] || !piHolds(r.Alloc.PI[j], want.PI[j]) {
-					t.Fatalf("query %d provider %d: intentions diverged (%v/%v vs %v/%v)",
-						lo+i, j, r.Alloc.CI[j], r.Alloc.PI[j], want.CI[j], want.PI[j])
-				}
-			}
-		}
-	}
-	for i, p := range popSeq.Providers {
-		pb := popBatch.Providers[i]
-		if p.Public.Satisfaction() != pb.Public.Satisfaction() || p.QueriesPerformed != pb.QueriesPerformed {
-			t.Fatalf("provider %d diverged: δs %v vs %v, performed %d vs %d",
-				i, p.Public.Satisfaction(), pb.Public.Satisfaction(), p.QueriesPerformed, pb.QueriesPerformed)
-		}
-	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -36,71 +36,6 @@ type Matchmaker interface {
 	Match(q *model.Query, pop *model.Population) []*model.Provider
 }
 
-// BufferedMatchmaker is the allocation-free variant of Matchmaker: MatchInto
-// appends the matchmade set to buf (reusing its capacity) instead of
-// allocating a fresh slice per query. The mediator's fast path probes for it
-// and lends its own scratch buffer; the ordering contract is the same as
-// Match's. A matchmaker without it (the inverted index) has its answer
-// copied into the same buffer (see matchInto).
-type BufferedMatchmaker interface {
-	Matchmaker
-	// MatchInto appends the alive providers able to treat q to buf and
-	// returns the extended slice, in ascending provider-ID order.
-	MatchInto(buf []*model.Provider, q *model.Query, pop *model.Population) []*model.Provider
-}
-
-// AllProviders is the experimental-setup matchmaker: every provider still
-// registered to the mediator can treat every query.
-type AllProviders struct{}
-
-// Match implements Matchmaker.
-func (AllProviders) Match(_ *model.Query, pop *model.Population) []*model.Provider {
-	return pop.AliveProviders()
-}
-
-// MatchInto implements BufferedMatchmaker.
-func (AllProviders) MatchInto(buf []*model.Provider, _ *model.Query, pop *model.Population) []*model.Provider {
-	for _, p := range pop.Providers {
-		if p.Alive {
-			buf = append(buf, p)
-		}
-	}
-	return buf
-}
-
-// CapabilityMatcher matches on a per-provider capability predicate; used by
-// examples where providers serve only some query classes.
-type CapabilityMatcher struct {
-	// Capable reports whether the provider can treat queries of the class.
-	Capable func(p *model.Provider, queryClass int) bool
-}
-
-// Match implements Matchmaker.
-func (m CapabilityMatcher) Match(q *model.Query, pop *model.Population) []*model.Provider {
-	return m.MatchInto(make([]*model.Provider, 0, len(pop.Providers)), q, pop)
-}
-
-// MatchInto implements BufferedMatchmaker.
-func (m CapabilityMatcher) MatchInto(buf []*model.Provider, q *model.Query, pop *model.Population) []*model.Provider {
-	for _, p := range pop.Providers {
-		if p.Alive && (m.Capable == nil || m.Capable(p, q.Class)) {
-			buf = append(buf, p)
-		}
-	}
-	return buf
-}
-
-// ByCapability returns the naive sound-and-complete matchmaker over the
-// providers' advertised capability sets (model.Provider.CanServe): a full
-// O(|P|) population scan per query. It is the reference the indexed
-// matchmaker (internal/matchmaking) is property-tested against, and the
-// baseline its benchmarks beat.
-func ByCapability() CapabilityMatcher {
-	return CapabilityMatcher{Capable: func(p *model.Provider, queryClass int) bool {
-		return p.CanServe(queryClass)
-	}}
-}
-
 // Allocation is the outcome of mediating one query.
 type Allocation struct {
 	// Query is the mediated query.
@@ -146,7 +81,7 @@ func (a *Allocation) SelectedProviders() []*model.Provider {
 type Mediator struct {
 	// Strategy is the query-allocation method under test.
 	Strategy allocator.Allocator
-	// Match is the matchmaking procedure; nil means AllProviders.
+	// Match is the matchmaking procedure; nil means every alive provider.
 	Match Matchmaker
 
 	// scratch holds the mediator's reusable per-mediation buffers. A
@@ -208,10 +143,10 @@ func (l *lazyPI) Resolve(i int) {
 	}
 }
 
-// New returns a mediator using the given strategy and the all-providers
-// matchmaker.
+// New returns a mediator using the given strategy and no matchmaker: every
+// alive provider can treat every query.
 func New(strategy allocator.Allocator) *Mediator {
-	return &Mediator{Strategy: strategy, Match: AllProviders{}}
+	return &Mediator{Strategy: strategy}
 }
 
 // Allocate mediates one query at the given time: matchmaking, intention
@@ -242,19 +177,21 @@ func (m *Mediator) Allocate(now float64, q *model.Query, pop *model.Population) 
 	return &sc.alloc, nil
 }
 
-// matchInto appends Pq for q to buf (line 1 of Algorithm 1): through
-// MatchInto when the matchmaker has it, else by copying Match's answer.
-// Either way Pq lives in storage the caller owns, so a later lazy prune of
-// an index posting list cannot reach into a mediation in progress. A nil
-// matchmaker is AllProviders.
+// matchInto appends Pq for q to buf (line 1 of Algorithm 1). A nil
+// matchmaker is the paper's experimental setup, every alive provider, scanned
+// here; any other's answer is copied. Either way Pq lives in storage the
+// caller owns, so a later lazy prune of an index posting list cannot reach
+// into a mediation in progress.
 func matchInto(match Matchmaker, buf []*model.Provider, q *model.Query, pop *model.Population) []*model.Provider {
-	if match == nil {
-		match = AllProviders{}
+	if match != nil {
+		return append(buf, match.Match(q, pop)...)
 	}
-	if bm, ok := match.(BufferedMatchmaker); ok {
-		return bm.MatchInto(buf, q, pop)
+	for _, p := range pop.Providers {
+		if p.Alive {
+			buf = append(buf, p)
+		}
 	}
-	return append(buf, match.Match(q, pop)...)
+	return buf
 }
 
 // providerIntentions fills pi and deferred, resized to len(pq), with

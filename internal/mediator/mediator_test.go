@@ -17,6 +17,18 @@ func newPop(t *testing.T, consumers, providers int) *model.Population {
 	return model.NewPopulation(cfg, randx.New(21), 0)
 }
 
+// matchFunc is a predicate matchmaker: the alive providers it accepts.
+type matchFunc func(p *model.Provider, class int) bool
+
+func (f matchFunc) Match(q *model.Query, pop *model.Population) (pq []*model.Provider) {
+	for _, p := range pop.Providers {
+		if p.Alive && f(p, q.Class) {
+			pq = append(pq, p)
+		}
+	}
+	return pq
+}
+
 func newQuery(pop *model.Population, id uint64, n int) *model.Query {
 	return &model.Query{
 		ID:       id,
@@ -48,32 +60,6 @@ func TestMediatorAllocateHappyPath(t *testing.T) {
 	sel := alloc.SelectedProviders()
 	if len(sel) != 1 || sel[0] != alloc.Pq[alloc.Selected[0]] {
 		t.Error("SelectedProviders does not match Selected indexes")
-	}
-}
-
-func TestMediatorRecordsAllParticipants(t *testing.T) {
-	pop := newPop(t, 1, 5)
-	med := New(allocator.NewSQLB())
-	q := newQuery(pop, 1, 2)
-	alloc, err := med.Allocate(0, q, pop)
-	if err != nil {
-		t.Fatalf("Allocate: %v", err)
-	}
-	if got := pop.Consumers[0].Tracker.Queries(); got != 1 {
-		t.Errorf("consumer recorded %d queries, want 1", got)
-	}
-	performed := 0
-	for _, p := range pop.Providers {
-		if p.Public.Proposed() != 1 {
-			t.Errorf("provider %d public proposals = %d, want 1 (result notification)", p.ID, p.Public.Proposed())
-		}
-		if p.Private.Proposed() != 1 {
-			t.Errorf("provider %d private proposals = %d, want 1", p.ID, p.Private.Proposed())
-		}
-		performed += p.Public.Performed()
-	}
-	if performed != len(alloc.Selected) {
-		t.Errorf("performed entries = %d, want %d", performed, len(alloc.Selected))
 	}
 }
 
@@ -112,32 +98,10 @@ func TestMediatorNoProvidersIsErrNoProviders(t *testing.T) {
 	// the engine's drop accounting relies on.
 	pop := newPop(t, 1, 2)
 	med := New(allocator.NewSQLB())
-	med.Match = CapabilityMatcher{Capable: func(*model.Provider, int) bool { return false }}
+	med.Match = matchFunc(func(*model.Provider, int) bool { return false })
 	_, err := med.Allocate(0, newQuery(pop, 1, 1), pop)
 	if !errors.Is(err, ErrNoProviders) {
 		t.Fatalf("err = %v, want ErrNoProviders (empty posting list)", err)
-	}
-}
-
-func TestByCapability(t *testing.T) {
-	pop := newPop(t, 1, 6)
-	for _, p := range pop.Providers {
-		p.SetCapabilities([]int{p.ID % 2}, 2) // even IDs serve class 0, odd class 1
-	}
-	m := ByCapability()
-	q := newQuery(pop, 1, 1)
-	q.Class = 0
-	pq := m.Match(q, pop)
-	if len(pq) != 3 {
-		t.Fatalf("|Pq| = %d, want the 3 even-ID providers", len(pq))
-	}
-	for i, p := range pq {
-		if p.ID%2 != 0 {
-			t.Errorf("provider %d should not serve class 0", p.ID)
-		}
-		if i > 0 && pq[i-1].ID >= p.ID {
-			t.Error("Pq not in ascending ID order")
-		}
 	}
 }
 
@@ -149,13 +113,13 @@ func TestMediatorNoStrategy(t *testing.T) {
 	}
 }
 
-func TestCapabilityMatcher(t *testing.T) {
+func TestMediatorMatchmaker(t *testing.T) {
 	pop := newPop(t, 1, 6)
 	med := &Mediator{
 		Strategy: allocator.NewSQLB(),
-		Match: CapabilityMatcher{Capable: func(p *model.Provider, class int) bool {
+		Match: matchFunc(func(p *model.Provider, class int) bool {
 			return p.ID%2 == 0 // only even providers serve class 0
-		}},
+		}),
 	}
 	alloc, err := med.Allocate(0, newQuery(pop, 1, 1), pop)
 	if err != nil {
@@ -169,11 +133,11 @@ func TestCapabilityMatcher(t *testing.T) {
 			t.Errorf("provider %d should not have matched", p.ID)
 		}
 	}
-	// Nil predicate matches everyone.
-	med.Match = CapabilityMatcher{}
+	// No matchmaker matches everyone.
+	med.Match = nil
 	alloc, err = med.Allocate(0, newQuery(pop, 2, 1), pop)
 	if err != nil || len(alloc.Pq) != 6 {
-		t.Errorf("nil predicate matched %d, want 6 (err %v)", len(alloc.Pq), err)
+		t.Errorf("nil matchmaker matched %d, want 6 (err %v)", len(alloc.Pq), err)
 	}
 }
 

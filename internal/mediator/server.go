@@ -50,7 +50,8 @@ func NewServer(strategy allocator.Allocator, pop *model.Population, _ time.Durat
 	return &Server{med: New(strategy), pop: pop, now: now}
 }
 
-// SetMatchmaker replaces the matchmaking procedure (default AllProviders).
+// SetMatchmaker replaces the matchmaking procedure (default nil: every alive
+// provider).
 func (s *Server) SetMatchmaker(m Matchmaker) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -110,9 +110,9 @@ func TestServerNoProviders(t *testing.T) {
 func TestServerCustomMatchmaker(t *testing.T) {
 	pop := newPop(t, 1, 6)
 	srv := NewServer(allocator.NewSQLB(), pop, 50*time.Millisecond, nil)
-	srv.SetMatchmaker(CapabilityMatcher{Capable: func(p *model.Provider, class int) bool {
+	srv.SetMatchmaker(matchFunc(func(p *model.Provider, class int) bool {
 		return p.ID < 2
-	}})
+	}))
 	alloc, err := srv.Mediate(context.Background(), newQuery(pop, 1, 5))
 	if err != nil {
 		t.Fatalf("Mediate: %v", err)

@@ -74,6 +74,9 @@ func TestHeterogeneousPopulationCapabilities(t *testing.T) {
 	if want != 2 {
 		t.Fatalf("CapabilityCount = %d, want 2 (0.2 × 10)", want)
 	}
+	if low := (Config{QueryClasses: cfg.QueryClasses, CapabilitySelectivity: 0.01}); low.CapabilityCount() != 1 {
+		t.Fatalf("CapabilityCount = %d at 0.01 × 10, want at least one class", low.CapabilityCount())
+	}
 	for _, p := range pop.Providers {
 		got := len(p.CapabilityClasses(10))
 		if got != want {

@@ -2,206 +2,24 @@ package model
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"sqlb/internal/intention"
 	"sqlb/internal/randx"
-	"sqlb/internal/satisfaction"
 )
 
-// Provider.Intention is accepted on one ground: whatever has happened to the
-// provider, it returns the bits of the definition evaluated from scratch,
-//
-//	intention.Provider(p.Preference(c), p.OperationalLoad(now), p.SmoothSat, p.Epsilon)
-//
-// The script driver below puts one provider through arbitrary interleavings
-// of everything that can change an input of Definition 8 and compares the
-// two after every step; a property test feeds it random scripts, the fuzz
-// target lets the fuzzer write them. A separate test poisons the memo to
-// show that it is read at all, and that each kind of change misses it.
-//
-// IntentionOrBound goes through the same driver on its own ground
-// (checkIntentionOrBound): exact bits, or a bound that is as good as them
-// to everyone who does not rank on it.
-
-// memoFloats are the operands scripted writes draw from: signed zeros,
-// subnormals, the edges of each input's domain, the load threshold of the
-// positive branch from both sides, out-of-range magnitudes, ±Inf and NaN.
-var memoFloats = []float64{
-	0, math.Copysign(0, -1), 5e-324, 1e-310, 1e-17, -1e-17, 0.1, 0.25, 0.4, 0.5, 0.6,
-	1 - 1e-16, 1, 1 + 1e-16, 2, 3, 60, -0.3, -1, -2.5, 1e17, -1e17, math.MaxFloat64,
-	math.Inf(1), math.Inf(-1), math.NaN(),
-}
-
-const memoTestClasses = 3
+// That Provider.Intention and IntentionOrBound give Definition 8's bits
+// whatever is done to a provider is checked where the mediation paths read
+// them, against a naive Algorithm 1 (internal/mediator, FuzzMediation). The
+// tests here hold the memo's own mechanics: that it is read, revalidated,
+// and carved one entry per advertised class.
 
 // memoTestProvider is a provider as NewPopulation lays it out (trackers,
-// window, carved memo row), optionally a specialist.
-func memoTestProvider(specialist bool) *Provider {
-	cfg := DefaultConfig().WithClasses(memoTestClasses)
+// window, carved memo row).
+func memoTestProvider() *Provider {
+	cfg := DefaultConfig().WithClasses(3)
 	cfg.Consumers, cfg.Providers = 1, 2
-	if specialist {
-		cfg.CapabilitySelectivity = 0.67 // two of three classes
-	}
 	return NewPopulation(cfg, randx.New(5), 0).Providers[0]
-}
-
-// checkIntention compares Intention with the definition on every class the
-// script can name, plus classes the population does not define, twice over
-// so that the second round reads what the first one kept.
-func checkIntention(t *testing.T, p *Provider, now float64, step int) {
-	t.Helper()
-	for round := 0; round < 2; round++ {
-		for _, c := range []int{0, 1, 2, -1, memoTestClasses, 1 << 40} {
-			want := intention.Provider(p.Preference(c), p.OperationalLoad(now), p.SmoothSat, p.Epsilon)
-			got := p.Intention(c, now)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("step %d round %d class %d now %v: Intention = %v (%#x), definition = %v (%#x)\npref %v load %v sat %v eps %v",
-					step, round, c, now, got, math.Float64bits(got), want, math.Float64bits(want),
-					p.Preference(c), p.OperationalLoad(now), p.SmoothSat, p.Epsilon)
-			}
-		}
-	}
-}
-
-// checkIntentionOrBound holds IntentionOrBound, on the same classes, to its
-// contract: either Intention's exact bits, or a bound v with
-// Intention ≤ v ≤ −1 that rates like it in a satisfaction window, together
-// with the load reading at which IntentionAt gives those exact bits back.
-func checkIntentionOrBound(t *testing.T, p *Provider, now float64, step int) {
-	t.Helper()
-	for _, c := range []int{0, 1, 2, -1, memoTestClasses, 1 << 40} {
-		want := intention.Provider(p.Preference(c), p.OperationalLoad(now), p.SmoothSat, p.Epsilon)
-		v, at := p.IntentionOrBound(c, now)
-		if at == Exact {
-			if math.Float64bits(v) != math.Float64bits(want) {
-				t.Fatalf("step %d class %d now %v: IntentionOrBound = %v and calls it exact, definition = %v", step, c, now, v, want)
-			}
-			continue
-		}
-		if !(want <= v && v <= -1) || satisfaction.Rate(v) != satisfaction.Rate(want) {
-			t.Fatalf("step %d class %d now %v: bound %v for intention %v\npref %v load %v sat %v eps %v",
-				step, c, now, v, want, p.Preference(c), p.OperationalLoad(now), p.SmoothSat, p.Epsilon)
-		}
-		if got := p.IntentionAt(c, at); !(at >= 0) || math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("step %d class %d now %v: bound taken at load %v, where IntentionAt = %v; definition = %v", step, c, now, at, got, want)
-		}
-	}
-}
-
-// runMemoScript interprets script as operations on one provider: an opcode
-// byte, then operand bytes as the operation needs them (missing operands
-// read as zero). check runs after every operation.
-func runMemoScript(t *testing.T, script []byte, check func(t *testing.T, p *Provider, now float64, step int)) {
-	t.Helper()
-	next := func() byte {
-		if len(script) == 0 {
-			return 0
-		}
-		b := script[0]
-		script = script[1:]
-		return b
-	}
-	value := func() float64 { return memoFloats[int(next())%len(memoFloats)] }
-	class := func() int { return int(next()) % (memoTestClasses + 1) } // one past the end included
-
-	p := memoTestProvider(next()%2 == 1)
-	now := 0.0
-	check(t, p, now, -1)
-	for step := 0; len(script) > 0; step++ {
-		switch next() % 14 {
-		case 0: // a short clock step: backlog-dominated loads move, window-dominated ones repeat
-			now += float64(next()) / 64
-		case 1: // past the utilization window: everything assigned ages out
-			now += p.Util.Window() + 1
-		case 2: // an ordinary assignment
-			p.Assign(now, 100+float64(next()))
-		case 3: // enough work to push the load over 1 (branch flip for pref > 0) ...
-			p.Assign(now, p.Capacity*p.Util.Window()*(1+float64(next())/32))
-		case 4: // ... and the wait that drains it back under
-			if b := p.Backlog(now); b > 0 {
-				now += b
-			}
-		case 5:
-			p.SetPreference(class(), value())
-		case 6:
-			p.SmoothSat = value()
-		case 7:
-			p.Epsilon = value()
-		case 8:
-			p.LoadHorizon = value()
-		case 9: // a re-assessment, after some proposals so the reading moved
-			for i, n := 0, int(next())%8; i < n; i++ {
-				p.Private.Record(p.Preference(i%memoTestClasses), i%2 == 0)
-			}
-			p.Smooth(float64(next())/255, now)
-		case 10:
-			p.SetCapabilities([]int{class(), class()}, memoTestClasses)
-		case 11:
-			p.ClearCapabilities()
-		case 12: // a clock reading the simulator never produces; the clock itself stays put
-			check(t, p, value(), step)
-		case 13: // hostile work units
-			p.Assign(now, value())
-		}
-		check(t, p, now, step)
-	}
-}
-
-// memoSeedScripts start the property test and the fuzz corpus on the
-// sequences the memo is most likely to get wrong: repeats, a branch flip in
-// both directions, a key changed and changed back, and capability changes
-// that move a class to another slot.
-var memoSeedScripts = [][]byte{
-	{},
-	{0, 2, 10, 0, 1, 0, 1, 2, 20, 0, 3},
-	{0, 5, 0, 8, 3, 0, 0, 4, 4, 0, 1, 3, 64, 4},         // pref 0.4; overload; drain; again
-	{1, 5, 1, 8, 3, 9, 4, 6, 8, 6, 10, 6, 8},            // specialist; δs 0.4 → 0.6 → 0.4
-	{0, 7, 0, 7, 25, 7, 12, 7, 24, 6, 25, 6, 1, 8, 25},  // ε and δs through 0, NaN, 1, −Inf
-	{0, 10, 0, 2, 5, 2, 8, 10, 2, 2, 11, 10, 3, 3},      // slots move under the row
-	{1, 13, 25, 0, 1, 13, 23, 12, 25, 12, 24, 1, 2, 50}, // NaN and +Inf work units, NaN and −Inf clocks
-	{0, 9, 5, 200, 2, 9, 9, 7, 30, 0, 9, 3, 255},        // re-assessments
-}
-
-func TestProviderIntentionEqualsDefinition(t *testing.T) {
-	both := func(t *testing.T, p *Provider, now float64, step int) {
-		checkIntentionOrBound(t, p, now, step)
-		checkIntention(t, p, now, step)
-	}
-	for _, s := range memoSeedScripts {
-		runMemoScript(t, s, both)
-	}
-	r := rand.New(rand.NewSource(15))
-	for i := 0; i < 400; i++ {
-		script := make([]byte, 1+r.Intn(120))
-		r.Read(script)
-		runMemoScript(t, script, both)
-	}
-}
-
-func FuzzProviderIntentionMemo(f *testing.F) {
-	for _, s := range memoSeedScripts {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, script []byte) {
-		if len(script) > 4096 {
-			t.Skip("longer scripts only repeat shorter ones")
-		}
-		runMemoScript(t, script, checkIntention)
-	})
-}
-
-func FuzzIntentionBound(f *testing.F) {
-	for _, s := range memoSeedScripts {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, script []byte) {
-		if len(script) > 4096 {
-			t.Skip("longer scripts only repeat shorter ones")
-		}
-		runMemoScript(t, script, checkIntentionOrBound)
-	})
 }
 
 // TestProviderIntentionMemoIsReadAndRevalidated scales the kept preference
@@ -210,7 +28,7 @@ func FuzzIntentionBound(f *testing.F) {
 // therefore all used it and ran no pow for it; a changed preference, δs or
 // ε recomputed it.
 func TestProviderIntentionMemoIsReadAndRevalidated(t *testing.T) {
-	p := memoTestProvider(false)
+	p := memoTestProvider()
 	p.SetPreference(0, 0.6)
 	p.SmoothSat = 0.4
 	p.Assign(0, 10*p.Capacity) // ten seconds of backlog: the load follows the clock
@@ -328,8 +146,8 @@ func TestProviderIntentionMemoRows(t *testing.T) {
 // positive number reads its backlog against DefaultConfig's horizon.
 func TestOperationalLoadHorizonFallback(t *testing.T) {
 	for _, h := range []float64{0, -1, math.NaN()} {
-		p := memoTestProvider(false)
-		ref := memoTestProvider(false)
+		p := memoTestProvider()
+		ref := memoTestProvider()
 		p.LoadHorizon, ref.LoadHorizon = h, DefaultConfig().LoadHorizon
 		p.Assign(0, 20*p.Capacity)
 		ref.Assign(0, 20*ref.Capacity)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"sqlb/internal/allocator"
-	"sqlb/internal/mediator"
 	"sqlb/internal/model"
 	"sqlb/internal/scenario"
 )
@@ -73,48 +72,6 @@ func TestScenarioPopulationConservation(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestScenarioIndexAgreesWithScanAfterChurn: after a run full of scheduled
-// outage/rejoin waves (plus autonomy departures), the incremental
-// matchmaking index must agree with the naive alive-scan oracle for every
-// query class — the engine-level restatement of the matchmaking package's
-// equivalence property.
-func TestScenarioIndexAgreesWithScanAfterChurn(t *testing.T) {
-	oracle := mediator.ByCapability()
-	for _, name := range []string{"maintenance-window", "outage-30pct", "staged-churn"} {
-		t.Run(name, func(t *testing.T) {
-			opts := scenarioOptions(name, allocator.NewCapacityBased(), 1200)
-			opts.Config = opts.Config.WithClasses(5)
-			opts.Config.CapabilitySelectivity = 0.6
-			opts.Autonomy = FullAutonomy()
-			eng, err := New(opts)
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
-			res := eng.Run()
-			if res.Err != nil {
-				t.Fatalf("Result.Err = %v", res.Err)
-			}
-			if len(res.ProviderDepartures) == 0 {
-				t.Fatalf("scenario %q produced no churn; the test needs waves to fire", name)
-			}
-			pop := eng.Population()
-			for c := range pop.Classes {
-				want := oracle.Match(&model.Query{Class: c}, pop)
-				got := eng.MatchIndex().Lookup(c)
-				if len(got) != len(want) {
-					t.Fatalf("class %d: index |Pq| = %d, scan %d", c, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("class %d pos %d: index provider %d, scan provider %d",
-							c, i, got[i].ID, want[i].ID)
-					}
-				}
-			}
-		})
 	}
 }
 

@@ -366,28 +366,6 @@ func TestEngineHeterogeneousDeterminism(t *testing.T) {
 	}
 }
 
-func TestEngineIndexMaintainedOnDeparture(t *testing.T) {
-	// Departing providers must leave the posting lists (incremental
-	// maintenance), so the index and the naive alive-scan agree at the end
-	// of an autonomy run.
-	opts := smallOptions(allocator.NewCapacityBased(), 0.8, 1500)
-	opts.Autonomy = FullAutonomy()
-	eng, err := New(opts)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	res := eng.Run()
-	if len(res.ProviderDepartures) == 0 {
-		t.Skip("no departures materialized; nothing to check")
-	}
-	alive := len(eng.Population().AliveProviders())
-	for c := range eng.Population().Classes {
-		if got := len(eng.MatchIndex().Lookup(c)); got != alive {
-			t.Errorf("class %d posting = %d providers, want the %d alive", c, got, alive)
-		}
-	}
-}
-
 func TestEngineAutonomyDepartures(t *testing.T) {
 	// Under capacity-based allocation with full autonomy at high workload,
 	// the paper's dynamics predict heavy provider loss; under SQLB most

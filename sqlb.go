@@ -88,8 +88,6 @@ type (
 	Allocation = mediator.Allocation
 	// Matchmaker finds the providers able to treat a query.
 	Matchmaker = mediator.Matchmaker
-	// CapabilityMatcher matches on a per-provider capability predicate.
-	CapabilityMatcher = mediator.CapabilityMatcher
 	// MatchIndex is the inverted capability index: O(|Pq|) posting-list
 	// lookups maintained incrementally under provider churn.
 	MatchIndex = matchmaking.Index
@@ -158,7 +156,7 @@ func NewPopulation(cfg Config, seed uint64) *Population {
 }
 
 // NewMediator returns a mediator running the given allocation strategy with
-// the all-providers matchmaker.
+// no matchmaker: every alive provider is in Pq.
 func NewMediator(strategy Allocator) *Mediator { return mediator.New(strategy) }
 
 // BuildMatchIndex indexes the population's alive providers by advertised
@@ -166,11 +164,6 @@ func NewMediator(strategy Allocator) *Mediator { return mediator.New(strategy) }
 // O(|Pq|) posting-list lookups (simulations built via NewSimulation do
 // this automatically).
 func BuildMatchIndex(pop *Population) *MatchIndex { return matchmaking.BuildIndex(pop) }
-
-// ByCapability returns the naive sound-and-complete matchmaker over the
-// providers' advertised capability sets — the reference the index is
-// property-tested against.
-func ByCapability() CapabilityMatcher { return mediator.ByCapability() }
 
 // NewMediationServer returns a concurrent mediation service over the
 // population; now supplies the mediation clock (nil = wall clock). The
