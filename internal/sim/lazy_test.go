@@ -13,6 +13,7 @@ import (
 	"sqlb/internal/mediator"
 	"sqlb/internal/model"
 	"sqlb/internal/randx"
+	"sqlb/internal/satisfaction"
 	"sqlb/internal/scenario"
 	"sqlb/internal/workload"
 )
@@ -76,9 +77,6 @@ func (s *traced) Allocate(req *allocator.Request) []int {
 	return selected
 }
 
-// lazyCounts is what a lazy trace says about the mechanism itself.
-type lazyCounts struct{ candidates, deferred, resolved int }
-
 func (c *lazyCounts) add(o lazyCounts) {
 	c.candidates += o.candidates
 	c.deferred += o.deferred
@@ -137,7 +135,7 @@ func samePopulations(t *testing.T, lazy, eager *model.Population) {
 	t.Helper()
 	for i, l := range lazy.Providers {
 		e := eager.Providers[i]
-		if !reflect.DeepEqual(l.Public, e.Public) || !reflect.DeepEqual(l.Private, e.Private) {
+		if !sameTracker(l.Public, e.Public) || !sameTracker(l.Private, e.Private) {
 			t.Fatalf("provider %d: satisfaction windows differ from the oracle's", i)
 		}
 		if l.BusyUntil != e.BusyUntil || l.QueriesPerformed != e.QueriesPerformed || l.Alive != e.Alive ||
@@ -150,6 +148,40 @@ func samePopulations(t *testing.T, lazy, eager *model.Population) {
 			t.Fatalf("consumer %d: satisfaction window differs from the oracle's", i)
 		}
 	}
+}
+
+// sameTracker is reflect.DeepEqual for a provider tracker, reading only its
+// own k words of the cohort block its ring spans: DeepEqual would read the
+// whole rest of the block for every tracker of it, O(|P|²·k) per
+// population, and the loop over every provider still reads every word.
+func sameTracker(a, b *satisfaction.ProviderTracker) bool {
+	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		fa, fb := va.Field(i), vb.Field(i)
+		switch fa.Kind() {
+		case reflect.Int:
+			if fa.Int() != fb.Int() {
+				return false
+			}
+		case reflect.Float64:
+			if fa.Float() != fb.Float() {
+				return false
+			}
+		case reflect.Slice: // ring: slot s is ring[s*stride]
+			stride := int(va.FieldByName("stride").Int())
+			if fa.Len() != fb.Len() {
+				return false
+			}
+			for s := 0; s < fa.Len(); s += stride {
+				if fa.Index(s).Uint() != fb.Index(s).Uint() {
+					return false
+				}
+			}
+		default:
+			panic("sameTracker: " + fa.Kind().String())
+		}
+	}
+	return true
 }
 
 // lazyStrategies are the six methods; consultsPI marks those that read PI.
@@ -341,97 +373,5 @@ func TestLazyIntentionsEqualResolveEverything(t *testing.T) {
 	// candidates deferred, some of them asked for exactly.
 	if sqlb.deferred*2 < sqlb.candidates || sqlb.resolved == 0 || sqlb.resolved == sqlb.deferred {
 		t.Errorf("SQLB over the ε = 1 populations: %d candidates, %d deferred, %d resolved", sqlb.candidates, sqlb.deferred, sqlb.resolved)
-	}
-}
-
-// lazyProbe counts, for every candidate of every mediation, what the
-// gathering loop deferred and what the strategy then resolved. It reads
-// only what any strategy may: a slot was deferred when it does not hold
-// Provider.Intention's bits on entry, resolved when it does on return. It
-// also counts the exact Definition 9 scores core.RankTop computed: it
-// poisons the score vector (Scratch.F2) before the call, and a slot that
-// no longer holds the poison was scored.
-type lazyProbe struct {
-	allocator.Allocator
-	exact []float64
-	lazyCounts
-	mediations, scored int
-}
-
-// scorePoison is a NaN payload no Definition 9 evaluation produces.
-var scorePoison = math.Float64frombits(0x7ff8_dead_beef_0001)
-
-func (s *lazyProbe) Allocate(req *allocator.Request) []int {
-	if req.Scratch == nil {
-		req.Scratch = new(core.Scratch)
-	}
-	scores := req.Scratch.F2(len(req.Pq))
-	for i := range scores {
-		scores[i] = scorePoison
-	}
-	s.exact = s.exact[:0]
-	for i, p := range req.Pq {
-		s.exact = append(s.exact, p.Intention(req.Query.Class, req.Now))
-		if math.Float64bits(req.PI[i]) != math.Float64bits(s.exact[i]) {
-			s.deferred++
-			s.exact[i] = math.NaN() // equals nothing: marks the slot
-		}
-	}
-	s.candidates += len(req.Pq)
-	s.mediations++
-	selected := s.Allocator.Allocate(req)
-	for _, v := range scores {
-		if math.Float64bits(v) != math.Float64bits(scorePoison) {
-			s.scored++
-		}
-	}
-	for i, p := range req.Pq {
-		if s.exact[i] != s.exact[i] && math.Float64bits(req.PI[i]) == math.Float64bits(p.Intention(req.Query.Class, req.Now)) {
-			s.resolved++
-		}
-	}
-	return selected
-}
-
-// BenchmarkLazyIntentionCounts is the counting probe EXPERIMENTS.md §13
-// and §15 quote: the runs of `sqlb-sim -scale 1 -duration 300 -workload
-// 0.8 -seed 1`, of the benchmark's sim-narrow shape and of `sqlb-sim
-// -scale 1 -duration 150 -workload 1.3 -seed 1`, reporting how many
-// Definition 8 evaluations stood as bounds, how many of those were asked
-// for exactly, and how many exact Definition 9 scores a mediation cost.
-//
-//	go test -run '^$' -bench LazyIntentionCounts -benchtime 1x ./internal/sim
-func BenchmarkLazyIntentionCounts(b *testing.B) {
-	narrow := model.DefaultConfig().WithClasses(128)
-	narrow.Consumers, narrow.Providers, narrow.ProviderK = 1000, 2000, 100
-	narrow.CapabilitySelectivity = 1.0 / 128
-	staged, _ := scenario.Preset("staged-churn")
-	for _, shape := range []struct {
-		name string
-		load float64
-		opts Options
-	}{
-		{"paper", 0.8, Options{Config: model.DefaultConfig(), Duration: 300, Seed: 1}},
-		{"narrow", 0.8, Options{Config: narrow, Duration: 600, Seed: 1, Scenario: staged}},
-		{"overload", 1.3, Options{Config: model.DefaultConfig(), Duration: 150, Seed: 1}},
-	} {
-		b.Run(shape.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				probe := &lazyProbe{Allocator: allocator.NewSQLB()}
-				opts := shape.opts
-				opts.Strategy, opts.Workload, opts.SampleInterval = probe, workload.Constant(shape.load), opts.Duration/50
-				eng, err := New(opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res := eng.Run(); res.Err != nil {
-					b.Fatal(res.Err)
-				}
-				b.ReportMetric(float64(probe.candidates), "evaluations")
-				b.ReportMetric(float64(probe.deferred), "deferred")
-				b.ReportMetric(float64(probe.resolved), "resolved")
-				b.ReportMetric(float64(probe.scored)/float64(probe.mediations), "scores/mediation")
-			}
-		})
 	}
 }
