@@ -91,6 +91,9 @@ type Mediator struct {
 	// rows keeps consumer-intention rows across mediations, for Allocate
 	// and the server's turns alike.
 	rows ciRows
+	// privateWrites counts the words result notifications wrote into
+	// private-window rings (tests read it by name).
+	privateWrites uint64
 }
 
 // medScratch is the reusable working memory of one mediator: the intention,
@@ -289,6 +292,7 @@ func (m *Mediator) record(q *model.Query, pq []*model.Provider, ci []float64, ad
 	}
 	sc.selStamp = sc.selStamp[:cap(sc.selStamp)]
 	sc.epoch++
+	m.privateWrites += uint64(len(pq))
 	for _, idx := range selected {
 		if idx >= 0 && idx < len(pq) {
 			sc.selStamp[idx] = sc.epoch

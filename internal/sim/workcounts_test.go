@@ -32,6 +32,9 @@ type workCounts struct {
 	Survivors   int `json:"bound_survivors"`
 	Definition7 int `json:"definition7"`
 	WarmDef7    int `json:"definition7_warm"`
+	// PrivateWrites is the words result notifications wrote into
+	// private-window rings over the whole run.
+	PrivateWrites int `json:"private_writes"`
 }
 
 // def7Probe is lazyProbe plus the mediator's count of Definition 7
@@ -52,6 +55,12 @@ type def7Probe struct {
 // entrance.
 func definition7Evaluations(med *mediator.Mediator) uint64 {
 	return reflect.ValueOf(med).Elem().FieldByName("rows").FieldByName("evals").Uint()
+}
+
+// privateWrites reads the mediator's unexported count of private-window
+// ring words written, as definition7Evaluations reads its count.
+func privateWrites(med *mediator.Mediator) uint64 {
+	return reflect.ValueOf(med).Elem().FieldByName("privateWrites").Uint()
 }
 
 func (p *def7Probe) Allocate(req *allocator.Request) []int {
@@ -100,7 +109,8 @@ func (p *def7Probe) counts() workCounts {
 // BenchmarkLazyIntentionCounts' paper, narrow and overload shapes — to the
 // counts recorded in testdata/work_counts.json, exactly: candidates
 // gathered, Definition 8 evaluations deferred as bounds and resolved,
-// exact Definition 9 scores, and Definition 7 evaluations. A change that
+// exact Definition 9 scores, Definition 7 evaluations, and the words
+// written into private-window rings. A change that
 // moves a count says so and re-records the file with
 //
 //	go test ./internal/sim -run TestWorkCounts -update
@@ -133,7 +143,9 @@ func TestWorkCounts(t *testing.T) {
 		if res := eng.Run(); res.Err != nil {
 			t.Fatal(res.Err)
 		}
-		got[shape.name] = probe.counts()
+		c := probe.counts()
+		c.PrivateWrites = int(privateWrites(eng.med))
+		got[shape.name] = c
 	}
 
 	path := filepath.Join("testdata", "work_counts.json")
