@@ -196,12 +196,10 @@ func (c Config) CapabilityCount() int {
 	if !c.Heterogeneous() {
 		return n
 	}
+	// Heterogeneous means s < 1, so m ≤ n.
 	m := int(c.CapabilitySelectivity*float64(n) + 0.5)
 	if m < 1 {
 		m = 1
-	}
-	if m > n {
-		m = n
 	}
 	return m
 }

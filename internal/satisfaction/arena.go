@@ -15,16 +15,16 @@ package satisfaction
 // plain per-ring allocations, keeping NewWindow and any external callers
 // untouched.
 type Arena struct {
-	floats []float64
+	words []uint64
 }
 
-// NewArena returns an arena pre-sized for floatCap window slots. Exceeding
+// NewArena returns an arena pre-sized for slots window slots. Exceeding
 // the reservation is not an error; further blocks are allocated in chunks
 // as needed.
-func NewArena(floatCap int) *Arena {
+func NewArena(slots int) *Arena {
 	a := &Arena{}
-	if floatCap > 0 {
-		a.floats = make([]float64, floatCap)
+	if slots > 0 {
+		a.words = make([]uint64, slots)
 	}
 	return a
 }
@@ -33,19 +33,19 @@ func NewArena(floatCap int) *Arena {
 // runs dry — large enough that stragglers past the reservation amortize.
 const arenaChunk = 1 << 14
 
-// floatBuf carves k float slots; nil arena → plain allocation.
-func (a *Arena) floatBuf(k int) []float64 {
+// wordBuf carves k slots; nil arena → plain allocation.
+func (a *Arena) wordBuf(k int) []uint64 {
 	if a == nil {
-		return make([]float64, k)
+		return make([]uint64, k)
 	}
-	if len(a.floats) < k {
+	if len(a.words) < k {
 		n := arenaChunk
 		if n < k {
 			n = k
 		}
-		a.floats = make([]float64, n)
+		a.words = make([]uint64, n)
 	}
-	buf := a.floats[:k:k]
-	a.floats = a.floats[k:]
+	buf := a.words[:k:k]
+	a.words = a.words[k:]
 	return buf
 }

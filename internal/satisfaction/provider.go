@@ -1,7 +1,5 @@
 package satisfaction
 
-import "math"
-
 // ProviderTracker maintains the Section 3.2 characteristics of one provider
 // over the k last queries proposed to it (the set PQ_p^k, vector PPI_p).
 // Every proposed query records the provider's shown intention; the subset
@@ -20,21 +18,24 @@ type ProviderTracker struct {
 	// slot s is ring[s*stride], so a tracker of a cohort reads its own
 	// column of the cohort's block (InitCohort) and a lone tracker has
 	// stride 1.
-	ring         []uint64
-	pos          int // ring index of the next slot to overwrite
-	stride       int
-	k            int
-	n            int
-	propSum      float64
-	perfSum      float64
+	ring   []uint64
+	pos    int // ring index of the next slot to overwrite
+	stride int
+	k      int
+	n      int
+	// propSum and perfSum are the exact sums of the windowed (and of the
+	// performed) proposals' grid values, so a read depends on which
+	// values the window holds, not on the order they came in.
+	propSum      sum
+	perfSum      sum
 	perfN        int
 	prior        float64
 	priorSamples int
 }
 
 // performedBit marks a tracker word whose proposal the provider performed.
-// The rest of the word is the float64 bits of the rated value, which Rate
-// keeps in [0,1], so the sign bit is free: one 8-byte word per proposal.
+// The rest of the word is the rated value on the grid (see grid), at most
+// 2^54, so the sign bit is free: one 8-byte word per proposal.
 const performedBit = 1 << 63
 
 // NewProviderTracker returns a tracker with window capacity k over proposed
@@ -87,26 +88,25 @@ func InitCohort(ts []ProviderTracker, k int, prior float64, priorSamples int) {
 // Record adds one proposed query with the intention (or preference) the
 // provider showed for it, and whether the provider performed it.
 func (t *ProviderTracker) Record(shown float64, performed bool) {
-	r := Rate(shown)
+	g := grid(Rate(shown))
 	if t.n == t.k {
 		old := t.ring[t.pos]
-		rated := math.Float64frombits(old &^ performedBit)
-		t.propSum -= rated
-		if old&performedBit != 0 {
-			t.perfSum -= rated
+		rated := old &^ performedBit
+		t.propSum.sub(rated)
+		if old != rated {
+			t.perfSum.sub(rated)
 			t.perfN--
 		}
 	} else {
 		t.n++
 	}
-	w := math.Float64bits(r)
-	t.propSum += r
+	t.propSum.add(g)
 	if performed {
-		w |= performedBit
-		t.perfSum += r
+		t.perfSum.add(g)
 		t.perfN++
+		g |= performedBit
 	}
-	t.ring[t.pos] = w
+	t.ring[t.pos] = g
 	if t.pos += t.stride; t.pos >= len(t.ring) {
 		t.pos = 0
 	}
@@ -126,12 +126,12 @@ func (t *ProviderTracker) Adequation() float64 {
 func (t *ProviderTracker) Satisfaction() float64 {
 	if t.n < t.priorSamples {
 		w := float64(t.priorSamples - t.n)
-		return (t.prior*w + t.perfSum) / (w + float64(t.perfN))
+		return (t.prior*w + t.perfSum.float()) / (w + float64(t.perfN))
 	}
 	if t.perfN == 0 {
 		return 0
 	}
-	return t.perfSum / float64(t.perfN)
+	return t.perfSum.mean(t.perfN)
 }
 
 // AllocationSatisfaction returns δas(p) = δs(p)/δa(p) (Definition 6)

@@ -272,9 +272,10 @@ func TestCohortMatchesLoneTrackers(t *testing.T) {
 }
 
 // TestCohortLineMajor pins the layout itself: one lockstep sweep over a
-// cohort writes line 0 of its block, tracker i's word at offset i, the
-// performed bit in the sign of the rated value — including the rated value
-// 0 of the lowest intention, whose word is the sign bit alone.
+// cohort writes line 0 of its block, tracker i's word at offset i: the
+// rated value as an integer on the 2^-54 grid, the performed bit in the
+// sign — including the rated value 0 of the lowest intention, whose word is
+// the sign bit alone.
 func TestCohortLineMajor(t *testing.T) {
 	const k, n = 3, 5
 	cohort := make([]ProviderTracker, n)
@@ -285,7 +286,7 @@ func TestCohortLineMajor(t *testing.T) {
 	}
 	line := cohort[0].ring[:n]
 	for i, w := range line {
-		want := math.Float64bits(Rate(shown[i]))
+		want := uint64(Rate(shown[i]) * (1 << 54))
 		if i%2 == 0 {
 			want |= performedBit
 		}

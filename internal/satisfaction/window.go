@@ -9,9 +9,17 @@
 // averaging is identical to averaging and then mapping; the trackers store
 // mapped values, which also makes the 0.5 initial-satisfaction prior of the
 // paper's experimental setup (Table 2) natural to express.
+//
+// Every window holds its values as integers on a grid of 2^-54 and sums
+// them exactly (see sum), so a reading depends only on which values the
+// window holds: k copies of one value read that value, and two windows
+// whose last k values agree read the same bits, whatever came before.
 package satisfaction
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Rate maps an intention i ∈ [-1,1] to the characteristic scale [0,1].
 // Out-of-range inputs are clamped first: Section 2 fixes the expressed
@@ -42,10 +50,10 @@ func Clamp(intention float64) float64 {
 // with their last k ... queries" (Section 6.1). With priorSamples == 0 the
 // window is paper-literal: the mean of an empty set is 0 (Defs 4-5).
 type Window struct {
-	buf          []float64
-	head         int // next slot to overwrite
+	buf          []uint64 // grid values (see onGrid)
+	head         int      // next slot to overwrite
 	n            int
-	sum          float64
+	sum          sum
 	prior        float64
 	priorSamples int
 }
@@ -68,18 +76,21 @@ func (w *Window) Init(a *Arena, k int, prior float64, priorSamples int) {
 	if priorSamples < 0 {
 		priorSamples = 0
 	}
-	*w = Window{buf: a.floatBuf(k), prior: prior, priorSamples: priorSamples}
+	*w = Window{buf: a.wordBuf(k), prior: prior, priorSamples: priorSamples}
 }
 
-// Push records a value, evicting the oldest if the window is full.
+// Push records a characteristic value v ∈ [0,1], evicting the oldest if
+// the window is full. v is rounded to the nearest multiple of 2^-54; a
+// value outside [0,1] is clamped to it, and NaN reads as 0.
 func (w *Window) Push(v float64) {
 	if w.n == len(w.buf) {
-		w.sum -= w.buf[w.head]
+		w.sum.sub(w.buf[w.head])
 	} else {
 		w.n++
 	}
-	w.buf[w.head] = v
-	w.sum += v
+	g := onGrid(v)
+	w.buf[w.head] = g
+	w.sum.add(g)
 	w.head++
 	if w.head == len(w.buf) {
 		w.head = 0
@@ -97,7 +108,7 @@ func (w *Window) RawMean() (float64, bool) {
 	if w.n == 0 {
 		return 0, false
 	}
-	return w.sum / float64(w.n), true
+	return w.sum.mean(w.n), true
 }
 
 // Len returns the number of recorded values, and Cap the window capacity k.
@@ -106,13 +117,63 @@ func (w *Window) Len() int { return w.n }
 // Cap returns the window capacity k.
 func (w *Window) Cap() int { return len(w.buf) }
 
-// blend computes the prior-weighted mean of n samples summing to sum.
-func blend(sum float64, n int, prior float64, priorSamples int) float64 {
+// blend computes the prior-weighted mean of n grid values summing to s.
+func blend(s sum, n int, prior float64, priorSamples int) float64 {
 	if n >= priorSamples {
 		if n == 0 {
 			return prior
 		}
-		return sum / float64(n)
+		return s.mean(n)
 	}
-	return (prior*float64(priorSamples-n) + sum) / float64(priorSamples)
+	return (prior*float64(priorSamples-n) + s.float()) / float64(priorSamples)
 }
+
+// gridOne is the grid value of 1: values are held as integer multiples of
+// 2^-54.
+const gridOne = 1 << 54
+
+// grid returns r, a Rate output, on the grid. Every Rate output is a
+// multiple of 2^-54 already: (x+1)/2 with x+1 ≥ ½ is spaced by 2^-53 or
+// more, and x+1 < ½ means x ∈ [−1, −½), where x+1 is exact and a multiple
+// of 2^-53. So the conversion is exact.
+func grid(r float64) uint64 { return uint64(r * gridOne) }
+
+// onGrid returns v clamped to [0,1] (NaN to 0) and rounded to the nearest
+// grid value.
+func onGrid(v float64) uint64 {
+	switch {
+	case !(v > 0):
+		return 0
+	case v >= 1:
+		return gridOne
+	}
+	return uint64(math.Round(v * gridOne))
+}
+
+// sum is an unsigned 128-bit sum of grid values: k of them reach k·2^54,
+// past 64 bits once k > 1023 (Config.Scale makes the provider window
+// 500·factor).
+type sum struct{ hi, lo uint64 }
+
+func (s *sum) add(g uint64) {
+	var carry uint64
+	s.lo, carry = bits.Add64(s.lo, g, 0)
+	s.hi += carry
+}
+
+func (s *sum) sub(g uint64) {
+	var borrow uint64
+	s.lo, borrow = bits.Sub64(s.lo, g, 0)
+	s.hi -= borrow
+}
+
+// mean returns s/n for n ≥ 1 terms of at most 2^54 each (so s.hi < n): the
+// integer quotient plus the remainder's fraction, which is exact whenever
+// the terms are equal.
+func (s sum) mean(n int) float64 {
+	q, r := bits.Div64(s.hi, s.lo, uint64(n))
+	return (float64(q) + float64(r)/float64(n)) / gridOne
+}
+
+// float returns s as a value (s·2^-54).
+func (s sum) float() float64 { return (float64(s.hi)*0x1p64 + float64(s.lo)) / gridOne }
