@@ -374,19 +374,23 @@ func BenchmarkProviderTrackerRecord(b *testing.B) {
 
 // BenchmarkNotify400 is the result notification of one paper-scale
 // mediation on its own: every provider of a 400-wide Pq records the
-// proposal in its public and private tracker, in ID order, and one of them
-// performs it. Every tracker has seen the same number of proposals, so the
-// sweep writes consecutive words of one line of the population's ring block
-// (satisfaction.InitCohort).
+// proposal in its public tracker, in ID order, the population's private
+// stream advances by the query's class, and one provider is marked as
+// having performed it in both windows. Every tracker has seen the same
+// number of proposals, so the sweep writes consecutive words of one line of
+// the population's ring block (satisfaction.InitCohort).
 func BenchmarkNotify400(b *testing.B) {
 	pop := sqlb.NewPopulation(model.DefaultConfig(), 9)
+	stream := pop.PrivateStream()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sel := i % len(pop.Providers)
-		for j, p := range pop.Providers {
-			p.Public.Record(0.3, j == sel)
-			p.Private.Record(p.Preference(0), j == sel)
+		stream.Advance(i % 2)
+		for _, p := range pop.Providers {
+			p.Public.Record(0.3, false)
 		}
+		sel := pop.Providers[i%len(pop.Providers)]
+		sel.Public.MarkPerformed()
+		sel.Private.MarkPerformed()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pop.Providers)), "ns/cand")
 }

@@ -158,7 +158,7 @@ func (s *Server) turn(ctx context.Context, qs []*model.Query, out []BatchResult)
 		}
 		ci, adq := s.med.rows.consumer(q, pq, id, &b.ci[i])
 		alloc := &b.allocs[i]
-		if err := s.med.allocateInto(alloc, now, q, pq, ci, adq, pi, deferred); err != nil {
+		if err := s.med.allocateInto(alloc, now, s.pop, q, pq, id, ci, adq, pi, deferred); err != nil {
 			out[i].Err = err
 			continue
 		}

@@ -15,6 +15,7 @@ import (
 	"sqlb/internal/allocator"
 	"sqlb/internal/core"
 	"sqlb/internal/model"
+	"sqlb/internal/satisfaction"
 )
 
 // ErrNoProviders reports a query for which matchmaking found no provider
@@ -91,14 +92,22 @@ type Mediator struct {
 	// rows keeps consumer-intention rows across mediations, for Allocate
 	// and the server's turns alike.
 	rows ciRows
+	// streamed is the last Pq content id found to be the member set of a
+	// private-window stream, with the stream and its version then.
+	streamed streamKey
 	// privateWrites counts the words result notifications wrote into
 	// private-window rings (tests read it by name).
 	privateWrites uint64
 }
 
+type streamKey struct {
+	s           *satisfaction.Stream
+	id, version uint64
+}
+
 // medScratch is the reusable working memory of one mediator: the intention,
-// satisfaction, and matchmade vectors of the current mediation, the
-// epoch-stamped selected-set marks, the strategy's buffer pool, and the
+// satisfaction, and matchmade vectors of the current mediation, Pq's
+// private trackers, the strategy's buffer pool, and the
 // request/allocation shells handed out by the fast path. Everything here is
 // sized once at the population's high-water mark and then recycled, which
 // is what takes the steady-state mediation to zero heap allocations.
@@ -110,8 +119,7 @@ type medScratch struct {
 	deferred []float64 // see lazyPI
 	lazy     lazyPI
 	provSat  []float64
-	selStamp []uint64 // selStamp[i] == epoch ⇔ Pq[i] selected this mediation
-	epoch    uint64
+	private  []*satisfaction.ProviderTracker // see advanceStream
 	req      allocator.Request
 	alloc    Allocation
 }
@@ -173,8 +181,9 @@ func (m *Mediator) Allocate(now float64, q *model.Query, pop *model.Population) 
 		return nil, fmt.Errorf("%w (query %d)", ErrNoProviders, q.ID)
 	}
 	sc.pi, sc.deferred = m.providerIntentions(now, q.Class, pq, sc.pi, sc.deferred)
-	ci, adq := m.rows.consumer(q, pq, m.rows.identify(q.Class, len(pop.Classes), pq), &sc.ci)
-	if err := m.allocateInto(&sc.alloc, now, q, pq, ci, adq, sc.pi, sc.deferred); err != nil {
+	id := m.rows.identify(q.Class, len(pop.Classes), pq)
+	ci, adq := m.rows.consumer(q, pq, id, &sc.ci)
+	if err := m.allocateInto(&sc.alloc, now, pop, q, pq, id, ci, adq, sc.pi, sc.deferred); err != nil {
 		return nil, err
 	}
 	return &sc.alloc, nil
@@ -234,12 +243,12 @@ func (m *Mediator) providerIntentions(now float64, class int, pq []*model.Provid
 // allocateInto is the shared allocation commit (Algorithm 1 lines 6-10):
 // it scores, ranks, selects, records the result, and fills out in place.
 // Both callers (Allocate, Server.turn) pass a non-empty pq, intention
-// vectors they sized like it (deferred: see lazyPI) and adq, Equation 1
-// over ci. Out's Selected aliases
+// vectors they sized like it (deferred: see lazyPI), adq, Equation 1
+// over ci, and id, pq's content id (ciRows.identify). Out's Selected aliases
 // the strategy's scratch selection and is valid only until the next
 // mediation on this mediator — the server, whose allocations outlive that,
 // arenas it (Server.turn).
-func (m *Mediator) allocateInto(out *Allocation, now float64, q *model.Query, pq []*model.Provider, ci []float64, adq float64, pi, deferred []float64) error {
+func (m *Mediator) allocateInto(out *Allocation, now float64, pop *model.Population, q *model.Query, pq []*model.Provider, id uint64, ci []float64, adq float64, pi, deferred []float64) error {
 	if m.Strategy == nil {
 		return errors.New("mediator: no allocation strategy configured")
 	}
@@ -263,44 +272,77 @@ func (m *Mediator) allocateInto(out *Allocation, now float64, q *model.Query, pq
 	}
 	selected := m.Strategy.Allocate(&sc.req)
 
-	m.record(q, pq, ci, adq, pi, selected)
+	m.record(pop, q, pq, id, ci, adq, pi, selected)
 	*out = Allocation{Query: q, Pq: pq, CI: ci, PI: pi, Selected: selected}
 	return nil
 }
 
 // record performs the mediation-result notification: the consumer logs the
 // allocation against its shown intentions (Equations 1-2, Equation 1 being
-// adq as the row store keeps it) and every
-// provider in Pq — selected or not — logs the proposal in both its public
-// (intention-fed) and private (preference-fed) windows. Pq is in ascending
-// ID order, and a population lays its tracker words along a line in Pq's
+// adq as the row store keeps it) and every provider in Pq — selected or
+// not — logs the proposal in both its public (intention-fed) and private
+// (preference-fed) windows. Every proposal is recorded as not performed,
+// and the selected ones are marked after, so the performed decision costs
+// O(n), whatever |Pq|.
+//
+// A public window takes one word per proposal. Pq is in ascending ID
+// order, and a population lays its tracker words along a line in Pq's
 // order (satisfaction.InitCohort): ID order when every Pq is the whole
 // population, one contiguous run per class under capability matchmaking
 // (model.NewPopulation). Where the trackers have seen equally many
 // proposals, this loop writes memory in sequence.
 //
-// The selected set is marked with an epoch stamp instead of a per-call map:
-// selStamp[i] == epoch means Pq[i] was selected this mediation, and bumping
-// the epoch invalidates every stale mark at once. The epoch is a uint64 and
-// never reused, so a fresh (zeroed) stamp buffer can never read as
-// selected.
-func (m *Mediator) record(q *model.Query, pq []*model.Provider, ci []float64, adq float64, pi []float64, selected []int) {
+// A private window that is a view of the population's stream takes no
+// word: the stream advances once by the query's class (advanceStream), and
+// the selected members mark it performed. Any other private window takes a
+// word of its ring.
+func (m *Mediator) record(pop *model.Population, q *model.Query, pq []*model.Provider, id uint64, ci []float64, adq float64, pi []float64, selected []int) {
 	q.Consumer.Tracker.RecordAllocationWith(adq, ci, selected, q.N)
-	sc := &m.scratch
-	if cap(sc.selStamp) < len(pq) {
-		sc.selStamp = make([]uint64, len(pq))
-	}
-	sc.selStamp = sc.selStamp[:cap(sc.selStamp)]
-	sc.epoch++
-	m.privateWrites += uint64(len(pq))
-	for _, idx := range selected {
-		if idx >= 0 && idx < len(pq) {
-			sc.selStamp[idx] = sc.epoch
+	if stream, whole := m.advanceStream(pop, id, q.Class, pq); whole {
+		for i, p := range pq {
+			p.Public.Record(pi[i], false)
+		}
+	} else {
+		for i, p := range pq {
+			p.Public.Record(pi[i], false)
+			if !stream.Member(p.Private) {
+				p.Private.Record(p.Preference(q.Class), false)
+				m.privateWrites++
+			}
 		}
 	}
-	for i, p := range pq {
-		performed := sc.selStamp[i] == sc.epoch
-		p.Public.Record(pi[i], performed)
-		p.Private.Record(p.Preference(q.Class), performed)
+	for _, idx := range selected {
+		if idx >= 0 && idx < len(pq) {
+			pq[idx].Public.MarkPerformed()
+			pq[idx].Private.MarkPerformed()
+		}
 	}
+}
+
+// advanceStream advances pop's private-window stream, if it has members,
+// by a mediation of class over pq, of content id id. It returns the stream
+// (nil if none) and whether pq is exactly its member set. That costs no
+// pass over pq when this mediator found pq's content id to be the member
+// set before and no member has left since: equal ids mean equal contents.
+// Otherwise the stream compares pq with its members itself
+// (satisfaction.Stream.AdvanceOver).
+func (m *Mediator) advanceStream(pop *model.Population, id uint64, class int, pq []*model.Provider) (*satisfaction.Stream, bool) {
+	s := pop.PrivateStream()
+	if s == nil || s.Live() == 0 {
+		return nil, false
+	}
+	if id != 0 && m.streamed == (streamKey{s, id, s.Version()}) {
+		s.Advance(class)
+		return s, true
+	}
+	sc := &m.scratch
+	sc.private = sc.private[:0]
+	for _, p := range pq {
+		sc.private = append(sc.private, p.Private)
+	}
+	whole := s.AdvanceOver(sc.private, class)
+	if whole && id != 0 {
+		m.streamed = streamKey{s, id, s.Version()}
+	}
+	return s, whole
 }

@@ -249,13 +249,20 @@ func (p *probe) trace(a *mediator.Allocation, err error) mediation {
 // samePopulations compares, for every participant, everything a mediation
 // writes and everything Definitions 7-9 read of it: the satisfaction
 // windows, the queue and the utilization window, the self-assessment and
-// whether it is registered. A whole-struct comparison would also compare
+// whether it is registered. A private window is compared by what it reads,
+// since production's may be a view of a stream where the reference's
+// twin records a ring. A whole-struct comparison would also compare
 // the Definition 8 memo, which only the production side fills.
 func samePopulations(got, want *model.Population) error {
 	for i, w := range want.Providers {
 		g := got.Providers[i]
-		if !sameTracker(g.Public, w.Public) || !sameTracker(g.Private, w.Private) {
-			return fmt.Errorf("provider %d: satisfaction windows differ from the reference's", i)
+		if !sameTracker(g.Public, w.Public) {
+			return fmt.Errorf("provider %d: public satisfaction window differs from the reference's", i)
+		}
+		if !sameReads(g.Private, w.Private) {
+			return fmt.Errorf("provider %d: private satisfaction window reads δa %v δs %v over %d/%d, reference %v %v over %d/%d", i,
+				g.Private.Adequation(), g.Private.Satisfaction(), g.Private.Performed(), g.Private.Proposed(),
+				w.Private.Adequation(), w.Private.Satisfaction(), w.Private.Performed(), w.Private.Proposed())
 		}
 		if !sameBits(reflect.ValueOf(g.Util), reflect.ValueOf(w.Util)) || !sameFloat(g.BusyUntil, w.BusyUntil) ||
 			g.QueriesPerformed != w.QueriesPerformed || g.Alive != w.Alive || !sameFloat(g.SmoothSat, w.SmoothSat) {
@@ -301,6 +308,13 @@ func sameBits(a, b reflect.Value) bool {
 		return a.Uint() == b.Uint()
 	}
 	panic("sameBits: " + a.Kind().String())
+}
+
+// sameReads compares two provider trackers by everything they answer:
+// Definitions 4 and 5 by their bits, and the proposed and performed counts.
+func sameReads(a, b *satisfaction.ProviderTracker) bool {
+	return sameFloat(a.Adequation(), b.Adequation()) && sameFloat(a.Satisfaction(), b.Satisfaction()) &&
+		a.Proposed() == b.Proposed() && a.Performed() == b.Performed()
 }
 
 // sameTracker is sameBits for a provider tracker, reading only its own k
@@ -375,13 +389,15 @@ const (
 	viaAllocate = iota // the simulator's entrance; the script applies the selection
 	viaMediate
 	viaBatch
-	applied = 3 // the selection is enqueued on the selected providers
-	indexed = 3 // Pq comes from the match index; otherwise the mediator's nil scan
+	viaOther     // Allocate on a second mediator (opOtherMediator only)
+	applied  = 3 // the selection is enqueued on the selected providers
+	indexed  = 3 // Pq comes from the match index; otherwise the mediator's nil scan
 )
 
 // The script's operations: an opcode byte, then operand bytes as the
-// operation needs them (missing bytes read as zero). Codes past opRejoin
-// mediate too, so random scripts are about a quarter mediations.
+// operation needs them (missing bytes read as zero). Codes past
+// opOtherMediator mediate too, so random scripts are about a quarter
+// mediations.
 const (
 	opMediate      = iota // 1-5 queries, a batch for MediateBatch: consumer, class, q.n each
 	opStep                // a short clock step
@@ -401,7 +417,9 @@ const (
 	opLeave               // an announced departure
 	opFail                // a silent one: the index prunes it at its next lookup
 	opRejoin
-	opCodes = opRejoin + 6
+	opRecordPrivate // a direct Private.Record on a provider: preference class, performed
+	opOtherMediator // opMediate through a second mediator over the same population
+	opCodes         = opOtherMediator + 6
 )
 
 // scriptFloats are the operands scripted writes draw from: signed zeros,
@@ -477,6 +495,12 @@ func runMediation(t *testing.T, script []byte, v *vacuity) {
 		pr.med = reflect.ValueOf(srv).Elem().FieldByName("med").Elem()
 	}
 
+	// other is a second mediator over production's population, sharing
+	// the strategy (and so a random strategy's draws) with the first.
+	other := mediator.New(pr)
+	if isIndexed {
+		other.Match = index
+	}
 	value := func() float64 { return scriptFloats[int(next())%len(scriptFloats)] }
 	classes := len(prod.Classes)
 	class := func() int { return int(next()) % (classes + 1) } // one past the end included
@@ -503,19 +527,25 @@ func runMediation(t *testing.T, script []byte, v *vacuity) {
 			}
 		}
 	}
-	mediate := func(step int) {
+	mediate := func(step int, via int) {
 		n := 1 + int(next())%5
 		qs, twinQs := make([]*model.Query, n), make([]*model.Query, n)
 		for i := range qs {
 			c, k, qn := next(), next(), next()
 			qs[i], twinQs[i] = mint(prod, step*8+i, c, k, qn), mint(twin, step*8+i, c, k, qn)
 		}
-		want := ref.mediate(now, twinQs, entrance == viaBatch)
+		want := ref.mediate(now, twinQs, via == viaBatch)
 		got := make([]mediation, n)
-		switch entrance {
-		case viaAllocate:
+		switch via {
+		case viaAllocate, viaOther:
+			m := med
+			if via == viaOther {
+				// The vacuity count reads the first mediator's rows only.
+				defer func(v reflect.Value) { pr.med = v }(pr.med)
+				m, pr.med = other, reflect.Value{}
+			}
 			for i, q := range qs {
-				a, err := med.Allocate(now, q, prod)
+				a, err := m.Allocate(now, q, prod)
 				if got[i] = pr.trace(a, err); err == nil && apply {
 					for _, j := range a.Selected {
 						a.Pq[j].Assign(now, q.Units)
@@ -550,7 +580,7 @@ func runMediation(t *testing.T, script []byte, v *vacuity) {
 		case opHostileClock:
 			saved := now
 			now = value()
-			mediate(step)
+			mediate(step, entrance)
 			now = saved
 		case opAssign:
 			who, u := next(), 100+float64(next())
@@ -609,8 +639,13 @@ func runMediation(t *testing.T, script []byte, v *vacuity) {
 					ix.Add(p)
 				}
 			})
-		default: // opMediate and the codes past opRejoin
-			mediate(step)
+		case opRecordPrivate:
+			who, c, performed := next(), class(), next()%2 == 1
+			eachProvider(who, func(p *model.Provider, _ *matchmaking.Index) { p.Private.Record(p.Preference(c), performed) })
+		case opOtherMediator:
+			mediate(step, viaOther)
+		default: // opMediate and the codes past opOtherMediator
+			mediate(step, entrance)
 		}
 	}
 }
@@ -681,7 +716,36 @@ var seedScripts = [][]byte{
 	{viaAllocate, sqlbMethod, homogeneous, opOverload, 0, 0, opWrite, 0, 0, 8, opMediate, 0, 0, 1, 2},
 	// H: Equation 2 divides by q.n, here 4 with four providers selected.
 	{viaAllocate, sqlbMethod, homogeneous, opMediate, 0, 0, 1, 1},
+
+	// The private windows of a homogeneous population are views of one
+	// stream; each script makes them leave it one way, between runs of
+	// mediations long enough to wrap the windows.
+	// A departure, announced and silent.
+	script([]byte{viaAllocate + applied, sqlbMethod, homogeneous + indexed}, five, five,
+		[]byte{opLeave, 5}, five, []byte{opFail, 6}, five, five),
+	// A return: the provider comes back with its window, a ring.
+	script([]byte{viaMediate, capacityBased, homogeneous}, five, five, []byte{opLeave, 5}, five,
+		[]byte{opRejoin, 5}, five, five),
+	// SetPreference for the class most mediations carry.
+	script([]byte{viaBatch, sqlbMethod, homogeneous + indexed}, five, five, []byte{opProviderPref, 5, 1, 8}, five, five),
+	// A capability edit and its undo.
+	script([]byte{viaAllocate, sqlbMethod, homogeneous + indexed}, five, five, []byte{opSetCaps, 5, 0, 1}, five,
+		[]byte{opClearCaps, 5}, five, five),
+	// A direct Private.Record, performed.
+	script([]byte{viaAllocate, capacityBased, homogeneous}, five, five, []byte{opRecordPrivate, 5, 1, 1}, five, five),
+	// A second mediator over the same population, alternating with the first.
+	script([]byte{viaAllocate, sqlbMethod, homogeneous}, five, []byte{opOtherMediator, 4, 0, 1, 0, 1, 2, 0, 2, 3, 0, 3, 1, 0, 0, 2, 0},
+		five, []byte{opOtherMediator, 1, 0, 1, 0, 1, 2, 0}, five),
+	// Hostile classes: −1, one past the end and 2⁴⁰, over every provider.
+	script([]byte{viaAllocate, sqlbMethod, homogeneous}, five, []byte{opMediate, 4, 0, 0, 0, 1, 4, 0, 2, 5, 0, 3, 0, 0, 0, 4, 0},
+		five, five),
 }
+
+// five is an opMediate of five queries over the three classes.
+var five = []byte{opMediate, 4, 0, 1, 0, 1, 2, 0, 2, 3, 0, 3, 1, 0, 0, 2, 0}
+
+// script concatenates a header and operations.
+func script(parts ...[]byte) []byte { return slices.Concat(parts...) }
 
 // TestMediationEqualsReference runs the seed corpus, then random scripts.
 // Over the corpus the comparison is vacuous unless the mechanisms ran:

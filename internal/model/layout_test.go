@@ -28,7 +28,8 @@ func offset[T any](base, p *T) int {
 
 // checkSlabs holds every per-provider slab of pop to one order: position k
 // of the Provider slab, of the utilization windows, columns 2k and 2k+1 of
-// the tracker cohort, the Definition 8 memo rows and every dense consumer's
+// the tracker cohort (column k of it and view k after it where the private
+// trackers are views of a stream), the Definition 8 memo rows and every dense consumer's
 // preference row all belong to one provider. It returns the providers in
 // slab order.
 func checkSlabs(t *testing.T, pop *Population) []*Provider {
@@ -56,7 +57,11 @@ func checkSlabs(t *testing.T, pop *Population) []*Provider {
 		if d := offset(base.Util, p.Util); d != k {
 			t.Errorf("provider %d at %d: utilization window at %d", p.ID, k, d)
 		}
-		if pub, priv := offset(base.Public, p.Public), offset(base.Public, p.Private); pub != 2*k || priv != 2*k+1 {
+		wantPub, wantPriv := 2*k, 2*k+1
+		if pop.PrivateStream() != nil { // private trackers are views: the cohort holds the public ones
+			wantPub, wantPriv = k, len(byPos)+k
+		}
+		if pub, priv := offset(base.Public, p.Public), offset(base.Public, p.Private); pub != wantPub || priv != wantPriv {
 			t.Errorf("provider %d at %d: trackers at columns %d and %d", p.ID, k, pub, priv)
 		}
 		if len(p.memo.pref) > 0 {
@@ -107,8 +112,8 @@ func preferenceDigest(pop, other *Population) string {
 func TestPopulationLayout(t *testing.T) {
 	t.Run("homogeneous is ID order", func(t *testing.T) {
 		pop := NewPopulation(layoutConfig(16, 0), randx.New(1), 0)
-		if pop.layout != nil {
-			t.Fatal("a homogeneous population built a layout")
+		if pop.layout != nil || pop.PrivateStream() == nil {
+			t.Fatal("a homogeneous population built a layout, or no private stream")
 		}
 		for _, c := range pop.Consumers {
 			if c.layout != nil {

@@ -232,6 +232,7 @@ func (p *Provider) Generalist() bool { return p.caps == nil }
 // total > 0 yields a provider that serves nothing; call ClearCapabilities
 // to restore the all-classes default.
 func (p *Provider) SetCapabilities(classes []int, total int) {
+	p.Private.Detach()
 	p.setCapabilities(classes, total)
 	p.ownMemoRow()
 }
@@ -252,6 +253,7 @@ func (p *Provider) setCapabilities(classes []int, total int) {
 
 // ClearCapabilities restores the all-classes default.
 func (p *Provider) ClearCapabilities() {
+	p.Private.Detach()
 	p.caps = nil
 	p.ownMemoRow()
 }
@@ -282,8 +284,11 @@ func (p *Provider) Preference(queryClass int) float64 {
 
 // SetPreference overrides prf_p for one query class; used by the
 // adaptivity example (the courier company changing campaigns) and tests.
+// A private window that is a stream's view leaves it first: the proposals
+// it holds were rated with the old preference.
 func (p *Provider) SetPreference(queryClass int, pref float64) {
 	if queryClass >= 0 && queryClass < len(p.prefs) {
+		p.Private.Detach()
 		p.prefs[queryClass] = satisfaction.Clamp(pref)
 	}
 }

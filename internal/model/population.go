@@ -18,7 +18,16 @@ type Population struct {
 	// layout is where each provider sits in the population's slabs; nil
 	// when they sit in ID order.
 	layout *layout
+	// stream is what the providers' private trackers are views of while
+	// every Pq is the whole population; nil under capability matchmaking.
+	stream *satisfaction.Stream
 }
+
+// PrivateStream returns the stream the providers' private windows are
+// views of (see satisfaction.Stream), or nil when a population matches
+// queries by capability and keeps every private window as a ring. Result
+// notification advances it for a mediation whose Pq is its member set.
+func (pop *Population) PrivateStream() *satisfaction.Stream { return pop.stream }
 
 // layout maps a provider ID to its position in the slabs of a population
 // that does not keep them in ID order (see NewPopulation). Consumers hold a
@@ -65,14 +74,26 @@ func NewPopulation(cfg Config, rng *randx.Rand, startTime float64) *Population {
 	}
 	arena := satisfaction.NewArena(2 * consK * cfg.Consumers)
 	providers := make([]Provider, cfg.Providers)
-	// The provider at position k has public and private trackers 2k and
-	// 2k+1 of one cohort, so the result notification of a mediation writes
-	// both of a provider's words in one line and sweeps Pq along it.
 	provTrackers := make([]satisfaction.ProviderTracker, 2*cfg.Providers)
-	satisfaction.InitCohort(provTrackers, cfg.ProviderK, cfg.InitialSatisfaction, cfg.PriorSamples)
 	utils := make([]UtilizationWindow, cfg.Providers)
 	nClasses := len(cfg.QueryClasses)
 	provPrefs := make([]float64, cfg.Providers*nClasses)
+	// tracker returns the public (0) or private (1) tracker of the provider
+	// at position k. Under capability matchmaking they are trackers 2k and
+	// 2k+1 of one cohort, so the result notification of a mediation writes
+	// both of a provider's words in one line and sweeps Pq along it. Where
+	// every Pq is the whole population, the private trackers are views of
+	// one stream (satisfaction.NewStream) and keep no words, so the public
+	// cohort takes every word of a line.
+	tracker := func(k, private int) *satisfaction.ProviderTracker { return &provTrackers[2*k+private] }
+	if cfg.Heterogeneous() {
+		satisfaction.InitCohort(provTrackers, cfg.ProviderK, cfg.InitialSatisfaction, cfg.PriorSamples)
+	} else {
+		satisfaction.InitCohort(provTrackers[:cfg.Providers], cfg.ProviderK, cfg.InitialSatisfaction, cfg.PriorSamples)
+		pop.stream = satisfaction.NewStream(provTrackers[cfg.Providers:], provPrefs, nClasses,
+			cfg.ProviderK, cfg.InitialSatisfaction, cfg.PriorSamples)
+		tracker = func(k, private int) *satisfaction.ProviderTracker { return &provTrackers[private*cfg.Providers+k] }
+	}
 
 	for i := range providers {
 		p := &providers[i]
@@ -123,7 +144,7 @@ func NewPopulation(cfg Config, rng *randx.Rand, startTime float64) *Population {
 	for k := range providers {
 		p := &providers[k]
 		pop.Providers[p.ID] = p
-		p.Public, p.Private = &provTrackers[2*k], &provTrackers[2*k+1]
+		p.Public, p.Private = tracker(k, 0), tracker(k, 1)
 		p.Util = &utils[k]
 		p.Util.Init(cfg.UtilizationWindow, p.Capacity, startTime)
 		n := p.advertisedClasses()

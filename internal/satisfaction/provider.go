@@ -13,6 +13,10 @@ package satisfaction
 // the provider (the view Figures 4(b)-(c) measure and that Def 8's exponent
 // and the departure decisions use). Section 3 notes the definitions apply to
 // either with no technical difference.
+//
+// A tracker is a ring of its own, or a view of a Stream (NewStream): then
+// it keeps no words, and the stream's mediations are its proposals until
+// it leaves (Detach) for a ring of its own.
 type ProviderTracker struct {
 	// ring holds the window's proposals as tracker words (see performedBit):
 	// slot s is ring[s*stride], so a tracker of a cohort reads its own
@@ -31,6 +35,9 @@ type ProviderTracker struct {
 	perfN        int
 	prior        float64
 	priorSamples int
+	// view is the tracker's stream membership; nil for a ring. A view
+	// keeps perfSum and perfN; its proposals are the stream's.
+	view *member
 }
 
 // performedBit marks a tracker word whose proposal the provider performed.
@@ -86,8 +93,12 @@ func InitCohort(ts []ProviderTracker, k int, prior float64, priorSamples int) {
 }
 
 // Record adds one proposed query with the intention (or preference) the
-// provider showed for it, and whether the provider performed it.
+// provider showed for it, and whether the provider performed it. A view
+// leaves its stream first (Detach).
 func (t *ProviderTracker) Record(shown float64, performed bool) {
+	if t.view != nil {
+		t.Detach()
+	}
 	g := grid(Rate(shown))
 	if t.n == t.k {
 		old := t.ring[t.pos]
@@ -112,9 +123,35 @@ func (t *ProviderTracker) Record(shown float64, performed bool) {
 	}
 }
 
+// MarkPerformed marks the proposal recorded last as performed; marking it
+// again, or a tracker with no proposal, changes nothing. Result
+// notification records every candidate's proposal first and marks the
+// selected ones after, which keeps its performed decision O(n).
+func (t *ProviderTracker) MarkPerformed() {
+	if t.view != nil {
+		t.view.s.perform(t)
+		return
+	}
+	if t.n == 0 {
+		return
+	}
+	last := t.pos - t.stride
+	if last < 0 {
+		last = (t.k - 1) * t.stride
+	}
+	if w := t.ring[last]; w&performedBit == 0 {
+		t.ring[last] = w | performedBit
+		t.perfSum.add(w)
+		t.perfN++
+	}
+}
+
 // Adequation returns δa(p) (Definition 4) ∈ [0,1]: the mapped average of
 // the provider's shown intentions over the k last proposed queries.
 func (t *ProviderTracker) Adequation() float64 {
+	if t.view != nil {
+		return blend(t.view.proposed(), t.Proposed(), t.prior, t.priorSamples)
+	}
 	return blend(t.propSum, t.n, t.prior, t.priorSamples)
 }
 
@@ -124,8 +161,8 @@ func (t *ProviderTracker) Adequation() float64 {
 // proportional to the remaining warm-up so the tracker starts at exactly
 // the configured initial satisfaction.
 func (t *ProviderTracker) Satisfaction() float64 {
-	if t.n < t.priorSamples {
-		w := float64(t.priorSamples - t.n)
+	if n := t.Proposed(); n < t.priorSamples {
+		w := float64(t.priorSamples - n)
 		return (t.prior*w + t.perfSum.float()) / (w + float64(t.perfN))
 	}
 	if t.perfN == 0 {
@@ -141,7 +178,12 @@ func (t *ProviderTracker) AllocationSatisfaction() float64 {
 }
 
 // Proposed returns the number of proposals currently in the window (≤ k).
-func (t *ProviderTracker) Proposed() int { return t.n }
+func (t *ProviderTracker) Proposed() int {
+	if t.view != nil {
+		return int(min(t.view.s.seq, uint64(t.k)))
+	}
+	return t.n
+}
 
 // Performed returns how many of the windowed proposals were performed.
 func (t *ProviderTracker) Performed() int { return t.perfN }

@@ -57,10 +57,16 @@ func definition7Evaluations(med *mediator.Mediator) uint64 {
 	return reflect.ValueOf(med).Elem().FieldByName("rows").FieldByName("evals").Uint()
 }
 
-// privateWrites reads the mediator's unexported count of private-window
-// ring words written, as definition7Evaluations reads its count.
-func privateWrites(med *mediator.Mediator) uint64 {
-	return reflect.ValueOf(med).Elem().FieldByName("privateWrites").Uint()
+// privateWrites reads, as definition7Evaluations reads its count, the
+// private-window ring words written: the mediator's unexported count of
+// words its notifications wrote, plus the population stream's count of
+// words private windows wrote on leaving it.
+func privateWrites(med *mediator.Mediator, pop *model.Population) uint64 {
+	n := reflect.ValueOf(med).Elem().FieldByName("privateWrites").Uint()
+	if s := pop.PrivateStream(); s != nil {
+		n += reflect.ValueOf(s).Elem().FieldByName("materialized").Uint()
+	}
+	return n
 }
 
 func (p *def7Probe) Allocate(req *allocator.Request) []int {
@@ -144,7 +150,7 @@ func TestWorkCounts(t *testing.T) {
 			t.Fatal(res.Err)
 		}
 		c := probe.counts()
-		c.PrivateWrites = int(privateWrites(eng.med))
+		c.PrivateWrites = int(privateWrites(eng.med, eng.Population()))
 		got[shape.name] = c
 	}
 
