@@ -5,8 +5,9 @@ GO ?= go
 # BENCH selects the regression benchmark set: the Rank/Select and
 # matchmaking hot-path micro-benchmarks, the serial-vs-parallel Lab runs,
 # the batched-vs-per-query mediation service path, the streaming
-# timeline CSV writer (rows/sec, 0 allocs/row), the population-scale
-# pair (mediation over a 100k-provider Pq, bytes/participant at build), and
+# timeline CSV writer (rows/sec, 0 allocs/row), the population-size curve
+# (MediateBatch at 80 % load over 400 to 100k providers: ns/candidate and
+# bytes/participant) and the 100k build (bytes/participant), and
 # Definition 8 through the model's entrances (exact, bounded, the memo
 # emptied, and 400 providers on live state), the result notification of
 # a 400-wide Pq into the population's tracker rings, the serving regime
@@ -14,7 +15,7 @@ GO ?= go
 # population of the repository benchmark's sim-narrow (one mediation over a
 # class's ~16 providers, and the build with its bytes/participant).
 # Override with `make bench BENCH=.` for the full suite.
-BENCH ?= BenchmarkRank|BenchmarkSelectTopN|BenchmarkLab|BenchmarkMediatorAllocate|BenchmarkMatchmaking|BenchmarkServerMediate|BenchmarkTimelineCSV|BenchmarkSimulation|BenchmarkMediate100k|BenchmarkPopulationBuild100k|BenchmarkProviderIntention|BenchmarkIntentionsRange400|BenchmarkNotify400|BenchmarkServePaperLoop|BenchmarkMediateNarrow|BenchmarkPopulationBuildNarrow
+BENCH ?= BenchmarkRank|BenchmarkSelectTopN|BenchmarkLab|BenchmarkMediatorAllocate|BenchmarkMatchmaking|BenchmarkServerMediate|BenchmarkTimelineCSV|BenchmarkSimulation|BenchmarkMediateScale|BenchmarkPopulationBuild100k|BenchmarkProviderIntention|BenchmarkIntentionsRange400|BenchmarkNotify400|BenchmarkServePaperLoop|BenchmarkMediateNarrow|BenchmarkPopulationBuildNarrow
 
 # BENCH_COUNT repeats each benchmark -count times; tools/benchjson keeps one
 # record per benchmark (median ns/op and metrics, min/max ns/op, run count).

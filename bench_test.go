@@ -774,7 +774,7 @@ func BenchmarkExtensionSQLBEconomic(b *testing.B) {
 	b.ReportMetric(res.MeanResponseTime, "resp-s")
 }
 
-// --- population scale: 100k providers ---
+// --- population scale: up to 100k providers ---
 
 // scalePop builds a population-scale cohort: hashed consumer preferences
 // (no O(|C|·|P|) preference matrix) and an explicit provider window —
@@ -793,26 +793,63 @@ func scalePop(b *testing.B, providers, consumers int) *sqlb.Population {
 	return sqlb.NewPopulation(cfg, 23)
 }
 
-// BenchmarkMediate100k is the population-scale mediation number: one full
-// Algorithm 1 round over a 100k-provider Pq (homogeneous matchmaking, the
-// paper's setup at 250× its published scale). ns/op is the per-mediation
-// wall time on one core; mediations/sec/core is its inverse, reported
-// explicitly for EXPERIMENTS.md §9. The path allocates nothing in steady
-// state, so this measures pure compute over the dense population arrays.
-func BenchmarkMediate100k(b *testing.B) {
-	pop := scalePop(b, 100_000, 1000)
-	med := sqlb.NewMediator(sqlb.NewSQLB())
-	q := &model.Query{ID: 1, Consumer: pop.Consumers[0], Class: 0, Units: 130, N: 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		q.Consumer = pop.Consumers[i%len(pop.Consumers)]
-		if _, err := med.Allocate(float64(i)*0.01, q, pop); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkMediateScale is the population-size curve: MediateBatch in
+// batches of 32 over a homogeneous population of |P| providers (Pq is all
+// of them), on a virtual clock that advances each query by the mean
+// service demand at 80 % of the population's capacity and with the
+// selections enqueued, so provider load sits at the paper's reference
+// point at every size, as in BenchmarkServePaperLoop. The population is
+// scalePop's, with 1 000 consumers; ProviderK mediations warm the windows
+// before the timer. It reports ns per candidate — flat in |P| while
+// mediation is pure compute over the dense population arrays — and the
+// population's heap bytes per participant.
+func BenchmarkMediateScale(b *testing.B) {
+	const batch = 32
+	for _, size := range []struct {
+		name      string
+		providers int
+	}{{"400", 400}, {"4k", 4_000}, {"20k", 20_000}, {"100k", 100_000}} {
+		b.Run(size.name, func(b *testing.B) {
+			var m0, m1 runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&m0)
+			pop := scalePop(b, size.providers, 1000)
+			runtime.GC()
+			runtime.ReadMemStats(&m1)
+			cfg := pop.Config
+			dt := cfg.MeanQueryUnitsWeighted() * float64(cfg.QueryN) / (0.8 * pop.TotalCapacity())
+			now := 0.0
+			srv := sqlb.NewMediationServer(sqlb.NewSQLB(), pop, time.Second, func() float64 { return now })
+			srv.SetMatchmaker(sqlb.BuildMatchIndex(pop))
+			srv.SetApply(true)
+			gen, pick := workload.NewGenerator(cfg.QueryClasses, cfg.QueryN, randx.New(1)), randx.New(2)
+			stream := make([]*model.Query, 1<<10)
+			for i := range stream {
+				stream[i] = gen.Next(0, pop.Consumers[pick.Pick(len(pop.Consumers))])
+			}
+			ctx, next := context.Background(), 0
+			mediate := func() {
+				qs := stream[next : next+batch]
+				next = (next + batch) % len(stream)
+				now += batch * dt
+				for _, r := range srv.MediateBatch(ctx, qs) {
+					if r.Err != nil {
+						b.Fatal(r.Err)
+					}
+				}
+			}
+			for i := 0; i < cfg.ProviderK; i += batch {
+				mediate()
+			}
+			b.ResetTimer()
+			mediated := 0
+			for ; mediated < b.N; mediated += batch {
+				mediate()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(mediated*size.providers), "ns/candidate")
+			b.ReportMetric(float64(m1.HeapAlloc-m0.HeapAlloc)/float64(len(pop.Providers)+len(pop.Consumers)), "bytes/participant")
+		})
 	}
-	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "mediations/s")
 }
 
 // BenchmarkPopulationBuild100k measures building the 100k-provider /

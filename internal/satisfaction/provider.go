@@ -35,6 +35,10 @@ type ProviderTracker struct {
 	perfN        int
 	prior        float64
 	priorSamples int
+	// sat is a ring's δs, kept current: it moves only when a performed
+	// proposal enters or leaves the window, or during the warm-up, and
+	// the ω loop reads it once per candidate.
+	sat float64
 	// view is the tracker's stream membership; nil for a ring. A view
 	// keeps perfSum and perfN; its proposals are the stream's.
 	view *member
@@ -89,6 +93,7 @@ func InitCohort(ts []ProviderTracker, k int, prior float64, priorSamples int) {
 			prior:        prior,
 			priorSamples: priorSamples,
 		}
+		ts[i].sat = ts[i].satisfaction()
 	}
 }
 
@@ -100,26 +105,32 @@ func (t *ProviderTracker) Record(shown float64, performed bool) {
 		t.Detach()
 	}
 	g := grid(Rate(shown))
+	moved := t.n < t.priorSamples // the warm-up blend moves with n
+	var out uint64                // the rated value sliding out; none while the window fills
 	if t.n == t.k {
 		old := t.ring[t.pos]
-		rated := old &^ performedBit
-		t.propSum.sub(rated)
-		if old != rated {
-			t.perfSum.sub(rated)
+		out = old &^ performedBit
+		if old != out {
+			t.perfSum.sub(out)
 			t.perfN--
+			moved = true
 		}
 	} else {
 		t.n++
 	}
-	t.propSum.add(g)
+	t.propSum.move(int64(g) - int64(out))
 	if performed {
 		t.perfSum.add(g)
 		t.perfN++
 		g |= performedBit
+		moved = true
 	}
 	t.ring[t.pos] = g
 	if t.pos += t.stride; t.pos >= len(t.ring) {
 		t.pos = 0
+	}
+	if moved {
+		t.sat = t.satisfaction()
 	}
 }
 
@@ -143,6 +154,7 @@ func (t *ProviderTracker) MarkPerformed() {
 		t.ring[last] = w | performedBit
 		t.perfSum.add(w)
 		t.perfN++
+		t.sat = t.satisfaction()
 	}
 }
 
@@ -161,6 +173,13 @@ func (t *ProviderTracker) Adequation() float64 {
 // proportional to the remaining warm-up so the tracker starts at exactly
 // the configured initial satisfaction.
 func (t *ProviderTracker) Satisfaction() float64 {
+	if t.view == nil {
+		return t.sat
+	}
+	return t.satisfaction()
+}
+
+func (t *ProviderTracker) satisfaction() float64 {
 	if n := t.Proposed(); n < t.priorSamples {
 		w := float64(t.priorSamples - n)
 		return (t.prior*w + t.perfSum.float()) / (w + float64(t.perfN))

@@ -173,6 +173,7 @@ func (t *ProviderTracker) Detach() {
 			t.perfN++
 		}
 	}
+	t.sat = t.satisfaction()
 	s.live--
 	s.version++
 	s.materialized += uint64(n)

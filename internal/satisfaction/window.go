@@ -135,8 +135,9 @@ const gridOne = 1 << 54
 // grid returns r, a Rate output, on the grid. Every Rate output is a
 // multiple of 2^-54 already: (x+1)/2 with x+1 ≥ ½ is spaced by 2^-53 or
 // more, and x+1 < ½ means x ∈ [−1, −½), where x+1 is exact and a multiple
-// of 2^-53. So the conversion is exact.
-func grid(r float64) uint64 { return uint64(r * gridOne) }
+// of 2^-53. So the conversion is exact. (It goes through int64, which is
+// one instruction where a float64 to uint64 conversion is a branch.)
+func grid(r float64) uint64 { return uint64(int64(r * gridOne)) }
 
 // onGrid returns v clamped to [0,1] (NaN to 0) and rounded to the nearest
 // grid value.
@@ -147,7 +148,7 @@ func onGrid(v float64) uint64 {
 	case v >= 1:
 		return gridOne
 	}
-	return uint64(math.Round(v * gridOne))
+	return uint64(int64(math.Round(v * gridOne)))
 }
 
 // sum is an unsigned 128-bit sum of grid values: k of them reach k·2^54,
@@ -159,6 +160,13 @@ func (s *sum) add(g uint64) {
 	var carry uint64
 	s.lo, carry = bits.Add64(s.lo, g, 0)
 	s.hi += carry
+}
+
+// move adds d, a difference of two grid values.
+func (s *sum) move(d int64) {
+	var carry uint64
+	s.lo, carry = bits.Add64(s.lo, uint64(d), 0)
+	s.hi += uint64(d>>63) + carry // d sign-extended to 128 bits
 }
 
 func (s *sum) sub(g uint64) {
