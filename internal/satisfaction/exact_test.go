@@ -259,6 +259,9 @@ func TestStreamEqualsRings(t *testing.T) {
 					}
 				}
 			}
+			if s.Version() != uint64(n-s.Live()) {
+				t.Fatalf("trial %d step %d: version %d with %d of %d members left", trial, step, s.Version(), n-s.Live(), n)
+			}
 			for i := range views {
 				if !sameTrackerReads(&views[i], rings[i]) {
 					t.Fatalf("trial %d step %d (k=%d ps=%d): tracker %d (member %v) reads (%v,%v,%d,%d), ring (%v,%v,%d,%d)",

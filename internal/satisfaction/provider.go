@@ -179,6 +179,7 @@ func (t *ProviderTracker) Satisfaction() float64 {
 	return t.satisfaction()
 }
 
+// satisfaction computes δs from the window as Satisfaction documents it.
 func (t *ProviderTracker) satisfaction() float64 {
 	if n := t.Proposed(); n < t.priorSamples {
 		w := float64(t.priorSamples - n)

@@ -9,8 +9,9 @@ import "math/bits"
 // got every proposal, its window is determined by the classes of the last
 // k mediations and by which of them it performed. The stream keeps those
 // classes once, and each member tracker is a view of it: a mediation costs
-// the stream O(1) plus O(1) per performer (MarkPerformed) instead of one
-// ring word per candidate, and a read costs O(classes).
+// the stream O(1), plus O(1) per performer (MarkPerformed) and per
+// performance that expires, instead of one ring word per candidate; a
+// read costs O(classes).
 //
 // A view answers every read exactly as the ring it stands for: the window
 // sums are the same integers (see sum), so the bits are the same. A member
@@ -19,7 +20,7 @@ import "math/bits"
 // and never comes back.
 type Stream struct {
 	k       int
-	classes int     // the members' value tables; bucket classes is any other class
+	classes int     // the classes the members' value tables cover; bucket classes is any other
 	seq     uint64  // mediations so far; mediation s is the s-th, from 1
 	hist    []int32 // bucket of mediation s at hist[s%k], for the last k
 	count   []int   // per bucket, among the last min(k, seq) mediations

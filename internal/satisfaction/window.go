@@ -83,14 +83,14 @@ func (w *Window) Init(a *Arena, k int, prior float64, priorSamples int) {
 // the window is full. v is rounded to the nearest multiple of 2^-54; a
 // value outside [0,1] is clamped to it, and NaN reads as 0.
 func (w *Window) Push(v float64) {
+	g, out := onGrid(v), uint64(0)
 	if w.n == len(w.buf) {
-		w.sum.sub(w.buf[w.head])
+		out = w.buf[w.head]
 	} else {
 		w.n++
 	}
-	g := onGrid(v)
 	w.buf[w.head] = g
-	w.sum.add(g)
+	w.sum.move(int64(g) - int64(out))
 	w.head++
 	if w.head == len(w.buf) {
 		w.head = 0
