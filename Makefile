@@ -156,13 +156,15 @@ benchmark-selftest:
 	$(GO) -C benchmark test -skip '^$(SELFTEST_SKIP)$$' ./...
 
 # loc prints the Go line counts ROADMAP aim 2 ("least code") is read off:
-# non-test and test lines outside the frozen benchmark/, and the non-test
-# lines of the three packages that hold Algorithm 1.
+# non-test and test lines outside the frozen benchmark/, the non-test lines
+# ROADMAP item 11 budgets (the same, without the tools/benchpairs harness),
+# and the non-test lines of the three packages that hold Algorithm 1.
 GO_FILES = find . -name '*.go' -not -path './benchmark/*' -not -path './.bench_build/*'
 ALG1_DIRS = -path './internal/mediator/*' -o -path './internal/core/*' -o -path './internal/allocator/*'
 loc:
 	@echo "non-test $$($(GO_FILES) ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "test $$($(GO_FILES) -name '*_test.go' | xargs cat | wc -l)"
+	@echo "non-test without tools/benchpairs $$($(GO_FILES) ! -name '*_test.go' -not -path './tools/benchpairs/*' | xargs cat | wc -l)"
 	@echo "mediator+core+allocator non-test $$($(GO_FILES) ! -name '*_test.go' \( $(ALG1_DIRS) \) | xargs cat | wc -l)"
 
 clean:

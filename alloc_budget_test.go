@@ -103,12 +103,12 @@ func TestAllocBudgetProviderIntention(t *testing.T) {
 	p.Assign(0, 1e6)
 	now, sink := 1.0, 0.0
 	for name, call := range map[string]func(){
-		"warm":      func() { sink += p.Intention(0, now) },
-		"cold load": func() { now += 0.01; sink += p.Intention(1, now) },
-		"cold δs":   func() { p.SmoothSat = 0.9 - p.SmoothSat; sink += p.Intention(0, now) },
+		"warm":      func() { sink += p.IntentionAt(0, p.OperationalLoad(now)) },
+		"cold load": func() { now += 0.01; sink += p.IntentionAt(1, p.OperationalLoad(now)) },
+		"cold δs":   func() { p.SmoothSat = 0.9 - p.SmoothSat; sink += p.IntentionAt(0, p.OperationalLoad(now)) },
 	} {
 		if allocs := testing.AllocsPerRun(100, call); allocs != 0 {
-			t.Errorf("Provider.Intention (%s): %v allocs/op, want 0", name, allocs)
+			t.Errorf("Provider.IntentionAt (%s): %v allocs/op, want 0", name, allocs)
 		}
 	}
 	if math.IsNaN(sink) {

@@ -212,7 +212,7 @@ func BenchmarkProviderIntentionExact(b *testing.B) {
 	p := benchIntentionProvider()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		intentionSink = p.Intention(0, float64(i)*1e-3)
+		intentionSink = p.IntentionAt(0, p.OperationalLoad(float64(i)*1e-3))
 	}
 }
 
@@ -235,7 +235,7 @@ func BenchmarkProviderIntentionColdSat(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.SmoothSat = 0.4 - float64(i&1)*0.1
-		intentionSink = p.Intention(0, 1)
+		intentionSink = p.IntentionAt(0, p.OperationalLoad(1))
 	}
 }
 
@@ -615,6 +615,7 @@ func BenchmarkServePaperLoop(b *testing.B) {
 	now := 0.0
 	srv := sqlb.NewMediationServer(sqlb.NewSQLB(), pop, time.Second, func() float64 { return now })
 	srv.SetMatchmaker(sqlb.BuildMatchIndex(pop))
+	srv.SetApply(true) // selections are enqueued: the clock's 80 % load is real
 	gen, pick := workload.NewGenerator(cfg.QueryClasses, cfg.QueryN, randx.New(1)), randx.New(2)
 	gen.SetClassWeights(cfg.ClassWeights())
 	stream := make([]*model.Query, 1<<12)

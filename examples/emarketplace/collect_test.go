@@ -1,4 +1,4 @@
-package mediator
+package main
 
 import (
 	"context"
@@ -7,8 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"sqlb/internal/model"
-	"sqlb/internal/randx"
+	"sqlb"
 )
 
 type stubConsumer struct {
@@ -17,7 +16,7 @@ type stubConsumer struct {
 	err   error
 }
 
-func (s stubConsumer) Intention(ctx context.Context, _ *model.Query, _ *model.Provider) (float64, error) {
+func (s stubConsumer) Intention(ctx context.Context, _ *sqlb.Query, _ *sqlb.Provider) (float64, error) {
 	if s.delay > 0 {
 		select {
 		case <-time.After(s.delay):
@@ -34,7 +33,7 @@ type stubProvider struct {
 	err   error
 }
 
-func (s stubProvider) Intention(ctx context.Context, _ *model.Query) (float64, error) {
+func (s stubProvider) Intention(ctx context.Context, _ *sqlb.Query) (float64, error) {
 	if s.delay > 0 {
 		select {
 		case <-time.After(s.delay):
@@ -45,25 +44,24 @@ func (s stubProvider) Intention(ctx context.Context, _ *model.Query) (float64, e
 	return s.value, s.err
 }
 
-func collectFixture(t *testing.T, n int) (*model.Population, *model.Query) {
+func collectFixture(t *testing.T, n int) (*sqlb.Population, *sqlb.Query) {
 	t.Helper()
-	cfg := model.DefaultConfig()
+	cfg := sqlb.DefaultConfig()
 	cfg.Consumers = 1
 	cfg.Providers = n
-	pop := model.NewPopulation(cfg, randx.New(5), 0)
-	q := &model.Query{ID: 1, Consumer: pop.Consumers[0], Class: 0, Units: 130, N: 1}
+	pop := sqlb.NewPopulation(cfg, 5)
+	q := &sqlb.Query{ID: 1, Consumer: pop.Consumers[0], Class: 0, Units: 130, N: 1}
 	return pop, q
 }
 
 func TestCollectAllAnswer(t *testing.T) {
 	pop, q := collectFixture(t, 4)
-	providers := make([]ProviderClient, 4)
+	providers := make([]providerClient, 4)
 	for i := range providers {
 		providers[i] = stubProvider{value: 0.25 * float64(i)}
 	}
-	c := &Collector{Timeout: time.Second}
-	ci, pi, st := c.Collect(context.Background(), q, pop.Providers, stubConsumer{value: 0.7}, providers)
-	if st.Degraded() {
+	ci, pi, st := collect(context.Background(), time.Second, q, pop.Providers, stubConsumer{value: 0.7}, providers)
+	if st != (collectStats{}) {
 		t.Fatalf("full collection reported degraded stats: %+v", st)
 	}
 	for i := range ci {
@@ -78,16 +76,15 @@ func TestCollectAllAnswer(t *testing.T) {
 
 func TestCollectTimeoutFallsBackToDefault(t *testing.T) {
 	pop, q := collectFixture(t, 3)
-	providers := []ProviderClient{
+	providers := []providerClient{
 		stubProvider{value: 0.9},
 		stubProvider{value: 0.9, delay: 500 * time.Millisecond}, // too slow
 		stubProvider{value: -0.3},
 	}
-	c := &Collector{Timeout: 30 * time.Millisecond}
 	start := time.Now()
-	ci, pi, st := c.Collect(context.Background(), q, pop.Providers, stubConsumer{value: 0.5}, providers)
+	_, pi, st := collect(context.Background(), 30*time.Millisecond, q, pop.Providers, stubConsumer{value: 0.5}, providers)
 	if elapsed := time.Since(start); elapsed > 300*time.Millisecond {
-		t.Errorf("Collect blocked %v past its timeout", elapsed)
+		t.Errorf("collect blocked %v past its timeout", elapsed)
 	}
 	if pi[0] != 0.9 || pi[2] != -0.3 {
 		t.Errorf("fast providers lost: %v", pi)
@@ -95,23 +92,18 @@ func TestCollectTimeoutFallsBackToDefault(t *testing.T) {
 	if pi[1] != 0 {
 		t.Errorf("slow provider should default to 0 (indifference), got %v", pi[1])
 	}
-	if st.Timeouts != 1 || st.Errors != 0 {
+	if st != (collectStats{timeouts: 1}) {
 		t.Errorf("stats = %+v, want exactly the slow provider timed out", st)
 	}
-	if !st.Degraded() {
-		t.Error("a timed-out collection must report Degraded")
-	}
-	_ = ci
 }
 
 func TestCollectErrorsBecomeDefaults(t *testing.T) {
 	pop, q := collectFixture(t, 2)
-	providers := []ProviderClient{
+	providers := []providerClient{
 		stubProvider{err: errors.New("unreachable")},
 		stubProvider{value: 0.4},
 	}
-	c := &Collector{Timeout: time.Second, Default: 0}
-	_, pi, st := c.Collect(context.Background(), q, pop.Providers, stubConsumer{err: errors.New("boom")}, providers)
+	_, pi, st := collect(context.Background(), time.Second, q, pop.Providers, stubConsumer{err: errors.New("boom")}, providers)
 	if pi[0] != 0 {
 		t.Errorf("failed provider should default, got %v", pi[0])
 	}
@@ -119,17 +111,16 @@ func TestCollectErrorsBecomeDefaults(t *testing.T) {
 		t.Errorf("healthy provider lost: %v", pi[1])
 	}
 	// Two consumer answers and one provider answer errored; the accounting
-	// is what stops silent degradation (each error was folded into the
-	// Default intention).
-	if st.Errors != 3 || st.Timeouts != 0 {
+	// is what stops silent degradation (each error was folded into
+	// indifference).
+	if st != (collectStats{errors: 3}) {
 		t.Errorf("stats = %+v, want 3 errors, 0 timeouts", st)
 	}
 }
 
 func TestCollectNilClients(t *testing.T) {
 	pop, q := collectFixture(t, 2)
-	c := &Collector{Timeout: 50 * time.Millisecond}
-	ci, pi, _ := c.Collect(context.Background(), q, pop.Providers, nil, []ProviderClient{nil, nil})
+	ci, pi, _ := collect(context.Background(), 50*time.Millisecond, q, pop.Providers, nil, []providerClient{nil, nil})
 	for i := range ci {
 		if ci[i] != 0 || pi[i] != 0 {
 			t.Errorf("nil clients should yield defaults, got ci=%v pi=%v", ci[i], pi[i])
@@ -141,25 +132,23 @@ func TestCollectCancelledContext(t *testing.T) {
 	pop, q := collectFixture(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	c := &Collector{Timeout: time.Second}
-	providers := []ProviderClient{stubProvider{value: 1, delay: time.Hour}, stubProvider{value: 1, delay: time.Hour}}
+	providers := []providerClient{stubProvider{value: 1, delay: time.Hour}, stubProvider{value: 1, delay: time.Hour}}
 	done := make(chan struct{})
 	go func() {
-		c.Collect(ctx, q, pop.Providers, stubConsumer{value: 1, delay: time.Hour}, providers)
+		collect(ctx, time.Second, q, pop.Providers, stubConsumer{value: 1, delay: time.Hour}, providers)
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
-		t.Fatal("Collect did not honor context cancellation")
+		t.Fatal("collect did not honor context cancellation")
 	}
 }
 
 func TestCollectSanitizesGarbage(t *testing.T) {
 	pop, q := collectFixture(t, 1)
-	c := &Collector{Timeout: time.Second}
-	ci, pi, _ := c.Collect(context.Background(), q, pop.Providers,
-		stubConsumer{value: 42}, []ProviderClient{stubProvider{value: math.NaN()}})
+	ci, pi, _ := collect(context.Background(), time.Second, q, pop.Providers,
+		stubConsumer{value: 42}, []providerClient{stubProvider{value: math.NaN()}})
 	if ci[0] != 10 {
 		t.Errorf("absurd intention should cap at 10, got %v", ci[0])
 	}
@@ -167,8 +156,8 @@ func TestCollectSanitizesGarbage(t *testing.T) {
 		t.Errorf("NaN intention should become 0, got %v", pi[0])
 	}
 	// Legitimate raw Def 7/8 values below -1 pass through untouched.
-	ci2, _, _ := c.Collect(context.Background(), q, pop.Providers,
-		stubConsumer{value: -2.5}, []ProviderClient{stubProvider{value: 0.5}})
+	ci2, _, _ := collect(context.Background(), time.Second, q, pop.Providers,
+		stubConsumer{value: -2.5}, []providerClient{stubProvider{value: 0.5}})
 	if ci2[0] != -2.5 {
 		t.Errorf("raw negative intention should pass, got %v", ci2[0])
 	}

@@ -54,7 +54,7 @@ func main() {
 	pop := sqlb.NewPopulation(cfg, 1)
 	q := &sqlb.Query{ID: 1, Consumer: pop.Consumers[0], Class: 0, Units: 130, N: 2}
 
-	providers := []sqlb.ProviderClient{
+	providers := []providerClient{
 		shippingProvider{name: "p1", intention: 1, latency: time.Millisecond},
 		shippingProvider{name: "p2", intention: -1, latency: time.Millisecond},
 		shippingProvider{name: "p3", intention: 1, latency: 2 * time.Second}, // too slow: defaults to 0
@@ -63,11 +63,10 @@ func main() {
 	}
 	consumer := eWine{intentions: map[int]float64{0: -1, 1: 1, 2: -1, 3: 1, 4: 1}}
 
-	collector := &sqlb.IntentionCollector{Timeout: 100 * time.Millisecond}
 	start := time.Now()
-	ci, pi, st := collector.Collect(context.Background(), q, pop.Providers, consumer, providers)
+	ci, pi, st := collect(context.Background(), 100*time.Millisecond, q, pop.Providers, consumer, providers)
 	fmt.Printf("collected intentions in %v (%d timed out → indifference)\n\n",
-		time.Since(start).Round(time.Millisecond), st.Timeouts)
+		time.Since(start).Round(time.Millisecond), st.timeouts)
 
 	// Score and rank per Definition 9 with the initial even balance ω=0.5.
 	omegas := make([]float64, len(pop.Providers))

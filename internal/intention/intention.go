@@ -58,7 +58,7 @@ func Consumer(pref, rep, upsilon, epsilon float64) float64 {
 // and is not overutilized, which is what keeps response times good.
 //
 // This is the reference reading of the definition, written out in one
-// piece. model.Provider.Intention, the entrance the mediation paths use,
+// piece. model.Provider.IntentionAt, the entrance the mediation paths use,
 // evaluates the same expressions through ProviderTerms so that it can keep
 // the two factors between calls; TestProviderTermsRecompose holds the two
 // spellings to the same bits.

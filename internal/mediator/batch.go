@@ -115,9 +115,7 @@ func (s *Server) MediateBatch(ctx context.Context, qs []*model.Query) []BatchRes
 // turn is the one mediation body of the server: Algorithm 1 for each query
 // of qs in slice order at one clock reading, outcomes into out (indexed
 // like qs). Intentions are computed in-process from the model's own state,
-// and Definitions 7 and 8 clamp what they read of it, so the vectors need
-// none of the Collector's guards against what a remote participant may
-// answer. Callers hold s.mu.
+// and Definitions 7 and 8 clamp what they read of it. Callers hold s.mu.
 func (s *Server) turn(ctx context.Context, qs []*model.Query, out []BatchResult) {
 	if s.closed {
 		for i := range out {

@@ -1,7 +1,6 @@
 // Package mediator implements the mediation layer of Figure 1 and
 // Algorithm 1: matchmaking (finding Pq), obtaining the consumer's and the
-// providers' intentions (computed in-process for local participants;
-// Collector gathers them concurrently with a timeout from remote ones),
+// providers' intentions (computed in-process from the model's state),
 // driving the pluggable allocation strategy, and notifying every provider
 // in Pq of the mediation result so that the satisfaction windows of
 // Section 3 stay current.
@@ -161,12 +160,10 @@ func New(strategy allocator.Allocator) *Mediator {
 }
 
 // Allocate mediates one query at the given time: matchmaking, intention
-// gathering (lines 2-5 of Algorithm 1, computed synchronously here — see
-// Collector for the fork/join variant remote participants need), allocation
-// (lines 6-10),
-// and result notification (recording into every participant's satisfaction
-// windows). The strategy sees only public information: expressed intentions
-// and intention-based satisfactions.
+// gathering (lines 2-5 of Algorithm 1, computed synchronously here),
+// allocation (lines 6-10), and result notification (recording into every
+// participant's satisfaction windows). The strategy sees only public
+// information: expressed intentions and intention-based satisfactions.
 //
 // This is the simulator's hot path and allocates nothing in steady state:
 // the returned Allocation and every slice it carries live in the mediator's

@@ -804,42 +804,52 @@ func (e *engineCheck) Allocate(req *allocator.Request) []int {
 }
 
 // TestEngineEqualsReference runs the six strategies through the
-// simulator's event loop, each over one population shape — the paper's,
-// specialists over 128 classes under outage and rejoin waves and
+// simulator's event loop, each over the three population shapes — the
+// paper's, specialists over 128 classes under outage and rejoin waves and
 // autonomous departures, and ε = 0.3, where negative-branch intentions
-// stay above −1 — at 100 % offered load with q.n ∈ {1, 4, |Pq|}.
+// stay above −1 — at 100 % offered load. q.n cycles over {1, 4, |Pq|}
+// with the strategy, offset by the shape, so that every shape and every
+// strategy sees all three.
 func TestEngineEqualsReference(t *testing.T) {
 	paper := model.DefaultConfig().Scale(0.15)
 	specialists := model.DefaultConfig().WithClasses(128)
 	specialists.Consumers, specialists.Providers, specialists.CapabilitySelectivity = 12, 256, 0.03
 	epsilon := model.DefaultConfig().Scale(0.15)
 	epsilon.Epsilon = 0.3
+	shapes := []struct {
+		name string
+		cfg  model.Config
+	}{{"paper", paper}, {"specialists", specialists}, {"epsilon0.3", epsilon}}
 	churn := &scenario.Scenario{Name: "churn", Waves: []scenario.Wave{{Time: 4, Kind: scenario.WaveOutage, Fraction: 0.2},
 		{Time: 8, Kind: scenario.WaveRejoin, Fraction: 1}, {Time: 12, Kind: scenario.WaveOutage, Fraction: 0.1}}}
 	var v vacuity
 	for i, st := range strategies {
-		opts := sim.Options{Config: []model.Config{paper, specialists, epsilon}[i%3], Workload: workload.Constant(1),
-			Duration: 32, Seed: 77, SmoothingAlpha: 0.3, SmoothingInterval: 2}
-		opts.Config.ConsumerK, opts.Config.ProviderK = 20, 50
-		opts.Config.QueryN = [3]int{1, 4, 1 << 20}[(i+i/3)%3]
-		if i%3 == 1 {
-			opts.Scenario, opts.Autonomy = churn, sim.FullAutonomy()
-		}
-		check := &engineCheck{probe: probe{Allocator: st.build(), v: &v}, consultsPI: st.consultsPI}
-		if i != sqlbMethod {
-			check.ref.strategy = st.build()
-		}
-		opts.Strategy = check
-		eng, err := sim.New(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check.ref.pop, check.ref.capable = eng.Population(), true
-		if res := eng.Run(); res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		if check.err != nil || check.mediations == 0 {
-			t.Errorf("%s over population %d: %d mediations, %v", check.Name(), i%3, check.mediations, check.err)
+		for j, shape := range shapes {
+			opts := sim.Options{Config: shape.cfg, Workload: workload.Constant(1),
+				Duration: 32, Seed: 77, SmoothingAlpha: 0.3, SmoothingInterval: 2}
+			opts.Config.ConsumerK, opts.Config.ProviderK = 20, 50
+			opts.Config.QueryN = [3]int{1, 4, 1 << 20}[(i+j)%3]
+			if j == 1 {
+				opts.Scenario, opts.Autonomy = churn, sim.FullAutonomy()
+			}
+			check := &engineCheck{probe: probe{Allocator: st.build(), v: &v}, consultsPI: st.consultsPI}
+			if i != sqlbMethod {
+				check.ref.strategy = st.build()
+			}
+			opts.Strategy = check
+			t.Run(fmt.Sprintf("%s/%s/n=%d", check.Name(), shape.name, opts.Config.QueryN), func(t *testing.T) {
+				eng, err := sim.New(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check.ref.pop, check.ref.capable = eng.Population(), true
+				if res := eng.Run(); res.Err != nil {
+					t.Fatal(res.Err)
+				}
+				if check.err != nil || check.mediations == 0 {
+					t.Errorf("%d mediations, %v", check.mediations, check.err)
+				}
+			})
 		}
 	}
 	if v.deferred == 0 || v.resolved == 0 {

@@ -7,32 +7,28 @@ import (
 	"sqlb/internal/intention"
 )
 
-// Intention returns pi_p(q), the raw provider intention of Definition 8,
-// for a query of the given class at time now: bit for bit
+// IntentionAt returns pi_p(q), the raw provider intention of Definition 8,
+// for a query of the given class at the given load reading: bit for bit
 //
-//	intention.Provider(p.Preference(class), p.OperationalLoad(now), p.SmoothSat, p.Epsilon)
+//	intention.Provider(p.Preference(class), load, p.SmoothSat, p.Epsilon)
 //
-// It is the exact in-process entrance to Definition 8; the mediation paths
-// gather through IntentionOrBound and come back, by IntentionAt, for the
-// slots a strategy resolves. The definition's preference factor is kept
-// from one call to the next with the exact inputs it was computed from, and
-// is used again only while those keep their bits, so nothing has to
-// announce a change: SetPreference, Smooth, or a direct write to Epsilon or
-// SmoothSat all show up as a different key. It changes only when the
-// provider re-assesses its satisfaction; almost every evaluation finds it.
-// The load factor is computed on every call: most loads are backlogs,
-// which move with every arrival.
+// At load p.OperationalLoad(now) it is the exact in-process entrance to
+// Definition 8 at time now; the mediation paths gather through
+// IntentionOrBound and come back, at the load a bound was taken at, for
+// the slots a strategy resolves: the exact value behind the bound,
+// whatever has been assigned to the provider since. The definition's
+// preference factor is kept from one call to the next with the exact
+// inputs it was computed from, and is used again only while those keep
+// their bits, so nothing has to announce a change: SetPreference, Smooth,
+// or a direct write to Epsilon or SmoothSat all show up as a different
+// key. It changes only when the provider re-assesses its satisfaction;
+// almost every evaluation finds it. The load factor is computed on every
+// call: most loads are backlogs, which move with every arrival.
 //
 // The entrances write the provider's own memo and nothing else, so the rule
 // for calling them concurrently is the one for Assign or the trackers'
 // Record: one goroutine per provider at a time, which the simulator's one
 // event loop and the server lock already guarantee.
-func (p *Provider) Intention(class int, now float64) float64 {
-	return p.IntentionAt(class, p.OperationalLoad(now))
-}
-
-// IntentionAt is Intention at a load reading taken earlier: the exact value
-// behind a bound, whatever has been assigned to the provider since.
 func (p *Provider) IntentionAt(class int, load float64) float64 {
 	pi, _ := p.intention(class, load, false)
 	return pi
@@ -41,15 +37,15 @@ func (p *Provider) IntentionAt(class int, load float64) float64 {
 // Exact is IntentionOrBound's deferredAt for a value that is not a bound.
 const Exact = -1
 
-// IntentionOrBound is Intention for a caller that can do with less of an
-// unwilling provider: on Definition 8's negative branch it returns, instead
-// of pi and its pow, intention.ProviderTerms.Bound whenever that has one to
-// offer — a v with pi ≤ v ≤ −1, which clamps and rates like pi and ranks
-// no lower. deferredAt is then the load reading v was taken at (clamped to
-// the definition's domain, so ≥ 0), and IntentionAt(class, deferredAt) the
-// pi it stands for. Everything else — the positive branch, a load factor
-// that costs no pow — comes back exact, the bits of Intention, with
-// deferredAt Exact.
+// IntentionOrBound is IntentionAt at time now for a caller that can do
+// with less of an unwilling provider: on Definition 8's negative branch it
+// returns, instead of pi and its pow, intention.ProviderTerms.Bound
+// whenever that has one to offer — a v with pi ≤ v ≤ −1, which clamps and
+// rates like pi and ranks no lower. deferredAt is then the load reading v
+// was taken at (clamped to the definition's domain, so ≥ 0), and
+// IntentionAt(class, deferredAt) the pi it stands for. Everything else —
+// the positive branch, a load factor that costs no pow — comes back exact,
+// the bits of IntentionAt, with deferredAt Exact.
 func (p *Provider) IntentionOrBound(class int, now float64) (v, deferredAt float64) {
 	return p.intention(class, p.OperationalLoad(now), true)
 }

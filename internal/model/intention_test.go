@@ -8,7 +8,7 @@ import (
 	"sqlb/internal/randx"
 )
 
-// That Provider.Intention and IntentionOrBound give Definition 8's bits
+// That IntentionAt and IntentionOrBound give Definition 8's bits
 // whatever is done to a provider is checked where the mediation paths read
 // them, against a naive Algorithm 1 (internal/mediator, FuzzMediation). The
 // tests here hold the memo's own mechanics: that it is read, revalidated,
@@ -40,36 +40,36 @@ func TestProviderIntentionMemoIsReadAndRevalidated(t *testing.T) {
 	expect := func(what string, got, want float64) {
 		t.Helper()
 		if got != want {
-			t.Errorf("%s: Intention = %v, want %v", what, got, want)
+			t.Errorf("%s: IntentionAt = %v, want %v", what, got, want)
 		}
 	}
 
-	expect("first evaluation", p.Intention(0, 1), definition(1))
+	expect("first evaluation", p.IntentionAt(0, p.OperationalLoad(1)), definition(1))
 	bound, at := p.IntentionOrBound(0, 1)
 	if at == Exact {
 		t.Fatalf("an overloaded provider's intention %v was not deferred", bound)
 	}
 	poison()
-	expect("repeat: preference factor kept", p.Intention(0, 1), 2*definition(1))
-	expect("moved clock: preference factor kept", p.Intention(0, 2), 2*definition(2))
+	expect("repeat: preference factor kept", p.IntentionAt(0, p.OperationalLoad(1)), 2*definition(1))
+	expect("moved clock: preference factor kept", p.IntentionAt(0, p.OperationalLoad(2)), 2*definition(2))
 	if twice, _ := p.IntentionOrBound(0, 1); twice != 2*bound {
 		t.Errorf("bound %v with the kept factor doubled, %v before: IntentionOrBound does not read the memo", twice, bound)
 	}
 	p.SetPreference(0, 0.7)
-	expect("changed preference: recomputed", p.Intention(0, 2), definition(2))
+	expect("changed preference: recomputed", p.IntentionAt(0, p.OperationalLoad(2)), definition(2))
 	poison()
 	p.SmoothSat = 0.3
-	expect("changed δs: recomputed", p.Intention(0, 2), definition(2))
+	expect("changed δs: recomputed", p.IntentionAt(0, p.OperationalLoad(2)), definition(2))
 	poison()
 	p.Epsilon = 0.5
-	expect("changed ε: recomputed", p.Intention(0, 2), definition(2))
+	expect("changed ε: recomputed", p.IntentionAt(0, p.OperationalLoad(2)), definition(2))
 
 	// The other class has its own preference factor.
 	p.SetPreference(1, -0.2)
-	expect("second class, first evaluation", p.Intention(1, 2), definitionOf(1, 2))
+	expect("second class, first evaluation", p.IntentionAt(1, p.OperationalLoad(2)), definitionOf(1, 2))
 	poison()
-	expect("second class keeps its own preference factor", p.Intention(1, 2), definitionOf(1, 2))
-	expect("first class keeps its own preference factor", p.Intention(0, 2), 2*definition(2))
+	expect("second class keeps its own preference factor", p.IntentionAt(1, p.OperationalLoad(2)), definitionOf(1, 2))
+	expect("first class keeps its own preference factor", p.IntentionAt(0, p.OperationalLoad(2)), 2*definition(2))
 }
 
 // TestProviderIntentionMemoRows checks the storage: NewPopulation carves one
@@ -137,8 +137,8 @@ func TestProviderIntentionMemoRows(t *testing.T) {
 	// A provider built by hand has no row and still answers by the
 	// definition.
 	bare := &Provider{Capacity: 10, Epsilon: 1, SmoothSat: 0.4, Util: NewUtilizationWindow(60, 10, 0)}
-	if got, want := bare.Intention(0, 1), intention.Provider(0, 0, 0.4, 1); got != want {
-		t.Errorf("hand-built provider: Intention = %v, want %v", got, want)
+	if got, want := bare.IntentionAt(0, bare.OperationalLoad(1)), intention.Provider(0, 0, 0.4, 1); got != want {
+		t.Errorf("hand-built provider: IntentionAt = %v, want %v", got, want)
 	}
 }
 

@@ -206,7 +206,7 @@ type Provider struct {
 	caps []uint64
 
 	// memo keeps the preference factors of the provider's last Definition
-	// 8 evaluations (see Intention).
+	// 8 evaluations (see IntentionAt).
 	memo intentionMemo
 }
 

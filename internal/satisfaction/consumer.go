@@ -37,7 +37,8 @@ func QuerySatisfaction(selectedIntentions []float64, n int) float64 {
 // ConsumerTracker maintains the Section 3.1 characteristics of one consumer
 // over its k last issued queries (the set IQ_c^k). The two windows are
 // embedded by value so a population of trackers is a single dense array;
-// only their ring buffers live elsewhere (in an Arena when one is used).
+// only their ring buffers live elsewhere, in the cohort's block
+// (InitConsumerCohort).
 type ConsumerTracker struct {
 	adequation   Window
 	satisfaction Window
@@ -45,19 +46,31 @@ type ConsumerTracker struct {
 
 // NewConsumerTracker returns a tracker with window size k, initial
 // characteristic value prior (0.5 in the paper's setup) and priorSamples
-// virtual prior samples.
+// virtual prior samples: a cohort of one.
 func NewConsumerTracker(k int, prior float64, priorSamples int) *ConsumerTracker {
-	t := &ConsumerTracker{}
-	t.Init(nil, k, prior, priorSamples)
-	return t
+	ts := make([]ConsumerTracker, 1)
+	InitConsumerCohort(ts, make([]uint64, 2*max(k, 1)), prior, priorSamples)
+	return &ts[0]
 }
 
-// Init (re)initializes a tracker in place, carving both ring buffers from
-// the arena (nil arena → plain allocations). It lets population builders
-// lay trackers out in bulk arrays instead of allocating one by one.
-func (t *ConsumerTracker) Init(a *Arena, k int, prior float64, priorSamples int) {
-	t.adequation.Init(a, k, prior, priorSamples)
-	t.satisfaction.Init(a, k, prior, priorSamples)
+// InitConsumerCohort (re)initializes every tracker of ts in place, with the
+// NewConsumerTracker parameters, over words, a block of 2k·len(ts) words
+// that sizes the window k (k ≥ 1): tracker i's two rings are the 2k words
+// from 2k·i on. A consumer records one allocation at a time, so each tracker's
+// words sit together, and trackers built together stay adjacent in
+// memory. A population of a million consumers is then one block, not two
+// million rings.
+func InitConsumerCohort(ts []ConsumerTracker, words []uint64, prior float64, priorSamples int) {
+	if len(ts) == 0 {
+		return
+	}
+	k := len(words) / (2 * len(ts))
+	for i := range ts {
+		// Full slice expressions: a ring never grows into its neighbour's.
+		ring := words[2*k*i : 2*k*(i+1) : 2*k*(i+1)]
+		ts[i].adequation.init(ring[:k:k], prior, priorSamples)
+		ts[i].satisfaction.init(ring[k:], prior, priorSamples)
+	}
 }
 
 // RecordAllocation records one query allocation: the consumer's intentions

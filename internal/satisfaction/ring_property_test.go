@@ -187,39 +187,37 @@ func TestProviderTrackerMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestArenaBackedEquivalence pins that arena-carved rings behave exactly
-// like individually allocated ones, and that neighbouring rings carved from
-// the same arena do not bleed into each other.
+// TestArenaBackedEquivalence pins that consumer trackers whose rings are
+// carved from one cohort block (InitConsumerCohort) read exactly — bit for
+// bit — like lone ones fed the same allocations, and that neighbouring
+// rings in the block do not bleed into each other: every step records into
+// one tracker only, with its own intentions, and every tracker is read
+// after it.
 func TestArenaBackedEquivalence(t *testing.T) {
 	const k, n = 7, 10
-	a := NewArena(3 * k * n)
-	plainW := make([]*Window, n)
-	arenaW := make([]Window, n)
-	plainC := make([]*ConsumerTracker, n)
-	arenaC := make([]ConsumerTracker, n)
-	for i := 0; i < n; i++ {
-		plainW[i] = NewWindow(k, 0.5, 3)
-		arenaW[i].Init(a, k, 0.5, 3)
-		plainC[i] = NewConsumerTracker(k, 0.5, 3)
-		arenaC[i].Init(a, k, 0.5, 3)
+	cohort := make([]ConsumerTracker, n)
+	InitConsumerCohort(cohort, make([]uint64, 2*k*n), 0.5, 3)
+	lone := make([]*ConsumerTracker, n)
+	for i := range lone {
+		lone[i] = NewConsumerTracker(k, 0.5, 3)
 	}
 	rng := randx.New(42)
-	intentions := []float64{0.9, -0.3, 0.5, 0.1}
-	selected := []int{0, 2}
-	for step := 0; step < 40; step++ {
+	intentions := make([]float64, 4)
+	for step := 0; step < 40*k; step++ {
 		i := int(rng.Uint64() % uint64(n))
-		v := rng.Uniform(-1, 1)
-		plainW[i].Push(v)
-		arenaW[i].Push(v)
-		plainC[i].RecordAllocation(intentions, selected, 2)
-		arenaC[i].RecordAllocation(intentions, selected, 2)
-	}
-	for i := 0; i < n; i++ {
-		if plainW[i].Mean() != arenaW[i].Mean() {
-			t.Fatalf("window %d: plain=%v arena=%v", i, plainW[i].Mean(), arenaW[i].Mean())
+		for j := range intentions {
+			intentions[j] = rng.Uniform(-1, 1)
 		}
-		if plainC[i].Adequation() != arenaC[i].Adequation() || plainC[i].Satisfaction() != arenaC[i].Satisfaction() {
-			t.Fatalf("consumer tracker %d diverged", i)
+		selected := []int{int(rng.Uint64() % 4)}
+		cohort[i].RecordAllocation(intentions, selected, 2)
+		lone[i].RecordAllocation(intentions, selected, 2)
+		for j := range cohort {
+			c, l := &cohort[j], lone[j]
+			if math.Float64bits(c.Adequation()) != math.Float64bits(l.Adequation()) ||
+				math.Float64bits(c.Satisfaction()) != math.Float64bits(l.Satisfaction()) || c.Queries() != l.Queries() {
+				t.Fatalf("step %d tracker %d: cohort (%v,%v,%d) lone (%v,%v,%d)", step, j,
+					c.Adequation(), c.Satisfaction(), c.Queries(), l.Adequation(), l.Satisfaction(), l.Queries())
+			}
 		}
 	}
 }

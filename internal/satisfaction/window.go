@@ -61,22 +61,16 @@ type Window struct {
 // NewWindow returns a window of capacity k (k >= 1) with the given prior
 // and prior weight (in virtual samples).
 func NewWindow(k int, prior float64, priorSamples int) *Window {
+	k = max(k, 1)
 	w := &Window{}
-	w.Init(nil, k, prior, priorSamples)
+	w.init(make([]uint64, k), prior, priorSamples)
 	return w
 }
 
-// Init (re)initializes the window in place with its ring buffer carved from
-// the arena (nil arena → a plain allocation). Population builders use this
-// to back every window of a cohort with one contiguous float block.
-func (w *Window) Init(a *Arena, k int, prior float64, priorSamples int) {
-	if k < 1 {
-		k = 1
-	}
-	if priorSamples < 0 {
-		priorSamples = 0
-	}
-	*w = Window{buf: a.wordBuf(k), prior: prior, priorSamples: priorSamples}
+// init (re)initializes the window in place over buf, whose length is the
+// capacity k.
+func (w *Window) init(buf []uint64, prior float64, priorSamples int) {
+	*w = Window{buf: buf, prior: prior, priorSamples: max(priorSamples, 0)}
 }
 
 // Push records a characteristic value v ∈ [0,1], evicting the oldest if

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -9,10 +8,7 @@ import (
 
 	"sqlb/internal/allocator"
 	"sqlb/internal/core"
-	"sqlb/internal/matchmaking"
-	"sqlb/internal/mediator"
 	"sqlb/internal/model"
-	"sqlb/internal/randx"
 	"sqlb/internal/satisfaction"
 	"sqlb/internal/scenario"
 	"sqlb/internal/workload"
@@ -42,11 +38,10 @@ type traced struct {
 	eager bool
 	log   []queryTrace
 	// stale counts the slots the oracle resolved to something else than
-	// Provider.Intention evaluated there and then — the definition, by
-	// FuzzProviderIntentionMemo. The two agree wherever nothing moves a
-	// provider between gathering and allocation: everywhere but inside a
-	// MediateBatch turn that applies its allocations, where PI is the
-	// turn's snapshot by contract.
+	// IntentionAt at the provider's current load, evaluated there and then —
+	// the definition, by FuzzProviderIntentionMemo. The two agree wherever
+	// nothing moves a provider between gathering and allocation, as on the
+	// event loop.
 	stale int
 }
 
@@ -57,7 +52,7 @@ func (s *traced) Allocate(req *allocator.Request) []int {
 	if s.eager {
 		req.ResolvePI()
 		for i, p := range req.Pq {
-			if math.Float64bits(req.PI[i]) != math.Float64bits(p.Intention(req.Query.Class, req.Now)) {
+			if math.Float64bits(req.PI[i]) != math.Float64bits(p.IntentionAt(req.Query.Class, p.OperationalLoad(req.Now))) {
 				s.stale++
 			}
 		}
@@ -245,79 +240,10 @@ func smallWindows(cfg model.Config) model.Config {
 	return cfg
 }
 
-// scriptedRun drives one of the three direct entrances over a same-seed
-// population with a scripted stream: 100 % offered load so that most
-// providers are unwilling most of the time, re-assessments that move δs off
-// its initial 0.5, q.n cycling through 1, 4 and |Pq|, and, when asked,
-// outages and rejoins on the index.
-func scriptedRun(entrance string, cfg model.Config, churn bool, strategy *traced) *model.Population {
-	pop := model.NewPopulation(cfg, randx.New(77), 0)
-	index := matchmaking.BuildIndex(pop)
-	gen := workload.NewGenerator(cfg.QueryClasses, cfg.QueryN, randx.New(78))
-	clock := 0.0
-	med := mediator.New(strategy)
-	med.Match = index
-	srv := mediator.NewServer(strategy, pop, 0, func() float64 { return clock })
-	srv.SetMatchmaker(index)
-	srv.SetApply(true)
-
-	capacity, units := 0.0, 0.0
-	for _, p := range pop.Providers {
-		capacity += p.Capacity
-	}
-	for _, c := range cfg.QueryClasses {
-		units += c.Units / float64(len(cfg.QueryClasses))
-	}
-	step := units / capacity // one query per step offers 100 % of capacity
-	const queries = 240
-	for lo, size := 0, 1; lo < queries; lo, size = lo+size, size%5+1 {
-		batch := make([]*model.Query, 0, size)
-		for i := lo; i < min(lo+size, queries); i++ {
-			q := gen.Next(clock, pop.Consumers[i%len(pop.Consumers)])
-			q.N = [3]int{1, 4, 1 << 20}[i%3]
-			batch = append(batch, q)
-		}
-		clock += step * float64(len(batch))
-		switch entrance {
-		case "Allocate":
-			for _, q := range batch {
-				alloc, err := med.Allocate(clock, q, pop)
-				if err != nil {
-					continue // a class nobody alive serves
-				}
-				for _, idx := range alloc.Selected {
-					alloc.Pq[idx].Assign(clock, q.Units)
-				}
-			}
-		case "Mediate":
-			for _, q := range batch {
-				srv.Mediate(context.Background(), q)
-			}
-		case "MediateBatch":
-			srv.MediateBatch(context.Background(), batch)
-		}
-		if lo%40 < size {
-			for _, p := range pop.Providers {
-				p.Smooth(0.3, clock)
-			}
-		}
-		if churn && lo%60 < size {
-			for i, p := range pop.Providers {
-				if i%7 == (lo/60)%7 && p.Alive {
-					p.Alive = false
-					index.Remove(p)
-				} else if !p.Alive {
-					p.Alive = true
-					index.Add(p)
-				}
-			}
-		}
-	}
-	return pop
-}
-
-// engineRun is the same comparison through the simulator's event loop, over
-// span × 16 time units.
+// engineRun drives the comparison through the simulator's event loop over
+// span × 16 time units: 100 % offered load so that most providers are
+// unwilling most of the time, smoothing rounds that move δs off its initial
+// 0.5, and, when asked, outages and rejoins on the index.
 func engineRun(t *testing.T, span int, cfg model.Config, churn bool, strategy *traced) *model.Population {
 	t.Helper()
 	opts := Options{
@@ -341,20 +267,20 @@ func engineRun(t *testing.T, span int, cfg model.Config, churn bool, strategy *t
 	return eng.pop
 }
 
-// TestLazyIntentionsEqualResolveEverything is the differential test: six
-// strategies × three populations × four entrances, with q.n ∈ {1, 4, |Pq|}
-// — cycled query by query on the scripted entrances, one run each through
-// the engine, whose generator fixes q.n per run. "engine/k" runs the engine
-// for k × 16 time units; the long run at q.n = 4 carries the comparison
-// through more smoothing rounds and churn aftermath.
+// TestLazyIntentionsEqualResolveEverything is the differential test on the
+// event loop: six strategies × three populations, one engine run each at
+// q.n ∈ {1, 4, |Pq|}, since the generator fixes q.n per run. "engine/k" runs
+// the engine for k × 16 time units; the long run at q.n = 4 carries the
+// comparison through more smoothing rounds and churn aftermath. The direct
+// entrances (Allocate, Mediate, MediateBatch) are held to the reference
+// mediator by internal/mediator's TestMediationEqualsReference.
 func TestLazyIntentionsEqualResolveEverything(t *testing.T) {
 	type run struct {
 		entrance string
-		span     int // engine runs only
-		qn       int // 0 cycles
+		span     int
+		qn       int
 	}
-	runs := []run{{"Allocate", 0, 0}, {"Mediate", 0, 0}, {"MediateBatch", 0, 0},
-		{"engine/1", 1, 1}, {"engine/1", 1, 4}, {"engine/1", 1, 1 << 20}, {"engine/4", 4, 4}}
+	runs := []run{{"engine/1", 1, 1}, {"engine/1", 1, 4}, {"engine/1", 1, 1 << 20}, {"engine/4", 4, 4}}
 	var sqlb lazyCounts
 	for _, st := range lazyStrategies {
 		for _, pp := range lazyPopulations {
@@ -362,19 +288,14 @@ func TestLazyIntentionsEqualResolveEverything(t *testing.T) {
 				cfg := pp.cfg()
 				cfg.QueryN = r.qn
 				lazy, eager := &traced{inner: st.build()}, &traced{inner: st.build(), eager: true}
-				var popL, popE *model.Population
-				if r.span > 0 {
-					popL, popE = engineRun(t, r.span, cfg, pp.churn, lazy), engineRun(t, r.span, cfg, pp.churn, eager)
-				} else {
-					popL, popE = scriptedRun(r.entrance, cfg, pp.churn, lazy), scriptedRun(r.entrance, cfg, pp.churn, eager)
-				}
+				popL, popE := engineRun(t, r.span, cfg, pp.churn, lazy), engineRun(t, r.span, cfg, pp.churn, eager)
 				name := fmt.Sprintf("%s/%s/%s/n=%d", st.name, pp.name, r.entrance, r.qn)
 				if len(lazy.log) == 0 {
 					t.Fatalf("%s: nothing mediated", name)
 				}
 				t.Run(name, func(t *testing.T) {
-					if eager.stale != 0 && r.entrance != "MediateBatch" {
-						t.Errorf("%d resolved intentions are not Provider.Intention's", eager.stale)
+					if eager.stale != 0 {
+						t.Errorf("%d resolved intentions are not IntentionAt's at the current load", eager.stale)
 					}
 					n := compareTraces(t, lazy.log, eager.log, st.consultsPI)
 					samePopulations(t, popL, popE)

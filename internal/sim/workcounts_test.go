@@ -194,10 +194,10 @@ type lazyCounts struct{ candidates, deferred, resolved int }
 // lazyProbe counts, for every candidate of every mediation, what the
 // gathering loop deferred and what the strategy then resolved. It reads
 // only what any strategy may: a slot was deferred when it does not hold
-// Provider.Intention's bits on entry, resolved when it does on return. It
-// also counts the exact Definition 9 scores core.RankTop computed: it
-// poisons the score vector (Scratch.F2) before the call, and a slot that
-// no longer holds the poison was scored.
+// Definition 8's bits (IntentionAt at the current load) on entry,
+// resolved when it does on return. It also counts the exact Definition 9
+// scores core.RankTop computed: it poisons the score vector (Scratch.F2)
+// before the call, and a slot that no longer holds the poison was scored.
 type lazyProbe struct {
 	allocator.Allocator
 	exact []float64
@@ -218,7 +218,7 @@ func (s *lazyProbe) Allocate(req *allocator.Request) []int {
 	}
 	s.exact = s.exact[:0]
 	for i, p := range req.Pq {
-		s.exact = append(s.exact, p.Intention(req.Query.Class, req.Now))
+		s.exact = append(s.exact, p.IntentionAt(req.Query.Class, p.OperationalLoad(req.Now)))
 		if math.Float64bits(req.PI[i]) != math.Float64bits(s.exact[i]) {
 			s.deferred++
 			s.exact[i] = math.NaN() // equals nothing: marks the slot
@@ -233,7 +233,7 @@ func (s *lazyProbe) Allocate(req *allocator.Request) []int {
 		}
 	}
 	for i, p := range req.Pq {
-		if s.exact[i] != s.exact[i] && math.Float64bits(req.PI[i]) == math.Float64bits(p.Intention(req.Query.Class, req.Now)) {
+		if s.exact[i] != s.exact[i] && math.Float64bits(req.PI[i]) == math.Float64bits(p.IntentionAt(req.Query.Class, p.OperationalLoad(req.Now))) {
 			s.resolved++
 		}
 	}

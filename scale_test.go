@@ -1,5 +1,5 @@
 // Population-scale smoke tests: the memory-layout work (bulk participant
-// arrays, satisfaction arenas, hashed consumer preferences) exists so the
+// arrays, tracker cohort blocks, hashed consumer preferences) exists so the
 // system can hold 100k providers and 1M consumers; these tests actually
 // build such cohorts and mediate over them, so a layout regression that
 // only bites at scale (quadratic preference storage, per-object overhead

@@ -91,16 +91,6 @@ type (
 	// MatchIndex is the inverted capability index: O(|Pq|) posting-list
 	// lookups maintained incrementally under provider churn.
 	MatchIndex = matchmaking.Index
-	// IntentionCollector gathers intentions concurrently with a timeout
-	// (Algorithm 1 lines 2-5) from slow or remote participants, validating
-	// what they answer. It is for endpoints outside the process (see
-	// examples/emarketplace); Mediator and MediationServer compute local
-	// participants' intentions in-process and never go through it.
-	IntentionCollector = mediator.Collector
-	// ConsumerClient and ProviderClient are participant endpoints the
-	// collector queries.
-	ConsumerClient = mediator.ConsumerClient
-	ProviderClient = mediator.ProviderClient
 	// MediationServer runs a mediator as a long-lived concurrent service:
 	// queries from any goroutine, one at a time or in batches, each call
 	// one serialized mediation turn.
@@ -108,9 +98,6 @@ type (
 	// MediationBatchResult is one query's outcome within a batched
 	// mediation turn (MediationServer.MediateBatch).
 	MediationBatchResult = mediator.BatchResult
-	// CollectStats accounts for intention answers that fell back to the
-	// collector's Default (errored or timed-out participants).
-	CollectStats = mediator.CollectStats
 )
 
 // Simulation (Section 6.1 substrate).
