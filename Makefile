@@ -43,7 +43,7 @@ FUZZTIME ?= 30s
 # `go tool pprof -top` heads.
 PROFILE_DIR ?= artifacts/profile
 
-.PHONY: all build test race vet fmt-check cover fuzz bench bench-smoke serve-bench profile benchmark-selftest loc clean
+.PHONY: all build test race vet fmt-check cover fuzz bench bench-smoke serve-bench profile benchmark-selftest loc test-ids clean
 
 all: vet fmt-check build test
 
@@ -166,6 +166,14 @@ loc:
 	@echo "test $$($(GO_FILES) -name '*_test.go' | xargs cat | wc -l)"
 	@echo "non-test without tools/benchpairs $$($(GO_FILES) ! -name '*_test.go' -not -path './tools/benchpairs/*' | xargs cat | wc -l)"
 	@echo "mediator+core+allocator non-test $$($(GO_FILES) ! -name '*_test.go' \( $(ALG1_DIRS) \) | xargs cat | wc -l)"
+
+# test-ids prints every test and subtest the suite runs, one sorted, unique
+# `package TestName[/sub]` line each, read off test2json's Package/Test
+# pair. Diff its output at two commits to list the test IDs a change adds
+# or retires.
+test-ids:
+	@$(GO) test -json -count=1 ./... | grep -o '"Package":"[^"]*","Test":"[^"]*"' | \
+		sed 's/"Package":"\([^"]*\)","Test":"\([^"]*\)"/\1 \2/' | sort -u
 
 clean:
 	rm -f BENCH_results.json $(COVER_PROFILE)

@@ -762,13 +762,7 @@ func BenchmarkAblationUtilWindowLong(b *testing.B) {
 	b.ReportMetric(res.Final.Utilization.Fairness, "util-fairness")
 }
 
-// Extension strategies vs SQLB under the same autonomy setting.
-func BenchmarkExtensionKnBest(b *testing.B) {
-	res := ablationRun(b, allocator.NewKnBest(), nil)
-	b.ReportMetric(100*res.ProviderDepartureRate(), "prov-departures-pct")
-	b.ReportMetric(res.MeanResponseTime, "resp-s")
-}
-
+// The extension strategy vs SQLB under the same autonomy setting.
 func BenchmarkExtensionSQLBEconomic(b *testing.B) {
 	res := ablationRun(b, allocator.NewSQLBEconomic(), nil)
 	b.ReportMetric(100*res.ProviderDepartureRate(), "prov-departures-pct")

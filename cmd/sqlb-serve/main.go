@@ -17,7 +17,7 @@
 //
 // Usage:
 //
-//	sqlb-serve [-method sqlb|capacity|mariposa|random|knbest|sqlb-econ]
+//	sqlb-serve [-method name]
 //	           [-qps n] [-workers n] [-batch n] [-queue n]
 //	           [-warmup d] [-measure d]
 //	           [-scale f] [-providers n] [-consumers n]
@@ -45,7 +45,7 @@ import (
 
 func main() {
 	var (
-		method    = flag.String("method", "sqlb", "allocation method: sqlb, capacity, mariposa, random, knbest, sqlb-econ")
+		method    = flag.String("method", "sqlb", "allocation method: "+allocator.Methods.Names())
 		qps       = flag.Float64("qps", 200, "open-loop arrival rate (queries/second)")
 		workers   = flag.Int("workers", 0, "mediation worker-pool size (0 = GOMAXPROCS)")
 		batch     = flag.Int("batch", 16, "max mediations per batch")
@@ -69,7 +69,7 @@ func main() {
 	)
 	flag.Parse()
 
-	strategy, err := strategyFor(*method, *seed)
+	strategy, err := allocator.Methods.New(*method, *seed)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -175,24 +175,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "sqlb-serve: wrote %s\n", *jsonPath)
 	}
-}
-
-func strategyFor(name string, seed uint64) (allocator.Allocator, error) {
-	switch name {
-	case "sqlb":
-		return allocator.NewSQLB(), nil
-	case "capacity":
-		return allocator.NewCapacityBased(), nil
-	case "mariposa":
-		return allocator.NewMariposaLike(), nil
-	case "random":
-		return allocator.NewRandom(seed), nil
-	case "knbest":
-		return allocator.NewKnBest(), nil
-	case "sqlb-econ":
-		return allocator.NewSQLBEconomic(), nil
-	}
-	return nil, fmt.Errorf("unknown method %q", name)
 }
 
 func fatal(format string, args ...any) {

@@ -20,10 +20,8 @@
 //
 // Observability: -timeline streams each repetition's per-sample timeline
 // snapshots to a CSV file as the run produces them (watch one live with
-// sqlb-top -file run.csv -follow, or replay it afterwards); -csv is a
-// synonym kept from the pre-timeline exporter, now streaming the same
-// schema instead of buffering a chart in memory. With -repeats > 1 each
-// repetition writes its own file under the deterministic
+// sqlb-top -file run.csv -follow, or replay it afterwards). With
+// -repeats > 1 each repetition writes its own file under the deterministic
 // timeline.RepetitionPath scheme — "out.csv" becomes "out.rep0.csv",
 // "out.rep1.csv", … (zero-padded so listings sort in repetition order);
 // a single run keeps the exact name given. -top renders the dashboard
@@ -32,13 +30,13 @@
 //
 // Usage:
 //
-//	sqlb-sim [-method sqlb|capacity|mariposa|random|knbest|sqlb-econ]
+//	sqlb-sim [-method name]
 //	         [-workload f] [-ramp] [-scenario name|file]
 //	         [-duration s] [-scale f] [-seed n]
 //	         [-repeats n] [-workers n]
 //	         [-classes k] [-selectivity s] [-class-skew z]
 //	         [-autonomy off|dissat-starve|full]
-//	         [-timeline file] [-csv file] [-top]
+//	         [-timeline file] [-top]
 //	         [-cpuprofile file] [-memprofile file] [-trace file]
 package main
 
@@ -62,7 +60,7 @@ import (
 
 func main() {
 	var (
-		method   = flag.String("method", "sqlb", "allocation method: sqlb, capacity, mariposa, random, knbest, sqlb-econ")
+		method   = flag.String("method", "sqlb", "allocation method: "+allocator.Methods.Names())
 		frac     = flag.Float64("workload", 0.8, "workload as a fraction of total system capacity")
 		ramp     = flag.Bool("ramp", false, "ramp workload 30%→100% over the run (Figure 4 setting)")
 		duration = flag.Float64("duration", 2500, "simulated seconds")
@@ -71,8 +69,7 @@ func main() {
 		repeats  = flag.Int("repeats", 1, "repetitions to run and average (paper: 10)")
 		workers  = flag.Int("workers", 0, "concurrent repetitions (0 = GOMAXPROCS)")
 		autonomy = flag.String("autonomy", "off", "departures: off, dissat-starve, full")
-		tlPath   = flag.String("timeline", "", "stream the first repetition's timeline snapshots to this CSV file (watch with sqlb-top)")
-		csvPath  = flag.String("csv", "", "synonym for -timeline (streams the timeline schema; first repetition only)")
+		tlPath   = flag.String("timeline", "", "stream each repetition's timeline snapshots to this CSV file, one file per repetition (watch with sqlb-top)")
 		top      = flag.Bool("top", false, "render the live sqlb-top dashboard while the first repetition runs")
 		classes  = flag.Int("classes", 0, "query classes spread over 130-150 units (0 = the paper's two)")
 		select_  = flag.Float64("selectivity", 0, "fraction of classes each provider advertises (0 or 1 = all, the paper's setup)")
@@ -112,26 +109,19 @@ func main() {
 		fatal("unknown -autonomy %q", *autonomy)
 	}
 
-	// Timeline plumbing: every repetition streams to its own CSV file(s),
+	// Timeline plumbing: every repetition streams to its own CSV file,
 	// named by the deterministic timeline.RepetitionPath scheme ("out.csv"
 	// → "out.rep0.csv", …; a single run keeps the plain path). Each
 	// repetition wraps its sinks in a collector — the CSV rows stream as
 	// the run produces them (constant memory at any duration) — and -top
 	// additionally renders the dashboard from the first repetition's
 	// rolling window.
-	var tlFiles []string
-	if *tlPath != "" {
-		tlFiles = append(tlFiles, *tlPath)
-	}
-	if *csvPath != "" && *csvPath != *tlPath {
-		tlFiles = append(tlFiles, *csvPath)
-	}
 	// repSink builds repetition r's timeline sink (nil when no export is
 	// active for it) and the collector that must be closed after its run.
 	repSink := func(r int) (timeline.Sink, *timeline.Collector, error) {
 		var sinks []timeline.Sink
-		for _, p := range tlFiles {
-			cs, err := timeline.CreateCSV(timeline.RepetitionPath(p, r, *repeats))
+		if *tlPath != "" {
+			cs, err := timeline.CreateCSV(timeline.RepetitionPath(*tlPath, r, *repeats))
 			if err != nil {
 				return nil, nil, err
 			}
@@ -178,7 +168,7 @@ func main() {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			repSeed := *seed + uint64(r)
-			strategy, err := strategyFor(*method, repSeed)
+			strategy, err := allocator.Methods.New(*method, repSeed)
 			if err != nil {
 				errs[r] = err
 				return
@@ -305,29 +295,11 @@ func main() {
 		fmt.Printf("rejoins           %d providers re-registered by rejoin waves\n", len(res.ProviderJoins))
 	}
 
-	for _, p := range tlFiles {
+	if *tlPath != "" {
 		for r := 0; r < *repeats; r++ {
-			fmt.Printf("wrote %s\n", timeline.RepetitionPath(p, r, *repeats))
+			fmt.Printf("wrote %s\n", timeline.RepetitionPath(*tlPath, r, *repeats))
 		}
 	}
-}
-
-func strategyFor(name string, seed uint64) (allocator.Allocator, error) {
-	switch name {
-	case "sqlb":
-		return allocator.NewSQLB(), nil
-	case "capacity":
-		return allocator.NewCapacityBased(), nil
-	case "mariposa":
-		return allocator.NewMariposaLike(), nil
-	case "random":
-		return allocator.NewRandom(seed), nil
-	case "knbest":
-		return allocator.NewKnBest(), nil
-	case "sqlb-econ":
-		return allocator.NewSQLBEconomic(), nil
-	}
-	return nil, fmt.Errorf("unknown method %q", name)
 }
 
 // loadKnots counts the scenario's load-curve knots (0 without a curve).

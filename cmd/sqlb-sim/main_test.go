@@ -34,15 +34,15 @@ func runSim(t *testing.T, args ...string) string {
 	return string(out)
 }
 
-// TestRepeatedCSVExport is the ride-along fix's pin: -csv with -repeats
-// must write one timeline file per repetition under the deterministic
-// RepetitionPath scheme — every file present, parseable, announced on
-// stdout, distinct across repetitions (different seeds), and
-// byte-identical across identical invocations.
+// TestRepeatedCSVExport: -timeline with -repeats must write one timeline
+// file per repetition under the deterministic RepetitionPath scheme —
+// every file present, parseable, announced on stdout, distinct across
+// repetitions (different seeds), and byte-identical across identical
+// invocations.
 func TestRepeatedCSVExport(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "run.csv")
-	args := []string{"-csv", base, "-repeats", "3", "-duration", "300",
+	args := []string{"-timeline", base, "-repeats", "3", "-duration", "300",
 		"-scale", "0.05", "-workers", "2", "-seed", "7"}
 	out := runSim(t, args...)
 

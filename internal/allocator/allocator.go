@@ -3,12 +3,14 @@
 // (Section 6.2): SQLB itself, the Capacity-based baseline (allocate to the
 // least-utilized providers), and the Mariposa-like economic baseline
 // (bid × load broker). It also provides a Random control used in tests and
-// two extensions the paper flags as related/future work: a KnBest-style
-// strategy (ref [17]) and an economic SQLB variant whose bids are computed
-// from intentions (Section 7).
+// an extension the paper flags as future work: an economic SQLB variant
+// whose bids are computed from intentions (Section 7).
 package allocator
 
 import (
+	"fmt"
+	"strings"
+
 	"sqlb/internal/core"
 	"sqlb/internal/model"
 )
@@ -93,4 +95,40 @@ type Allocator interface {
 	Name() string
 	// Allocate selects the providers for the request.
 	Allocate(req *Request) []int
+}
+
+// Methods is the name → constructor table of the strategies sqlb-sim and
+// sqlb-serve select with -method, in the order their help lists them. The
+// seed seeds Random; the other strategies ignore it.
+var Methods = methodTable{
+	{"sqlb", func(uint64) Allocator { return NewSQLB() }},
+	{"capacity", func(uint64) Allocator { return NewCapacityBased() }},
+	{"mariposa", func(uint64) Allocator { return NewMariposaLike() }},
+	{"random", func(seed uint64) Allocator { return NewRandom(seed) }},
+	{"sqlb-econ", func(uint64) Allocator { return NewSQLBEconomic() }},
+}
+
+type methodTable []struct {
+	name  string
+	build func(seed uint64) Allocator
+}
+
+// Names lists the table's method names, comma-separated.
+func (t methodTable) Names() string {
+	names := make([]string, len(t))
+	for i, m := range t {
+		names[i] = m.name
+	}
+	return strings.Join(names, ", ")
+}
+
+// New builds the strategy called name; an unknown name is an error that
+// lists the table's names.
+func (t methodTable) New(name string, seed uint64) (Allocator, error) {
+	for _, m := range t {
+		if m.name == name {
+			return m.build(seed), nil
+		}
+	}
+	return nil, fmt.Errorf("unknown method %q (want one of %s)", name, t.Names())
 }

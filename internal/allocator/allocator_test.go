@@ -1,6 +1,7 @@
 package allocator
 
 import (
+	"strings"
 	"testing"
 
 	"sqlb/internal/model"
@@ -217,38 +218,6 @@ func TestRandomAllocatorValidAndDeterministic(t *testing.T) {
 	}
 }
 
-func TestKnBestBalancesWithinBestScored(t *testing.T) {
-	pop := testPop(t, 6)
-	req := testRequest(pop, 1)
-	// Providers 0..2 have high mutual intentions, 3..5 low; load 0 heavily.
-	req.PI = []float64{0.9, 0.85, 0.8, -0.5, -0.5, -0.5}
-	req.CI = []float64{0.9, 0.85, 0.8, -0.5, -0.5, -0.5}
-	pop.Providers[0].Assign(0, 2000)
-	req.Now = 5
-	got := NewKnBest().Allocate(req)
-	if got[0] == 0 {
-		t.Error("KnBest should avoid the loaded provider among the k·n best")
-	}
-	if got[0] != 1 && got[0] != 2 {
-		t.Errorf("KnBest selected %v, want one of the well-scored idle providers", got)
-	}
-	if NewKnBest().Name() != "KnBest" {
-		t.Error("unexpected name")
-	}
-}
-
-func TestKnBestCountAndDefaults(t *testing.T) {
-	pop := testPop(t, 4)
-	req := testRequest(pop, 3)
-	req.PI = []float64{0.5, 0.5, 0.5, 0.5}
-	req.CI = []float64{0.5, 0.5, 0.5, 0.5}
-	k := &KnBest{KFactor: 0} // invalid factor falls back to 3
-	got := k.Allocate(req)
-	if len(got) != 3 {
-		t.Errorf("KnBest selected %d, want 3", len(got))
-	}
-}
-
 func TestSQLBEconomicPrefersHighLinearValue(t *testing.T) {
 	pop := testPop(t, 3)
 	req := testRequest(pop, 1)
@@ -265,11 +234,14 @@ func TestSQLBEconomicPrefersHighLinearValue(t *testing.T) {
 
 func TestAllAllocatorsReturnExactlyN(t *testing.T) {
 	pop := testPop(t, 7)
-	allocs := []Allocator{
-		NewSQLB(), NewCapacityBased(), NewMariposaLike(),
-		NewRandom(3), NewKnBest(), NewSQLBEconomic(),
+	if _, err := Methods.New("sqlb-fixed", 3); err == nil || !strings.Contains(err.Error(), Methods.Names()) {
+		t.Errorf("an unknown method: error %v, want one naming the table's methods", err)
 	}
-	for _, a := range allocs {
+	for _, m := range Methods {
+		a, err := Methods.New(m.name, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for n := 1; n <= 8; n++ {
 			req := testRequest(pop, n)
 			req.PI = make([]float64, 7)

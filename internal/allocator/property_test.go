@@ -149,30 +149,6 @@ func oracleEconomic(req *Request) []int {
 	return order[:req.N()]
 }
 
-// oracleKnBest re-implements KnBest.Allocate: full score sort, keep k·n,
-// full load sort, keep n.
-func oracleKnBest(req *Request, factor int) []int {
-	full := oracleScoreOrder(req, sqlbOmegas(req, nil))
-	kn := req.N() * factor
-	if kn > len(full) {
-		kn = len(full)
-	}
-	short := full[:kn]
-	order := oracleOrder(len(short), func(a, b int) bool {
-		ua := req.Pq[short[a]].OperationalLoad(req.Now)
-		ub := req.Pq[short[b]].OperationalLoad(req.Now)
-		if ua != ub {
-			return ua < ub
-		}
-		return short[a] < short[b]
-	})
-	out := make([]int, 0, req.N())
-	for i := 0; i < req.N() && i < len(order); i++ {
-		out = append(out, short[order[i]])
-	}
-	return out
-}
-
 func checkAgainstOracle(t *testing.T, name string, got, want []int) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -202,15 +178,13 @@ func TestAllocatorsAgreeWithFullSortOracle(t *testing.T) {
 				NewMariposaLike().Allocate(req), oracleMariposa(req, NewMariposaLike()))
 			checkAgainstOracle(t, "SQLB-econ",
 				NewSQLBEconomic().Allocate(req), oracleEconomic(req))
-			checkAgainstOracle(t, "KnBest",
-				NewKnBest().Allocate(req), oracleKnBest(req, 3))
 		}
 	}
 }
 
 // TestScoreStrategiesUnderHostileIntentions: NaN, ±Inf and out-of-range
 // intentions (pi > 1 puts a negative base under Definition 9's fractional
-// power, which is NaN) must leave SQLB and KnBest on the literal ranking —
+// power, which is NaN) must leave SQLB on the literal ranking —
 // NaN scores last, then lower index — at Pq widths where the pruned scan is
 // active and at every place in Pq the hostile entries can take.
 func TestScoreStrategiesUnderHostileIntentions(t *testing.T) {
@@ -232,7 +206,6 @@ func TestScoreStrategiesUnderHostileIntentions(t *testing.T) {
 				}
 			}
 			checkAgainstOracle(t, "SQLB", NewSQLB().Allocate(req), oracleSQLB(req, nil))
-			checkAgainstOracle(t, "KnBest", NewKnBest().Allocate(req), oracleKnBest(req, 3))
 		}
 	}
 }

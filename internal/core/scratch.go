@@ -18,13 +18,13 @@ package core
 // Buffer assignments within one allocation turn (so callers and helpers do
 // not trample each other): RankTop consumes F2, I1, and R1, and keeps its
 // candidates' score bounds in a vector no accessor hands out; SelectTopN
-// consumes I1; Select consumes I2. Strategy code uses F1/F3 for its own
-// vectors (omegas, utilizations, bids, loads).
+// consumes I1; Select consumes I2. Strategy code uses F1 for its own
+// vector (omegas, utilizations, bids or values).
 type Scratch struct {
-	f1, f2, f3 []float64
-	bounds     []float64
-	i1, i2     []int
-	r1         []Ranked
+	f1, f2 []float64
+	bounds []float64
+	i1, i2 []int
+	r1     []Ranked
 }
 
 // F1 returns the first float buffer resized to n (contents unspecified;
@@ -40,12 +40,6 @@ func (s *Scratch) F1(n int) []float64 {
 func (s *Scratch) F2(n int) []float64 {
 	s.f2 = growFloats(s.f2, n)
 	return s.f2
-}
-
-// F3 returns the third float buffer resized to n.
-func (s *Scratch) F3(n int) []float64 {
-	s.f3 = growFloats(s.f3, n)
-	return s.f3
 }
 
 // I1 returns the first index buffer resized to n. SelectTopN builds

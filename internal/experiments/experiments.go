@@ -76,8 +76,9 @@ type Config struct {
 	Scenarios []string
 
 	// Timeline, when non-nil, is called once per simulation run with the
-	// run's identity (e.g. "ramp/SQLB/rep0" or
-	// "full-autonomy/SQLB/w80/rep1") and returns the timeline sink that
+	// run's identity (e.g. "ramp/SQLB/rep0", "full-autonomy/SQLB/w80/rep1",
+	// "ext-omega/fixed ω=0.5/rep0", "ext-selectivity/SQLB/s0.25/rep0" or
+	// "ext-scenarios/diurnal/SQLB/rep0") and returns the timeline sink that
 	// run streams its snapshots to — nil skips the run. The lab closes
 	// each returned sink after its run. Seeding is untouched by the hook,
 	// so results remain byte-identical with or without it, at any Workers
@@ -266,26 +267,39 @@ func (l *Lab) modelConfig() model.Config {
 	return cfg
 }
 
-// runSink resolves the per-run timeline sink; nil without a factory (or
-// when the factory skips the run).
-func (l *Lab) runSink(runID string) timeline.Sink {
-	if l.cfg.Timeline == nil {
-		return nil
+// simulate builds and runs one simulation, the one way every experiment
+// runs one. It streams the run's timeline to the sink Config.Timeline hands
+// out for runID and closes that sink after the run, then fails on a sink
+// error the engine swallowed to keep the Result deterministic, or on
+// Result.Err. atStart, when non-nil, sees the engine before its first event.
+func (l *Lab) simulate(runID string, opts sim.Options, atStart func(*sim.Engine)) (*sim.Result, error) {
+	if l.cfg.Timeline != nil {
+		opts.Timeline = l.cfg.Timeline(runID)
 	}
-	return l.cfg.Timeline(runID)
-}
-
-// closeSink flushes and closes a run's timeline sink, surfacing any sink
-// error the engine swallowed to keep the Result deterministic.
-func (l *Lab) closeSink(sink timeline.Sink, eng *sim.Engine) error {
-	if sink == nil {
-		return nil
+	eng, err := sim.New(opts)
+	if err != nil {
+		if opts.Timeline != nil {
+			opts.Timeline.Close()
+		}
+		return nil, fmt.Errorf("%s: %w", runID, err)
 	}
-	if err := eng.TimelineErr(); err != nil {
-		sink.Close()
-		return err
+	if atStart != nil {
+		atStart(eng)
 	}
-	return sink.Close()
+	res := eng.Run()
+	if opts.Timeline != nil {
+		err := eng.TimelineErr()
+		if cerr := opts.Timeline.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s: timeline: %w", runID, err)
+		}
+	}
+	if res.Err != nil {
+		return nil, fmt.Errorf("%s: %w", runID, res.Err)
+	}
+	return res, nil
 }
 
 // seedFor derives a deterministic per-run seed.
@@ -313,28 +327,16 @@ func (l *Lab) rampResults(method allocator.Allocator) ([]*sim.Result, error) {
 	l.mu.Unlock()
 	cell.once.Do(func() {
 		rs := make([]*sim.Result, l.cfg.Repeats)
-		err := l.fanOut(l.cfg.Repeats, func(rep int) error {
-			opts := sim.Options{
+		err := l.fanOut(l.cfg.Repeats, func(rep int) (err error) {
+			rs[rep], err = l.simulate(fmt.Sprintf("ramp/%s/rep%d", method.Name(), rep), sim.Options{
 				Config:         l.modelConfig(),
 				Strategy:       method,
 				Workload:       workload.Ramp{From: 0.3, To: 1.0, Duration: l.cfg.Duration},
 				Duration:       l.cfg.Duration,
 				Seed:           l.seedFor("ramp", method.Name(), 0, rep),
 				SampleInterval: l.cfg.SampleInterval,
-				Timeline:       l.runSink(fmt.Sprintf("ramp/%s/rep%d", method.Name(), rep)),
-			}
-			eng, err := sim.New(opts)
-			if err != nil {
-				return err
-			}
-			rs[rep] = eng.Run()
-			if err := l.closeSink(opts.Timeline, eng); err != nil {
-				return fmt.Errorf("ramp %s rep %d: %w", method.Name(), rep, err)
-			}
-			if rs[rep].Err != nil {
-				return fmt.Errorf("ramp %s rep %d: %w", method.Name(), rep, rs[rep].Err)
-			}
-			return nil
+			}, nil)
+			return err
 		})
 		if err != nil {
 			cell.err = err
@@ -381,33 +383,23 @@ func (l *Lab) sweepResults(kind sweepKind, method allocator.Allocator, frac floa
 	l.mu.Unlock()
 	cell.once.Do(func() {
 		rs := make([]sweepRun, l.cfg.Repeats)
-		err := l.fanOut(l.cfg.Repeats, func(rep int) error {
+		err := l.fanOut(l.cfg.Repeats, func(rep int) (err error) {
 			pct := int(frac*100 + 0.5)
-			opts := sim.Options{
+			totals := map[sim.ClassDimension][3]int{}
+			rs[rep].Res, err = l.simulate(fmt.Sprintf("%s/%s/w%d/rep%d", kind, method.Name(), pct, rep), sim.Options{
 				Config:   l.modelConfig(),
 				Strategy: method,
 				Workload: workload.Constant(frac),
 				Duration: l.cfg.SweepDuration,
 				Seed:     l.seedFor(string(kind), method.Name(), pct, rep),
 				Autonomy: kind.autonomy(),
-				Timeline: l.runSink(fmt.Sprintf("%s/%s/w%d/rep%d", kind, method.Name(), pct, rep)),
-			}
-			eng, err := sim.New(opts)
-			if err != nil {
-				return err
-			}
-			totals := map[sim.ClassDimension][3]int{}
-			for _, dim := range sim.ClassDimensions {
-				totals[dim] = sim.ClassTotals(eng.Population(), dim)
-			}
-			rs[rep] = sweepRun{Res: eng.Run(), Totals: totals}
-			if err := l.closeSink(opts.Timeline, eng); err != nil {
-				return fmt.Errorf("%s %s %v rep %d: %w", kind, method.Name(), frac, rep, err)
-			}
-			if rs[rep].Res.Err != nil {
-				return fmt.Errorf("%s %s %v rep %d: %w", kind, method.Name(), frac, rep, rs[rep].Res.Err)
-			}
-			return nil
+			}, func(eng *sim.Engine) {
+				for _, dim := range sim.ClassDimensions {
+					totals[dim] = sim.ClassTotals(eng.Population(), dim)
+				}
+			})
+			rs[rep].Totals = totals
+			return err
 		})
 		if err != nil {
 			cell.err = err

@@ -17,7 +17,7 @@ import (
 var ExtensionRegistry = []Spec{
 	{"ext-omega", "Ablation: adaptive ω (Eq 6) vs fixed ω", runExtOmega},
 	{"ext-upsilon", "Ablation: consumer υ (preferences vs reputation)", runExtUpsilon},
-	{"ext-methods", "Extension strategies vs SQLB (KnBest, SQLB-econ)", runExtMethods},
+	{"ext-methods", "Extension strategy vs SQLB (SQLB-econ)", runExtMethods},
 	{"ext-selectivity", "Capability-selectivity sweep (heterogeneous matchmaking)", runExtSelectivity},
 	{"ext-scenarios", "Scenario sweep: time-varying load and churn presets", runExtScenarios},
 }
@@ -44,41 +44,12 @@ func (l *Lab) RunAny(id string) (*Result, error) {
 	return spec.Run(l)
 }
 
-// extensionRun executes one full-autonomy run at the Table 3 reference
-// workload with an arbitrary strategy and config mutation.
-func (l *Lab) extensionRun(strategy allocator.Allocator, rep int, mutate func(*model.Config)) (*sim.Result, error) {
-	cfg := l.modelConfig()
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	opts := sim.Options{
-		Config:   cfg,
-		Strategy: strategy,
-		Workload: workload.Constant(table3Workload),
-		Duration: l.cfg.SweepDuration,
-		Seed:     l.seedFor("extension", strategy.Name(), 80, rep),
-		Autonomy: sim.FullAutonomy(),
-	}
-	eng, err := sim.New(opts)
-	if err != nil {
-		return nil, err
-	}
-	res := eng.Run()
-	if res.Err != nil {
-		return nil, fmt.Errorf("extension %s rep %d: %w", strategy.Name(), rep, res.Err)
-	}
-	return res, nil
-}
-
-// extensionTable builds a comparison table over named variants. The whole
-// (variant, repetition) grid fans out over the worker budget; aggregation
-// then walks the index-addressed results in a fixed order, keeping the
-// table deterministic.
-func (l *Lab) extensionTable(id, title string, variants []struct {
-	name     string
-	strategy allocator.Allocator
-	mutate   func(*model.Config)
-}) (*Result, error) {
+// extensionTable builds a comparison table over named variants, each a
+// full-autonomy run at the Table 3 reference workload with its strategy
+// and config mutation. The whole (variant, repetition) grid fans out over
+// the worker budget; aggregation then walks the index-addressed results in
+// a fixed order, keeping the table deterministic.
+func (l *Lab) extensionTable(id, title string, variants []variant) (*Result, error) {
 	tbl := &stats.Table{
 		ID:    id,
 		Title: title,
@@ -89,14 +60,21 @@ func (l *Lab) extensionTable(id, title string, variants []struct {
 	}
 	reps := l.cfg.Repeats
 	results := make([]*sim.Result, len(variants)*reps)
-	err := l.fanOut(len(results), func(i int) error {
-		v := variants[i/reps]
-		res, err := l.extensionRun(v.strategy, i%reps, v.mutate)
-		if err != nil {
-			return err
+	err := l.fanOut(len(results), func(i int) (err error) {
+		v, rep := variants[i/reps], i%reps
+		cfg := l.modelConfig()
+		if v.mutate != nil {
+			v.mutate(&cfg)
 		}
-		results[i] = res
-		return nil
+		results[i], err = l.simulate(fmt.Sprintf("%s/%s/rep%d", id, v.name, rep), sim.Options{
+			Config:   cfg,
+			Strategy: v.strategy,
+			Workload: workload.Constant(table3Workload),
+			Duration: l.cfg.SweepDuration,
+			Seed:     l.seedFor("extension", v.strategy.Name(), 80, rep),
+			Autonomy: sim.FullAutonomy(),
+		}, nil)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -175,7 +153,6 @@ func runExtMethods(l *Lab) (*Result, error) {
 		"Extension strategies vs the paper's methods, 80% workload, full autonomy",
 		[]variant{
 			{"SQLB", allocator.NewSQLB(), nil},
-			{"KnBest (ref [17])", allocator.NewKnBest(), nil},
 			{"SQLB-econ (Section 7)", allocator.NewSQLBEconomic(), nil},
 			{"Capacity based", allocator.NewCapacityBased(), nil},
 		})
@@ -183,7 +160,6 @@ func runExtMethods(l *Lab) (*Result, error) {
 		return nil, err
 	}
 	r.Notes = append(r.Notes,
-		"KnBest trades a little intention satisfaction for better load spreading;",
 		"SQLB-econ replaces Definition 9's geometric balance with a linear-utility bid")
 	return r, nil
 }

@@ -56,8 +56,8 @@ func TestExtMethodsTable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ext-methods: %v", err)
 	}
-	if len(res.Tables[0].Rows) != 4 {
-		t.Fatalf("rows = %d, want 4 strategies", len(res.Tables[0].Rows))
+	if len(res.Tables[0].Rows) != 3 {
+		t.Fatalf("rows = %d, want 3 strategies", len(res.Tables[0].Rows))
 	}
 }
 

@@ -45,11 +45,11 @@ func runExtScenarios(l *Lab) (*Result, error) {
 	reps := l.cfg.Repeats
 
 	results := make([]*sim.Result, len(scens)*len(ms)*reps)
-	err := l.fanOut(len(results), func(i int) error {
+	err := l.fanOut(len(results), func(i int) (err error) {
 		scn := scens[i/(len(ms)*reps)]
 		m := ms[(i/reps)%len(ms)]
 		rep := i % reps
-		opts := sim.Options{
+		results[i], err = l.simulate(fmt.Sprintf("ext-scenarios/%s/%s/rep%d", scn.Name, m.Name(), rep), sim.Options{
 			Config:         l.modelConfig(),
 			Strategy:       m,
 			Workload:       workload.Constant(scenarioWorkload),
@@ -58,16 +58,8 @@ func runExtScenarios(l *Lab) (*Result, error) {
 			Seed:           l.seedFor("scenario/"+scn.Name, m.Name(), 0, rep),
 			SampleInterval: l.cfg.SweepDuration / 50,
 			Autonomy:       sim.FullAutonomy(),
-		}
-		eng, err := sim.New(opts)
-		if err != nil {
-			return err
-		}
-		results[i] = eng.Run()
-		if results[i].Err != nil {
-			return fmt.Errorf("scenario %s %s rep %d: %w", scn.Name, m.Name(), rep, results[i].Err)
-		}
-		return nil
+		}, nil)
+		return err
 	})
 	if err != nil {
 		return nil, err

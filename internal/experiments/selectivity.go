@@ -47,13 +47,13 @@ func runExtSelectivity(l *Lab) (*Result, error) {
 	// budget and collected into index-addressed slots — deterministic at
 	// any Workers value, like every other Lab bundle.
 	results := make([]*sim.Result, len(ms)*len(sels)*reps)
-	err := l.fanOut(len(results), func(i int) error {
+	err := l.fanOut(len(results), func(i int) (err error) {
 		m := ms[i/(len(sels)*reps)]
 		sel := sels[(i/reps)%len(sels)]
 		rep := i % reps
 		cfg := base
 		cfg.CapabilitySelectivity = sel
-		opts := sim.Options{
+		results[i], err = l.simulate(fmt.Sprintf("ext-selectivity/%s/s%g/rep%d", m.Name(), sel, rep), sim.Options{
 			Config:   cfg,
 			Strategy: m,
 			Workload: workload.Constant(selectivityWorkload),
@@ -61,13 +61,8 @@ func runExtSelectivity(l *Lab) (*Result, error) {
 			// Quantize at 1e-6 so custom -selectivities closer than a
 			// percent still get distinct RNG streams.
 			Seed: l.seedFor("selectivity", m.Name(), int(sel*1e6+0.5), rep),
-		}
-		eng, err := sim.New(opts)
-		if err != nil {
-			return err
-		}
-		results[i] = eng.Run()
-		return nil
+		}, nil)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -97,9 +92,6 @@ func runExtSelectivity(l *Lab) (*Result, error) {
 			var respSum, p95Sum, dropSum, utilF, psp float64
 			for rep := 0; rep < reps; rep++ {
 				r := results[mi*len(sels)*reps+si*reps+rep]
-				if r.Err != nil {
-					return nil, fmt.Errorf("selectivity %v rep %d: %w", sel, rep, r.Err)
-				}
 				respSum += r.MeanResponseTime
 				p95Sum += r.ResponseHistogram.Quantile(0.95)
 				if r.IssuedQueries > 0 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -122,10 +123,46 @@ func TestTimelineLabDeterminism(t *testing.T) {
 	}
 }
 
-func keysOf(m map[string]string) []string {
+func keysOf[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
 	return out
+}
+
+// TestTimelineEveryRun: every simulation an experiment runs asks the
+// Timeline factory for its sink once, under an ID no other run uses — the
+// extension tables and the selectivity sweep as much as the paper's
+// figures.
+func TestTimelineEveryRun(t *testing.T) {
+	lab := tinyLab()
+	var mu sync.Mutex
+	var calls map[string]int
+	lab.cfg.Timeline = func(runID string) timeline.Sink {
+		mu.Lock()
+		defer mu.Unlock()
+		calls[runID]++
+		return timeline.NewCSVSink(io.Discard)
+	}
+	for _, tc := range []struct {
+		id   string
+		runs int
+	}{
+		{"ext-omega", 4 * lab.cfg.Repeats},
+		{"ext-selectivity", len(methods()) * len(lab.cfg.Selectivities) * lab.cfg.Repeats},
+	} {
+		calls = map[string]int{}
+		if _, err := lab.RunAny(tc.id); err != nil {
+			t.Fatalf("%s: %v", tc.id, err)
+		}
+		for runID, n := range calls {
+			if n != 1 {
+				t.Errorf("%s: run %q asked for its sink %d times", tc.id, runID, n)
+			}
+		}
+		if len(calls) != tc.runs {
+			t.Errorf("%s: %d runs asked for a sink, want %d: %v", tc.id, len(calls), tc.runs, keysOf(calls))
+		}
+	}
 }

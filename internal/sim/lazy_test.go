@@ -79,11 +79,10 @@ func (c *lazyCounts) add(o lazyCounts) {
 }
 
 // compareTraces holds a lazy run's trace against the oracle's: the same
-// queries over the same Pq, the same selection, CI bit for bit, and PI equal
-// under Allocation's contract — exact bits, or an upper bound ≤ −1 of them.
-// consultsPI says the strategy ranks on intentions, in which case every
-// selected provider's PI must be exact and its score the oracle's.
-func compareTraces(t *testing.T, lazy, eager []queryTrace, consultsPI bool) lazyCounts {
+// queries over the same Pq, the same selection, CI bit for bit, PI equal
+// under Allocation's contract — exact bits, or an upper bound ≤ −1 of them —
+// and every selected provider's score the oracle's.
+func compareTraces(t *testing.T, lazy, eager []queryTrace) lazyCounts {
 	t.Helper()
 	var n lazyCounts
 	if len(lazy) != len(eager) {
@@ -112,9 +111,6 @@ func compareTraces(t *testing.T, lazy, eager []queryTrace, consultsPI bool) lazy
 			}
 		}
 		n.candidates += len(l.pq)
-		if !consultsPI {
-			continue
-		}
 		for j := range l.selected {
 			if bits(l.scores[j]) != bits(e.scores[j]) {
 				t.Fatalf("mediation %d: selected p%d scores %v, oracle %v", k, l.selected[j], l.scores[j], e.scores[j])
@@ -198,18 +194,15 @@ func sameReads(a, b *satisfaction.ProviderTracker) bool {
 		a.Proposed() == b.Proposed() && a.Performed() == b.Performed()
 }
 
-// lazyStrategies are the six methods; consultsPI marks those that read PI.
+// lazyStrategies are the two methods that rank on PI. That a strategy
+// reading none resolves none is internal/mediator's
+// TestEngineEqualsReference's, for every strategy and shape.
 var lazyStrategies = []struct {
-	name       string
-	build      func() allocator.Allocator
-	consultsPI bool
+	name  string
+	build func() allocator.Allocator
 }{
-	{"SQLB", func() allocator.Allocator { return allocator.NewSQLB() }, true},
-	{"KnBest", func() allocator.Allocator { return allocator.NewKnBest() }, true},
-	{"SQLB-econ", func() allocator.Allocator { return allocator.NewSQLBEconomic() }, true},
-	{"Capacity", func() allocator.Allocator { return allocator.NewCapacityBased() }, false},
-	{"Mariposa", func() allocator.Allocator { return allocator.NewMariposaLike() }, false},
-	{"Random", func() allocator.Allocator { return allocator.NewRandom(5) }, false},
+	{"SQLB", func() allocator.Allocator { return allocator.NewSQLB() }},
+	{"SQLB-econ", func() allocator.Allocator { return allocator.NewSQLBEconomic() }},
 }
 
 // lazyPopulations are the three shapes: the paper's population, specialists
@@ -268,7 +261,7 @@ func engineRun(t *testing.T, span int, cfg model.Config, churn bool, strategy *t
 }
 
 // TestLazyIntentionsEqualResolveEverything is the differential test on the
-// event loop: six strategies × three populations, one engine run each at
+// event loop: two strategies × three populations, one engine run each at
 // q.n ∈ {1, 4, |Pq|}, since the generator fixes q.n per run. "engine/k" runs
 // the engine for k × 16 time units; the long run at q.n = 4 carries the
 // comparison through more smoothing rounds and churn aftermath. The direct
@@ -297,13 +290,10 @@ func TestLazyIntentionsEqualResolveEverything(t *testing.T) {
 					if eager.stale != 0 {
 						t.Errorf("%d resolved intentions are not IntentionAt's at the current load", eager.stale)
 					}
-					n := compareTraces(t, lazy.log, eager.log, st.consultsPI)
+					n := compareTraces(t, lazy.log, eager.log)
 					samePopulations(t, popL, popE)
 					if st.name == "SQLB" && pp.name != "epsilon0.3" {
 						sqlb.add(n)
-					}
-					if !st.consultsPI && n.resolved != 0 {
-						t.Errorf("%d intentions resolved for a strategy that reads none", n.resolved)
 					}
 				})
 			}

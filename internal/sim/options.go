@@ -151,7 +151,7 @@ type Options struct {
 	SmoothingInterval float64
 	// Timeline, when non-nil, receives one timeline.Snapshot per metric
 	// sample (and one for the final state) — the streaming observability
-	// hook behind sqlb-top and the -timeline/-csv exports. The sink is a
+	// hook behind sqlb-top and the -timeline exports. The sink is a
 	// pure observer of the sample path: it is fed copies after each
 	// sample is recorded, draws nothing from the RNG streams, and
 	// mutates no engine state, so enabling it leaves the Result

@@ -12,8 +12,8 @@ import (
 
 // CSVSink streams snapshots as CSV rows: the header is written on the
 // first Append and every row goes straight to the underlying writer, so
-// a timeline of any length costs constant memory — the replacement for
-// the buffer-everything chart export sqlb-sim -csv used to do. The row
+// a timeline of any length costs constant memory, whatever the run's
+// duration. The row
 // encoder reuses one scratch buffer and appends with strconv, so the
 // steady state allocates nothing per row (BenchmarkTimelineCSV pins
 // this).

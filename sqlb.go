@@ -175,10 +175,6 @@ func NewCapacityBased() Allocator { return allocator.NewCapacityBased() }
 // (Section 6.2.2).
 func NewMariposaLike() Allocator { return allocator.NewMariposaLike() }
 
-// NewKnBest returns the KnBest-style extension strategy (the paper's
-// ref [17]).
-func NewKnBest() Allocator { return allocator.NewKnBest() }
-
 // NewSQLBEconomic returns the economic SQLB variant the paper sketches as
 // future work (bids computed from intentions, Section 7).
 func NewSQLBEconomic() Allocator { return allocator.NewSQLBEconomic() }

@@ -49,7 +49,7 @@ func TestFacadeSimulation(t *testing.T) {
 func TestFacadeAllocators(t *testing.T) {
 	allocs := []sqlb.Allocator{
 		sqlb.NewSQLB(), sqlb.NewSQLBFixedOmega(0.5), sqlb.NewCapacityBased(),
-		sqlb.NewMariposaLike(), sqlb.NewKnBest(), sqlb.NewSQLBEconomic(),
+		sqlb.NewMariposaLike(), sqlb.NewSQLBEconomic(),
 		sqlb.NewRandom(1),
 	}
 	names := map[string]bool{}
