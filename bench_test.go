@@ -745,7 +745,8 @@ func BenchmarkAblationWindowKLarge(b *testing.B) {
 	b.ReportMetric(res.Final.ProvSatPreference.Mean, "prov-sat-pref")
 }
 
-// BenchmarkAblationEpsilon varies ε of Definitions 7-9.
+// BenchmarkAblationEpsilonSmall sets ε of Definitions 7 and 8 to 0.1;
+// Definition 9 scores at core.DefaultEpsilon whatever Config.Epsilon says.
 func BenchmarkAblationEpsilonSmall(b *testing.B) {
 	res := ablationRun(b, allocator.NewSQLB(), func(c *model.Config) { c.Epsilon = 0.1 })
 	b.ReportMetric(res.MeanResponseTime, "resp-s")

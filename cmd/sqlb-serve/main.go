@@ -99,7 +99,7 @@ func main() {
 	var col *timeline.Collector
 	var sink timeline.Sink
 	if len(tlSinks) > 0 || *top {
-		col = timeline.NewCollector(0, 0, tlSinks...)
+		col = timeline.NewCollector(tlSinks...)
 		sink = col
 		if *top {
 			dash := &timeline.Dashboard{Color: true}

@@ -132,7 +132,7 @@ func main() {
 		if len(sinks) == 0 && !(*top && r == 0) {
 			return nil, nil, nil
 		}
-		col := timeline.NewCollector(0, 0, sinks...)
+		col := timeline.NewCollector(sinks...)
 		if *top && r == 0 {
 			dash := &timeline.Dashboard{Color: true}
 			fmt.Print(timeline.HideCursor)

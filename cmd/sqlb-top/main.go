@@ -76,7 +76,7 @@ func main() {
 
 	// The collector's rolling window is the dashboard's history: bounded
 	// memory however long the timeline grows.
-	col := timeline.NewCollector(0, 0)
+	col := timeline.NewCollector()
 	dash := &timeline.Dashboard{Width: *width, Color: !*noColor}
 	render := func() {
 		win := col.Window()

@@ -46,24 +46,27 @@ func (*CapacityBased) Allocate(req *Request) []int {
 // backlog only registers over a long horizon — the crudeness the paper
 // observes: queries concentrate on the most-adapted providers until their
 // queues are already severe, which is what overutilizes them (Table 3).
-type MariposaLike struct {
-	// MinLoadFactor floors the load multiplier (default 0.5). Keeping the
-	// floor high makes the balancing crude: an idle provider's bid is
-	// discounted at most 2×, so a cheap (well-adapted) provider keeps
-	// winning until its overload outweighs its price advantage — the
-	// concentration that overutilizes adapted providers in Table 3. A low
-	// floor would instead turn the scheme into an aggressive balancer.
-	MinLoadFactor float64
-	// LoadHorizon is the backlog horizon (seconds) after which a queue
-	// inflates the bid as strongly as rate saturation does (default 60 —
-	// sluggish on purpose; compare model.Config.LoadHorizon, which is 3:
-	// Mariposa providers only repel queries once their queue is a minute
-	// deep, so the adapted ones run far past capacity for long stretches).
-	LoadHorizon float64
-}
+type MariposaLike struct{}
 
-// NewMariposaLike returns the Mariposa-like baseline with defaults.
-func NewMariposaLike() *MariposaLike { return &MariposaLike{MinLoadFactor: 0.5, LoadHorizon: 60} }
+// mariposaMinLoad floors the load multiplier. Keeping the floor high makes
+// the balancing crude: an idle provider's bid is discounted at most 2×, so
+// a cheap (well-adapted) provider keeps winning until its overload
+// outweighs its price advantage — the concentration that overutilizes
+// adapted providers in Table 3. A low floor would instead turn the scheme
+// into an aggressive balancer.
+//
+// mariposaHorizon is the backlog horizon (seconds) after which a queue
+// inflates the bid as strongly as rate saturation does — sluggish on
+// purpose; compare model.Config.LoadHorizon, which is 3: Mariposa
+// providers only repel queries once their queue is a minute deep, so the
+// adapted ones run far past capacity for long stretches.
+const (
+	mariposaMinLoad = 0.5
+	mariposaHorizon = 60
+)
+
+// NewMariposaLike returns the Mariposa-like baseline.
+func NewMariposaLike() *MariposaLike { return &MariposaLike{} }
 
 // Name implements Allocator.
 func (*MariposaLike) Name() string { return "Mariposa-like" }
@@ -77,24 +80,16 @@ func (m *MariposaLike) Bid(pref float64) float64 {
 
 // Allocate implements Allocator.
 func (m *MariposaLike) Allocate(req *Request) []int {
-	minLoad := m.MinLoadFactor
-	if minLoad <= 0 {
-		minLoad = 0.5
-	}
-	horizon := m.LoadHorizon
-	if horizon <= 0 {
-		horizon = 60
-	}
 	sc := req.scratch()
 	bids := sc.F1(len(req.Pq))
 	for i, p := range req.Pq {
 		pref := p.Preference(req.Query.Class)
 		load := p.Utilization(req.Now)
-		if b := p.Backlog(req.Now) / horizon; b > load {
+		if b := p.Backlog(req.Now) / mariposaHorizon; b > load {
 			load = b
 		}
-		if load < minLoad {
-			load = minLoad
+		if load < mariposaMinLoad {
+			load = mariposaMinLoad
 		}
 		bids[i] = m.Bid(pref) * load
 	}

@@ -8,9 +8,10 @@ import (
 // (Section 5): providers are scored by Definition 9 with the per-provider
 // adaptive ω of Equation 6 and the q.n best-scored are selected
 // (Algorithm 1).
+//
+// Definition 9 scores at ε = core.DefaultEpsilon, the paper's setting;
+// model.Config.Epsilon is the ε of Definitions 7 and 8 only.
 type SQLB struct {
-	// Epsilon is ε of Definition 9; 0 means core.DefaultEpsilon.
-	Epsilon float64
 	// FixedOmega, when non-nil, overrides Equation 6 with a constant ω —
 	// the paper's note that ω can be set by application kind (e.g. ω = 0
 	// for cooperative providers where only result quality matters). Used
@@ -18,7 +19,7 @@ type SQLB struct {
 	FixedOmega *float64
 }
 
-// NewSQLB returns the adaptive-ω SQLB method with the default ε.
+// NewSQLB returns the adaptive-ω SQLB method.
 func NewSQLB() *SQLB { return &SQLB{} }
 
 // NewSQLBFixedOmega returns an SQLB variant with a constant ω ∈ [0,1].
@@ -52,6 +53,6 @@ func (s *SQLB) Allocate(req *Request) []int {
 			omegas[i] = core.Omega(req.ConsumerSat, sat)
 		}
 	}
-	ranking := core.RankTop(sc, req.N(), req.PI, req.CI, omegas, s.Epsilon, req.Lazy)
+	ranking := core.RankTop(sc, req.N(), req.PI, req.CI, omegas, core.DefaultEpsilon, req.Lazy)
 	return core.Select(sc, req.N(), ranking)
 }

@@ -271,8 +271,14 @@ func (l *Lab) modelConfig() model.Config {
 // runs one. It streams the run's timeline to the sink Config.Timeline hands
 // out for runID and closes that sink after the run, then fails on a sink
 // error the engine swallowed to keep the Result deterministic, or on
-// Result.Err. atStart, when non-nil, sees the engine before its first event.
+// Result.Err. A run that sets no SampleInterval samples every Duration/50,
+// so its timeline has as many rows as a ramp's; sampling moves no bit of the
+// Result but Final's since-last-sample response window. atStart, when
+// non-nil, sees the engine before its first event.
 func (l *Lab) simulate(runID string, opts sim.Options, atStart func(*sim.Engine)) (*sim.Result, error) {
+	if opts.SampleInterval == 0 {
+		opts.SampleInterval = opts.Duration / 50
+	}
 	if l.cfg.Timeline != nil {
 		opts.Timeline = l.cfg.Timeline(runID)
 	}

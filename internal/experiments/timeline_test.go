@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -134,16 +133,22 @@ func keysOf[V any](m map[string]V) []string {
 // TestTimelineEveryRun: every simulation an experiment runs asks the
 // Timeline factory for its sink once, under an ID no other run uses — the
 // extension tables and the selectivity sweep as much as the paper's
-// figures.
+// figures — and streams a row per sample at Duration/50, not only its
+// final snapshot.
 func TestTimelineEveryRun(t *testing.T) {
 	lab := tinyLab()
 	var mu sync.Mutex
-	var calls map[string]int
+	var calls, rows map[string]int
 	lab.cfg.Timeline = func(runID string) timeline.Sink {
 		mu.Lock()
 		defer mu.Unlock()
 		calls[runID]++
-		return timeline.NewCSVSink(io.Discard)
+		return timeline.SinkFunc(func(timeline.Snapshot) error {
+			mu.Lock()
+			defer mu.Unlock()
+			rows[runID]++
+			return nil
+		})
 	}
 	for _, tc := range []struct {
 		id   string
@@ -152,13 +157,16 @@ func TestTimelineEveryRun(t *testing.T) {
 		{"ext-omega", 4 * lab.cfg.Repeats},
 		{"ext-selectivity", len(methods()) * len(lab.cfg.Selectivities) * lab.cfg.Repeats},
 	} {
-		calls = map[string]int{}
+		calls, rows = map[string]int{}, map[string]int{}
 		if _, err := lab.RunAny(tc.id); err != nil {
 			t.Fatalf("%s: %v", tc.id, err)
 		}
 		for runID, n := range calls {
 			if n != 1 {
 				t.Errorf("%s: run %q asked for its sink %d times", tc.id, runID, n)
+			}
+			if rows[runID] != 51 {
+				t.Errorf("%s: run %q streamed %d rows, want 51", tc.id, runID, rows[runID])
 			}
 		}
 		if len(calls) != tc.runs {

@@ -151,23 +151,26 @@ func TestServerMediateCloseRace(t *testing.T) {
 
 // TestMediateBatchHostileClasses: a query whose class the population does
 // not define — negative, just past the end, absurdly large — gets the same
-// outcome from MediateBatch as from Mediate under both kinds of matchmaker
-// (a class-bounded one finds it no provider, a nil one matches everyone), the
-// per-class cache does not grow to reach it, and the mediation lock is
-// released afterwards.
+// outcome from MediateBatch and from Mediator.Allocate as from Mediate under
+// both kinds of matchmaker (a class-bounded one finds it no provider, a nil
+// one matches everyone), the per-class gathers do not grow to reach it, and
+// the mediation lock is released afterwards.
 func TestMediateBatchHostileClasses(t *testing.T) {
 	hostile := []int{-1, math.MinInt, 2, 99, math.MaxInt}
 	for _, bounded := range []bool{true, false} {
 		popSeq, popBatch := batchFixture(t, 2, 8)
+		popDirect, _ := batchFixture(t, 2, 8)
 		now := func() float64 { return 3 }
 		seq := NewServer(allocator.NewSQLB(), popSeq, 100*time.Millisecond, now)
 		bat := NewServer(allocator.NewSQLB(), popBatch, 100*time.Millisecond, now)
+		direct := New(allocator.NewSQLB())
 		if bounded {
 			onlyDefined := matchFunc(func(_ *model.Provider, class int) bool {
 				return class >= 0 && class < len(popSeq.Classes)
 			})
 			seq.SetMatchmaker(onlyDefined)
 			bat.SetMatchmaker(onlyDefined)
+			direct.Match = onlyDefined
 		}
 		mint := func(pop *model.Population) []*model.Query {
 			qs := []*model.Query{newQuery(pop, 1, 1)}
@@ -184,22 +187,29 @@ func TestMediateBatchHostileClasses(t *testing.T) {
 			alloc, err := seq.Mediate(context.Background(), q)
 			want, wantErr = append(want, alloc), append(wantErr, err)
 		}
-		results := bat.MediateBatch(context.Background(), mint(popBatch))
-		for i, r := range results {
-			if errors.Is(r.Err, ErrNoProviders) != errors.Is(wantErr[i], ErrNoProviders) || (r.Err == nil) != (wantErr[i] == nil) {
-				t.Fatalf("bounded=%v query %d: batch err %v, sequential err %v", bounded, i, r.Err, wantErr[i])
+		check := func(entrance string, i int, alloc *Allocation, err error) {
+			t.Helper()
+			if errors.Is(err, ErrNoProviders) != errors.Is(wantErr[i], ErrNoProviders) || (err == nil) != (wantErr[i] == nil) {
+				t.Fatalf("bounded=%v query %d: %s err %v, sequential err %v", bounded, i, entrance, err, wantErr[i])
 			}
-			if r.Err != nil {
-				continue
+			if err != nil {
+				return
 			}
-			if len(r.Alloc.Selected) != len(want[i].Selected) {
-				t.Fatalf("bounded=%v query %d: batch selected %v, sequential %v", bounded, i, r.Alloc.Selected, want[i].Selected)
+			if len(alloc.Selected) != len(want[i].Selected) {
+				t.Fatalf("bounded=%v query %d: %s selected %v, sequential %v", bounded, i, entrance, alloc.Selected, want[i].Selected)
 			}
 			for j, idx := range want[i].Selected {
-				if r.Alloc.Pq[r.Alloc.Selected[j]].ID != want[i].Pq[idx].ID {
-					t.Fatalf("bounded=%v query %d: batch selected %v, sequential %v", bounded, i, r.Alloc.Selected, want[i].Selected)
+				if alloc.Pq[alloc.Selected[j]].ID != want[i].Pq[idx].ID {
+					t.Fatalf("bounded=%v query %d: %s selected %v, sequential %v", bounded, i, entrance, alloc.Selected, want[i].Selected)
 				}
 			}
+		}
+		for i, r := range bat.MediateBatch(context.Background(), mint(popBatch)) {
+			check("batch", i, r.Alloc, r.Err)
+		}
+		for i, q := range mint(popDirect) {
+			alloc, err := direct.Allocate(now(), q, popDirect)
+			check("Allocate", i, alloc, err)
 		}
 		if bounded && wantErr[1] == nil {
 			t.Fatal("fixture: the class-bounded matchmaker served a hostile class")
@@ -207,11 +217,13 @@ func TestMediateBatchHostileClasses(t *testing.T) {
 		if !bounded && wantErr[1] != nil {
 			t.Fatalf("fixture: the nil matchmaker refused a hostile class: %v", wantErr[1])
 		}
-		if got := len(bat.batch.stamp); got != len(popBatch.Classes) {
-			t.Fatalf("bounded=%v: per-class cache holds %d classes, population defines %d", bounded, got, len(popBatch.Classes))
-		}
-		if got, most := rowCount(&bat.med.rows), len(popBatch.Classes)*len(popBatch.Consumers); got > most {
-			t.Fatalf("bounded=%v: consumer-intention store holds %d rows, bound is %d", bounded, got, most)
+		for _, m := range []*Mediator{bat.med, direct} {
+			if got := len(m.gathered); got != len(popBatch.Classes) {
+				t.Fatalf("bounded=%v: per-class gathers hold %d classes, population defines %d", bounded, got, len(popBatch.Classes))
+			}
+			if got, most := rowCount(&m.rows), len(popBatch.Classes)*len(popBatch.Consumers); got > most {
+				t.Fatalf("bounded=%v: consumer-intention store holds %d rows, bound is %d", bounded, got, most)
+			}
 		}
 		locked := make(chan struct{})
 		go func() {

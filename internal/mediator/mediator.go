@@ -88,6 +88,13 @@ type Mediator struct {
 	// mediator serializes its mediations (the engine's event loop, the
 	// server's mu), so one set suffices.
 	scratch medScratch
+	// epoch numbers the mediation turns: Allocate is a turn of one query,
+	// Server.turn one per batch. gathered holds one slot per class of the
+	// population, each valid for the turn its epoch names, so "gather this
+	// class again?" is one integer compare and nothing is cleared between
+	// turns.
+	epoch    uint64
+	gathered []gather
 	// rows keeps consumer-intention rows across mediations, for Allocate
 	// and the server's turns alike.
 	rows ciRows
@@ -99,28 +106,40 @@ type Mediator struct {
 	privateWrites uint64
 }
 
+// gather is one class's provider half of lines 1-5 of Algorithm 1 in the
+// turn of epoch: Pq, Definition 8 over it, exact or deferred (see lazyPI),
+// and Pq's content id in the row store (ciRows). Definition 8 depends only
+// on (provider, class, clock), not on the consumer, so one gather serves
+// every query of the class in a turn. Pq lives in storage the slot owns:
+// an index's posting list may be compacted in place by a later turn's lazy
+// prune, and a mediation in progress must not see that.
+type gather struct {
+	pq       []*model.Provider
+	pi       []float64
+	deferred []float64
+	id       uint64
+	epoch    uint64
+}
+
 type streamKey struct {
 	s           *satisfaction.Stream
 	id, version uint64
 }
 
-// medScratch is the reusable working memory of one mediator: the intention,
-// satisfaction, and matchmade vectors of the current mediation, Pq's
-// private trackers, the strategy's buffer pool, and the
+// medScratch is the reusable working memory of one mediator: Allocate's
+// consumer-intention spare, the satisfaction vector of the current
+// mediation, Pq's private trackers, the strategy's buffer pool, and the
 // request/allocation shells handed out by the fast path. Everything here is
 // sized once at the population's high-water mark and then recycled, which
 // is what takes the steady-state mediation to zero heap allocations.
 type medScratch struct {
-	strat    core.Scratch // lent to the strategy via Request.Scratch
-	pq       []*model.Provider
-	ci       []float64
-	pi       []float64
-	deferred []float64 // see lazyPI
-	lazy     lazyPI
-	provSat  []float64
-	private  []*satisfaction.ProviderTracker // see advanceStream
-	req      allocator.Request
-	alloc    Allocation
+	strat   core.Scratch // lent to the strategy via Request.Scratch
+	ci      []float64
+	lazy    lazyPI
+	provSat []float64
+	private []*satisfaction.ProviderTracker // see advanceStream
+	req     allocator.Request
+	alloc   Allocation
 }
 
 // growFloats returns buf resized to n, reallocating only on capacity growth.
@@ -135,8 +154,8 @@ func growFloats(buf []float64, n int) []float64 {
 // Provider.IntentionOrBound said of slot i: the load reading pi[i] was
 // bounded at, or model.Exact. Resolving at that reading gives the value a
 // gathering loop without bounds would have written, even when an earlier
-// query of the batch has since been assigned to the provider. In a batch pi
-// and deferred are the class's shared vectors, so what one query resolves
+// query of the turn has since been assigned to the provider. pi and
+// deferred are the class's gather for the turn, so what one query resolves
 // the next ones of its class find exact.
 type lazyPI struct {
 	pq       []*model.Provider
@@ -162,8 +181,9 @@ func New(strategy allocator.Allocator) *Mediator {
 // Allocate mediates one query at the given time: matchmaking, intention
 // gathering (lines 2-5 of Algorithm 1, computed synchronously here),
 // allocation (lines 6-10), and result notification (recording into every
-// participant's satisfaction windows). The strategy sees only public
-// information: expressed intentions and intention-based satisfactions.
+// participant's satisfaction windows): mediate in a turn of its own. The
+// strategy sees only public information: expressed intentions and
+// intention-based satisfactions.
 //
 // This is the simulator's hot path and allocates nothing in steady state:
 // the returned Allocation and every slice it carries live in the mediator's
@@ -171,19 +191,71 @@ func New(strategy allocator.Allocator) *Mediator {
 // Callers that retain anything past that point must copy (SelectedProviders
 // does); Server.Mediate returns durable allocations instead.
 func (m *Mediator) Allocate(now float64, q *model.Query, pop *model.Population) (*Allocation, error) {
-	sc := &m.scratch
-	sc.pq = matchInto(m.Match, sc.pq[:0], q, pop)
-	pq := sc.pq
-	if len(pq) == 0 {
-		return nil, fmt.Errorf("%w (query %d)", ErrNoProviders, q.ID)
-	}
-	sc.pi, sc.deferred = m.providerIntentions(now, q.Class, pq, sc.pi, sc.deferred)
-	id := m.rows.identify(q.Class, len(pop.Classes), pq)
-	ci, adq := m.rows.consumer(q, pq, id, &sc.ci)
-	if err := m.allocateInto(&sc.alloc, now, pop, q, pq, id, ci, adq, sc.pi, sc.deferred); err != nil {
+	m.epoch++
+	if err := m.mediate(now, q, pop, &m.scratch.ci, &m.scratch.alloc); err != nil {
 		return nil, err
 	}
-	return &sc.alloc, nil
+	return &m.scratch.alloc, nil
+}
+
+// mediate is the one per-query body of every entrance (Allocate, and
+// Server.turn for Mediate and MediateBatch): Algorithm 1 for q at now,
+// within the current turn. Lines 1-5 gather Pq and Definition 8 once per
+// class and turn (gather), and Definition 7 and Equation 1 from the row
+// store, or into *spare when it keeps no row for q; lines 6-10 score, rank,
+// select and notify. Out's Selected aliases the strategy's scratch
+// selection and is valid only until the next mediation on this mediator —
+// the server, whose allocations outlive that, arenas it (Server.turn).
+func (m *Mediator) mediate(now float64, q *model.Query, pop *model.Population, spare *[]float64, out *Allocation) error {
+	classes := len(pop.Classes)
+	if n := classes - len(m.gathered); n > 0 {
+		m.gathered = append(m.gathered, make([]gather, n)...)
+	}
+	// A class the population does not define — negative, or past its
+	// classes; only a hostile or mis-minted query carries it — is gathered
+	// into fresh vectors, so the slots stay bounded by the population
+	// whatever the stream holds.
+	g := &gather{}
+	if k := q.Class; k >= 0 && k < classes {
+		g = &m.gathered[k]
+	}
+	if g.epoch != m.epoch {
+		g.pq = matchInto(m.Match, g.pq[:0], q, pop)
+		g.pi, g.deferred = m.providerIntentions(now, q.Class, g.pq, g.pi, g.deferred)
+		g.id = m.rows.identify(q.Class, classes, g.pq)
+		g.epoch = m.epoch
+	}
+	pq, pi := g.pq, g.pi
+	if len(pq) == 0 {
+		return fmt.Errorf("%w (query %d)", ErrNoProviders, q.ID)
+	}
+	ci, adq := m.rows.consumer(q, pq, g.id, spare)
+	if m.Strategy == nil {
+		return errors.New("mediator: no allocation strategy configured")
+	}
+	sc := &m.scratch
+	sc.provSat = growFloats(sc.provSat, len(pq))
+	provSat := sc.provSat
+	for i := range pq {
+		provSat[i] = pq[i].Public.Satisfaction()
+	}
+	sc.lazy = lazyPI{pq: pq, pi: pi, deferred: g.deferred, class: q.Class}
+	sc.req = allocator.Request{
+		Query:       q,
+		Pq:          pq,
+		CI:          ci,
+		PI:          pi,
+		Lazy:        &sc.lazy,
+		ConsumerSat: q.Consumer.Tracker.Satisfaction(),
+		ProviderSat: provSat,
+		Now:         now,
+		Scratch:     &sc.strat,
+	}
+	selected := m.Strategy.Allocate(&sc.req)
+
+	m.record(pop, q, pq, g.id, ci, adq, pi, selected)
+	*out = Allocation{Query: q, Pq: pq, CI: ci, PI: pi, Selected: selected}
+	return nil
 }
 
 // matchInto appends Pq for q to buf (line 1 of Algorithm 1). A nil
@@ -205,8 +277,7 @@ func matchInto(match Matchmaker, buf []*model.Provider, q *model.Query, pop *mod
 
 // providerIntentions fills pi and deferred, resized to len(pq), with
 // Definition 8 for every provider of pq (lines 2-5 of Algorithm 1, the
-// provider half). It is the one provider gather of every mediation path:
-// Allocate calls it per query, the batch once per class and turn.
+// provider half). mediate calls it once per class and turn.
 //
 // The vector carries the *raw* definition values, which extend below -1
 // (Figure 2's surface reaches -2.5). Definition 9's negative branch needs
@@ -235,43 +306,6 @@ func (m *Mediator) providerIntentions(now float64, class int, pq []*model.Provid
 		}
 	}
 	return pi, deferred
-}
-
-// allocateInto is the shared allocation commit (Algorithm 1 lines 6-10):
-// it scores, ranks, selects, records the result, and fills out in place.
-// Both callers (Allocate, Server.turn) pass a non-empty pq, intention
-// vectors they sized like it (deferred: see lazyPI), adq, Equation 1
-// over ci, and id, pq's content id (ciRows.identify). Out's Selected aliases
-// the strategy's scratch selection and is valid only until the next
-// mediation on this mediator — the server, whose allocations outlive that,
-// arenas it (Server.turn).
-func (m *Mediator) allocateInto(out *Allocation, now float64, pop *model.Population, q *model.Query, pq []*model.Provider, id uint64, ci []float64, adq float64, pi, deferred []float64) error {
-	if m.Strategy == nil {
-		return errors.New("mediator: no allocation strategy configured")
-	}
-	sc := &m.scratch
-	sc.provSat = growFloats(sc.provSat, len(pq))
-	provSat := sc.provSat
-	for i := range pq {
-		provSat[i] = pq[i].Public.Satisfaction()
-	}
-	sc.lazy = lazyPI{pq: pq, pi: pi, deferred: deferred, class: q.Class}
-	sc.req = allocator.Request{
-		Query:       q,
-		Pq:          pq,
-		CI:          ci,
-		PI:          pi,
-		Lazy:        &sc.lazy,
-		ConsumerSat: q.Consumer.Tracker.Satisfaction(),
-		ProviderSat: provSat,
-		Now:         now,
-		Scratch:     &sc.strat,
-	}
-	selected := m.Strategy.Allocate(&sc.req)
-
-	m.record(pop, q, pq, id, ci, adq, pi, selected)
-	*out = Allocation{Query: q, Pq: pq, CI: ci, PI: pi, Selected: selected}
-	return nil
 }
 
 // record performs the mediation-result notification: the consumer logs the

@@ -27,7 +27,8 @@ type Config struct {
 	PriorSamples        int
 
 	// Upsilon is υ of Definition 7 for all consumers (paper experiments:
-	// 1, i.e. intentions ≡ preferences). Epsilon is ε of Definitions 7-9.
+	// 1, i.e. intentions ≡ preferences). Epsilon is ε of Definitions 7
+	// and 8; Definition 9 scores at core.DefaultEpsilon.
 	Upsilon float64
 	Epsilon float64
 

@@ -64,7 +64,7 @@ func TestTimelineDeterminism(t *testing.T) {
 			// Streaming through the full collector+CSV pipeline must be
 			// just as invisible.
 			var sb strings.Builder
-			col := timeline.NewCollector(0, 0, timeline.NewCSVSink(&sb))
+			col := timeline.NewCollector(timeline.NewCSVSink(&sb))
 			piped := run(col)
 			if err := col.Close(); err != nil {
 				t.Fatalf("collector close: %v", err)

@@ -4,17 +4,16 @@ import (
 	"sync"
 )
 
-// DefaultRawWindow bounds the collector's rolling raw-snapshot window when
-// the caller passes 0 — enough history for an 80-column sparkline with
-// headroom, small enough to be negligible per run.
+// DefaultRawWindow bounds the collector's rolling raw-snapshot window —
+// enough history for an 80-column sparkline with headroom, small enough to
+// be negligible per run.
 const DefaultRawWindow = 240
 
 // Collector is the bounded-memory hub of the timeline: producers Offer
-// raw snapshots, the collector keeps the most recent ones in a rolling
-// window (the dashboard's sparkline source), folds them into fixed
-// aggregation intervals, and fans each completed interval row out to the
-// configured sinks. Memory is O(rawWindow + sinks) regardless of run
-// length — nothing is ever buffered per row.
+// raw snapshots, the collector keeps the most recent DefaultRawWindow of
+// them in a rolling window (the dashboard's sparkline source) and fans
+// each one out to the configured sinks. Memory is O(DefaultRawWindow +
+// sinks) regardless of run length — nothing is ever buffered per row.
 //
 // A Collector is itself a Sink, so it can sit anywhere a plain sink does
 // (sim.Options.Timeline, serving.Config.Timeline) and wrap any fan-out
@@ -22,12 +21,8 @@ const DefaultRawWindow = 240
 // appends from its snapshot goroutine while sqlb-top reads Window from
 // the render loop.
 type Collector struct {
-	mu sync.Mutex
-
-	// interval is the aggregation bucket width in snapshot time units;
-	// <= 0 passes every raw snapshot straight through to the sinks.
-	interval float64
-	sinks    []Sink
+	mu    sync.Mutex
+	sinks []Sink
 
 	// raw is the rolling window ring; rawN is how many of its slots are
 	// filled, rawHead the next write position.
@@ -35,35 +30,16 @@ type Collector struct {
 	rawHead int
 	rawN    int
 
-	// agg is the running aggregate of the open bucket; aggN its snapshot
-	// count; bucket the open bucket index (floor(Time/interval)).
-	agg     Snapshot
-	aggN    int
-	bucket  int64
-	started bool
-
-	rows uint64
-	err  error
+	err error
 }
 
-// NewCollector returns a collector aggregating on the given interval
-// (<= 0 = pass-through) with a rolling raw window of rawWindow snapshots
-// (0 = DefaultRawWindow), fanning completed rows out to the sinks.
-func NewCollector(interval float64, rawWindow int, sinks ...Sink) *Collector {
-	if rawWindow <= 0 {
-		rawWindow = DefaultRawWindow
-	}
-	return &Collector{
-		interval: interval,
-		sinks:    sinks,
-		raw:      make([]Snapshot, rawWindow),
-	}
+// NewCollector returns a collector fanning every snapshot out to the sinks.
+func NewCollector(sinks ...Sink) *Collector {
+	return &Collector{sinks: sinks, raw: make([]Snapshot, DefaultRawWindow)}
 }
 
-// Offer feeds one raw snapshot: it enters the rolling window immediately
-// and the aggregation bucket it falls into; when a snapshot opens a later
-// bucket, the finished bucket's row is emitted to every sink first.
-// Snapshots must arrive in non-decreasing Time order per collector.
+// Offer feeds one raw snapshot: it enters the rolling window and goes to
+// every sink, keeping the first sink error.
 func (c *Collector) Offer(s Snapshot) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -73,83 +49,11 @@ func (c *Collector) Offer(s Snapshot) {
 	if c.rawN < len(c.raw) {
 		c.rawN++
 	}
-
-	if c.interval <= 0 {
-		c.emit(s)
-		return
-	}
-	b := int64(s.Time / c.interval)
-	if c.started && b != c.bucket {
-		c.flushLocked()
-	}
-	if !c.started || c.aggN == 0 {
-		c.bucket = b
-		c.started = true
-	}
-	c.fold(s)
-}
-
-// fold merges one raw snapshot into the open bucket aggregate, per-field
-// by aggregation kind. Means accumulate as sums here and divide at flush.
-func (c *Collector) fold(s Snapshot) {
-	if c.aggN == 0 {
-		c.agg = s
-		c.aggN = 1
-		return
-	}
-	for _, f := range fields {
-		cur, v := f.get(&c.agg), f.get(&s)
-		switch f.agg {
-		case aggMean, aggSum:
-			f.set(&c.agg, cur+v)
-		case aggLast:
-			f.set(&c.agg, v)
-		case aggMax:
-			if v > cur {
-				f.set(&c.agg, v)
-			}
-		}
-	}
-	c.agg.Source = s.Source
-	c.aggN++
-}
-
-// flushLocked closes the open bucket: divides the mean fields by the
-// bucket count and emits the row. Callers hold c.mu.
-func (c *Collector) flushLocked() {
-	if c.aggN == 0 {
-		return
-	}
-	row := c.agg
-	if c.aggN > 1 {
-		n := float64(c.aggN)
-		for _, f := range fields {
-			if f.agg == aggMean {
-				f.set(&row, f.get(&row)/n)
-			}
-		}
-	}
-	c.aggN = 0
-	c.emit(row)
-}
-
-// emit fans one finished row out to every sink, keeping the first error.
-func (c *Collector) emit(row Snapshot) {
-	c.rows++
 	for _, snk := range c.sinks {
-		if err := snk.Append(row); err != nil && c.err == nil {
+		if err := snk.Append(s); err != nil && c.err == nil {
 			c.err = err
 		}
 	}
-}
-
-// Flush emits the partially filled open bucket, if any — callers invoke
-// it at end of run so the last interval is not lost.
-func (c *Collector) Flush() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.flushLocked()
-	return c.err
 }
 
 // Window copies out the rolling raw window, oldest first — the
@@ -168,31 +72,9 @@ func (c *Collector) Window() []Snapshot {
 	return out
 }
 
-// Last returns the most recent raw snapshot (false before the first
-// Offer).
-func (c *Collector) Last() (Snapshot, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.rawN == 0 {
-		return Snapshot{}, false
-	}
-	idx := c.rawHead - 1
-	if idx < 0 {
-		idx += len(c.raw)
-	}
-	return c.raw[idx], true
-}
-
-// Rows reports how many aggregate rows have been emitted to the sinks.
-func (c *Collector) Rows() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rows
-}
-
 // Append makes the collector a Sink so it can wrap a fan-out anywhere a
 // plain sink is accepted. It reports the first error any downstream sink
-// returned (emission itself never fails).
+// returned.
 func (c *Collector) Append(s Snapshot) error {
 	c.Offer(s)
 	c.mu.Lock()
@@ -200,12 +82,11 @@ func (c *Collector) Append(s Snapshot) error {
 	return c.err
 }
 
-// Close flushes the open bucket and closes every sink, returning the
-// first error seen anywhere in the pipeline.
+// Close closes every sink, returning the first error seen anywhere in the
+// pipeline.
 func (c *Collector) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.flushLocked()
 	for _, snk := range c.sinks {
 		if cerr := snk.Close(); cerr != nil && c.err == nil {
 			c.err = cerr

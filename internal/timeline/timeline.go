@@ -1,7 +1,7 @@
 // Package timeline is the streaming observability layer: a unified
 // Snapshot type over the simulator's §4 samples and the serving driver's
-// interval reports, a bounded-memory Collector that aggregates snapshots
-// on a fixed interval and fans them out to pluggable sinks, a streaming
+// interval reports, a bounded-memory Collector that keeps a rolling window
+// of snapshots and fans them out to pluggable sinks, a streaming
 // CSV sink/decoder pair (write rows as they are produced, tail them back
 // live), a calculator that turns a snapshot window into health signals
 // and threshold-based recommendations, and the ANSI dashboard renderer
@@ -15,9 +15,9 @@ package timeline
 
 // Snapshot is one observation interval of a running system — either one
 // §4 metric sample of a simulation or one wall-clock interval of the
-// serving driver. Fields a source cannot fill stay zero; the CSV codec,
-// the aggregator, and the dashboard all work off the fields table below,
-// so the three stay in sync by construction.
+// serving driver. Fields a source cannot fill stay zero; the CSV codec and
+// the dashboard both work off the fields table below, so the two stay in
+// sync by construction.
 type Snapshot struct {
 	// Time is the snapshot instant: sim-seconds for the simulator,
 	// wall-clock seconds since Run for the serving driver.
@@ -78,56 +78,43 @@ type Snapshot struct {
 	Joins          float64
 }
 
-// aggKind says how a field folds when several raw snapshots aggregate
-// into one interval row.
-type aggKind int
-
-const (
-	aggMean aggKind = iota // gauges: average over the bucket
-	aggSum                 // interval deltas: add up
-	aggLast                // cumulative counters and levels: last wins
-	aggMax                 // peaks: the worst instant of the bucket
-)
-
-// field is one Snapshot column: its CSV header name, accessor, and
-// aggregation rule.
+// field is one Snapshot column: its CSV header name and accessors.
 type field struct {
 	name string
 	get  func(*Snapshot) float64
 	set  func(*Snapshot, float64)
-	agg  aggKind
 }
 
 // fields is the single source of truth for the Snapshot schema. Order is
 // the CSV column order; append new fields at the end so recorded
 // timelines stay readable by column name.
 var fields = []field{
-	{"time", func(s *Snapshot) float64 { return s.Time }, func(s *Snapshot, v float64) { s.Time = v }, aggLast},
-	{"workload", func(s *Snapshot) float64 { return s.WorkloadFraction }, func(s *Snapshot, v float64) { s.WorkloadFraction = v }, aggMean},
-	{"qps_in", func(s *Snapshot) float64 { return s.QPSIn }, func(s *Snapshot, v float64) { s.QPSIn = v }, aggMean},
-	{"qps_out", func(s *Snapshot) float64 { return s.QPSOut }, func(s *Snapshot, v float64) { s.QPSOut = v }, aggMean},
-	{"dropped", func(s *Snapshot) float64 { return s.Dropped }, func(s *Snapshot, v float64) { s.Dropped = v }, aggSum},
-	{"rejected", func(s *Snapshot) float64 { return s.Rejected }, func(s *Snapshot, v float64) { s.Rejected = v }, aggSum},
-	{"errors", func(s *Snapshot) float64 { return s.Errors }, func(s *Snapshot, v float64) { s.Errors = v }, aggSum},
-	{"queue_depth", func(s *Snapshot) float64 { return s.QueueDepth }, func(s *Snapshot, v float64) { s.QueueDepth = v }, aggMax},
-	{"latency_mean", func(s *Snapshot) float64 { return s.LatencyMean }, func(s *Snapshot, v float64) { s.LatencyMean = v }, aggMean},
-	{"latency_p50", func(s *Snapshot) float64 { return s.LatencyP50 }, func(s *Snapshot, v float64) { s.LatencyP50 = v }, aggLast},
-	{"latency_p95", func(s *Snapshot) float64 { return s.LatencyP95 }, func(s *Snapshot, v float64) { s.LatencyP95 = v }, aggLast},
-	{"latency_p99", func(s *Snapshot) float64 { return s.LatencyP99 }, func(s *Snapshot, v float64) { s.LatencyP99 = v }, aggLast},
-	{"prov_sat", func(s *Snapshot) float64 { return s.ProvSat }, func(s *Snapshot, v float64) { s.ProvSat = v }, aggMean},
-	{"cons_sat", func(s *Snapshot) float64 { return s.ConsSat }, func(s *Snapshot, v float64) { s.ConsSat = v }, aggMean},
-	{"alloc_sat", func(s *Snapshot) float64 { return s.AllocSat }, func(s *Snapshot, v float64) { s.AllocSat = v }, aggMean},
-	{"sat_fairness", func(s *Snapshot) float64 { return s.SatFairness }, func(s *Snapshot, v float64) { s.SatFairness = v }, aggMean},
-	{"util_mean", func(s *Snapshot) float64 { return s.UtilMean }, func(s *Snapshot, v float64) { s.UtilMean = v }, aggMean},
-	{"util_fairness", func(s *Snapshot) float64 { return s.UtilFairness }, func(s *Snapshot, v float64) { s.UtilFairness = v }, aggMean},
-	{"util_gini", func(s *Snapshot) float64 { return s.UtilGini }, func(s *Snapshot, v float64) { s.UtilGini = v }, aggMean},
-	{"util_class_low", func(s *Snapshot) float64 { return s.UtilClassLow }, func(s *Snapshot, v float64) { s.UtilClassLow = v }, aggMean},
-	{"util_class_med", func(s *Snapshot) float64 { return s.UtilClassMed }, func(s *Snapshot, v float64) { s.UtilClassMed = v }, aggMean},
-	{"util_class_high", func(s *Snapshot) float64 { return s.UtilClassHigh }, func(s *Snapshot, v float64) { s.UtilClassHigh = v }, aggMean},
-	{"alive_providers", func(s *Snapshot) float64 { return s.AliveProviders }, func(s *Snapshot, v float64) { s.AliveProviders = v }, aggLast},
-	{"alive_consumers", func(s *Snapshot) float64 { return s.AliveConsumers }, func(s *Snapshot, v float64) { s.AliveConsumers = v }, aggLast},
-	{"departures", func(s *Snapshot) float64 { return s.Departures }, func(s *Snapshot, v float64) { s.Departures = v }, aggLast},
-	{"joins", func(s *Snapshot) float64 { return s.Joins }, func(s *Snapshot, v float64) { s.Joins = v }, aggLast},
+	{"time", func(s *Snapshot) float64 { return s.Time }, func(s *Snapshot, v float64) { s.Time = v }},
+	{"workload", func(s *Snapshot) float64 { return s.WorkloadFraction }, func(s *Snapshot, v float64) { s.WorkloadFraction = v }},
+	{"qps_in", func(s *Snapshot) float64 { return s.QPSIn }, func(s *Snapshot, v float64) { s.QPSIn = v }},
+	{"qps_out", func(s *Snapshot) float64 { return s.QPSOut }, func(s *Snapshot, v float64) { s.QPSOut = v }},
+	{"dropped", func(s *Snapshot) float64 { return s.Dropped }, func(s *Snapshot, v float64) { s.Dropped = v }},
+	{"rejected", func(s *Snapshot) float64 { return s.Rejected }, func(s *Snapshot, v float64) { s.Rejected = v }},
+	{"errors", func(s *Snapshot) float64 { return s.Errors }, func(s *Snapshot, v float64) { s.Errors = v }},
+	{"queue_depth", func(s *Snapshot) float64 { return s.QueueDepth }, func(s *Snapshot, v float64) { s.QueueDepth = v }},
+	{"latency_mean", func(s *Snapshot) float64 { return s.LatencyMean }, func(s *Snapshot, v float64) { s.LatencyMean = v }},
+	{"latency_p50", func(s *Snapshot) float64 { return s.LatencyP50 }, func(s *Snapshot, v float64) { s.LatencyP50 = v }},
+	{"latency_p95", func(s *Snapshot) float64 { return s.LatencyP95 }, func(s *Snapshot, v float64) { s.LatencyP95 = v }},
+	{"latency_p99", func(s *Snapshot) float64 { return s.LatencyP99 }, func(s *Snapshot, v float64) { s.LatencyP99 = v }},
+	{"prov_sat", func(s *Snapshot) float64 { return s.ProvSat }, func(s *Snapshot, v float64) { s.ProvSat = v }},
+	{"cons_sat", func(s *Snapshot) float64 { return s.ConsSat }, func(s *Snapshot, v float64) { s.ConsSat = v }},
+	{"alloc_sat", func(s *Snapshot) float64 { return s.AllocSat }, func(s *Snapshot, v float64) { s.AllocSat = v }},
+	{"sat_fairness", func(s *Snapshot) float64 { return s.SatFairness }, func(s *Snapshot, v float64) { s.SatFairness = v }},
+	{"util_mean", func(s *Snapshot) float64 { return s.UtilMean }, func(s *Snapshot, v float64) { s.UtilMean = v }},
+	{"util_fairness", func(s *Snapshot) float64 { return s.UtilFairness }, func(s *Snapshot, v float64) { s.UtilFairness = v }},
+	{"util_gini", func(s *Snapshot) float64 { return s.UtilGini }, func(s *Snapshot, v float64) { s.UtilGini = v }},
+	{"util_class_low", func(s *Snapshot) float64 { return s.UtilClassLow }, func(s *Snapshot, v float64) { s.UtilClassLow = v }},
+	{"util_class_med", func(s *Snapshot) float64 { return s.UtilClassMed }, func(s *Snapshot, v float64) { s.UtilClassMed = v }},
+	{"util_class_high", func(s *Snapshot) float64 { return s.UtilClassHigh }, func(s *Snapshot, v float64) { s.UtilClassHigh = v }},
+	{"alive_providers", func(s *Snapshot) float64 { return s.AliveProviders }, func(s *Snapshot, v float64) { s.AliveProviders = v }},
+	{"alive_consumers", func(s *Snapshot) float64 { return s.AliveConsumers }, func(s *Snapshot, v float64) { s.AliveConsumers = v }},
+	{"departures", func(s *Snapshot) float64 { return s.Departures }, func(s *Snapshot, v float64) { s.Departures = v }},
+	{"joins", func(s *Snapshot) float64 { return s.Joins }, func(s *Snapshot, v float64) { s.Joins = v }},
 }
 
 // Sink consumes a stream of snapshots. Append is called from the

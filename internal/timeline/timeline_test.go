@@ -11,7 +11,7 @@ import (
 )
 
 // snap builds a test snapshot whose fields are all distinguishable, so
-// codec and aggregation tests catch swapped columns.
+// codec tests catch swapped columns.
 func snap(t float64) Snapshot {
 	return Snapshot{
 		Time:             t,
@@ -183,85 +183,35 @@ func TestTailerFollowsGrowingFile(t *testing.T) {
 
 func TestCollectorPassthrough(t *testing.T) {
 	var got []Snapshot
-	c := NewCollector(0, 4, SinkFunc(func(s Snapshot) error {
+	c := NewCollector(SinkFunc(func(s Snapshot) error {
 		got = append(got, s)
 		return nil
 	}))
-	for i := 1; i <= 6; i++ {
+	n := DefaultRawWindow + 6
+	for i := 1; i <= n; i++ {
 		c.Offer(snap(float64(i)))
 	}
-	if len(got) != 6 {
-		t.Fatalf("passthrough emitted %d rows, want 6", len(got))
+	if len(got) != n || got[0].Time != 1 || got[n-1].Time != float64(n) {
+		t.Fatalf("passthrough emitted %d rows (times %v…%v), want %d in order", len(got), got[0].Time, got[len(got)-1].Time, n)
 	}
-	if c.Rows() != 6 {
-		t.Fatalf("Rows() = %d, want 6", c.Rows())
-	}
-	// The raw window is bounded: only the last 4 of 6 survive, oldest
-	// first.
+	// The raw window is bounded: only the last DefaultRawWindow survive,
+	// oldest first.
 	win := c.Window()
-	if len(win) != 4 || win[0].Time != 3 || win[3].Time != 6 {
-		t.Fatalf("window = %v", times(win))
-	}
-	last, ok := c.Last()
-	if !ok || last.Time != 6 {
-		t.Fatalf("Last() = %v %v", last, ok)
-	}
-}
-
-func times(win []Snapshot) []float64 {
-	out := make([]float64, len(win))
-	for i := range win {
-		out[i] = win[i].Time
-	}
-	return out
-}
-
-func TestCollectorAggregation(t *testing.T) {
-	var got []Snapshot
-	c := NewCollector(10, 0, SinkFunc(func(s Snapshot) error {
-		got = append(got, s)
-		return nil
-	}))
-
-	a := snap(1)
-	a.QPSIn, a.Dropped, a.QueueDepth, a.Departures = 100, 1, 5, 2
-	b := snap(4)
-	b.QPSIn, b.Dropped, b.QueueDepth, b.Departures = 200, 3, 9, 4
-	c.Offer(a)
-	c.Offer(b)
-	// Next bucket: flushes [0,10).
-	c.Offer(snap(11))
-	if len(got) != 1 {
-		t.Fatalf("emitted %d rows, want 1", len(got))
-	}
-	row := got[0]
-	if row.QPSIn != 150 { // aggMean
-		t.Errorf("mean qps_in = %v, want 150", row.QPSIn)
-	}
-	if row.Dropped != 4 { // aggSum
-		t.Errorf("sum dropped = %v, want 4", row.Dropped)
-	}
-	if row.QueueDepth != 9 { // aggMax
-		t.Errorf("max queue_depth = %v, want 9", row.QueueDepth)
-	}
-	if row.Departures != 4 || row.Time != 4 { // aggLast
-		t.Errorf("last departures/time = %v/%v, want 4/4", row.Departures, row.Time)
-	}
-
-	// Close flushes the open bucket.
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[1].Time != 11 {
-		t.Fatalf("after close: %d rows, last time %v", len(got), got[len(got)-1].Time)
+	if len(win) != DefaultRawWindow || win[0].Time != 7 || win[len(win)-1].Time != float64(n) {
+		t.Fatalf("window holds %d snapshots, times %v…%v", len(win), win[0].Time, win[len(win)-1].Time)
 	}
 }
 
 func TestCollectorSinkErrorSurfaces(t *testing.T) {
 	boom := errors.New("boom")
-	c := NewCollector(0, 0, SinkFunc(func(Snapshot) error { return boom }))
+	calls := 0
+	c := NewCollector(SinkFunc(func(Snapshot) error { calls++; return boom }))
 	if err := c.Append(snap(1)); !errors.Is(err, boom) {
 		t.Fatalf("Append error = %v, want boom", err)
+	}
+	// A failing sink still sees every row, and the first error stays.
+	if err := c.Append(snap(2)); !errors.Is(err, boom) || calls != 2 {
+		t.Fatalf("second Append: error %v after %d sink calls, want boom after 2", err, calls)
 	}
 	if err := c.Close(); !errors.Is(err, boom) {
 		t.Fatalf("Close error = %v, want boom", err)
