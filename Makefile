@@ -73,7 +73,9 @@ cover:
 # fuzz runs the native Go fuzz targets, FUZZTIME each: the scenario parser
 # (arbitrary bytes must never panic, and accepted documents must validate
 # and re-parse identically), the pruning bounds of the ranking kernel
-# (for arbitrary pi, ci, ω, ε neither pow-free bound is below Score), and
+# (for arbitrary pi, ci, ω, ε neither pow-free bound is below Score), SQLB's
+# ranking with Definition 9's sign split (for hostile pi, ci, ω, n and ε,
+# core.RankSplit ranks what a full sort ranks, Score bits included), and
 # every mediation entrance against a naive Algorithm 1 (whatever churn,
 # clock, load, feedback, field writes, capability edits and SetPreference
 # do between mediations, Mediator.Allocate, Server.Mediate and
@@ -83,6 +85,7 @@ cover:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzScoreBound -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzRankTop -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzMediation -fuzztime $(FUZZTIME) ./internal/mediator
 
 # fmt-check fails if any file needs gofmt — the godoc/format gate CI runs.

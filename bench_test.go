@@ -373,20 +373,20 @@ func BenchmarkProviderTrackerRecord(b *testing.B) {
 }
 
 // BenchmarkNotify400 is the result notification of one paper-scale
-// mediation on its own: every provider of a 400-wide Pq records the
-// proposal in its public tracker, in ID order, the population's private
-// stream advances by the query's class, and one provider is marked as
-// having performed it in both windows. Every tracker has seen the same
-// number of proposals, so the sweep writes consecutive words of one line of
-// the population's ring block (satisfaction.InitCohort).
+// mediation on its own: the population's window stream advances by the
+// query's class, which is the proposal to every private window and to
+// every public window that shows Rate(−1) = 0; one provider in 16 shows
+// 0.3 instead (a paper-shape mediation has 5-8 % of Pq above −1); and one
+// provider is marked as having performed the query in both windows. The
+// metric divides by the 400 candidates the notification stands for.
 func BenchmarkNotify400(b *testing.B) {
 	pop := sqlb.NewPopulation(model.DefaultConfig(), 9)
-	stream := pop.PrivateStream()
+	stream := pop.Stream()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		stream.Advance(i % 2)
-		for _, p := range pop.Providers {
-			p.Public.Record(0.3, false)
+		for j := 0; j < len(pop.Providers); j += 16 {
+			stream.Show(pop.Providers[j].Public, 0.3)
 		}
 		sel := pop.Providers[i%len(pop.Providers)]
 		sel.Public.MarkPerformed()

@@ -35,7 +35,7 @@ import (
 
 func main() {
 	var (
-		runIDs    = flag.String("run", "", "comma-separated experiment IDs (default: all)")
+		runIDs    = flag.String("run", "", "comma-separated experiment IDs (default: the 17 paper experiments; the ext-* extensions run only by name, see -list)")
 		scale     = flag.Float64("scale", 0.25, "population scale relative to the paper's 200/400")
 		duration  = flag.Float64("duration", 2500, "figure-4 ramp horizon (sim-seconds)")
 		sweepDur  = flag.Float64("sweep", 5000, "per-workload run horizon (sim-seconds)")
@@ -103,16 +103,7 @@ func main() {
 	}
 	lab := experiments.NewLab(cfg)
 
-	ids := make([]string, 0, len(experiments.Registry))
-	if *runIDs == "" {
-		for _, s := range experiments.Registry {
-			ids = append(ids, s.ID)
-		}
-	} else {
-		for _, id := range strings.Split(*runIDs, ",") {
-			ids = append(ids, strings.TrimSpace(id))
-		}
-	}
+	ids := selectedIDs(*runIDs)
 
 	stopProfile, err := profiling.Start(*cpuProf, *memProf, *traceOut)
 	if err != nil {
@@ -145,6 +136,23 @@ func main() {
 
 // parseFloats parses a comma-separated float list; an empty flag yields
 // nil (keep the lab defaults).
+// selectedIDs returns the experiments -run names, in order: the paper's
+// (experiments.Registry) when it names none. The extensions run only by
+// name.
+func selectedIDs(run string) []string {
+	var ids []string
+	if run == "" {
+		for _, s := range experiments.Registry {
+			ids = append(ids, s.ID)
+		}
+		return ids
+	}
+	for _, id := range strings.Split(run, ",") {
+		ids = append(ids, strings.TrimSpace(id))
+	}
+	return ids
+}
+
 func parseFloats(csv, flagName string) []float64 {
 	if csv == "" {
 		return nil

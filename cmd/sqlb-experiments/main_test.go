@@ -4,6 +4,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -65,5 +66,19 @@ func TestListAndBadInputs(t *testing.T) {
 		if err == nil || !strings.Contains(out, "sqlb-experiments:") {
 			t.Errorf("%v: err %v, output:\n%s", args, err, out)
 		}
+	}
+}
+
+// TestDefaultRunIsThePaper pins what -run selects: with no -run, the 17
+// paper experiments in Registry order and no extension; named IDs, an
+// extension included, as given.
+func TestDefaultRunIsThePaper(t *testing.T) {
+	want := []string{"table1", "fig2", "fig3", "fig4a", "fig4b", "fig4c", "fig4d", "fig4e", "fig4f", "fig4g",
+		"fig4h", "fig4i", "fig5a", "fig5b", "fig5c", "table3", "fig6"}
+	if got := selectedIDs(""); !slices.Equal(got, want) {
+		t.Errorf("default -run selects %v, want %v", got, want)
+	}
+	if got := selectedIDs("ext-omega, fig2"); !slices.Equal(got, []string{"ext-omega", "fig2"}) {
+		t.Errorf("-run ext-omega,fig2 selects %v", got)
 	}
 }

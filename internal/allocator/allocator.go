@@ -38,9 +38,14 @@ type Request struct {
 	// Lazy resolves deferred entries of PI; nil when all are exact, as in
 	// a hand-built request.
 	Lazy core.Resolver
+	// Split, when non-nil, is Definition 9's sign split of PI and CI as the
+	// gather found it (core.Split); SQLB derives it when it is nil.
+	Split *core.Split
 	// ConsumerSat is the mediator-observed, intention-based δs(q.c).
 	ConsumerSat float64
 	// ProviderSat[i] is the mediator-observed, intention-based δs(Pq[i]).
+	// Nil means Pq[i]'s public window, read where a strategy needs it
+	// (ProviderSatisfaction); the mediator leaves it nil.
 	ProviderSat []float64
 	// Now is the current simulation time (drives utilization reads).
 	Now float64
@@ -62,6 +67,22 @@ func (r *Request) scratch() *core.Scratch {
 		r.Scratch = new(core.Scratch)
 	}
 	return r.Scratch
+}
+
+// ProviderSatisfaction returns δs(Pq[i]) as the mediator observes it:
+// ProviderSat[i], or Pq[i]'s public window when ProviderSat is nil; 0 past
+// either.
+func (r *Request) ProviderSatisfaction(i int) float64 {
+	if r.ProviderSat != nil {
+		if i < len(r.ProviderSat) {
+			return r.ProviderSat[i]
+		}
+		return 0
+	}
+	if i < len(r.Pq) && r.Pq[i] != nil && r.Pq[i].Public != nil {
+		return r.Pq[i].Public.Satisfaction()
+	}
+	return 0
 }
 
 // ResolvePI makes every entry of PI exact, for a strategy that reads all.

@@ -25,11 +25,7 @@ func (*SQLBEconomic) Allocate(req *Request) []int {
 	req.ResolvePI()
 	values := sc.F1(len(req.Pq))
 	for i := range req.Pq {
-		sat := 0.0
-		if i < len(req.ProviderSat) {
-			sat = req.ProviderSat[i]
-		}
-		omega := core.Omega(req.ConsumerSat, sat)
+		omega := core.Omega(req.ConsumerSat, req.ProviderSatisfaction(i))
 		pi, ci := 0.0, 0.0
 		if i < len(req.PI) {
 			pi = req.PI[i]

@@ -268,3 +268,58 @@ func TestAllocatorPermutationInvariance(t *testing.T) {
 		}
 	}
 }
+
+// TestSQLBSignSplitEdges pins, as named cases, the edges of Definition 9's
+// sign split (core.RankSplit): where SQLB may rank the positive branch
+// alone and where it must rank everyone, with the split derived from the
+// request and with the one a gather hands over (every slot with pi > −1
+// listed). Each must select what the full sort selects.
+func TestSQLBSignSplitEdges(t *testing.T) {
+	inf := math.Inf(1)
+	for _, tc := range []struct {
+		name   string
+		pi, ci []float64
+		// consumerSat and providerSat set ω: 0 and 1 give ω = 0, ½ and ½
+		// give ω = ½.
+		consumerSat, providerSat float64
+		want                     int
+	}{
+		// pi = −7, ci = 1e300 and ω = 0 score −((1−ci+ε)^1) = +1e300 on the
+		// negative branch, above the positive 0.5: CI past 1+ε keeps the
+		// split from deciding.
+		{"negative branch scores +1e300", []float64{-7, 0.5}, []float64{1e300, 0.5}, 0, 1, 0},
+		// ci = 1+ε makes b = 0, so slot 0 scores −0. The positive branch is
+		// a weighted geometric mean of positive operands, so it never
+		// comes out +0 (which would tie −0 and yield to index 0); its
+		// least value, 5e-324, is above −0 and wins.
+		{"positive 5e-324 against a lower-index -0", []float64{-1, 5e-324}, []float64{2, 5e-324}, 0.5, 0.5, 1},
+		// Inf·(5e-324)^½ is +Inf, not Inf·0's NaN: a positive operand's
+		// power never underflows to 0. PI = +Inf keeps the split from
+		// deciding, and the full ranking puts +Inf first.
+		{"positive Inf times a subnormal", []float64{0.5, inf}, []float64{0.5, 5e-324}, 0.5, 0.5, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := randx.New(41)
+			req := randomRequest(t, rng, len(tc.pi), 1)
+			req.PI, req.CI, req.ConsumerSat = tc.pi, tc.ci, tc.consumerSat
+			for i := range req.ProviderSat {
+				req.ProviderSat[i] = tc.providerSat
+			}
+			gathered := core.Split{Ceiling: math.Inf(-1)}
+			for i, v := range tc.pi {
+				if !(v <= -1) {
+					gathered.Candidates = append(gathered.Candidates, i)
+				}
+				gathered.Ceiling = max(gathered.Ceiling, v, tc.ci[i])
+			}
+			for _, split := range []*core.Split{nil, &gathered} {
+				req.Split = split
+				got := NewSQLB().Allocate(req)
+				checkAgainstOracle(t, "SQLB", got, oracleSQLB(req, nil))
+				if got[0] != tc.want {
+					t.Errorf("split %v: selected %v, want [%d]", split, got, tc.want)
+				}
+			}
+		})
+	}
+}

@@ -37,22 +37,26 @@ func (s *SQLB) Name() string {
 
 // Allocate implements Allocator with the scoring/ranking/selection steps of
 // Algorithm 1 (the intention collection, lines 2-5, happens in the mediator
-// before this call). Only the q.n best-ranked providers are materialized
-// (core.RankTop) — the full R⃗_q is never built on this hot path.
+// before this call). Only the q.n best-ranked providers are materialized,
+// and where Definition 9's sign split decides the ranking only the
+// candidates with pi > 0 ∧ ci > 0 are scored (core.RankSplit): ω and the
+// provider's satisfaction are read for no other.
 func (s *SQLB) Allocate(req *Request) []int {
 	sc := req.scratch()
-	omegas := sc.F1(len(req.Pq))
-	for i := range omegas {
-		if s.FixedOmega != nil {
-			omegas[i] = *s.FixedOmega
-		} else {
-			sat := 0.0
-			if i < len(req.ProviderSat) {
-				sat = req.ProviderSat[i]
-			}
-			omegas[i] = core.Omega(req.ConsumerSat, sat)
-		}
+	total := min(len(req.PI), len(req.CI), len(req.Pq))
+	pi, ci := req.PI[:total], req.CI[:total]
+	var split core.Split
+	if req.Split != nil {
+		split = *req.Split
+	} else {
+		split = core.SplitOf(sc, pi, ci)
 	}
-	ranking := core.RankTop(sc, req.N(), req.PI, req.CI, omegas, core.DefaultEpsilon, req.Lazy)
+	omega := func(i int) float64 {
+		if s.FixedOmega != nil {
+			return *s.FixedOmega
+		}
+		return core.Omega(req.ConsumerSat, req.ProviderSatisfaction(i))
+	}
+	ranking := core.RankSplit(sc, req.N(), pi, ci, split, omega, core.DefaultEpsilon, req.Lazy)
 	return core.Select(sc, req.N(), ranking)
 }

@@ -249,6 +249,89 @@ func RankTop(s *Scratch, n int, pi, ci, omegas []float64, epsilon float64, lazy 
 	return ranking
 }
 
+// Split is what the gather of a ranking's candidates knows of Definition
+// 9's two branches before any score is taken.
+type Split struct {
+	// Candidates lists, ascending, every slot whose pi > 0, and may list
+	// others.
+	Candidates []int
+	// Ceiling is at least every pi and ci of the ranking; NaN if one is
+	// NaN.
+	Ceiling float64
+}
+
+// SplitOf returns the Split of pi and ci, listing exactly the slots with
+// pi > 0 in a buffer of s that only SplitOf uses.
+func SplitOf(s *Scratch, pi, ci []float64) Split {
+	total := min(len(pi), len(ci))
+	split := Split{Candidates: s.cand[:0], Ceiling: math.Inf(-1)}
+	for i, v := range pi[:total] {
+		if v > 0 {
+			split.Candidates = append(split.Candidates, i)
+		}
+		split.Ceiling = max(split.Ceiling, v, ci[i])
+	}
+	s.cand = split.Candidates
+	return split
+}
+
+// RankSplit is RankTop for a ranking whose ω comes per slot, omega(i), and
+// whose Split is known: it returns RankTop's entries and Score bits, and
+// calls omega only for the candidates it bounds or scores.
+//
+// A score on Definition 9's positive branch is ≥ 0 or NaN. On the negative
+// branch it is −(a^ω · b^(1−ω)) with bases a = 1−pi+ε and b = 1−ci+ε, which
+// is −0 or below, or NaN, unless a base is negative. No base is when
+// 1−Ceiling+ε ≥ 0: the rounding of each operation is monotone, so that
+// bounds every base from below. Otherwise a negative-branch score can be
+// positive — pi = −7, ci = 1e300 and ω = 0 score +1e300. So where no base
+// is negative, at least n candidates have pi > 0 ∧ ci > 0, and the n-th
+// best of them scores strictly above 0, those n head the ranking, and
+// RankSplit ranks the positive branch alone. Anything else ranks every
+// candidate, as RankTop does: too few positive candidates, a possibly
+// negative base, or an n-th best of +0 (which only ties a −0, and then
+// yields to the lower index) or NaN. A weighted geometric mean of positive
+// operands comes out neither, so the last is one comparison that keeps
+// the split exact whatever Score rounds to.
+//
+// Besides RankTop's buffers it uses a compacted copy of the positive
+// candidates' pi, ci and ω in s, which no accessor hands out. Positive
+// candidates are exact, so lazy is consulted only when every candidate is
+// ranked.
+func RankSplit(s *Scratch, n int, pi, ci []float64, split Split, omega func(int) float64, epsilon float64, lazy Resolver) []Ranked {
+	total := min(len(pi), len(ci))
+	if n = min(n, total); n <= 0 {
+		return s.R1(0)
+	}
+	if 1-split.Ceiling+positiveEpsilon(epsilon) >= 0 {
+		pos := s.pos[:0]
+		for _, i := range split.Candidates {
+			if i >= 0 && i < total && pi[i] > 0 && ci[i] > 0 {
+				pos = append(pos, i)
+			}
+		}
+		s.pos = pos
+		if len(pos) >= n {
+			s.posPI, s.posCI = growFloats(s.posPI, len(pos)), growFloats(s.posCI, len(pos))
+			s.omegas = growFloats(s.omegas, len(pos))
+			for j, i := range pos {
+				s.posPI[j], s.posCI[j], s.omegas[j] = pi[i], ci[i], omega(i)
+			}
+			if ranking := RankTop(s, n, s.posPI, s.posCI, s.omegas, epsilon, nil); ranking[n-1].Score > 0 {
+				for j := range ranking {
+					ranking[j].Index = pos[ranking[j].Index]
+				}
+				return ranking
+			}
+		}
+	}
+	s.omegas = growFloats(s.omegas, total)
+	for i := range s.omegas {
+		s.omegas[i] = omega(i)
+	}
+	return RankTop(s, n, pi, ci, s.omegas, epsilon, lazy)
+}
+
 // Select implements the allocation step of Algorithm 1 (lines 9-10): the
 // min(n, N) best-ranked providers get the query (All⃗oc[R⃗_q[i]] ← 1), the
 // rest do not. It returns the selected Pq indexes in rank order, carved

@@ -17,14 +17,18 @@ package core
 //
 // Buffer assignments within one allocation turn (so callers and helpers do
 // not trample each other): RankTop consumes F2, I1, and R1, and keeps its
-// candidates' score bounds in a vector no accessor hands out; SelectTopN
-// consumes I1; Select consumes I2. Strategy code uses F1 for its own
-// vector (omegas, utilizations, bids or values).
+// candidates' score bounds in a vector no accessor hands out; RankSplit
+// consumes RankTop's and vectors of its own; SplitOf a list of its own;
+// SelectTopN consumes I1; Select consumes I2. Strategy code uses F1 for its
+// own vector (omegas, utilizations, bids or values).
 type Scratch struct {
 	f1, f2 []float64
 	bounds []float64
 	i1, i2 []int
 	r1     []Ranked
+	// RankSplit's and SplitOf's.
+	cand, pos            []int
+	posPI, posCI, omegas []float64
 }
 
 // F1 returns the first float buffer resized to n (contents unspecified;

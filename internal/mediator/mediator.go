@@ -99,11 +99,12 @@ type Mediator struct {
 	// and the server's turns alike.
 	rows ciRows
 	// streamed is the last Pq content id found to be the member set of a
-	// private-window stream, with the stream and its version then.
+	// window stream, with the stream and its version then.
 	streamed streamKey
-	// privateWrites counts the words result notifications wrote into
-	// private-window rings (tests read it by name).
-	privateWrites uint64
+	// privateWrites and publicWrites count the words result notifications
+	// wrote into private- and public-window rings (tests read them by
+	// name).
+	privateWrites, publicWrites uint64
 }
 
 // gather is one class's provider half of lines 1-5 of Algorithm 1 in the
@@ -113,10 +114,18 @@ type Mediator struct {
 // every query of the class in a turn. Pq lives in storage the slot owns:
 // an index's posting list may be compacted in place by a later turn's lazy
 // prune, and a mediation in progress must not see that.
+//
+// rated lists, ascending, the slots whose pi > −1 (or NaN): the only ones
+// whose public-window value is not Rate(−1) = 0, and a superset of those
+// with pi > 0, which is all Definition 9's sign split needs (core.Split);
+// ceil is the maximum of pi, NaN if pi holds one. A resolution only makes a
+// deferred slot exact, which leaves it ≤ −1, so both hold for the turn.
 type gather struct {
 	pq       []*model.Provider
 	pi       []float64
 	deferred []float64
+	rated    []int
+	ceil     float64
 	id       uint64
 	epoch    uint64
 }
@@ -127,19 +136,19 @@ type streamKey struct {
 }
 
 // medScratch is the reusable working memory of one mediator: Allocate's
-// consumer-intention spare, the satisfaction vector of the current
-// mediation, Pq's private trackers, the strategy's buffer pool, and the
-// request/allocation shells handed out by the fast path. Everything here is
-// sized once at the population's high-water mark and then recycled, which
-// is what takes the steady-state mediation to zero heap allocations.
+// consumer-intention spare, Pq's trackers, the strategy's buffer pool, and
+// the request/split/allocation shells handed out by the fast path.
+// Everything here is sized once at the population's high-water mark and
+// then recycled, which is what takes the steady-state mediation to zero
+// heap allocations.
 type medScratch struct {
-	strat   core.Scratch // lent to the strategy via Request.Scratch
-	ci      []float64
-	lazy    lazyPI
-	provSat []float64
-	private []*satisfaction.ProviderTracker // see advanceStream
-	req     allocator.Request
-	alloc   Allocation
+	strat    core.Scratch // lent to the strategy via Request.Scratch
+	ci       []float64
+	lazy     lazyPI
+	trackers []*satisfaction.ProviderTracker // see advanceStream
+	split    core.Split
+	req      allocator.Request
+	alloc    Allocation
 }
 
 // growFloats returns buf resized to n, reallocating only on capacity growth.
@@ -221,7 +230,7 @@ func (m *Mediator) mediate(now float64, q *model.Query, pop *model.Population, s
 	}
 	if g.epoch != m.epoch {
 		g.pq = matchInto(m.Match, g.pq[:0], q, pop)
-		g.pi, g.deferred = m.providerIntentions(now, q.Class, g.pq, g.pi, g.deferred)
+		m.providerIntentions(now, q.Class, g)
 		g.id = m.rows.identify(q.Class, classes, g.pq)
 		g.epoch = m.epoch
 	}
@@ -229,31 +238,27 @@ func (m *Mediator) mediate(now float64, q *model.Query, pop *model.Population, s
 	if len(pq) == 0 {
 		return fmt.Errorf("%w (query %d)", ErrNoProviders, q.ID)
 	}
-	ci, adq := m.rows.consumer(q, pq, g.id, spare)
+	ci, adq, ciCeil := m.rows.consumer(q, pq, g.id, spare)
 	if m.Strategy == nil {
 		return errors.New("mediator: no allocation strategy configured")
 	}
 	sc := &m.scratch
-	sc.provSat = growFloats(sc.provSat, len(pq))
-	provSat := sc.provSat
-	for i := range pq {
-		provSat[i] = pq[i].Public.Satisfaction()
-	}
 	sc.lazy = lazyPI{pq: pq, pi: pi, deferred: g.deferred, class: q.Class}
+	sc.split = core.Split{Candidates: g.rated, Ceiling: max(g.ceil, ciCeil)}
 	sc.req = allocator.Request{
 		Query:       q,
 		Pq:          pq,
 		CI:          ci,
 		PI:          pi,
 		Lazy:        &sc.lazy,
+		Split:       &sc.split,
 		ConsumerSat: q.Consumer.Tracker.Satisfaction(),
-		ProviderSat: provSat,
 		Now:         now,
 		Scratch:     &sc.strat,
 	}
 	selected := m.Strategy.Allocate(&sc.req)
 
-	m.record(pop, q, pq, g.id, ci, adq, pi, selected)
+	m.record(pop, q, g, ci, adq, selected)
 	*out = Allocation{Query: q, Pq: pq, CI: ci, PI: pi, Selected: selected}
 	return nil
 }
@@ -275,9 +280,10 @@ func matchInto(match Matchmaker, buf []*model.Provider, q *model.Query, pop *mod
 	return buf
 }
 
-// providerIntentions fills pi and deferred, resized to len(pq), with
-// Definition 8 for every provider of pq (lines 2-5 of Algorithm 1, the
-// provider half). mediate calls it once per class and turn.
+// providerIntentions fills g's pi and deferred, resized to len(g.pq), with
+// Definition 8 for every provider of g.pq (lines 2-5 of Algorithm 1, the
+// provider half), and g's rated list and ceiling from them. mediate calls
+// it once per class and turn.
 //
 // The vector carries the *raw* definition values, which extend below -1
 // (Figure 2's surface reaches -2.5). Definition 9's negative branch needs
@@ -296,47 +302,63 @@ func matchInto(match Matchmaker, buf []*model.Provider, q *model.Query, pop *mod
 // lets a consumer-intention row over pq be read after it. A Pq too small
 // for rows skips the check; a row over a larger Pq holding the same
 // provider is read only after that Pq's own gather has checked it.
-func (m *Mediator) providerIntentions(now float64, class int, pq []*model.Provider, pi, deferred []float64) ([]float64, []float64) {
-	pi, deferred = growFloats(pi, len(pq)), growFloats(deferred, len(pq))
+func (m *Mediator) providerIntentions(now float64, class int, g *gather) {
+	pq := g.pq
+	pi, deferred := growFloats(g.pi, len(pq)), growFloats(g.deferred, len(pq))
+	rated, ceil := g.rated[:0], math.Inf(-1)
 	rowed := len(pq) >= rowMinPq
 	for i, p := range pq {
-		pi[i], deferred[i] = p.IntentionOrBound(class, now)
+		v, d := p.IntentionOrBound(class, now)
+		pi[i], deferred[i] = v, d
+		if !(v <= -1) {
+			rated = append(rated, i)
+		}
+		ceil = max(ceil, v)
 		if id := uint(p.ID); rowed && (id >= uint(len(m.rows.shadow)) || m.rows.shadow[id] != (repShadow{p, math.Float64bits(p.Reputation)})) {
 			m.rows.reshadow(p)
 		}
 	}
-	return pi, deferred
+	g.pi, g.deferred, g.rated, g.ceil = pi, deferred, rated, ceil
 }
 
 // record performs the mediation-result notification: the consumer logs the
 // allocation against its shown intentions (Equations 1-2, Equation 1 being
-// adq as the row store keeps it) and every provider in Pq — selected or
-// not — logs the proposal in both its public (intention-fed) and private
-// (preference-fed) windows. Every proposal is recorded as not performed,
-// and the selected ones are marked after, so the performed decision costs
-// O(n), whatever |Pq|.
+// adq as the row store keeps it) and every provider in g's Pq — selected
+// or not — logs the proposal in both its public (intention-fed) and
+// private (preference-fed) windows. Every proposal is recorded as not
+// performed, and the selected ones are marked after, so the performed
+// decision costs O(n), whatever |Pq|.
 //
-// A public window takes one word per proposal. Pq is in ascending ID
-// order, and a population lays its tracker words along a line in Pq's
-// order (satisfaction.InitCohort): ID order when every Pq is the whole
-// population, one contiguous run per class under capability matchmaking
-// (model.NewPopulation). Where the trackers have seen equally many
-// proposals, this loop writes memory in sequence.
+// Where Pq is the member set of the population's window stream, the
+// stream advances once by the query's class (advanceStream), which is the
+// whole proposal to every private window and to every public window that
+// shows Rate(−1) = 0; the public windows of g's rated slots are shown
+// their value (satisfaction.Stream.Show). So a mediation costs O(rated +
+// n), not O(|Pq|).
 //
-// A private window that is a view of the population's stream takes no
-// word: the stream advances once by the query's class (advanceStream), and
-// the selected members mark it performed. Any other private window takes a
-// word of its ring.
-func (m *Mediator) record(pop *model.Population, q *model.Query, pq []*model.Provider, id uint64, ci []float64, adq float64, pi []float64, selected []int) {
+// Otherwise each provider's window that is no member of the stream takes
+// a word of its ring. A public window takes one word per proposal; Pq is
+// in ascending ID order, and a population lays its tracker words along a
+// line in Pq's order (satisfaction.InitCohort), one contiguous run per
+// class under capability matchmaking (model.NewPopulation), so where the
+// trackers have seen equally many proposals this loop writes memory in
+// sequence.
+func (m *Mediator) record(pop *model.Population, q *model.Query, g *gather, ci []float64, adq float64, selected []int) {
+	pq, pi := g.pq, g.pi
 	q.Consumer.Tracker.RecordAllocationWith(adq, ci, selected, q.N)
-	if stream, whole := m.advanceStream(pop, id, q.Class, pq); whole {
-		for i, p := range pq {
-			p.Public.Record(pi[i], false)
+	if s, whole := m.advanceStream(pop, g.id, q.Class, pq); whole {
+		for _, i := range g.rated {
+			s.Show(pq[i].Public, pi[i])
 		}
 	} else {
 		for i, p := range pq {
-			p.Public.Record(pi[i], false)
-			if !stream.Member(p.Private) {
+			if s.Member(p.Public) {
+				s.Show(p.Public, pi[i])
+			} else {
+				p.Public.Record(pi[i], false)
+				m.publicWrites++
+			}
+			if !s.Member(p.Private) {
 				p.Private.Record(p.Preference(q.Class), false)
 				m.privateWrites++
 			}
@@ -350,15 +372,16 @@ func (m *Mediator) record(pop *model.Population, q *model.Query, pq []*model.Pro
 	}
 }
 
-// advanceStream advances pop's private-window stream, if it has members,
-// by a mediation of class over pq, of content id id. It returns the stream
-// (nil if none) and whether pq is exactly its member set. That costs no
-// pass over pq when this mediator found pq's content id to be the member
-// set before and no member has left since: equal ids mean equal contents.
-// Otherwise the stream compares pq with its members itself
+// advanceStream advances pop's window stream, if it has members, by a
+// mediation of class over pq, of content id id: one membership decision
+// for both windows of every provider. It returns the stream (nil if none)
+// and whether pq's trackers are exactly its member set. That costs no pass
+// over pq when this mediator found pq's content id to be the member set
+// before and no member has left since: equal ids mean equal contents.
+// Otherwise the stream compares pq's trackers with its members itself
 // (satisfaction.Stream.AdvanceOver).
 func (m *Mediator) advanceStream(pop *model.Population, id uint64, class int, pq []*model.Provider) (*satisfaction.Stream, bool) {
-	s := pop.PrivateStream()
+	s := pop.Stream()
 	if s == nil || s.Live() == 0 {
 		return nil, false
 	}
@@ -367,11 +390,11 @@ func (m *Mediator) advanceStream(pop *model.Population, id uint64, class int, pq
 		return s, true
 	}
 	sc := &m.scratch
-	sc.private = sc.private[:0]
+	sc.trackers = sc.trackers[:0]
 	for _, p := range pq {
-		sc.private = append(sc.private, p.Private)
+		sc.trackers = append(sc.trackers, p.Public, p.Private)
 	}
-	whole := s.AdvanceOver(sc.private, class)
+	whole := s.AdvanceOver(sc.trackers, class)
 	if whole && id != 0 {
 		m.streamed = streamKey{s, id, s.Version()}
 	}

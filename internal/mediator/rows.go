@@ -43,6 +43,7 @@ type (
 	ciRow struct {
 		ci     []float64
 		adq    float64
+		ceil   float64 // max of ci (core.Split's Ceiling)
 		inputs rowInputs
 	}
 	// rowInputs is what a row was computed from besides Pq: the store's
@@ -97,14 +98,14 @@ func (s *ciRows) identify(class, classes int, pq []*model.Provider) uint64 {
 	return id
 }
 
-// consumer returns q's consumer's intentions over pq, of content id id, and
-// Equation 1 over them: its row, recomputed if an input changed and
-// admitted if new and within the cap, or else computed into spare. A row
-// is read-only outside the store.
-func (s *ciRows) consumer(q *model.Query, pq []*model.Provider, id uint64, spare *[]float64) ([]float64, float64) {
+// consumer returns q's consumer's intentions over pq, of content id id,
+// Equation 1 over them and their maximum: its row, recomputed if an input
+// changed and admitted if new and within the cap, or else computed into
+// spare. A row is read-only outside the store.
+func (s *ciRows) consumer(q *model.Query, pq []*model.Provider, id uint64, spare *[]float64) (ci []float64, adq, ceil float64) {
 	if id == 0 {
-		adq := s.compute(q, pq, spare)
-		return *spare, adq
+		adq, ceil := s.compute(q, pq, spare)
+		return *spare, adq, ceil
 	}
 	c := q.Consumer
 	in := rowInputs{s.version, c.PreferenceVersion(), math.Float64bits(c.Upsilon), math.Float64bits(c.Epsilon)}
@@ -112,10 +113,10 @@ func (s *ciRows) consumer(q *model.Query, pq []*model.Provider, id uint64, spare
 	r := group[c]
 	switch {
 	case r != nil && r.inputs == in:
-		return r.ci, r.adq
+		return r.ci, r.adq, r.ceil
 	case r == nil && s.bytes+8*len(pq) > rowMaxBytes:
-		adq := s.compute(q, pq, spare)
-		return *spare, adq
+		adq, ceil := s.compute(q, pq, spare)
+		return *spare, adq, ceil
 	case r == nil:
 		if group == nil {
 			group = make(map[*model.Consumer]*ciRow)
@@ -124,19 +125,22 @@ func (s *ciRows) consumer(q *model.Query, pq []*model.Provider, id uint64, spare
 		r = &ciRow{}
 		group[c], s.bytes = r, s.bytes+8*len(pq)
 	}
-	r.adq, r.inputs = s.compute(q, pq, &r.ci), in
-	return r.ci, r.adq
+	r.adq, r.ceil = s.compute(q, pq, &r.ci)
+	r.inputs = in
+	return r.ci, r.adq, r.ceil
 }
 
 // compute fills *ci, resized to len(pq), with Definition 7 (the consumer
 // half of lines 2-5 of Algorithm 1) and returns Equation 1 of it, summed in
-// Pq order: QueryAdequation's bits.
-func (s *ciRows) compute(q *model.Query, pq []*model.Provider, ci *[]float64) float64 {
+// Pq order (QueryAdequation's bits), and its maximum, NaN if it holds one.
+func (s *ciRows) compute(q *model.Query, pq []*model.Provider, ci *[]float64) (adq, ceil float64) {
 	c, v := q.Consumer, growFloats(*ci, len(pq))
+	ceil = math.Inf(-1)
 	for i, p := range pq {
 		v[i] = intention.Consumer(c.Preference(p, q.Class), p.Reputation, c.Upsilon, c.Epsilon)
+		ceil = max(ceil, v[i])
 	}
 	s.evals += uint64(len(pq))
 	*ci = v
-	return satisfaction.QueryAdequation(v)
+	return satisfaction.QueryAdequation(v), ceil
 }

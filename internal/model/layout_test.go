@@ -28,8 +28,8 @@ func offset[T any](base, p *T) int {
 
 // checkSlabs holds every per-provider slab of pop to one order: position k
 // of the Provider slab, of the utilization windows, columns 2k and 2k+1 of
-// the tracker cohort (column k of it and view k after it where the private
-// trackers are views of a stream), the Definition 8 memo rows and every dense consumer's
+// the tracker cohort (trackers k and |P|+k where both are views of a
+// stream), the Definition 8 memo rows and every dense consumer's
 // preference row all belong to one provider. It returns the providers in
 // slab order.
 func checkSlabs(t *testing.T, pop *Population) []*Provider {
@@ -58,7 +58,7 @@ func checkSlabs(t *testing.T, pop *Population) []*Provider {
 			t.Errorf("provider %d at %d: utilization window at %d", p.ID, k, d)
 		}
 		wantPub, wantPriv := 2*k, 2*k+1
-		if pop.PrivateStream() != nil { // private trackers are views: the cohort holds the public ones
+		if pop.Stream() != nil { // views of a stream: the public ones first, then the private ones
 			wantPub, wantPriv = k, len(byPos)+k
 		}
 		if pub, priv := offset(base.Public, p.Public), offset(base.Public, p.Private); pub != wantPub || priv != wantPriv {
@@ -112,7 +112,7 @@ func preferenceDigest(pop, other *Population) string {
 func TestPopulationLayout(t *testing.T) {
 	t.Run("homogeneous is ID order", func(t *testing.T) {
 		pop := NewPopulation(layoutConfig(16, 0), randx.New(1), 0)
-		if pop.layout != nil || pop.PrivateStream() == nil {
+		if pop.layout != nil || pop.Stream() == nil {
 			t.Fatal("a homogeneous population built a layout, or no private stream")
 		}
 		for _, c := range pop.Consumers {

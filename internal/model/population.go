@@ -18,16 +18,17 @@ type Population struct {
 	// layout is where each provider sits in the population's slabs; nil
 	// when they sit in ID order.
 	layout *layout
-	// stream is what the providers' private trackers are views of while
-	// every Pq is the whole population; nil under capability matchmaking.
+	// stream is what the providers' trackers are views of while every Pq
+	// is the whole population; nil under capability matchmaking.
 	stream *satisfaction.Stream
 }
 
-// PrivateStream returns the stream the providers' private windows are
-// views of (see satisfaction.Stream), or nil when a population matches
-// queries by capability and keeps every private window as a ring. Result
-// notification advances it for a mediation whose Pq is its member set.
-func (pop *Population) PrivateStream() *satisfaction.Stream { return pop.stream }
+// Stream returns the stream the providers' windows are views of (see
+// satisfaction.Stream): the private ones class views, the public ones
+// shown views. It is nil when a population matches queries by capability
+// and keeps every window as a ring. Result notification advances it for a
+// mediation whose Pq is its member set.
+func (pop *Population) Stream() *satisfaction.Stream { return pop.stream }
 
 // layout maps a provider ID to its position in the slabs of a population
 // that does not keep them in ID order (see NewPopulation). Consumers hold a
@@ -50,9 +51,10 @@ type layout struct {
 // population (the paper's setup); under capability matchmaking, by lowest
 // advertised class, generalists first and ID order within a class, so a
 // narrow Pq is one contiguous run of each slab, not |Pq| scattered lines.
-// The tracker rings are one block laid out line-major
-// (satisfaction.InitCohort), the order a result notification writes them
-// in. pop.Providers[i] is still ID i, Pq still ascends by ID, and membership
+// Under capability matchmaking the tracker rings are one block laid out
+// line-major (satisfaction.InitCohort), the order a result notification
+// writes them in; where every Pq is the whole population the trackers are
+// views of one stream and keep no ring. pop.Providers[i] is still ID i, Pq still ascends by ID, and membership
 // is fixed after construction (churn toggles Alive, it never appends). The
 // RNG draws are the per-object constructor's, in ID order, so every seeded
 // run is byte-identical to the ID-ordered layout.
@@ -81,16 +83,16 @@ func NewPopulation(cfg Config, rng *randx.Rand, startTime float64) *Population {
 	// at position k. Under capability matchmaking they are trackers 2k and
 	// 2k+1 of one cohort, so the result notification of a mediation writes
 	// both of a provider's words in one line and sweeps Pq along it. Where
-	// every Pq is the whole population, the private trackers are views of
-	// one stream (satisfaction.NewStream) and keep no words, so the public
-	// cohort takes every word of a line.
+	// every Pq is the whole population, both are views of one stream and
+	// keep no ring: the private trackers class views
+	// (satisfaction.NewStream), the public ones shown views (JoinShown).
 	tracker := func(k, private int) *satisfaction.ProviderTracker { return &provTrackers[2*k+private] }
 	if cfg.Heterogeneous() {
 		satisfaction.InitCohort(provTrackers, cfg.ProviderK, cfg.InitialSatisfaction, cfg.PriorSamples)
 	} else {
-		satisfaction.InitCohort(provTrackers[:cfg.Providers], cfg.ProviderK, cfg.InitialSatisfaction, cfg.PriorSamples)
 		pop.stream = satisfaction.NewStream(provTrackers[cfg.Providers:], provPrefs, nClasses,
 			cfg.ProviderK, cfg.InitialSatisfaction, cfg.PriorSamples)
+		pop.stream.JoinShown(provTrackers[:cfg.Providers], cfg.InitialSatisfaction, cfg.PriorSamples)
 		tracker = func(k, private int) *satisfaction.ProviderTracker { return &provTrackers[private*cfg.Providers+k] }
 	}
 

@@ -44,7 +44,9 @@ type proposer struct {
 }
 
 // providerTrackers are the kinds of provider tracker the relation holds
-// for: a lone ring, and the one view of a stream.
+// for: a lone ring, the one class view of a stream, and the one shown view
+// of a stream, shown each proposal's value (before or after it is marked
+// performed).
 var providerTrackers = []struct {
 	name string
 	make func(k, priorSamples int) proposer
@@ -64,6 +66,25 @@ var providerTrackers = []struct {
 		s := NewStream(ts, relationValues, len(relationValues), k, 0.5, ps)
 		return proposer{&ts[0], func(class int, performed bool) {
 			s.Advance(class)
+			if performed {
+				ts[0].MarkPerformed()
+			}
+		}}
+	}},
+	{"shown view", func(k, ps int) proposer {
+		ts := make([]ProviderTracker, 1)
+		s := NewStream(nil, nil, 0, k, 0.5, ps)
+		s.JoinShown(ts, 0.5, ps)
+		return proposer{&ts[0], func(class int, performed bool) {
+			v := 0.0
+			if class >= 0 && class < len(relationValues) {
+				v = relationValues[class]
+			}
+			s.Advance(class)
+			if performed && class%2 == 0 {
+				ts[0].MarkPerformed()
+			}
+			s.Show(&ts[0], v)
 			if performed {
 				ts[0].MarkPerformed()
 			}
@@ -186,12 +207,15 @@ func TestWindowGrid(t *testing.T) {
 	}
 }
 
-// TestStreamEqualsRings drives a stream's views and a ring per member with
-// the same random proposals — to every member, to a subset, to a Pq naming
-// a member twice, with one or two performers, and direct Records — and
-// holds every view to its ring's reads, before and after it leaves.
+// TestStreamEqualsRings drives a stream's class and shown views and a
+// ring per view with the same random proposals — to every member, to a
+// subset, to a Pq naming a member twice, with one or two performers, and
+// direct Records — and holds every view to its ring's reads, before and
+// after it leaves. Member i of Pq is both class view i and shown view i,
+// as a provider's private and public windows are.
 func TestStreamEqualsRings(t *testing.T) {
 	rng := randx.New(0x57ea)
+	shownValues := append([]float64{-2.5, -1 - 1e-9, math.NaN()}, relationValues...)
 	for trial := 0; trial < 100; trial++ {
 		const n = 5
 		k, ps := 1+int(rng.Uint64()%12), int(rng.Uint64()%6)
@@ -199,13 +223,17 @@ func TestStreamEqualsRings(t *testing.T) {
 		for i := range values {
 			values[i] = relationValues[rng.Uint64()%uint64(len(relationValues))]
 		}
-		views := make([]ProviderTracker, n)
-		s := NewStream(views, values, len(relationValues), k, 0.5, ps)
-		rings := make([]*ProviderTracker, n)
+		views := make([]ProviderTracker, 2*n) // class views, then shown views
+		s := NewStream(views[:n], values, len(relationValues), k, 0.5, ps)
+		s.JoinShown(views[n:], 0.5, ps)
+		rings := make([]*ProviderTracker, 2*n)
 		for i := range rings {
 			rings[i] = NewProviderTracker(k, 0.5, ps)
 		}
 		value := func(i, class int) float64 {
+			if i >= n {
+				return shownValues[(uint64(i)*31+uint64(class)*7)%uint64(len(shownValues))]
+			}
 			if class < 0 || class >= len(relationValues) {
 				return 0
 			}
@@ -213,13 +241,13 @@ func TestStreamEqualsRings(t *testing.T) {
 		}
 		for step := 0; step < 6*k; step++ {
 			class := proposalClass(rng)
-			var pq []int // member indexes, ascending
+			var pq []int // provider indexes, ascending
 			switch op := rng.Uint64() % 8; {
 			case op == 0: // a direct Record
-				i, performed := int(rng.Uint64()%n), rng.Uint64()%2 == 0
+				i, performed := int(rng.Uint64()%(2*n)), rng.Uint64()%2 == 0
 				views[i].Record(value(i, class), performed)
 				rings[i].Record(value(i, class), performed)
-			case op == 1: // a Pq naming a member twice
+			case op == 1: // a Pq naming a provider twice
 				pq = []int{0, 1, 1, 2, 3, 4}
 			case op < 4: // a subset
 				for i := range n {
@@ -231,15 +259,20 @@ func TestStreamEqualsRings(t *testing.T) {
 				pq = []int{0, 1, 2, 3, 4}
 			}
 			if pq != nil {
-				ts := make([]*ProviderTracker, len(pq))
-				for j, i := range pq {
-					ts[j] = &views[i]
+				var ts []*ProviderTracker
+				for _, i := range pq {
+					ts = append(ts, &views[i], &views[n+i])
 				}
 				whole := s.AdvanceOver(ts, class)
-				for j, i := range pq {
-					rings[i].Record(value(i, class), false)
-					if !s.Member(ts[j]) {
-						views[i].Record(value(i, class), false)
+				for _, p := range pq {
+					for _, i := range []int{p, n + p} {
+						rings[i].Record(value(i, class), false)
+						switch {
+						case !s.Member(&views[i]):
+							views[i].Record(value(i, class), false)
+						case i >= n:
+							s.Show(&views[i], value(i, class))
+						}
 					}
 				}
 				members := 0
@@ -253,14 +286,16 @@ func TestStreamEqualsRings(t *testing.T) {
 				}
 				for range 1 + rng.Uint64()%2 {
 					if len(pq) > 0 {
-						i := pq[rng.Uint64()%uint64(len(pq))]
-						views[i].MarkPerformed()
-						rings[i].MarkPerformed()
+						p := pq[rng.Uint64()%uint64(len(pq))]
+						for _, i := range []int{p, n + p} {
+							views[i].MarkPerformed()
+							rings[i].MarkPerformed()
+						}
 					}
 				}
 			}
-			if s.Version() != uint64(n-s.Live()) {
-				t.Fatalf("trial %d step %d: version %d with %d of %d members left", trial, step, s.Version(), n-s.Live(), n)
+			if s.Version() != uint64(2*n-s.Live()) {
+				t.Fatalf("trial %d step %d: version %d with %d of %d members left", trial, step, s.Version(), 2*n-s.Live(), 2*n)
 			}
 			for i := range views {
 				if !sameTrackerReads(&views[i], rings[i]) {

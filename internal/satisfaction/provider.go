@@ -14,9 +14,9 @@ package satisfaction
 // and the departure decisions use). Section 3 notes the definitions apply to
 // either with no technical difference.
 //
-// A tracker is a ring of its own, or a view of a Stream (NewStream): then
-// it keeps no words, and the stream's mediations are its proposals until
-// it leaves (Detach) for a ring of its own.
+// A tracker is a ring of its own, or a view of a Stream (NewStream,
+// JoinShown): then it keeps no ring, and the stream's mediations are its
+// proposals until it leaves (Detach) for a ring of its own.
 type ProviderTracker struct {
 	// ring holds the window's proposals as tracker words (see performedBit):
 	// slot s is ring[s*stride], so a tracker of a cohort reads its own
@@ -35,12 +35,14 @@ type ProviderTracker struct {
 	perfN        int
 	prior        float64
 	priorSamples int
-	// sat is a ring's δs, kept current: it moves only when a performed
-	// proposal enters or leaves the window, or during the warm-up, and
-	// the ω loop reads it once per candidate.
+	// sat is δs, kept current: it moves only when a performed proposal
+	// enters or leaves the window, or during a ring's warm-up, and ω reads
+	// it once per candidate. A view keeps it as performedMean and
+	// computes its warm-up reading on demand.
 	sat float64
 	// view is the tracker's stream membership; nil for a ring. A view
-	// keeps perfSum and perfN; its proposals are the stream's.
+	// keeps perfSum and perfN, and a shown view propSum too; its
+	// proposals are the stream's.
 	view *member
 }
 
@@ -70,9 +72,9 @@ func NewProviderTracker(k int, prior float64, priorSamples int) *ProviderTracker
 //
 // The layout follows the result notification of Algorithm 1, which records
 // one proposal into each provider of Pq in ascending ID order. Trackers that
-// have seen the same number of proposals — every alive provider of a
-// population whose matchmaker returns all of them — share the slot they
-// write next, so a notification sweep writes consecutive words of one line
+// have seen the same number of proposals — the providers of one class's Pq
+// that have always been proposed together — share the slot they write
+// next, so a notification sweep writes consecutive words of one line
 // instead of one cache line (and, at k = 500, one page) per tracker. Where
 // the counts differ, a tracker still writes a single word, and neighbours in
 // ts — a provider's public and private tracker — share its line.
@@ -162,7 +164,7 @@ func (t *ProviderTracker) MarkPerformed() {
 // the provider's shown intentions over the k last proposed queries.
 func (t *ProviderTracker) Adequation() float64 {
 	if t.view != nil {
-		return blend(t.view.proposed(), t.Proposed(), t.prior, t.priorSamples)
+		return blend(t.proposed(), t.Proposed(), t.prior, t.priorSamples)
 	}
 	return blend(t.propSum, t.n, t.prior, t.priorSamples)
 }
@@ -173,10 +175,10 @@ func (t *ProviderTracker) Adequation() float64 {
 // proportional to the remaining warm-up so the tracker starts at exactly
 // the configured initial satisfaction.
 func (t *ProviderTracker) Satisfaction() float64 {
-	if t.view == nil {
-		return t.sat
+	if t.view != nil && t.Proposed() < t.priorSamples {
+		return t.satisfaction()
 	}
-	return t.satisfaction()
+	return t.sat
 }
 
 // satisfaction computes δs from the window as Satisfaction documents it.
@@ -185,6 +187,12 @@ func (t *ProviderTracker) satisfaction() float64 {
 		w := float64(t.priorSamples - n)
 		return (t.prior*w + t.perfSum.float()) / (w + float64(t.perfN))
 	}
+	return t.performedMean()
+}
+
+// performedMean is δs past the warm-up: the mean over the performed
+// subset, 0 when it is empty.
+func (t *ProviderTracker) performedMean() float64 {
 	if t.perfN == 0 {
 		return 0
 	}

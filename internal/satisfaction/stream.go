@@ -2,16 +2,24 @@ package satisfaction
 
 import "math/bits"
 
-// Stream is the private side of the result notification for a population
-// whose mediations all propose to the same providers — the paper's setup,
-// where Pq is every provider. A private window records Rate(prf_p(q)),
-// which depends only on the provider and q's class, so where every member
-// got every proposal, its window is determined by the classes of the last
-// k mediations and by which of them it performed. The stream keeps those
-// classes once, and each member tracker is a view of it: a mediation costs
-// the stream O(1), plus O(1) per performer (MarkPerformed) and per
-// performance that expires, instead of one ring word per candidate; a
-// read costs O(classes).
+// Stream is the result notification of a population whose mediations all
+// propose to the same providers — the paper's setup, where Pq is every
+// provider — for both of a provider's windows. Each member tracker is a
+// view of the stream, and what a view holds for one of the stream's
+// mediations is either implied by the mediation or an explicit entry:
+//
+//   - A private window records Rate(prf_p(q)), which depends only on the
+//     provider and q's class. A class view (NewStream) holds its value per
+//     class, and the stream keeps the classes of the last k mediations once.
+//   - A public window records Rate(pi_p(q)), and almost every candidate
+//     shows pi ≤ −1, which rates 0. A shown view (JoinShown) holds 0 for a
+//     mediation unless Show gives it another value.
+//
+// Explicit entries — a shown value other than 0, and every performance —
+// sit in one FIFO in mediation order, and a view's sums move when one
+// enters or expires. A mediation costs the stream O(1), plus O(1) per
+// explicit entry, instead of one ring word per candidate and window; a
+// class view reads in O(classes), a shown view in O(1).
 //
 // A view answers every read exactly as the ring it stands for: the window
 // sums are the same integers (see sum), so the bits are the same. A member
@@ -20,40 +28,61 @@ import "math/bits"
 // and never comes back.
 type Stream struct {
 	k       int
-	classes int     // the classes the members' value tables cover; bucket classes is any other
+	classes int     // the classes the class views' value tables cover; bucket classes is any other
 	seq     uint64  // mediations so far; mediation s is the s-th, from 1
 	hist    []int32 // bucket of mediation s at hist[s%k], for the last k
 	count   []int   // per bucket, among the last min(k, seq) mediations
-	// perf is a FIFO ring of the performances of the last k mediations,
-	// perfLen of them from perfHead on, in mediation order.
-	perf     []performance
-	perfHead int
-	perfLen  int
-	members  []*ProviderTracker // joined, in join order; leavers dropped lazily
-	live     int
-	version  uint64 // counts leavers
-	round    uint64 // AdvanceOver's presence stamp
-	// materialized counts the ring words leavers wrote (tests read it).
-	materialized uint64
+	// The explicit entries of the last k mediations form a FIFO in
+	// mediation order. Entry number j, counting every push from 0, sits in
+	// chunk j>>chunkBits, which is chunks[j>>chunkBits-base]; the live
+	// ones are numbers head to tail-1, and start[s%k] is the number of
+	// mediation s's first. The FIFO keeps as many chunks it has moved past
+	// as spares as it holds, so a steady stream allocates nothing and one
+	// past its high-water mark gives the rest back.
+	chunks     []*chunk
+	base       uint64
+	spare      []*chunk
+	start      []uint64
+	head, tail uint64
+	joined     []*ProviderTracker // every tracker that joined, by join index
+	members    []*ProviderTracker // the same, leavers dropped lazily
+	live       int
+	version    uint64 // counts leavers
+	round      uint64 // AdvanceOver's presence stamp
+	// materialized counts the ring words class views wrote leaving, and
+	// shownWords the shown views' explicit values and the ring words they
+	// wrote leaving (tests read both).
+	materialized, shownWords uint64
 }
 
 // member is a view's state.
 type member struct {
 	s      *Stream
-	values []float64 // prf_p per class
-	// performed is the last mediation marked performed, seen the last
-	// AdvanceOver round that found the tracker among the proposed.
-	performed, seen uint64
+	idx    uint32    // join index
+	values []float64 // a class view's prf_p per class
+	shown  bool      // a shown view: 0 unless Show says otherwise
+	// last is the entry number of the view's newest entry, which belongs
+	// to mediation lastSeq; lastSeq is 0 while it has none.
+	last, lastSeq uint64
+	// seen is the last AdvanceOver round that found the tracker among the
+	// proposed.
+	seen uint64
 }
 
-type performance struct {
-	seq uint64
-	t   *ProviderTracker
+// chunkBits sizes a chunk of the FIFO: 2^10 entries, 12 KB.
+const chunkBits = 10
+
+// chunk holds 2^chunkBits consecutive entries of the FIFO: an explicit
+// window word (see performedBit) and the join index of the member that
+// holds it, 12 bytes an entry where a ring spends 8 on every word.
+type chunk struct {
+	words [1 << chunkBits]uint64
+	who   [1 << chunkBits]uint32
 }
 
-// NewStream makes every tracker of ts a view of one new stream, with the
-// NewProviderTracker parameters and an empty window. Tracker i's value for
-// a mediation of class c < classes is Rate(values[i*classes+c]), and
+// NewStream makes every tracker of ts a class view of one new stream, with
+// the NewProviderTracker parameters and an empty window. Tracker i's value
+// for a mediation of class c < classes is Rate(values[i*classes+c]), and
 // Rate(0) for any other class; values must not change while i is a member
 // (call Detach first).
 func NewStream(ts []ProviderTracker, values []float64, classes, k int, prior float64, priorSamples int) *Stream {
@@ -63,17 +92,35 @@ func NewStream(ts []ProviderTracker, values []float64, classes, k int, prior flo
 		classes: classes,
 		hist:    make([]int32, k),
 		count:   make([]int, classes+1),
-		perf:    make([]performance, k),
-		members: make([]*ProviderTracker, len(ts)),
-		live:    len(ts),
+		start:   make([]uint64, k),
 	}
+	s.join(ts, prior, priorSamples, func(i int) member {
+		return member{s: s, values: values[i*classes : (i+1)*classes : (i+1)*classes]}
+	})
+	return s
+}
+
+// JoinShown makes every tracker of ts a shown view of s, with the
+// NewProviderTracker parameters and an empty window: its value for each
+// of the stream's mediations is Rate(−1) = 0 unless Show gives another.
+// Trackers join before the stream's first mediation.
+func (s *Stream) JoinShown(ts []ProviderTracker, prior float64, priorSamples int) {
+	if s.seq != 0 {
+		panic("satisfaction: JoinShown after the stream's first mediation")
+	}
+	s.join(ts, prior, priorSamples, func(int) member { return member{s: s, shown: true} })
+}
+
+func (s *Stream) join(ts []ProviderTracker, prior float64, priorSamples int, view func(i int) member) {
 	views := make([]member, len(ts))
 	for i := range ts {
-		views[i] = member{s: s, values: values[i*classes : (i+1)*classes : (i+1)*classes]}
-		ts[i] = ProviderTracker{k: k, prior: prior, priorSamples: max(priorSamples, 0), view: &views[i]}
-		s.members[i] = &ts[i]
+		views[i] = view(i)
+		views[i].idx = uint32(len(s.joined))
+		ts[i] = ProviderTracker{k: s.k, prior: prior, priorSamples: max(priorSamples, 0), view: &views[i]}
+		s.joined = append(s.joined, &ts[i])
 	}
-	return s
+	s.members = append(s.members, s.joined[len(s.joined)-len(ts):]...)
+	s.live += len(ts)
 }
 
 // Live returns how many trackers are members.
@@ -97,18 +144,26 @@ func (s *Stream) Advance(class int) {
 	slot := s.seq % uint64(s.k)
 	if s.seq > uint64(s.k) {
 		s.count[s.hist[slot]]--
-		s.expire(s.seq - uint64(s.k))
+		// Mediation seq−k leaves: its entries end where those of
+		// mediation seq−k+1 begin, which is slot (seq+1)%k unless that
+		// is this one's (k = 1).
+		end := s.tail
+		if s.k > 1 {
+			end = s.start[(s.seq+1)%uint64(s.k)]
+		}
+		s.expire(end)
 	}
 	s.hist[slot] = b
 	s.count[b]++
+	s.start[slot] = s.tail
 }
 
-// AdvanceOver records one mediation of class proposed to ts, the private
-// trackers of a Pq that need not be the member set. Members missing from
-// ts leave first, and so does every member of ts if ts names a tracker
-// twice; then, if a member is left in ts, the stream advances. It reports
-// whether ts is exactly the member set; otherwise the caller records the
-// proposal into each tracker of ts that is no Member.
+// AdvanceOver records one mediation of class proposed to ts, trackers of
+// a Pq that need not be the member set. Members missing from ts leave
+// first, and so does every member of ts if ts names a tracker twice; then,
+// if a member is left in ts, the stream advances. It reports whether ts is
+// exactly the member set; otherwise the caller records the proposal into
+// each tracker of ts that is no Member.
 func (s *Stream) AdvanceOver(ts []*ProviderTracker, class int) bool {
 	s.round++
 	in, twice := 0, false
@@ -146,6 +201,33 @@ func (s *Stream) AdvanceOver(ts []*ProviderTracker, class int) bool {
 	return in == len(ts)
 }
 
+// Show gives shown view t the value Rate(shown) for the stream's last
+// mediation, in place of 0. It does nothing before the first mediation or
+// to a tracker that is no shown view of s; a view that did not get the
+// mediation must have left (AdvanceOver) before it is shown anything.
+func (s *Stream) Show(t *ProviderTracker, shown float64) {
+	if !s.Member(t) || !t.view.shown || s.seq == 0 {
+		return
+	}
+	g, v := grid(Rate(shown)), t.view
+	if v.lastSeq == s.seq {
+		w := s.word(v.last)
+		old := *w &^ performedBit
+		t.propSum.move(int64(g) - int64(old))
+		if *w != old {
+			t.perfSum.move(int64(g) - int64(old))
+			t.sat = t.performedMean()
+		}
+		*w = g | *w&performedBit
+		return
+	}
+	if g != 0 {
+		s.push(t, g)
+		t.propSum.add(g)
+		s.shownWords++
+	}
+}
+
 // Detach makes a view a ring of its own holding the same window, and
 // leaves it so: it writes the k words of the mediations the view stands
 // for. A ring, or a nil tracker, is left as it is.
@@ -157,12 +239,16 @@ func (t *ProviderTracker) Detach() {
 	s, n := v.s, t.Proposed()
 	first := s.seq + 1 - uint64(n) // the mediation of slot 0
 	ring := make([]uint64, t.k)
-	for j := range n {
-		ring[j] = v.grid(s.hist[(first+uint64(j))%uint64(s.k)])
-	}
-	for i := range s.perfLen {
-		if e := s.perf[(s.perfHead+i)%len(s.perf)]; e.t == t {
-			ring[e.seq-first] |= performedBit
+	for m := first; m <= s.seq; m++ {
+		slot, end := m%uint64(s.k), s.tail
+		if m < s.seq {
+			end = s.start[(m+1)%uint64(s.k)]
+		}
+		ring[m-first] = v.grid(s.hist[slot])
+		for j := s.start[slot]; j < end; j++ {
+			if s.who(j) == v.idx {
+				ring[m-first] = *s.word(j)
+			}
 		}
 	}
 	*t = ProviderTracker{ring: ring, pos: n % t.k, stride: 1, k: t.k, n: n, prior: t.prior, priorSamples: t.priorSamples}
@@ -177,59 +263,103 @@ func (t *ProviderTracker) Detach() {
 	t.sat = t.satisfaction()
 	s.live--
 	s.version++
-	s.materialized += uint64(n)
+	if v.shown {
+		s.shownWords += uint64(n)
+	} else {
+		s.materialized += uint64(n)
+	}
 }
 
 // perform marks member t's proposal of the last mediation performed.
 func (s *Stream) perform(t *ProviderTracker) {
 	v := t.view
-	if s.seq == 0 || v.performed == s.seq {
+	if s.seq == 0 {
 		return
 	}
-	v.performed = s.seq
-	if s.perfLen == len(s.perf) {
-		grown := make([]performance, 2*len(s.perf))
-		for i := range s.perfLen {
-			grown[i] = s.perf[(s.perfHead+i)%len(s.perf)]
-		}
-		s.perf, s.perfHead = grown, 0
-	}
-	s.perf[(s.perfHead+s.perfLen)%len(s.perf)] = performance{s.seq, t}
-	s.perfLen++
-	t.perfSum.add(v.grid(s.hist[s.seq%uint64(s.k)]))
-	t.perfN++
-}
-
-// expire drops the performances of mediations up to seq from the FIFO and
-// from their members' sums; it runs before mediation seq's slot of hist is
-// reused.
-func (s *Stream) expire(seq uint64) {
-	for s.perfLen > 0 {
-		e := &s.perf[s.perfHead]
-		if e.seq > seq {
+	var g uint64
+	if v.lastSeq == s.seq {
+		w := s.word(v.last)
+		if *w&performedBit != 0 {
 			return
 		}
-		if t := e.t; s.Member(t) {
-			t.perfSum.sub(t.view.grid(s.hist[e.seq%uint64(s.k)]))
-			t.perfN--
+		g = *w
+		*w |= performedBit
+	} else {
+		g = v.grid(s.hist[s.seq%uint64(s.k)])
+		s.push(t, g|performedBit)
+	}
+	t.perfSum.add(g)
+	t.perfN++
+	t.sat = t.performedMean()
+}
+
+// push appends member t's word for the last mediation to the FIFO.
+func (s *Stream) push(t *ProviderTracker, word uint64) {
+	j := s.tail
+	if c := j>>chunkBits - s.base; c == uint64(len(s.chunks)) {
+		if n := len(s.spare); n > 0 {
+			s.chunks, s.spare = append(s.chunks, s.spare[n-1]), s.spare[:n-1]
+		} else {
+			s.chunks = append(s.chunks, new(chunk))
 		}
-		*e = performance{}
-		s.perfHead = (s.perfHead + 1) % len(s.perf)
-		s.perfLen--
+	}
+	ch, at := s.chunks[j>>chunkBits-s.base], j&(1<<chunkBits-1)
+	ch.words[at], ch.who[at] = word, t.view.idx
+	t.view.last, t.view.lastSeq = j, s.seq
+	s.tail++
+}
+
+// word returns entry number j's word, and who its member's join index.
+func (s *Stream) word(j uint64) *uint64 {
+	return &s.chunks[j>>chunkBits-s.base].words[j&(1<<chunkBits-1)]
+}
+
+func (s *Stream) who(j uint64) uint32 { return s.chunks[j>>chunkBits-s.base].who[j&(1<<chunkBits-1)] }
+
+// expire drops the entries numbered below end from the FIFO and from their
+// members' sums; it runs before the slot of hist they belong to is reused.
+func (s *Stream) expire(end uint64) {
+	for ; s.head < end; s.head++ {
+		if t := s.joined[s.who(s.head)]; s.Member(t) {
+			w := *s.word(s.head)
+			g := w &^ performedBit
+			if t.view.shown {
+				t.propSum.sub(g)
+			}
+			if w != g {
+				t.perfSum.sub(g)
+				t.perfN--
+				t.sat = t.performedMean()
+			}
+		}
+		if (s.head+1)&(1<<chunkBits-1) == 0 { // the FIFO moves past chunk 0
+			if len(s.spare) < len(s.chunks) {
+				s.spare = append(s.spare, s.chunks[0])
+			}
+			s.chunks[0] = nil
+			s.chunks, s.base = s.chunks[1:], s.base+1
+		}
 	}
 }
 
-// grid returns the member's value for a mediation of bucket b.
+// grid returns the member's value for a mediation of bucket b that gave it
+// no explicit entry.
 func (v *member) grid(b int32) uint64 {
-	if int(b) < len(v.values) {
+	switch {
+	case v.shown:
+		return 0
+	case int(b) < len(v.values):
 		return grid(Rate(v.values[b]))
 	}
 	return grid(Rate(0))
 }
 
-// proposed returns the sum of the member's values over the stream's
-// window.
-func (v *member) proposed() sum {
+// proposed returns the sum of the view's values over the stream's window.
+func (t *ProviderTracker) proposed() sum {
+	v := t.view
+	if v.shown {
+		return t.propSum
+	}
 	var total sum
 	for b, c := range v.s.count {
 		if c > 0 {

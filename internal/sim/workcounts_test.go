@@ -33,8 +33,11 @@ type workCounts struct {
 	Definition7 int `json:"definition7"`
 	WarmDef7    int `json:"definition7_warm"`
 	// PrivateWrites is the words result notifications wrote into
-	// private-window rings over the whole run.
+	// private-window rings over the whole run; PublicWrites the words they
+	// wrote into public-window rings plus the explicit values public
+	// windows held as views of the population's stream.
 	PrivateWrites int `json:"private_writes"`
+	PublicWrites  int `json:"public_writes"`
 }
 
 // def7Probe is lazyProbe plus the mediator's count of Definition 7
@@ -46,6 +49,7 @@ type def7Probe struct {
 	last      uint64
 	def7      []int // per mediation
 	survivors int
+	t         *testing.T
 }
 
 // definition7Evaluations reads the mediator's unexported count of
@@ -57,16 +61,19 @@ func definition7Evaluations(med *mediator.Mediator) uint64 {
 	return reflect.ValueOf(med).Elem().FieldByName("rows").FieldByName("evals").Uint()
 }
 
-// privateWrites reads, as definition7Evaluations reads its count, the
-// private-window ring words written: the mediator's unexported count of
-// words its notifications wrote, plus the population stream's count of
-// words private windows wrote on leaving it.
-func privateWrites(med *mediator.Mediator, pop *model.Population) uint64 {
-	n := reflect.ValueOf(med).Elem().FieldByName("privateWrites").Uint()
-	if s := pop.PrivateStream(); s != nil {
-		n += reflect.ValueOf(s).Elem().FieldByName("materialized").Uint()
+// windowWrites reads, as definition7Evaluations reads its count, the
+// window words written on each side. Private: the mediator's unexported
+// count of ring words its notifications wrote, plus the population
+// stream's count of words private windows wrote on leaving it. Public: the
+// same two, plus the stream's explicit shown values.
+func windowWrites(med *mediator.Mediator, pop *model.Population) (private, public uint64) {
+	m := reflect.ValueOf(med).Elem()
+	private, public = m.FieldByName("privateWrites").Uint(), m.FieldByName("publicWrites").Uint()
+	if s := pop.Stream(); s != nil {
+		private += reflect.ValueOf(s).Elem().FieldByName("materialized").Uint()
+		public += reflect.ValueOf(s).Elem().FieldByName("shownWords").Uint()
 	}
-	return n
+	return private, public
 }
 
 func (p *def7Probe) Allocate(req *allocator.Request) []int {
@@ -74,29 +81,58 @@ func (p *def7Probe) Allocate(req *allocator.Request) []int {
 	p.def7 = append(p.def7, int(n-p.last))
 	p.last = n
 	selected := p.lazyProbe.Allocate(req)
-	p.survivors += boundSurvivors(req, selected)
+	p.survivors += boundSurvivors(p.t, req, selected)
 	return selected
 }
 
 // boundSurvivors counts the candidates whose first-level score bound — the
-// one core.RankTop stores for every candidate, read off the Scratch — is not
-// below the exact score of the last one selected: the candidates that bound
-// could not rule out. The exact scores a mediation costs hide a loosened
-// first level, because the tighter second one catches what it lets through;
-// this count does not.
-func boundSurvivors(req *allocator.Request, selected []int) int {
-	if len(selected) == 0 || len(selected) >= len(req.Pq) {
+// one core.RankTop stores for every candidate it ranks, read off the
+// Scratch — is not below the exact score of the last one selected: the
+// candidates that bound could not rule out. The exact scores a mediation
+// costs hide a loosened first level, because the tighter second one
+// catches what it lets through; this count does not.
+//
+// RankTop's last call ranked the positive branch alone where Definition
+// 9's sign split decided the ranking (core.RankSplit), and every candidate
+// otherwise; the probe takes the same decision from what the request
+// shows, and then holds the stored bounds to that many candidates.
+func boundSurvivors(t *testing.T, req *allocator.Request, selected []int) int {
+	n := len(selected)
+	if n == 0 {
+		return 0
+	}
+	score := func(i int) float64 {
+		return core.Score(req.PI[i], req.CI[i], core.Omega(req.ConsumerSat, req.ProviderSatisfaction(i)), core.DefaultEpsilon)
+	}
+	ranked := len(req.Pq)
+	if split := req.Split; split != nil && 1-split.Ceiling+core.DefaultEpsilon >= 0 {
+		positive, above := 0, 0
+		for _, i := range split.Candidates {
+			if req.PI[i] > 0 && req.CI[i] > 0 {
+				positive++
+				if score(i) > 0 {
+					above++
+				}
+			}
+		}
+		if above >= n {
+			ranked = positive
+		}
+	}
+	if n >= ranked {
 		return 0 // RankTop's full-ranking path stores no bounds
 	}
 	bounds := reflect.ValueOf(req.Scratch).Elem().FieldByName("bounds")
-	worst := req.Scratch.F2(len(req.Pq))[selected[len(selected)-1]]
-	n := 0
+	if bounds.Len() != ranked {
+		t.Fatalf("RankTop stored %d bounds, the probe expected %d", bounds.Len(), ranked)
+	}
+	worst, survivors := score(selected[n-1]), 0
 	for i := 0; i < bounds.Len(); i++ {
 		if bounds.Index(i).Float() >= worst {
-			n++
+			survivors++
 		}
 	}
-	return n
+	return survivors
 }
 
 func (p *def7Probe) counts() workCounts {
@@ -115,8 +151,8 @@ func (p *def7Probe) counts() workCounts {
 // BenchmarkLazyIntentionCounts' paper, narrow and overload shapes — to the
 // counts recorded in testdata/work_counts.json, exactly: candidates
 // gathered, Definition 8 evaluations deferred as bounds and resolved,
-// exact Definition 9 scores, Definition 7 evaluations, and the words
-// written into private-window rings. A change that
+// exact Definition 9 scores, first-level bound survivors, Definition 7
+// evaluations, and the window words written on each side. A change that
 // moves a count says so and re-records the file with
 //
 //	go test ./internal/sim -run TestWorkCounts -update
@@ -138,7 +174,7 @@ func TestWorkCounts(t *testing.T) {
 		{"narrow", 0.8, Options{Config: narrow, Duration: 40, Seed: 1, Scenario: staged}},
 		{"overload", 1.3, Options{Config: model.DefaultConfig(), Duration: 30, Seed: 1}},
 	} {
-		probe := &def7Probe{lazyProbe: lazyProbe{Allocator: allocator.NewSQLB()}}
+		probe := &def7Probe{lazyProbe: lazyProbe{Allocator: allocator.NewSQLB()}, t: t}
 		opts := shape.opts
 		opts.Strategy, opts.Workload, opts.SampleInterval = probe, workload.Constant(shape.load), opts.Duration/50
 		eng, err := New(opts)
@@ -150,7 +186,8 @@ func TestWorkCounts(t *testing.T) {
 			t.Fatal(res.Err)
 		}
 		c := probe.counts()
-		c.PrivateWrites = int(privateWrites(eng.med, eng.Population()))
+		private, public := windowWrites(eng.med, eng.Population())
+		c.PrivateWrites, c.PublicWrites = int(private), int(public)
 		got[shape.name] = c
 	}
 

@@ -78,7 +78,9 @@ type (
 	Allocator = allocator.Allocator
 	// AllocationRequest is the per-query input an Allocator sees. A custom
 	// strategy that reads PI calls ResolvePI first: the mediator leaves the
-	// intentions of unwilling providers as bounds until asked.
+	// intentions of unwilling providers as bounds until asked. It reads
+	// δs(Pq[i]) through ProviderSatisfaction: the mediator leaves
+	// ProviderSat nil.
 	AllocationRequest = allocator.Request
 	// SQLBMethod is the paper's satisfaction-based method.
 	SQLBMethod = allocator.SQLB
