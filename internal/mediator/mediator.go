@@ -118,13 +118,16 @@ type Mediator struct {
 // rated lists, ascending, the slots whose pi > −1 (or NaN): the only ones
 // whose public-window value is not Rate(−1) = 0, and a superset of those
 // with pi > 0, which is all Definition 9's sign split needs (core.Split);
-// ceil is the maximum of pi, NaN if pi holds one. A resolution only makes a
-// deferred slot exact, which leaves it ≤ −1, so both hold for the turn.
+// shown holds their public windows, taken while the gather reads each
+// provider anyway. ceil is the maximum of pi, NaN if pi holds one. A
+// resolution only makes a deferred slot exact, which leaves it ≤ −1, so
+// all three hold for the turn.
 type gather struct {
 	pq       []*model.Provider
 	pi       []float64
 	deferred []float64
 	rated    []int
+	shown    []*satisfaction.ProviderTracker
 	ceil     float64
 	id       uint64
 	epoch    uint64
@@ -305,20 +308,20 @@ func matchInto(match Matchmaker, buf []*model.Provider, q *model.Query, pop *mod
 func (m *Mediator) providerIntentions(now float64, class int, g *gather) {
 	pq := g.pq
 	pi, deferred := growFloats(g.pi, len(pq)), growFloats(g.deferred, len(pq))
-	rated, ceil := g.rated[:0], math.Inf(-1)
+	rated, shown, ceil := g.rated[:0], g.shown[:0], math.Inf(-1)
 	rowed := len(pq) >= rowMinPq
 	for i, p := range pq {
 		v, d := p.IntentionOrBound(class, now)
 		pi[i], deferred[i] = v, d
 		if !(v <= -1) {
-			rated = append(rated, i)
+			rated, shown = append(rated, i), append(shown, p.Public)
 		}
 		ceil = max(ceil, v)
 		if id := uint(p.ID); rowed && (id >= uint(len(m.rows.shadow)) || m.rows.shadow[id] != (repShadow{p, math.Float64bits(p.Reputation)})) {
 			m.rows.reshadow(p)
 		}
 	}
-	g.pi, g.deferred, g.rated, g.ceil = pi, deferred, rated, ceil
+	g.pi, g.deferred, g.rated, g.shown, g.ceil = pi, deferred, rated, shown, ceil
 }
 
 // record performs the mediation-result notification: the consumer logs the
@@ -347,8 +350,8 @@ func (m *Mediator) record(pop *model.Population, q *model.Query, g *gather, ci [
 	pq, pi := g.pq, g.pi
 	q.Consumer.Tracker.RecordAllocationWith(adq, ci, selected, q.N)
 	if s, whole := m.advanceStream(pop, g.id, q.Class, pq); whole {
-		for _, i := range g.rated {
-			s.Show(pq[i].Public, pi[i])
+		for j, t := range g.shown {
+			s.Show(t, pi[g.rated[j]])
 		}
 	} else {
 		for i, p := range pq {

@@ -36,9 +36,9 @@ type ProviderTracker struct {
 	prior        float64
 	priorSamples int
 	// sat is δs, kept current: it moves only when a performed proposal
-	// enters or leaves the window, or during a ring's warm-up, and ω reads
-	// it once per candidate. A view keeps it as performedMean and
-	// computes its warm-up reading on demand.
+	// enters or leaves the window, or during the warm-up (a view's stream
+	// recomputes it as it advances then), and ω reads it once per
+	// candidate.
 	sat float64
 	// view is the tracker's stream membership; nil for a ring. A view
 	// keeps perfSum and perfN, and a shown view propSum too; its
@@ -174,12 +174,7 @@ func (t *ProviderTracker) Adequation() float64 {
 // (fewer than priorSamples proposals seen) the prior blends in with weight
 // proportional to the remaining warm-up so the tracker starts at exactly
 // the configured initial satisfaction.
-func (t *ProviderTracker) Satisfaction() float64 {
-	if t.view != nil && t.Proposed() < t.priorSamples {
-		return t.satisfaction()
-	}
-	return t.sat
-}
+func (t *ProviderTracker) Satisfaction() float64 { return t.sat }
 
 // satisfaction computes δs from the window as Satisfaction documents it.
 func (t *ProviderTracker) satisfaction() float64 {
@@ -187,12 +182,6 @@ func (t *ProviderTracker) satisfaction() float64 {
 		w := float64(t.priorSamples - n)
 		return (t.prior*w + t.perfSum.float()) / (w + float64(t.perfN))
 	}
-	return t.performedMean()
-}
-
-// performedMean is δs past the warm-up: the mean over the performed
-// subset, 0 when it is empty.
-func (t *ProviderTracker) performedMean() float64 {
 	if t.perfN == 0 {
 		return 0
 	}

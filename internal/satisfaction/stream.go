@@ -1,6 +1,9 @@
 package satisfaction
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Stream is the result notification of a population whose mediations all
 // propose to the same providers — the paper's setup, where Pq is every
@@ -49,6 +52,10 @@ type Stream struct {
 	live       int
 	version    uint64 // counts leavers
 	round      uint64 // AdvanceOver's presence stamp
+	// warming is the last mediation that moves a member's warm-up blend:
+	// until then every member's δs is recomputed as the stream advances
+	// (see ProviderTracker.sat).
+	warming uint64
 	// materialized counts the ring words class views wrote leaving, and
 	// shownWords the shown views' explicit values and the ring words they
 	// wrote leaving (tests read both).
@@ -73,12 +80,18 @@ type member struct {
 const chunkBits = 10
 
 // chunk holds 2^chunkBits consecutive entries of the FIFO: an explicit
-// window word (see performedBit) and the join index of the member that
-// holds it, 12 bytes an entry where a ring spends 8 on every word.
+// window word (see performedBit) and who holds it, 12 bytes an entry where
+// a ring spends 8 on every word. who is the member's join index, with
+// shownBit set for a shown view, or left when the member has left.
 type chunk struct {
 	words [1 << chunkBits]uint64
 	who   [1 << chunkBits]uint32
 }
+
+const (
+	shownBit = 1 << 31
+	left     = 1<<32 - 1
+)
 
 // NewStream makes every tracker of ts a class view of one new stream, with
 // the NewProviderTracker parameters and an empty window. Tracker i's value
@@ -113,13 +126,19 @@ func (s *Stream) JoinShown(ts []ProviderTracker, prior float64, priorSamples int
 
 func (s *Stream) join(ts []ProviderTracker, prior float64, priorSamples int, view func(i int) member) {
 	views := make([]member, len(ts))
+	s.joined = slices.Grow(s.joined, len(ts))
 	for i := range ts {
 		views[i] = view(i)
 		views[i].idx = uint32(len(s.joined))
+		if views[i].shown {
+			views[i].idx |= shownBit
+		}
 		ts[i] = ProviderTracker{k: s.k, prior: prior, priorSamples: max(priorSamples, 0), view: &views[i]}
+		ts[i].sat = ts[i].satisfaction()
 		s.joined = append(s.joined, &ts[i])
 	}
 	s.members = append(s.members, s.joined[len(s.joined)-len(ts):]...)
+	s.warming = max(s.warming, uint64(min(priorSamples, s.k)))
 	s.live += len(ts)
 }
 
@@ -156,6 +175,13 @@ func (s *Stream) Advance(class int) {
 	s.hist[slot] = b
 	s.count[b]++
 	s.start[slot] = s.tail
+	if s.seq <= s.warming {
+		for _, t := range s.members {
+			if s.Member(t) {
+				t.sat = t.satisfaction()
+			}
+		}
+	}
 }
 
 // AdvanceOver records one mediation of class proposed to ts, trackers of
@@ -216,7 +242,7 @@ func (s *Stream) Show(t *ProviderTracker, shown float64) {
 		t.propSum.move(int64(g) - int64(old))
 		if *w != old {
 			t.perfSum.move(int64(g) - int64(old))
-			t.sat = t.performedMean()
+			t.sat = t.satisfaction()
 		}
 		*w = g | *w&performedBit
 		return
@@ -246,8 +272,9 @@ func (t *ProviderTracker) Detach() {
 		}
 		ring[m-first] = v.grid(s.hist[slot])
 		for j := s.start[slot]; j < end; j++ {
-			if s.who(j) == v.idx {
+			if w := s.whoAt(j); *w == v.idx {
 				ring[m-first] = *s.word(j)
+				*w = left
 			}
 		}
 	}
@@ -290,7 +317,7 @@ func (s *Stream) perform(t *ProviderTracker) {
 	}
 	t.perfSum.add(g)
 	t.perfN++
-	t.sat = t.performedMean()
+	t.sat = t.satisfaction()
 }
 
 // push appends member t's word for the last mediation to the FIFO.
@@ -309,27 +336,31 @@ func (s *Stream) push(t *ProviderTracker, word uint64) {
 	s.tail++
 }
 
-// word returns entry number j's word, and who its member's join index.
+// word returns entry number j's word, and whoAt who holds it.
 func (s *Stream) word(j uint64) *uint64 {
 	return &s.chunks[j>>chunkBits-s.base].words[j&(1<<chunkBits-1)]
 }
 
-func (s *Stream) who(j uint64) uint32 { return s.chunks[j>>chunkBits-s.base].who[j&(1<<chunkBits-1)] }
+func (s *Stream) whoAt(j uint64) *uint32 {
+	return &s.chunks[j>>chunkBits-s.base].who[j&(1<<chunkBits-1)]
+}
 
 // expire drops the entries numbered below end from the FIFO and from their
 // members' sums; it runs before the slot of hist they belong to is reused.
+// An entry says itself whose it is and whether it still counts, so this
+// reads the member's tracker only.
 func (s *Stream) expire(end uint64) {
 	for ; s.head < end; s.head++ {
-		if t := s.joined[s.who(s.head)]; s.Member(t) {
-			w := *s.word(s.head)
+		if who := *s.whoAt(s.head); who != left {
+			t, w := s.joined[who&^shownBit], *s.word(s.head)
 			g := w &^ performedBit
-			if t.view.shown {
+			if who&shownBit != 0 {
 				t.propSum.sub(g)
 			}
 			if w != g {
 				t.perfSum.sub(g)
 				t.perfN--
-				t.sat = t.performedMean()
+				t.sat = t.satisfaction()
 			}
 		}
 		if (s.head+1)&(1<<chunkBits-1) == 0 { // the FIFO moves past chunk 0
