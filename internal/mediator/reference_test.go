@@ -850,7 +850,10 @@ func TestEngineEqualsReference(t *testing.T) {
 				Duration: 32, Seed: 77, SmoothingAlpha: 0.3, SmoothingInterval: 2}
 			opts.Config.ConsumerK, opts.Config.ProviderK = 20, 50
 			opts.Config.QueryN = [3]int{1, 4, 1 << 20}[(i+j+min(i, 1))%3]
-			if j == 1 {
+			switch j {
+			case 0: // both windows are views of the stream until the outage sends a fifth of them off it
+				opts.Scenario = churn
+			case 1:
 				opts.Scenario, opts.Autonomy = churn, sim.FullAutonomy()
 			}
 			check := &engineCheck{probe: probe{Allocator: st.build(), v: &v}, consultsPI: st.consultsPI}
