@@ -39,9 +39,9 @@ type Stream struct {
 	// mediation order. Entry number j, counting every push from 0, sits in
 	// chunk j>>chunkBits, which is chunks[j>>chunkBits-base]; the live
 	// ones are numbers head to tail-1, and start[s%k] is the number of
-	// mediation s's first. The FIFO keeps a few chunks it has moved past
-	// as spares (maxSpares), enough for a steady stream's ebb and flow,
-	// and gives the rest of a high-water mark back.
+	// mediation s's first. The chunks a mediation's expiry frees are kept
+	// as spares for its entries, and past that the FIFO keeps maxSpares
+	// for its ebb and flow and gives the rest of a high-water mark back.
 	chunks     []*chunk
 	base       uint64
 	spare      []*chunk
@@ -170,6 +170,10 @@ func (s *Stream) Advance(class int) {
 	}
 	s.seq++
 	slot := s.seq % uint64(s.k)
+	if n := len(s.spare); n > maxSpares {
+		clear(s.spare[maxSpares:])
+		s.spare = s.spare[:maxSpares]
+	}
 	if s.seq > uint64(s.k) {
 		s.count[s.hist[slot]]--
 		// Mediation seq−k leaves: its entries end where those of
@@ -373,9 +377,7 @@ func (s *Stream) expire(end uint64) {
 			}
 		}
 		if (s.head+1)&(1<<chunkBits-1) == 0 { // the FIFO moves past chunk 0
-			if len(s.spare) < maxSpares {
-				s.spare = append(s.spare, s.chunks[0])
-			}
+			s.spare = append(s.spare, s.chunks[0])
 			s.chunks[0] = nil
 			s.chunks, s.base = s.chunks[1:], s.base+1
 		}
