@@ -113,7 +113,7 @@ func TestPopulationLayout(t *testing.T) {
 	t.Run("homogeneous is ID order", func(t *testing.T) {
 		pop := NewPopulation(layoutConfig(16, 0), randx.New(1), 0)
 		if pop.layout != nil || pop.Stream() == nil {
-			t.Fatal("a homogeneous population built a layout, or no private stream")
+			t.Fatal("a homogeneous population built a layout, or no window stream")
 		}
 		for _, c := range pop.Consumers {
 			if c.layout != nil {
