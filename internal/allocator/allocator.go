@@ -38,14 +38,12 @@ type Request struct {
 	// Lazy resolves deferred entries of PI; nil when all are exact, as in
 	// a hand-built request.
 	Lazy core.Resolver
-	// Split, when non-nil, is Definition 9's sign split of PI and CI as the
-	// gather found it (core.Split); SQLB derives it when it is nil.
-	Split *core.Split
 	// ConsumerSat is the mediator-observed, intention-based δs(q.c).
 	ConsumerSat float64
-	// ProviderSat[i] is the mediator-observed, intention-based δs(Pq[i]).
-	// Nil means Pq[i]'s public window, read where a strategy needs it
-	// (ProviderSatisfaction); the mediator leaves it nil.
+	// ProviderSat[i] is the mediator-observed, intention-based δs(Pq[i]),
+	// as a hand-built request may give it. The mediator leaves it nil, so
+	// a strategy reads δs(Pq[i]) through ProviderSatisfaction, which falls
+	// back on Pq[i]'s public window; indexing a nil ProviderSat panics.
 	ProviderSat []float64
 	// Now is the current simulation time (drives utilization reads).
 	Now float64

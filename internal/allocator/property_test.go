@@ -272,8 +272,9 @@ func TestAllocatorPermutationInvariance(t *testing.T) {
 // TestSQLBSignSplitEdges pins, as named cases, the edges of Definition 9's
 // sign split (core.RankSplit): where SQLB may rank the positive branch
 // alone and where it must rank everyone, with the split derived from the
-// request and with the one a gather hands over (every slot with pi > −1
-// listed). Each must select what the full sort selects.
+// request and with the one a gather hands over through AllocateSplit
+// (every slot with pi > −1 listed). Each must select what the full sort
+// selects.
 func TestSQLBSignSplitEdges(t *testing.T) {
 	inf := math.Inf(1)
 	for _, tc := range []struct {
@@ -312,12 +313,10 @@ func TestSQLBSignSplitEdges(t *testing.T) {
 				}
 				gathered.Ceiling = max(gathered.Ceiling, v, tc.ci[i])
 			}
-			for _, split := range []*core.Split{nil, &gathered} {
-				req.Split = split
-				got := NewSQLB().Allocate(req)
+			for _, got := range [][]int{NewSQLB().Allocate(req), AllocateSplit(NewSQLB(), req, gathered)} {
 				checkAgainstOracle(t, "SQLB", got, oracleSQLB(req, nil))
 				if got[0] != tc.want {
-					t.Errorf("split %v: selected %v, want [%d]", split, got, tc.want)
+					t.Errorf("selected %v, want [%d]", got, tc.want)
 				}
 			}
 		})

@@ -42,21 +42,31 @@ func (s *SQLB) Name() string {
 // candidates with pi > 0 ∧ ci > 0 are scored (core.RankSplit): ω and the
 // provider's satisfaction are read for no other.
 func (s *SQLB) Allocate(req *Request) []int {
+	total := min(len(req.PI), len(req.CI), len(req.Pq))
+	return s.allocate(req, core.SplitOf(req.scratch(), req.PI[:total], req.CI[:total]))
+}
+
+// AllocateSplit returns a.Allocate(req), except that where a is SQLB itself
+// it hands over split, Definition 9's sign split of req's PI and CI as the
+// caller gathered them, in place of SQLB's own pass over the request. A
+// strategy that wraps SQLB gets no split, since it may change the request
+// before SQLB sees it.
+func AllocateSplit(a Allocator, req *Request, split core.Split) []int {
+	if s, ok := a.(*SQLB); ok {
+		return s.allocate(req, split)
+	}
+	return a.Allocate(req)
+}
+
+func (s *SQLB) allocate(req *Request, split core.Split) []int {
 	sc := req.scratch()
 	total := min(len(req.PI), len(req.CI), len(req.Pq))
-	pi, ci := req.PI[:total], req.CI[:total]
-	var split core.Split
-	if req.Split != nil {
-		split = *req.Split
-	} else {
-		split = core.SplitOf(sc, pi, ci)
-	}
 	omega := func(i int) float64 {
 		if s.FixedOmega != nil {
 			return *s.FixedOmega
 		}
 		return core.Omega(req.ConsumerSat, req.ProviderSatisfaction(i))
 	}
-	ranking := core.RankSplit(sc, req.N(), pi, ci, split, omega, core.DefaultEpsilon, req.Lazy)
+	ranking := core.RankSplit(sc, req.N(), req.PI[:total], req.CI[:total], split, omega, core.DefaultEpsilon, req.Lazy)
 	return core.Select(sc, req.N(), ranking)
 }

@@ -140,16 +140,15 @@ type streamKey struct {
 
 // medScratch is the reusable working memory of one mediator: Allocate's
 // consumer-intention spare, Pq's trackers, the strategy's buffer pool, and
-// the request/split/allocation shells handed out by the fast path.
-// Everything here is sized once at the population's high-water mark and
-// then recycled, which is what takes the steady-state mediation to zero
-// heap allocations.
+// the request/allocation shells handed out by the fast path. Everything
+// here is sized once at the population's high-water mark and then
+// recycled, which is what takes the steady-state mediation to zero heap
+// allocations.
 type medScratch struct {
 	strat    core.Scratch // lent to the strategy via Request.Scratch
 	ci       []float64
 	lazy     lazyPI
 	trackers []*satisfaction.ProviderTracker // see advanceStream
-	split    core.Split
 	req      allocator.Request
 	alloc    Allocation
 }
@@ -247,19 +246,18 @@ func (m *Mediator) mediate(now float64, q *model.Query, pop *model.Population, s
 	}
 	sc := &m.scratch
 	sc.lazy = lazyPI{pq: pq, pi: pi, deferred: g.deferred, class: q.Class}
-	sc.split = core.Split{Candidates: g.rated, Ceiling: max(g.ceil, ciCeil)}
 	sc.req = allocator.Request{
 		Query:       q,
 		Pq:          pq,
 		CI:          ci,
 		PI:          pi,
 		Lazy:        &sc.lazy,
-		Split:       &sc.split,
 		ConsumerSat: q.Consumer.Tracker.Satisfaction(),
 		Now:         now,
 		Scratch:     &sc.strat,
 	}
-	selected := m.Strategy.Allocate(&sc.req)
+	split := core.Split{Candidates: g.rated, Ceiling: max(g.ceil, ciCeil)}
+	selected := allocator.AllocateSplit(m.Strategy, &sc.req, split)
 
 	m.record(pop, q, g, ci, adq, selected)
 	*out = Allocation{Query: q, Pq: pq, CI: ci, PI: pi, Selected: selected}
@@ -316,7 +314,7 @@ func (m *Mediator) providerIntentions(now float64, class int, g *gather) {
 		if !(v <= -1) {
 			rated, shown = append(rated, i), append(shown, p.Public)
 		}
-		ceil = max(ceil, v)
+		ceil = core.Raise(ceil, v)
 		if id := uint(p.ID); rowed && (id >= uint(len(m.rows.shadow)) || m.rows.shadow[id] != (repShadow{p, math.Float64bits(p.Reputation)})) {
 			m.rows.reshadow(p)
 		}

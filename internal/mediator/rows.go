@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 
+	"sqlb/internal/core"
 	"sqlb/internal/intention"
 	"sqlb/internal/model"
 	"sqlb/internal/satisfaction"
@@ -138,7 +139,7 @@ func (s *ciRows) compute(q *model.Query, pq []*model.Provider, ci *[]float64) (a
 	ceil = math.Inf(-1)
 	for i, p := range pq {
 		v[i] = intention.Consumer(c.Preference(p, q.Class), p.Reputation, c.Upsilon, c.Epsilon)
-		ceil = max(ceil, v[i])
+		ceil = core.Raise(ceil, v[i])
 	}
 	s.evals += uint64(len(pq))
 	*ci = v

@@ -308,3 +308,41 @@ func TestStreamEqualsRings(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamNegativePriorSamples holds a stream whose views are given a
+// negative prior sample count to what a ring makes of it — no warm-up —
+// both in the views' reads and in the mediations the stream recomputes
+// every member's δs for.
+func TestStreamNegativePriorSamples(t *testing.T) {
+	const n, k = 3, 4
+	values := []float64{0.5, -0.5, 1}
+	views := make([]ProviderTracker, 2*n)
+	s := NewStream(views[:n], values, 1, k, 0.5, -3)
+	s.JoinShown(views[n:], 0.5, -3)
+	if s.warming != 0 {
+		t.Fatalf("warming = %d, want 0", s.warming)
+	}
+	rings := make([]*ProviderTracker, 2*n)
+	for i := range rings {
+		rings[i] = NewProviderTracker(k, 0.5, -3)
+	}
+	for step := range 3 * k {
+		s.Advance(0)
+		for i := range rings {
+			v := values[i%n]
+			if i >= n {
+				v = -v
+				s.Show(&views[i], v)
+			}
+			rings[i].Record(v, false)
+		}
+		views[step%n].MarkPerformed()
+		rings[step%n].MarkPerformed()
+		for i := range views {
+			if !sameTrackerReads(&views[i], rings[i]) {
+				t.Fatalf("step %d: tracker %d reads (%v,%v), ring (%v,%v)", step, i,
+					views[i].Adequation(), views[i].Satisfaction(), rings[i].Adequation(), rings[i].Satisfaction())
+			}
+		}
+	}
+}

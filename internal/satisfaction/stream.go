@@ -147,7 +147,7 @@ func (s *Stream) join(ts []ProviderTracker, prior float64, priorSamples int, vie
 		s.joined = append(s.joined, &ts[i])
 	}
 	s.members = append(s.members, s.joined[len(s.joined)-len(ts):]...)
-	s.warming = max(s.warming, uint64(min(priorSamples, s.k)))
+	s.warming = max(s.warming, uint64(min(max(priorSamples, 0), s.k)))
 	s.live += len(ts)
 }
 

@@ -104,10 +104,13 @@ func boundSurvivors(t *testing.T, req *allocator.Request, selected []int) int {
 	score := func(i int) float64 {
 		return core.Score(req.PI[i], req.CI[i], core.Omega(req.ConsumerSat, req.ProviderSatisfaction(i)), core.DefaultEpsilon)
 	}
-	ranked := len(req.Pq)
-	if split := req.Split; split != nil && 1-split.Ceiling+core.DefaultEpsilon >= 0 {
+	ranked, ceiling := len(req.Pq), math.Inf(-1)
+	for i := range req.Pq {
+		ceiling = max(ceiling, req.PI[i], req.CI[i])
+	}
+	if 1-ceiling+core.DefaultEpsilon >= 0 {
 		positive, above := 0, 0
-		for _, i := range split.Candidates {
+		for i := range req.Pq {
 			if req.PI[i] > 0 && req.CI[i] > 0 {
 				positive++
 				if score(i) > 0 {
