@@ -116,6 +116,28 @@ func TestAllocBudgetProviderIntention(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetParticipantWrites pins the writers that announce a
+// participant's state at zero allocations: the reputation setters, which
+// move the population's reputation version, and departures and rejoins.
+func TestAllocBudgetParticipantWrites(t *testing.T) {
+	pop := sqlb.NewPopulation(model.DefaultConfig(), 9)
+	p, c := pop.Providers[0], pop.Consumers[0]
+	r := 0.0
+	for name, call := range map[string]func(){
+		"SetReputation":   func() { r = 0.5 - r; pop.SetReputation(p, r) },
+		"RecordFeedback":  func() { pop.RecordFeedback(p, 1, 0.25) },
+		"Depart, Rejoin":  func() { p.Depart(model.ReasonOutage); p.Rejoin() },
+		"Consumer.Depart": func() { c.Depart(model.ReasonDissatisfaction) },
+	} {
+		if allocs := testing.AllocsPerRun(100, call); allocs != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
+		}
+	}
+	if pop.ReputationVersion() == 0 || !p.Alive() || c.Alive() {
+		t.Errorf("reputation version %d, provider alive %v, consumer alive %v", pop.ReputationVersion(), p.Alive(), c.Alive())
+	}
+}
+
 // TestAllocBudgetMatchmakingLookup pins the indexed posting-list lookup at
 // zero allocations per query.
 func TestAllocBudgetMatchmakingLookup(t *testing.T) {

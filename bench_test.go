@@ -429,7 +429,7 @@ type capabilityScan struct{}
 func (capabilityScan) Match(q *model.Query, pop *sqlb.Population) []*model.Provider {
 	pq := make([]*model.Provider, 0, len(pop.Providers))
 	for _, p := range pop.Providers {
-		if p.Alive && p.CanServe(q.Class) {
+		if p.Alive() && p.CanServe(q.Class) {
 			pq = append(pq, p)
 		}
 	}
@@ -792,9 +792,14 @@ func scalePop(b *testing.B, providers, consumers int) *sqlb.Population {
 // BenchmarkMediateScale is the population-size curve: MediateBatch in
 // batches of 32 over a homogeneous population of |P| providers (Pq is all
 // of them), on a virtual clock that advances each query by the mean
-// service demand at 80 % of the population's capacity and with the
-// selections enqueued, so provider load sits at the paper's reference
-// point at every size, as in BenchmarkServePaperLoop. The population is
+// service demand at 80 % of the population's capacity, with the
+// selections enqueued. That clock never fills the 60 s utilization
+// window (1 600 mediations cover 13.6 s at 400 providers, 0.3 s at
+// 20 000), so the load stays under the paper's reference point, the more
+// so the larger |P|: 30 % of Pq shows pi > −1 at 400 providers, 48 % at
+// 4k and 56.5 % at 20k, against 7.7 % on the sim-paper workload. The
+// curve measures that regime; ROADMAP item 17c makes it run at the load
+// it names. The population is
 // scalePop's, with 1 000 consumers; ProviderK mediations warm the windows
 // before the timer. It reports ns per candidate — flat in |P| while
 // mediation is pure compute over the dense population arrays — and the

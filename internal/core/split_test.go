@@ -36,6 +36,14 @@ func FuzzRankTop(f *testing.F) {
 	f.Add([]byte{0, 1, 5, 5, 2, 15, 2, 2})            // Inf·(5e-324)^½
 	f.Add([]byte{1, 2, 4, 4, 2, 0x95, 3, 2, 6, 6, 3}) // a deferred −2.5 among willing slots
 	f.Add([]byte{6, 0, 16, 16, 8, 3, 3, 3})
+	// A NaN operand whose exponent is 0 drops out of Score, and the Ceiling
+	// holds no NaN: pi NaN beside ci 7 at ω 0 scores 6−ε, and the
+	// Ceiling of 7 refuses the split; pi NaN beside ci ½ scores −(½+ε),
+	// and the split ranks the one positive candidate alone; ci NaN beside
+	// pi 7 at ω 1 scores 6−ε.
+	f.Add([]byte{0, 1, 16, 12, 0, 5, 5, 2})
+	f.Add([]byte{0, 1, 16, 5, 0, 5, 5, 2})
+	f.Add([]byte{0, 1, 12, 16, 1, 5, 5, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return

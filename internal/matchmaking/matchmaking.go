@@ -8,8 +8,8 @@
 // The core type is Index, an inverted capability index: one posting list
 // per query class, holding the registered providers that advertise the
 // class in ascending ID order. The index is maintained incrementally as
-// providers register (Add), depart (Remove), or fail (lazy pruning of the
-// Alive flag at lookup), in the spirit of maintaining query results under
+// providers register (Add), depart (Remove), or depart unannounced (lazy
+// pruning at lookup), in the spirit of maintaining query results under
 // updates rather than recomputing them per query (cf. "Conjunctive Queries
 // with Free Access Patterns under Updates", PAPERS.md). A mediator lookup
 // is then O(|Pq|) — it touches only the candidate subset — instead of the
@@ -29,10 +29,12 @@ import (
 // byte-identical.
 //
 // Liveness contract: Remove keeps the lists exact under announced
-// departures; a provider whose Alive flag is flipped without a Remove call
-// is pruned lazily at the next Lookup of each class it advertised.
-// Departures are permanent in the model (Section 6.3.2) — a revived
-// provider must be re-registered with Add. Lookups return the index's
+// departures. A provider that departs (model.Provider.Depart) without a
+// Remove call is pruned lazily at the next Lookup of each class it
+// advertised; the one caller that does so is the reference mediator's
+// test harness, which departs providers silently on purpose (the engine
+// always calls Remove). A provider that rejoins (model.Provider.Rejoin)
+// must be re-registered with Add. Lookups return the index's
 // internal slice, valid until the next mutation of that class; callers
 // must not modify or retain it across mediations. Index is
 // not safe for concurrent use; the discrete-event engine drives it from a
@@ -57,7 +59,7 @@ func NewIndex(classes int) *Index {
 func BuildIndex(pop *model.Population) *Index {
 	ix := NewIndex(len(pop.Classes))
 	for _, p := range pop.Providers {
-		if p.Alive {
+		if p.Alive() {
 			ix.Add(p)
 		}
 	}
@@ -106,8 +108,8 @@ func (ix *Index) Remove(p *model.Provider) {
 
 // Lookup returns Pq for a query class: the registered, alive providers
 // advertising the class in ascending ID order. Providers that departed
-// without a Remove call are pruned from the posting list on the way (their
-// departure is permanent, so the pruning is sound). Classes outside
+// without a Remove call are pruned from the posting list on the way (one
+// that rejoins is added again, so the pruning is sound). Classes outside
 // [0, Classes()) have no providers. The returned slice is the index's
 // internal list — read-only, valid until the next mutation of the class.
 func (ix *Index) Lookup(class int) []*model.Provider {
@@ -116,7 +118,7 @@ func (ix *Index) Lookup(class int) []*model.Provider {
 	}
 	list := ix.postings[class]
 	for _, p := range list {
-		if !p.Alive {
+		if !p.Alive() {
 			return ix.prune(class)
 		}
 	}
@@ -128,7 +130,7 @@ func (ix *Index) prune(class int) []*model.Provider {
 	list := ix.postings[class]
 	kept := list[:0]
 	for _, p := range list {
-		if p.Alive {
+		if p.Alive() {
 			kept = append(kept, p)
 		}
 	}

@@ -48,7 +48,7 @@ func checkScan(t *testing.T, ix *Index, pop *model.Population, class int) {
 	t.Helper()
 	var want []*model.Provider
 	for _, p := range pop.Providers {
-		if p.Alive && p.CanServe(class) {
+		if p.Alive() && p.CanServe(class) {
 			want = append(want, p)
 		}
 	}
@@ -89,7 +89,7 @@ func TestIndexRemoveMaintainsPostings(t *testing.T) {
 	pop := capPop(t, 10, 3, 0, 5)
 	ix := BuildIndex(pop)
 	p := pop.Providers[4]
-	p.Alive = false
+	p.Depart(model.ReasonOutage)
 	ix.Remove(p)
 	for c := 0; c < 3; c++ {
 		if got := ix.PostingLen(c); got != 9 {
@@ -114,14 +114,14 @@ func TestIndexLazyPruneOnExternalDeparture(t *testing.T) {
 	// compact on the way.
 	pop := capPop(t, 8, 2, 0, 9)
 	ix := BuildIndex(pop)
-	pop.Providers[0].Alive = false
-	pop.Providers[7].Alive = false
+	pop.Providers[0].Depart(model.ReasonOutage)
+	pop.Providers[7].Depart(model.ReasonOutage)
 	pq := ix.Lookup(1)
 	if len(pq) != 6 {
 		t.Fatalf("lookup after external departures = %d providers, want 6", len(pq))
 	}
 	for _, p := range pq {
-		if !p.Alive {
+		if !p.Alive() {
 			t.Fatal("dead provider matched")
 		}
 	}
@@ -139,9 +139,9 @@ func TestIndexAddReRegisters(t *testing.T) {
 	pop := capPop(t, 6, 2, 0, 11)
 	ix := BuildIndex(pop)
 	p := pop.Providers[2]
-	p.Alive = false
+	p.Depart(model.ReasonOutage)
 	ix.Remove(p)
-	p.Alive = true
+	p.Rejoin()
 	ix.Add(p)
 	pq := ix.Lookup(0)
 	if len(pq) != 6 {

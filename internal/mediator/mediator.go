@@ -119,7 +119,7 @@ type Mediator struct {
 // whose public-window value is not Rate(−1) = 0, and a superset of those
 // with pi > 0, which is all Definition 9's sign split needs (core.Split);
 // shown holds their public windows, taken while the gather reads each
-// provider anyway. ceil is the maximum of pi, NaN if pi holds one. A
+// provider anyway. ceil is the maximum of pi (core.Raise). A
 // resolution only makes a deferred slot exact, which leaves it ≤ −1, so
 // all three hold for the turn.
 type gather struct {
@@ -240,7 +240,7 @@ func (m *Mediator) mediate(now float64, q *model.Query, pop *model.Population, s
 	if len(pq) == 0 {
 		return fmt.Errorf("%w (query %d)", ErrNoProviders, q.ID)
 	}
-	ci, adq, ciCeil := m.rows.consumer(q, pq, g.id, spare)
+	ci, adq, ciCeil := m.rows.consumer(pop, q, pq, g.id, spare)
 	if m.Strategy == nil {
 		return errors.New("mediator: no allocation strategy configured")
 	}
@@ -274,7 +274,7 @@ func matchInto(match Matchmaker, buf []*model.Provider, q *model.Query, pop *mod
 		return append(buf, match.Match(q, pop)...)
 	}
 	for _, p := range pop.Providers {
-		if p.Alive {
+		if p.Alive() {
 			buf = append(buf, p)
 		}
 	}
@@ -297,17 +297,10 @@ func matchInto(match Matchmaker, buf []*model.Provider, q *model.Query, pop *mod
 // That depth is paid for only where it is used: an unwilling provider's
 // slot gets IntentionOrBound's pow-free bound, and the exact value is
 // computed if the strategy resolves the slot (lazyPI).
-//
-// The same loop checks each provider's reputation against the row store's
-// shadow (ciRows), and a mismatch bumps the store's version: that is what
-// lets a consumer-intention row over pq be read after it. A Pq too small
-// for rows skips the check; a row over a larger Pq holding the same
-// provider is read only after that Pq's own gather has checked it.
 func (m *Mediator) providerIntentions(now float64, class int, g *gather) {
 	pq := g.pq
 	pi, deferred := growFloats(g.pi, len(pq)), growFloats(g.deferred, len(pq))
 	rated, shown, ceil := g.rated[:0], g.shown[:0], math.Inf(-1)
-	rowed := len(pq) >= rowMinPq
 	for i, p := range pq {
 		v, d := p.IntentionOrBound(class, now)
 		pi[i], deferred[i] = v, d
@@ -315,9 +308,6 @@ func (m *Mediator) providerIntentions(now float64, class int, g *gather) {
 			rated, shown = append(rated, i), append(shown, p.Public)
 		}
 		ceil = core.Raise(ceil, v)
-		if id := uint(p.ID); rowed && (id >= uint(len(m.rows.shadow)) || m.rows.shadow[id] != (repShadow{p, math.Float64bits(p.Reputation)})) {
-			m.rows.reshadow(p)
-		}
 	}
 	g.pi, g.deferred, g.rated, g.shown, g.ceil = pi, deferred, rated, shown, ceil
 }

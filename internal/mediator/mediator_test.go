@@ -22,7 +22,7 @@ type matchFunc func(p *model.Provider, class int) bool
 
 func (f matchFunc) Match(q *model.Query, pop *model.Population) (pq []*model.Provider) {
 	for _, p := range pop.Providers {
-		if p.Alive && f(p, q.Class) {
+		if p.Alive() && f(p, q.Class) {
 			pq = append(pq, p)
 		}
 	}
@@ -65,8 +65,8 @@ func TestMediatorAllocateHappyPath(t *testing.T) {
 
 func TestMediatorSkipsDepartedProviders(t *testing.T) {
 	pop := newPop(t, 1, 4)
-	pop.Providers[0].Alive = false
-	pop.Providers[1].Alive = false
+	pop.Providers[0].Depart(model.ReasonOutage)
+	pop.Providers[1].Depart(model.ReasonOutage)
 	med := New(allocator.NewCapacityBased())
 	alloc, err := med.Allocate(0, newQuery(pop, 1, 1), pop)
 	if err != nil {
@@ -76,7 +76,7 @@ func TestMediatorSkipsDepartedProviders(t *testing.T) {
 		t.Errorf("Pq size = %d, want 2 alive", len(alloc.Pq))
 	}
 	for _, p := range alloc.Pq {
-		if !p.Alive {
+		if !p.Alive() {
 			t.Error("departed provider matched")
 		}
 	}
@@ -85,7 +85,7 @@ func TestMediatorSkipsDepartedProviders(t *testing.T) {
 func TestMediatorNoProviders(t *testing.T) {
 	pop := newPop(t, 1, 2)
 	for _, p := range pop.Providers {
-		p.Alive = false
+		p.Depart(model.ReasonOutage)
 	}
 	med := New(allocator.NewSQLB())
 	if _, err := med.Allocate(0, newQuery(pop, 1, 1), pop); err == nil {

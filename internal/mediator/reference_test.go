@@ -55,7 +55,7 @@ type mediation struct {
 func (r *reference) match(class int) []*model.Provider {
 	var pq []*model.Provider
 	for _, p := range r.pop.Providers {
-		if p.Alive && (!r.capable || class < len(r.pop.Classes) && p.CanServe(class)) {
+		if p.Alive() && (!r.capable || class < len(r.pop.Classes) && p.CanServe(class)) {
 			pq = append(pq, p)
 		}
 	}
@@ -272,7 +272,7 @@ func samePopulations(got, want *model.Population) error {
 			}
 		}
 		if !sameBits(reflect.ValueOf(g.Util), reflect.ValueOf(w.Util)) || !sameFloat(g.BusyUntil, w.BusyUntil) ||
-			g.QueriesPerformed != w.QueriesPerformed || g.Alive != w.Alive || !sameFloat(g.SmoothSat, w.SmoothSat) {
+			g.QueriesPerformed != w.QueriesPerformed || g.Alive() != w.Alive() || !sameFloat(g.SmoothSat, w.SmoothSat) {
 			return fmt.Errorf("provider %d: queue, self-assessment or registration differs from the reference's", i)
 		}
 	}
@@ -527,7 +527,7 @@ func runMediation(t *testing.T, script []byte, v *vacuity) {
 				ix.Remove(p)
 			}
 			edit(p)
-			if ix != nil && p.Alive {
+			if ix != nil && p.Alive() {
 				ix.Add(p)
 			}
 		}
@@ -608,16 +608,23 @@ func runMediation(t *testing.T, script []byte, v *vacuity) {
 			eachConsumer(who, func(c *model.Consumer) { c.SetPreference(id, x) })
 		case opWrite:
 			who, field, x := next(), next()%6, value()
-			if field < 4 {
+			switch {
+			case field < 3:
 				eachProvider(who, func(p *model.Provider, _ *matchmaking.Index) {
-					*[]*float64{&p.SmoothSat, &p.Epsilon, &p.LoadHorizon, &p.Reputation}[field] = x
+					*[]*float64{&p.SmoothSat, &p.Epsilon, &p.LoadHorizon}[field] = x
 				})
-			} else {
+			case field == 3:
+				for _, pop := range pops {
+					pop.SetReputation(pop.Providers[int(who)%len(pop.Providers)], x)
+				}
+			default:
 				eachConsumer(who, func(c *model.Consumer) { *[]*float64{&c.Upsilon, &c.Epsilon}[field-4] = x })
 			}
 		case opFeedback:
 			who, rating, alpha := next(), value(), value()
-			eachProvider(who, func(p *model.Provider, _ *matchmaking.Index) { p.RecordFeedback(rating, alpha) })
+			for _, pop := range pops {
+				pop.RecordFeedback(pop.Providers[int(who)%len(pop.Providers)], rating, alpha)
+			}
 		case opSmooth:
 			alpha := float64(next()) / 255
 			for _, pop := range pops {
@@ -632,15 +639,15 @@ func runMediation(t *testing.T, script []byte, v *vacuity) {
 			eachProvider(next(), reregister((*model.Provider).ClearCapabilities))
 		case opLeave:
 			eachProvider(next(), func(p *model.Provider, ix *matchmaking.Index) {
-				if p.Alive = false; ix != nil {
+				if p.Depart(model.ReasonOutage); ix != nil {
 					ix.Remove(p)
 				}
 			})
 		case opFail:
-			eachProvider(next(), func(p *model.Provider, _ *matchmaking.Index) { p.Alive = false })
+			eachProvider(next(), func(p *model.Provider, _ *matchmaking.Index) { p.Depart(model.ReasonOutage) })
 		case opRejoin:
 			eachProvider(next(), func(p *model.Provider, ix *matchmaking.Index) {
-				if p.Alive = true; ix != nil {
+				if p.Rejoin(); ix != nil {
 					ix.Add(p)
 				}
 			})
@@ -719,6 +726,17 @@ var seedScripts = [][]byte{
 	{viaMediate, capacityBased, homogeneous, opMediate, 0, 0, 1, 0},
 	// E: a reputation write reaches the consumer's kept row.
 	{viaAllocate, sqlbMethod, homogeneous, opMediate, 0, 0, 1, 0, opWrite, 7, 3, 19, opMediate, 0, 0, 1, 0},
+	// E2: the same write again leaves the bits, and the row, as they are.
+	{viaAllocate, sqlbMethod, homogeneous, opMediate, 0, 0, 1, 0, opWrite, 7, 3, 19, opMediate, 0, 0, 1, 0,
+		opWrite, 7, 3, 19, opMediate, 0, 0, 1, 0},
+	// E3: eleven departures of specialists that serve class 0 and not
+	// class 1 leave class 0 a Pq of 63, below the row store's cut-off, and
+	// class 1 one of 79; generalist 9 is in both. Its reputation changes
+	// between a row over class 1's Pq and a mediation over class 0's, and
+	// the row must not be read after it.
+	{viaAllocate, sqlbMethod, mixed + indexed, opLeave, 3, opLeave, 8, opLeave, 13, opLeave, 22, opLeave, 28, opLeave, 29,
+		opLeave, 35, opLeave, 38, opLeave, 39, opLeave, 44, opLeave, 45, opMediate, 0, 0, 2, 0, opWrite, 9, 3, 19,
+		opMediate, 0, 0, 1, 0, opMediate, 0, 0, 2, 0},
 	// F: a bound resolves to Definition 8 at the load it was taken at.
 	{viaAllocate, sqlbMethod, homogeneous, opOverload, 0, 0, opWrite, 0, 0, 8, opMediate, 0, 0, 1, 2},
 	// H: Equation 2 divides by q.n, here 4 with four providers selected.

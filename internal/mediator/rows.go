@@ -11,58 +11,38 @@ import (
 )
 
 // Rows are kept over a Pq of rowMinPq providers or more, up to rowMaxBytes
-// of intentions in all; other mediations compute into scratch. A provider
-// ID past maxShadow is a reputation mismatch on every sight.
+// of intentions in all; other mediations compute into scratch.
 const (
 	rowMinPq    = 64
 	rowMaxBytes = 32 << 20
-	maxShadow   = 1 << 24
 )
 
 // ciRows keeps consumer-intention rows across mediations: CI⃗ of one
 // consumer over one Pq and Equation 1 of it, grouped by Pq content id and
 // reused while every input is unchanged: Pq (classes with the same set
-// share an id), reputations (a shadow that providerIntentions checks) and
-// the consumer's rowInputs. See docs/ARCHITECTURE.md, "Definition 7 and
-// Equation 1: one row store". Tests read evals and bytes by name.
+// share an id) and the rowInputs. See docs/ARCHITECTURE.md, "Definition 7
+// and Equation 1: one row store". Tests read evals and bytes by name.
 type ciRows struct {
 	classPq [][]*model.Provider // the Pq each class was last gathered with
 	classID []uint64            // its content id; 0 = no rows
 	lastID  uint64
-	shadow  []repShadow // by provider ID
-	version uint64
 	rows    map[uint64]map[*model.Consumer]*ciRow // by Pq id, then consumer
 	bytes   int                                   // held by rows' intentions
 	evals   uint64                                // Definition 7 evaluations
 }
 
 type (
-	repShadow struct {
-		p   *model.Provider
-		rep uint64
-	}
 	ciRow struct {
 		ci     []float64
 		adq    float64
 		ceil   float64 // max of ci (core.Split's Ceiling)
 		inputs rowInputs
 	}
-	// rowInputs is what a row was computed from besides Pq: the store's
-	// reputation version and its consumer's preference version, υ and ε.
-	rowInputs struct{ version, pref, upsilon, epsilon uint64 }
+	// rowInputs is what a row was computed from besides Pq: the
+	// population's reputation version and its consumer's preference
+	// version, υ and ε.
+	rowInputs struct{ reputation, pref, upsilon, epsilon uint64 }
 )
-
-// reshadow records p's reputation, which the provider gather found missing
-// from the shadow or different there, and bumps the version.
-func (s *ciRows) reshadow(p *model.Provider) {
-	s.version++
-	if id := p.ID; id >= 0 && id < maxShadow {
-		if id >= len(s.shadow) {
-			s.shadow = append(s.shadow, make([]repShadow, id+1-len(s.shadow))...)
-		}
-		s.shadow[id] = repShadow{p, math.Float64bits(p.Reputation)}
-	}
-}
 
 // identify returns the content id of pq, just gathered for class of a
 // population of classes, and drops the rows of an id no class holds any
@@ -99,17 +79,17 @@ func (s *ciRows) identify(class, classes int, pq []*model.Provider) uint64 {
 	return id
 }
 
-// consumer returns q's consumer's intentions over pq, of content id id,
-// Equation 1 over them and their maximum: its row, recomputed if an input
-// changed and admitted if new and within the cap, or else computed into
-// spare. A row is read-only outside the store.
-func (s *ciRows) consumer(q *model.Query, pq []*model.Provider, id uint64, spare *[]float64) (ci []float64, adq, ceil float64) {
+// consumer returns q's consumer's intentions over pq, of content id id in
+// pop, Equation 1 over them and their maximum: its row, recomputed if an
+// input changed and admitted if new and within the cap, or else computed
+// into spare. A row is read-only outside the store.
+func (s *ciRows) consumer(pop *model.Population, q *model.Query, pq []*model.Provider, id uint64, spare *[]float64) (ci []float64, adq, ceil float64) {
 	if id == 0 {
 		adq, ceil := s.compute(q, pq, spare)
 		return *spare, adq, ceil
 	}
 	c := q.Consumer
-	in := rowInputs{s.version, c.PreferenceVersion(), math.Float64bits(c.Upsilon), math.Float64bits(c.Epsilon)}
+	in := rowInputs{pop.ReputationVersion(), c.PreferenceVersion(), math.Float64bits(c.Upsilon), math.Float64bits(c.Epsilon)}
 	group := s.rows[id]
 	r := group[c]
 	switch {
@@ -133,7 +113,7 @@ func (s *ciRows) consumer(q *model.Query, pq []*model.Provider, id uint64, spare
 
 // compute fills *ci, resized to len(pq), with Definition 7 (the consumer
 // half of lines 2-5 of Algorithm 1) and returns Equation 1 of it, summed in
-// Pq order (QueryAdequation's bits), and its maximum, NaN if it holds one.
+// Pq order (QueryAdequation's bits), and its maximum (core.Raise).
 func (s *ciRows) compute(q *model.Query, pq []*model.Provider, ci *[]float64) (adq, ceil float64) {
 	c, v := q.Consumer, growFloats(*ci, len(pq))
 	ceil = math.Inf(-1)

@@ -39,9 +39,13 @@ func TestConsumerRowsAreShared(t *testing.T) {
 	c.SetPreference(3, 0.2)
 	mediate(1)
 	evals("after SetPreference", 800)
-	pop.Providers[7].Reputation = 0.1
+	pop.SetReputation(pop.Providers[7], 0.1)
 	mediate(0)
 	evals("after a reputation write", 1200)
+	pop.SetReputation(pop.Providers[7], 0.1)
+	pop.RecordFeedback(pop.Providers[7], 0.5, 0)
+	mediate(0)
+	evals("after writes that leave the reputation's bits", 1200)
 	c.Upsilon = 0.5
 	mediate(0)
 	evals("after a υ write", 1600)

@@ -99,7 +99,7 @@ func TestServerRejectsBadQueries(t *testing.T) {
 func TestServerNoProviders(t *testing.T) {
 	pop := newPop(t, 1, 2)
 	for _, p := range pop.Providers {
-		p.Alive = false
+		p.Depart(model.ReasonOutage)
 	}
 	srv := NewServer(allocator.NewSQLB(), pop, 50*time.Millisecond, nil)
 	if _, err := srv.Mediate(context.Background(), newQuery(pop, 1, 1)); err == nil {
@@ -132,7 +132,7 @@ type mutatingMatcher struct {
 func (m *mutatingMatcher) Match(_ *model.Query, _ *model.Population) []*model.Provider {
 	kept := m.list[:0]
 	for _, p := range m.list {
-		if p.Alive {
+		if p.Alive() {
 			kept = append(kept, p)
 		}
 	}
@@ -158,7 +158,7 @@ func TestServerAllocationSurvivesMatchmakerMutation(t *testing.T) {
 	want := append([]*model.Provider(nil), first.Pq...)
 
 	// A provider fails unannounced; the next mediation prunes in place.
-	pop.Providers[0].Alive = false
+	pop.Providers[0].Depart(model.ReasonOutage)
 	if _, err := srv.Mediate(context.Background(), newQuery(pop, 2, 1)); err != nil {
 		t.Fatalf("second Mediate: %v", err)
 	}
@@ -203,7 +203,7 @@ func TestAllocateValidation(t *testing.T) {
 		t.Fatal("strategy-less server accepted a batch")
 	}
 	for _, p := range pop.Providers {
-		p.Alive = false
+		p.Depart(model.ReasonOutage)
 	}
 	if _, err := New(allocator.NewSQLB()).Allocate(0, q, pop); !errors.Is(err, ErrNoProviders) {
 		t.Fatalf("empty Pq: err = %v, want ErrNoProviders", err)

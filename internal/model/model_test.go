@@ -149,20 +149,24 @@ func TestTotalCapacityAndAliveness(t *testing.T) {
 	if total <= 0 {
 		t.Fatal("total capacity must be positive")
 	}
-	if got := pop.AliveCapacity(); got != total {
-		t.Errorf("alive capacity %v != total %v at start", got, total)
-	}
 	departed := pop.Providers[0]
-	departed.Alive = false
-	departed.DepartReason = ReasonStarvation
-	if got := pop.AliveCapacity(); got != total-departed.Capacity {
-		t.Errorf("alive capacity %v after departure, want %v", got, total-departed.Capacity)
+	departed.Depart(ReasonNone)
+	if !departed.Alive() {
+		t.Error("a ReasonNone departure took the provider out")
+	}
+	departed.Depart(ReasonStarvation)
+	if departed.Alive() || departed.DepartReason() != ReasonStarvation {
+		t.Errorf("after Depart: alive %v, reason %v", departed.Alive(), departed.DepartReason())
 	}
 	if got := len(pop.AliveProviders()); got != len(pop.Providers)-1 {
 		t.Errorf("alive providers = %d, want %d", got, len(pop.Providers)-1)
 	}
-	pop.Consumers[0].Alive = false
-	if got := len(pop.AliveConsumers()); got != len(pop.Consumers)-1 {
+	departed.Rejoin()
+	if !departed.Alive() || departed.DepartReason() != ReasonNone {
+		t.Errorf("after Rejoin: alive %v, reason %v", departed.Alive(), departed.DepartReason())
+	}
+	pop.Consumers[0].Depart(ReasonDissatisfaction)
+	if got := len(pop.ConsumerValues(true, func(*Consumer) float64 { return 0 })); got != len(pop.Consumers)-1 {
 		t.Errorf("alive consumers = %d, want %d", got, len(pop.Consumers)-1)
 	}
 }

@@ -30,13 +30,12 @@ type Consumer struct {
 	SmoothSat float64
 	SmoothAdq float64
 
-	// Alive is false once the consumer has left the system.
-	Alive bool
+	// departed is why the consumer left; ReasonNone while it is in.
+	departed DepartureReason
 	// hashedPrefs: prefSeed stands in for prefs (below).
 	hashedPrefs bool
-	// DepartedAt and DepartReason record the departure, if any.
-	DepartedAt   float64
-	DepartReason DepartureReason
+	// _ pads Consumer to two cache lines, its measured size (ROADMAP 17b).
+	_ [8]byte
 
 	// prefs[layout.slot[p.ID]] is prf_c(·, p), drawn from the interest band
 	// of p's interest class (prefs[p.ID] when layout, the consumer's own
@@ -50,6 +49,17 @@ type Consumer struct {
 	prefSeed     uint64
 	prefOverride map[int]float64
 	prefVersion  uint64
+}
+
+// Alive reports whether the consumer is still in the system.
+func (c *Consumer) Alive() bool { return c.departed == ReasonNone }
+
+// Depart takes the consumer out of the system for reason; a ReasonNone
+// departure changes nothing. Consumers do not come back.
+func (c *Consumer) Depart(reason DepartureReason) {
+	if reason != ReasonNone {
+		c.departed = reason
+	}
 }
 
 // PreferenceVersion counts SetPreference calls (the mediator's rows key on it).
@@ -138,6 +148,11 @@ type Provider struct {
 	CapClass      ClassLevel
 
 	// Reputation is rep(p) ∈ [-1,1] as seen by consumers (Definition 7).
+	// Write it through Population.SetReputation or RecordFeedback: the
+	// mediator keeps consumer intentions computed from it and learns of a
+	// change only from Population.ReputationVersion. It stays a field for
+	// readers outside the module; a direct write is a break that a test of
+	// the module's sources refuses.
 	Reputation float64
 
 	// Public tracks §3.2 characteristics fed with the *intentions* the
@@ -184,11 +199,10 @@ type Provider struct {
 	// QueriesPerformed counts queries this provider has executed.
 	QueriesPerformed uint64
 
-	// Alive is false once the provider has left the system.
-	Alive bool
-	// DepartedAt and DepartReason record the departure, if any.
-	DepartedAt   float64
-	DepartReason DepartureReason
+	// departed is why the provider left; ReasonNone while it is in.
+	departed DepartureReason
+	// _ pads Provider to four cache lines, its measured size (ROADMAP 17b).
+	_ [16]byte
 
 	// prefs[class] is prf_p(q) for each query class, drawn from the
 	// adaptation band.
@@ -209,6 +223,27 @@ type Provider struct {
 	// 8 evaluations (see IntentionAt).
 	memo intentionMemo
 }
+
+// Alive reports whether the provider is still in the system.
+func (p *Provider) Alive() bool { return p.departed == ReasonNone }
+
+// DepartReason is why the provider left the system, ReasonNone while it
+// is in it.
+func (p *Provider) DepartReason() DepartureReason { return p.departed }
+
+// Depart takes the provider out of the system for reason; a ReasonNone
+// departure changes nothing. Whoever holds a match index also removes the
+// provider from it (matchmaking.Index.Remove); one that does not leaves
+// it to the index's lazy prune.
+func (p *Provider) Depart(reason DepartureReason) {
+	if reason != ReasonNone {
+		p.departed = reason
+	}
+}
+
+// Rejoin brings a departed provider back into the system; a match index
+// must register it again (matchmaking.Index.Add).
+func (p *Provider) Rejoin() { p.departed = ReasonNone }
 
 // CanServe reports whether the provider advertises the query class — the
 // sound-and-complete matchmaking predicate of Section 2 (refs [11,14]).
@@ -374,19 +409,4 @@ func (p *Provider) Smooth(alpha, now float64) {
 func (c *Consumer) Smooth(alpha float64) {
 	c.SmoothSat += alpha * (c.Tracker.Satisfaction() - c.SmoothSat)
 	c.SmoothAdq += alpha * (c.Tracker.Adequation() - c.SmoothAdq)
-}
-
-// RecordFeedback folds one consumer rating ∈ [-1,1] into the provider's
-// reputation with EWMA factor alpha. This is the feedback-driven reputation
-// extension (the paper notes reputation "has a major role to play" in how
-// participants work out intentions but keeps its computation external);
-// with it enabled, rep(p) converges to the mean consumer preference for p,
-// which is what makes the υ < 1 settings of Definition 7 meaningful in
-// simulations.
-func (p *Provider) RecordFeedback(rating, alpha float64) {
-	rating = satisfaction.Clamp(rating)
-	if alpha <= 0 || alpha > 1 {
-		return
-	}
-	p.Reputation += alpha * (rating - p.Reputation)
 }

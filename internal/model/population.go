@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"math/bits"
 
 	"sqlb/internal/randx"
@@ -20,7 +21,37 @@ type Population struct {
 	layout *layout
 	// stream is what the providers' trackers are views of while every Pq
 	// is the whole population; nil under capability matchmaking.
-	stream *satisfaction.Stream
+	stream     *satisfaction.Stream
+	repVersion uint64 // see ReputationVersion
+}
+
+// ReputationVersion changes whenever SetReputation or RecordFeedback
+// changes a provider's reputation, and only then: what the mediator's
+// consumer-intention rows key on instead of rereading every rep(p).
+func (pop *Population) ReputationVersion() uint64 { return pop.repVersion }
+
+// SetReputation sets rep(p) to r. A write that changes its bits — a NaN
+// compares by them too — moves ReputationVersion.
+func (pop *Population) SetReputation(p *Provider, r float64) {
+	if math.Float64bits(r) != math.Float64bits(p.Reputation) {
+		p.Reputation = r
+		pop.repVersion++
+	}
+}
+
+// RecordFeedback folds one consumer rating ∈ [-1,1] into p's reputation
+// with EWMA factor alpha ∈ (0,1]; any other alpha is ignored. This is the
+// feedback-driven reputation extension (the paper notes reputation "has a
+// major role to play" in how participants work out intentions but keeps
+// its computation external); with it enabled, rep(p) converges to the
+// mean consumer preference for p, which is what makes the υ < 1 settings
+// of Definition 7 meaningful in simulations.
+func (pop *Population) RecordFeedback(p *Provider, rating, alpha float64) {
+	rating = satisfaction.Clamp(rating)
+	if alpha <= 0 || alpha > 1 {
+		return
+	}
+	pop.SetReputation(p, p.Reputation+alpha*(rating-p.Reputation))
 }
 
 // Stream returns the stream the providers' windows are views of (see
@@ -55,7 +86,7 @@ type layout struct {
 // line-major (satisfaction.InitCohort), the order a result notification
 // writes them in; where every Pq is the whole population the trackers are
 // views of one stream and keep no ring. pop.Providers[i] is still ID i, Pq still ascends by ID, and membership
-// is fixed after construction (churn toggles Alive, it never appends). The
+// is fixed after construction (churn departs and rejoins providers, it never appends). The
 // RNG draws are the per-object constructor's, in ID order, so every seeded
 // run is byte-identical to the ID-ordered layout.
 func NewPopulation(cfg Config, rng *randx.Rand, startTime float64) *Population {
@@ -110,7 +141,6 @@ func NewPopulation(cfg Config, rng *randx.Rand, startTime float64) *Population {
 			SmoothAdq:     cfg.InitialSatisfaction,
 			SmoothUt:      cfg.InitialSatisfaction,
 			LoadHorizon:   cfg.LoadHorizon,
-			Alive:         true,
 			interestBand:  cfg.InterestBands[interest[i]],
 		}
 		band := cfg.AdaptBands[p.AdaptClass]
@@ -171,7 +201,6 @@ func NewPopulation(cfg Config, rng *randx.Rand, startTime float64) *Population {
 			Tracker:   &consTrackers[i],
 			SmoothSat: cfg.InitialSatisfaction,
 			SmoothAdq: cfg.InitialSatisfaction,
-			Alive:     true,
 		}
 		if cfg.HashedConsumerPrefs {
 			c.hashedPrefs = true
@@ -290,34 +319,12 @@ func (pop *Population) TotalCapacity() float64 {
 	return sum
 }
 
-// AliveCapacity is the aggregate capacity of providers still registered.
-func (pop *Population) AliveCapacity() float64 {
-	sum := 0.0
-	for _, p := range pop.Providers {
-		if p.Alive {
-			sum += p.Capacity
-		}
-	}
-	return sum
-}
-
 // AliveProviders returns the providers still registered to the mediator.
 func (pop *Population) AliveProviders() []*Provider {
 	out := make([]*Provider, 0, len(pop.Providers))
 	for _, p := range pop.Providers {
-		if p.Alive {
+		if p.Alive() {
 			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// AliveConsumers returns the consumers still registered to the mediator.
-func (pop *Population) AliveConsumers() []*Consumer {
-	out := make([]*Consumer, 0, len(pop.Consumers))
-	for _, c := range pop.Consumers {
-		if c.Alive {
-			out = append(out, c)
 		}
 	}
 	return out
@@ -328,7 +335,7 @@ func (pop *Population) AliveConsumers() []*Consumer {
 func (pop *Population) ProviderValues(aliveOnly bool, f func(*Provider) float64) []float64 {
 	out := make([]float64, 0, len(pop.Providers))
 	for _, p := range pop.Providers {
-		if aliveOnly && !p.Alive {
+		if aliveOnly && !p.Alive() {
 			continue
 		}
 		out = append(out, f(p))
@@ -340,7 +347,7 @@ func (pop *Population) ProviderValues(aliveOnly bool, f func(*Provider) float64)
 func (pop *Population) ConsumerValues(aliveOnly bool, f func(*Consumer) float64) []float64 {
 	out := make([]float64, 0, len(pop.Consumers))
 	for _, c := range pop.Consumers {
-		if aliveOnly && !c.Alive {
+		if aliveOnly && !c.Alive() {
 			continue
 		}
 		out = append(out, f(c))

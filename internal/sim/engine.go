@@ -304,7 +304,7 @@ func (e *Engine) handleCompletion(qid uint64) {
 	if fl.consumer != nil {
 		alpha := e.opts.Config.ReputationFeedbackAlpha
 		for _, p := range fl.servers {
-			p.RecordFeedback(fl.consumer.Preference(p, fl.class), alpha)
+			e.pop.RecordFeedback(p, fl.consumer.Preference(p, fl.class), alpha)
 		}
 	}
 }
@@ -319,38 +319,39 @@ func (e *Engine) applyWave(w scenario.Wave) {
 		pool := e.pop.AliveProviders()
 		picked := pickWave(e.churnRng, pool, w)
 		for _, p := range picked {
-			p.Alive = false
-			p.DepartedAt = e.now
-			p.DepartReason = model.ReasonOutage
-			// Incremental index maintenance, same as an announced autonomy
-			// departure: the provider leaves every posting list now.
-			e.index.Remove(p)
-			e.departuresP = append(e.departuresP, Departure{
-				Time: e.now, ID: p.ID, Reason: model.ReasonOutage,
-				Interest: p.InterestClass, Adapt: p.AdaptClass, Cap: p.CapClass,
-			})
+			e.depart(p, model.ReasonOutage)
 		}
 	case scenario.WaveRejoin:
 		// Only outage victims are eligible: autonomy departures are the
 		// participant's own permanent decision (Section 6.3.2).
 		pool := make([]*model.Provider, 0)
 		for _, p := range e.pop.Providers {
-			if !p.Alive && p.DepartReason == model.ReasonOutage {
+			if p.DepartReason() == model.ReasonOutage {
 				pool = append(pool, p)
 			}
 		}
 		picked := pickWave(e.churnRng, pool, w)
 		for _, p := range picked {
-			p.Alive = true
-			p.DepartedAt = 0
-			p.DepartReason = model.ReasonNone
+			p.Rejoin()
 			e.index.Add(p)
-			e.joinsP = append(e.joinsP, Departure{
-				Time: e.now, ID: p.ID, Reason: model.ReasonNone,
-				Interest: p.InterestClass, Adapt: p.AdaptClass, Cap: p.CapClass,
-			})
+			e.joinsP = append(e.joinsP, e.ledger(p, model.ReasonNone))
 		}
 	}
+}
+
+// depart takes p out of the system for reason now: p's own record, every
+// posting list of the match index (an announced departure, so no lookup
+// pays for it later) and the departure ledger, the one record of when p
+// left.
+func (e *Engine) depart(p *model.Provider, reason model.DepartureReason) {
+	p.Depart(reason)
+	e.index.Remove(p)
+	e.departuresP = append(e.departuresP, e.ledger(p, reason))
+}
+
+// ledger is p's entry, for reason, in a departure or join ledger now.
+func (e *Engine) ledger(p *model.Provider, reason model.DepartureReason) Departure {
+	return Departure{Time: e.now, ID: p.ID, Reason: reason, Interest: p.InterestClass, Adapt: p.AdaptClass, Cap: p.CapClass}
 }
 
 // pickWave selects the wave's victims from the eligible pool: a uniform
@@ -425,7 +426,7 @@ func (e *Engine) snapshot() Sample {
 // departure rules consult it).
 func (e *Engine) smoothAssessments() {
 	for _, p := range e.pop.Providers {
-		if p.Alive {
+		if p.Alive() {
 			p.Smooth(e.smoothAlpha, e.now)
 		}
 	}
@@ -447,7 +448,7 @@ func (e *Engine) checkDepartures() {
 	a := e.autonomy
 	if a.ProvidersDissatisfaction || a.ProvidersStarvation || a.ProvidersOverutilization {
 		for _, p := range e.pop.Providers {
-			if !p.Alive {
+			if !p.Alive() {
 				continue
 			}
 			var reason model.DepartureReason
@@ -464,25 +465,14 @@ func (e *Engine) checkDepartures() {
 			default:
 				continue
 			}
-			p.Alive = false
-			p.DepartedAt = e.now
-			p.DepartReason = reason
-			// Incremental index maintenance: the departed provider leaves
-			// every posting list now, so no future lookup pays for it.
-			e.index.Remove(p)
-			e.departuresP = append(e.departuresP, Departure{
-				Time: e.now, ID: p.ID, Reason: reason,
-				Interest: p.InterestClass, Adapt: p.AdaptClass, Cap: p.CapClass,
-			})
+			e.depart(p, reason)
 		}
 	}
 	if a.ConsumersMayLeave {
 		kept := e.aliveConsumers[:0]
 		for _, c := range e.aliveConsumers {
 			if c.SmoothSat < c.SmoothAdq-a.ConsumerDissatMargin {
-				c.Alive = false
-				c.DepartedAt = e.now
-				c.DepartReason = model.ReasonDissatisfaction
+				c.Depart(model.ReasonDissatisfaction)
 				e.departuresC = append(e.departuresC, Departure{
 					Time: e.now, ID: c.ID, Reason: model.ReasonDissatisfaction,
 				})

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"sqlb/internal/allocator"
@@ -85,22 +86,31 @@ func TestReputationStaticByDefault(t *testing.T) {
 	}
 }
 
-// TestRecordFeedbackGuards covers the clamping and alpha guards.
+// TestRecordFeedbackGuards covers the clamping and alpha guards, and that
+// only a write that changes the reputation's bits moves the population's
+// reputation version.
 func TestRecordFeedbackGuards(t *testing.T) {
 	cfg := model.DefaultConfig()
 	cfg.Consumers, cfg.Providers = 1, 1
 	pop := model.NewPopulation(cfg, randx.New(1), 0)
 	p := pop.Providers[0]
-	start := p.Reputation
-	p.RecordFeedback(0.5, 0)  // alpha 0: ignored
-	p.RecordFeedback(0.5, -1) // negative alpha: ignored
-	p.RecordFeedback(0.5, 2)  // absurd alpha: ignored
-	if p.Reputation != start {
-		t.Fatal("invalid alphas must not move reputation")
+	start, version := p.Reputation, pop.ReputationVersion()
+	pop.RecordFeedback(p, 0.5, 0)  // alpha 0: ignored
+	pop.RecordFeedback(p, 0.5, -1) // negative alpha: ignored
+	pop.RecordFeedback(p, 0.5, 2)  // absurd alpha: ignored
+	pop.SetReputation(p, start)    // the same bits
+	if p.Reputation != start || pop.ReputationVersion() != version {
+		t.Fatal("invalid alphas and an unchanged value must not move reputation or its version")
 	}
-	p.RecordFeedback(99, 1) // rating clamps to 1, alpha 1 snaps
-	if p.Reputation != 1 {
-		t.Fatalf("reputation = %v, want clamped snap to 1", p.Reputation)
+	pop.RecordFeedback(p, 99, 1) // rating clamps to 1, alpha 1 snaps
+	if p.Reputation != 1 || pop.ReputationVersion() != version+1 {
+		t.Fatalf("reputation = %v at version %d, want clamped snap to 1 at %d", p.Reputation, pop.ReputationVersion(), version+1)
+	}
+	for _, r := range []float64{math.NaN(), math.NaN(), math.Copysign(0, -1), 0} {
+		pop.SetReputation(p, r)
+	}
+	if pop.ReputationVersion() != version+4 {
+		t.Fatalf("version %d after NaN, NaN, −0, +0; want %d (a NaN and a signed zero compare by their bits)", pop.ReputationVersion(), version+4)
 	}
 }
 

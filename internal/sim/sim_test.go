@@ -295,7 +295,7 @@ func TestEngineDropsWhenAllProvidersGone(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	for _, p := range eng.Population().Providers {
-		p.Alive = false
+		p.Depart(model.ReasonOutage)
 	}
 	res := eng.Run()
 	if res.DroppedQueries == 0 {

@@ -19,7 +19,7 @@ func FillUtilization(s *Snapshot, pop *model.Population, now float64) {
 		aliveCons int
 	)
 	for _, p := range pop.Providers {
-		if !p.Alive {
+		if !p.Alive() {
 			continue
 		}
 		u := p.MeasuredLoad(now)
@@ -28,7 +28,7 @@ func FillUtilization(s *Snapshot, pop *model.Population, now float64) {
 		classN[p.CapClass]++
 	}
 	for _, c := range pop.Consumers {
-		if c.Alive {
+		if c.Alive() {
 			aliveCons++
 		}
 	}

@@ -20,7 +20,7 @@ func TestFacadeQuickstart(t *testing.T) {
 		t.Fatalf("selected %d providers, want 1", len(alloc.Selected))
 	}
 	sel := alloc.SelectedProviders()[0]
-	if !sel.Alive {
+	if !sel.Alive() {
 		t.Error("selected provider should be alive")
 	}
 }
