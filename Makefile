@@ -55,11 +55,12 @@ test:
 	$(GO) test -cover ./...
 
 # race covers the packages with real concurrency: the parallel experiment
-# Lab, the mediator server, and the serving driver's worker pool. One
+# Lab, the mediator server, the serving driver's worker pool, the commands
+# (sqlb-sim's repetition pool) and the timeline Collector's lock. One
 # simulation runs on one goroutine; the Lab's tests run many at once, which
 # is where the simulator's code meets the race detector.
 race:
-	$(GO) test -race ./internal/experiments/... ./internal/mediator/... ./internal/matchmaking/... ./internal/serving/...
+	$(GO) test -race ./internal/experiments/... ./internal/mediator/... ./internal/matchmaking/... ./internal/serving/... ./internal/timeline/... ./cmd/...
 
 vet:
 	$(GO) vet ./...

@@ -35,7 +35,7 @@ import (
 // benchConfig is the reduced scale used by the per-figure benches.
 func benchConfig() experiments.Config {
 	return experiments.Config{
-		Scale:          0.05, // 10 consumers, 20 providers
+		Model:          model.DefaultConfig().Scale(0.05), // 10 consumers, 20 providers
 		Duration:       400,
 		SweepDuration:  1600, // past the 300 s grace + assessment convergence, so departures register
 		Repeats:        1,

@@ -29,14 +29,13 @@ import (
 	"time"
 
 	"sqlb/internal/experiments"
-	"sqlb/internal/profiling"
+	"sqlb/internal/runflags"
 	"sqlb/internal/timeline"
 )
 
 func main() {
 	var (
 		runIDs    = flag.String("run", "", "comma-separated experiment IDs (default: the 17 paper experiments; the ext-* extensions run only by name, see -list)")
-		scale     = flag.Float64("scale", 0.25, "population scale relative to the paper's 200/400")
 		duration  = flag.Float64("duration", 2500, "figure-4 ramp horizon (sim-seconds)")
 		sweepDur  = flag.Float64("sweep", 5000, "per-workload run horizon (sim-seconds)")
 		repeats   = flag.Int("repeats", 2, "repetitions per configuration (paper: 10)")
@@ -45,16 +44,12 @@ func main() {
 		workloads = flag.String("workloads", "", "comma-separated workload fractions (default 0.2..1.0)")
 		outDir    = flag.String("out", "", "directory for CSV output (omit to skip)")
 		list      = flag.Bool("list", false, "list experiment IDs and exit")
-		classes   = flag.Int("classes", 0, "query classes spread over 130-150 units (0 = the paper's two)")
-		select_   = flag.Float64("selectivity", 0, "fraction of classes each provider advertises (0 or 1 = all)")
-		skew      = flag.Float64("class-skew", 0, "Zipf exponent of query-class popularity (0 = uniform)")
 		sels      = flag.String("selectivities", "", "comma-separated selectivities for ext-selectivity (default 0.125,0.25,0.5,0.75,1)")
 		scens     = flag.String("scenarios", "", "comma-separated scenario presets or files for ext-scenarios (default: every preset)")
 		tlDir     = flag.String("timeline-dir", "", "stream every simulation run's timeline as <dir>/<run-id>.csv (replayable with sqlb-top)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile taken after the last experiment to this file")
-		traceOut  = flag.String("trace", "", "write a runtime execution trace of the selected experiments to this file (go tool trace)")
 	)
+	pop := runflags.BindPopulation(flag.CommandLine, 0.25)
+	prof := runflags.BindProfile(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -68,15 +63,12 @@ func main() {
 	}
 
 	cfg := experiments.Config{
-		Scale:         *scale,
+		Model:         pop.Config(),
 		Duration:      *duration,
 		SweepDuration: *sweepDur,
 		Repeats:       *repeats,
 		BaseSeed:      *seed,
 		Workers:       *workers,
-		Classes:       *classes,
-		Selectivity:   *select_,
-		ClassSkew:     *skew,
 	}
 	cfg.Workloads = parseFloats(*workloads, "-workloads")
 	cfg.Selectivities = parseFloats(*sels, "-selectivities")
@@ -105,7 +97,7 @@ func main() {
 
 	ids := selectedIDs(*runIDs)
 
-	stopProfile, err := profiling.Start(*cpuProf, *memProf, *traceOut)
+	stopProfile, err := prof.Start()
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -134,8 +126,6 @@ func main() {
 	}
 }
 
-// parseFloats parses a comma-separated float list; an empty flag yields
-// nil (keep the lab defaults).
 // selectedIDs returns the experiments -run names, in order: the paper's
 // (experiments.Registry) when it names none. The extensions run only by
 // name.
@@ -153,6 +143,8 @@ func selectedIDs(run string) []string {
 	return ids
 }
 
+// parseFloats parses a comma-separated float list; an empty flag yields
+// nil (keep the lab defaults).
 func parseFloats(csv, flagName string) []float64 {
 	if csv == "" {
 		return nil

@@ -82,3 +82,43 @@ func TestDefaultRunIsThePaper(t *testing.T) {
 		t.Errorf("-run ext-omega,fig2 selects %v", got)
 	}
 }
+
+// TestFlagSurface: sqlb-experiments keeps every flag, type and default it has always
+// had; the population and profile flags it shares with the other runners
+// are declared once, by internal/runflags.
+func TestFlagSurface(t *testing.T) {
+	out, err := runExperiments("-h")
+	if err != nil {
+		t.Fatalf("-h: %v\n%s", err, out)
+	}
+	want := []string{
+		"-class-skew float=", "-classes int=", "-cpuprofile string=", "-duration float=2500",
+		"-list=", "-memprofile string=", "-out string=", "-repeats int=2", "-run string=",
+		"-scale float=0.25", "-scenarios string=", "-seed uint=1",
+		"-selectivities string=0.125,0.25,0.5,0.75,1", "-selectivity float=",
+		"-sweep float=5000", "-timeline-dir string=", "-trace string=", "-workers int=",
+		"-workloads string=0.2..1.0",
+	}
+	if got := flagSurface(out); !slices.Equal(got, want) {
+		t.Errorf("-h lists\n%q\nwant\n%q", got, want)
+	}
+}
+
+// flagSurface reads a -h listing into one "-name type=default" entry per
+// flag, in the listing's (alphabetical) order; a flag the listing shows no
+// default for ends in "=". The -test.* flags of the test binary standing in
+// for the command are left out.
+func flagSurface(usage string) []string {
+	var out []string
+	keep := false
+	for _, line := range strings.Split(usage, "\n") {
+		if strings.HasPrefix(line, "  -") {
+			if keep = !strings.HasPrefix(line, "  -test."); keep {
+				out = append(out, strings.TrimSpace(line)+"=")
+			}
+		} else if i := strings.LastIndex(line, "(default "); keep && i >= 0 && strings.HasSuffix(line, ")") {
+			out[len(out)-1] += line[i+len("(default ") : len(line)-1]
+		}
+	}
+	return out
+}

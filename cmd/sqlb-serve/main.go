@@ -28,6 +28,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"flag"
@@ -37,8 +38,7 @@ import (
 	"time"
 
 	"sqlb/internal/allocator"
-	"sqlb/internal/model"
-	"sqlb/internal/profiling"
+	"sqlb/internal/runflags"
 	"sqlb/internal/serving"
 	"sqlb/internal/timeline"
 )
@@ -52,30 +52,23 @@ func main() {
 		queue     = flag.Int("queue", 1024, "submit-queue depth; full queue rejects arrivals")
 		warmup    = flag.Duration("warmup", 2*time.Second, "warmup window discarded from the report")
 		measure   = flag.Duration("measure", 10*time.Second, "steady-state measurement window")
-		scale     = flag.Float64("scale", 1, "population scale relative to the paper's 200/400")
 		providers = flag.Int("providers", 0, "provider count override (0 = scaled default)")
 		consumers = flag.Int("consumers", 0, "consumer count override (0 = scaled default)")
-		classes   = flag.Int("classes", 0, "query classes spread over 130-150 units (0 = the paper's two)")
-		select_   = flag.Float64("selectivity", 0, "fraction of classes each provider advertises (0 or 1 = all)")
-		skew      = flag.Float64("class-skew", 0, "Zipf exponent of query-class popularity (0 = uniform)")
 		seed      = flag.Uint64("seed", 42, "run seed")
 		jsonPath  = flag.String("json", "", "also write the report as JSON to this file")
 		tlPath    = flag.String("timeline", "", "stream interval timeline snapshots to this CSV file (watch with sqlb-top)")
 		tlEvery   = flag.Duration("snapshot-interval", time.Second, "timeline snapshot cadence")
 		top       = flag.Bool("top", false, "render the live sqlb-top dashboard while the run executes")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run (population build excluded) to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
-		traceOut  = flag.String("trace", "", "write a runtime execution trace of the run to this file (go tool trace)")
 	)
+	pop := runflags.BindPopulation(flag.CommandLine, 1)
+	prof := runflags.BindProfile(flag.CommandLine)
 	flag.Parse()
 
 	strategy, err := allocator.Methods.New(*method, *seed)
 	if err != nil {
 		fatal("%v", err)
 	}
-	mcfg := model.DefaultConfig().Scale(*scale).WithClasses(*classes)
-	mcfg.CapabilitySelectivity = *select_
-	mcfg.ClassSkew = *skew
+	mcfg := pop.Config()
 	if *providers > 0 {
 		mcfg.Providers = *providers
 	}
@@ -83,37 +76,12 @@ func main() {
 		mcfg.Consumers = *consumers
 	}
 
-	// Timeline plumbing: CSV sink for -timeline, in-process dashboard for
-	// -top, both behind one collector so either can be enabled alone.
-	var tlSinks []timeline.Sink
-	if *tlPath != "" {
-		cs, err := timeline.CreateCSV(*tlPath)
-		if err != nil {
-			fatal("%v", err)
-		}
-		// Flush each row as it is written so another terminal tailing the
-		// file (sqlb-top -follow) sees it while the run is still going.
-		cs.FlushEveryRow = true
-		tlSinks = append(tlSinks, cs)
-	}
-	var col *timeline.Collector
-	var sink timeline.Sink
-	if len(tlSinks) > 0 || *top {
-		col = timeline.NewCollector(tlSinks...)
-		sink = col
-		if *top {
-			dash := &timeline.Dashboard{Color: true}
-			fmt.Print(timeline.HideCursor)
-			sink = timeline.SinkFunc(func(s timeline.Snapshot) error {
-				err := col.Append(s)
-				win := col.Window()
-				fmt.Print(timeline.HomeAndClear + dash.Frame(win, timeline.Assess(win)))
-				return err
-			})
-		}
+	sink, err := timeline.Live(*tlPath, *top, 0)
+	if err != nil {
+		fatal("%v", err)
 	}
 
-	cfg := serving.Config{
+	d, err := serving.NewDriver(serving.Config{
 		Model:            mcfg,
 		Strategy:         strategy,
 		TargetQPS:        *qps,
@@ -125,8 +93,7 @@ func main() {
 		Seed:             *seed,
 		Timeline:         sink,
 		SnapshotInterval: *tlEvery,
-	}
-	d, err := serving.NewDriver(cfg)
+	})
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -137,7 +104,7 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "sqlb-serve: driving %.0f qps for %v (after %v warmup)...\n",
 		*qps, *measure, *warmup)
-	stopProfile, err := profiling.Start(*cpuProf, *memProf, *traceOut)
+	stopProfile, err := prof.Start()
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -145,13 +112,10 @@ func main() {
 	if perr := stopProfile(); perr != nil {
 		fatal("%v", perr)
 	}
-	if col != nil {
+	if sink != nil {
+		tlErr := cmp.Or(d.TimelineErr(), sink.Close())
 		if *top {
-			fmt.Print(timeline.ShowCursor + "\n")
-		}
-		tlErr := d.TimelineErr()
-		if cerr := col.Close(); cerr != nil && tlErr == nil {
-			tlErr = cerr
+			fmt.Println()
 		}
 		if tlErr != nil {
 			fatal("timeline: %v", tlErr)

@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -82,4 +83,44 @@ func TestServeTimeoutFlagIsGone(t *testing.T) {
 	if !strings.Contains(out, "flag provided but not defined: -timeout") {
 		t.Errorf("-timeout failed for another reason: %v\n%s", err, out)
 	}
+}
+
+// TestFlagSurface: sqlb-serve keeps every flag, type and default it has always
+// had; the population and profile flags it shares with the other runners
+// are declared once, by internal/runflags.
+func TestFlagSurface(t *testing.T) {
+	out, err := runServe("-h")
+	if err != nil {
+		t.Fatalf("-h: %v\n%s", err, out)
+	}
+	want := []string{
+		"-batch int=16", "-class-skew float=", "-classes int=", "-consumers int=",
+		"-cpuprofile string=", "-json string=", "-measure duration=10s", "-memprofile string=",
+		`-method string="sqlb"`, "-providers int=", "-qps float=200", "-queue int=1024",
+		"-scale float=1", "-seed uint=42", "-selectivity float=",
+		"-snapshot-interval duration=1s", "-timeline string=", "-top=", "-trace string=",
+		"-warmup duration=2s", "-workers int=",
+	}
+	if got := flagSurface(out); !slices.Equal(got, want) {
+		t.Errorf("-h lists\n%q\nwant\n%q", got, want)
+	}
+}
+
+// flagSurface reads a -h listing into one "-name type=default" entry per
+// flag, in the listing's (alphabetical) order; a flag the listing shows no
+// default for ends in "=". The -test.* flags of the test binary standing in
+// for the command are left out.
+func flagSurface(usage string) []string {
+	var out []string
+	keep := false
+	for _, line := range strings.Split(usage, "\n") {
+		if strings.HasPrefix(line, "  -") {
+			if keep = !strings.HasPrefix(line, "  -test."); keep {
+				out = append(out, strings.TrimSpace(line)+"=")
+			}
+		} else if i := strings.LastIndex(line, "(default "); keep && i >= 0 && strings.HasSuffix(line, ")") {
+			out[len(out)-1] += line[i+len("(default ") : len(line)-1]
+		}
+	}
+	return out
 }

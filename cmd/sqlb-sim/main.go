@@ -51,7 +51,7 @@ import (
 
 	"sqlb/internal/allocator"
 	"sqlb/internal/model"
-	"sqlb/internal/profiling"
+	"sqlb/internal/runflags"
 	"sqlb/internal/scenario"
 	"sqlb/internal/sim"
 	"sqlb/internal/timeline"
@@ -64,21 +64,16 @@ func main() {
 		frac     = flag.Float64("workload", 0.8, "workload as a fraction of total system capacity")
 		ramp     = flag.Bool("ramp", false, "ramp workload 30%→100% over the run (Figure 4 setting)")
 		duration = flag.Float64("duration", 2500, "simulated seconds")
-		scale    = flag.Float64("scale", 0.25, "population scale relative to the paper's 200/400")
 		seed     = flag.Uint64("seed", 42, "run seed (repetition r uses seed+r)")
 		repeats  = flag.Int("repeats", 1, "repetitions to run and average (paper: 10)")
 		workers  = flag.Int("workers", 0, "concurrent repetitions (0 = GOMAXPROCS)")
 		autonomy = flag.String("autonomy", "off", "departures: off, dissat-starve, full")
 		tlPath   = flag.String("timeline", "", "stream each repetition's timeline snapshots to this CSV file, one file per repetition (watch with sqlb-top)")
 		top      = flag.Bool("top", false, "render the live sqlb-top dashboard while the first repetition runs")
-		classes  = flag.Int("classes", 0, "query classes spread over 130-150 units (0 = the paper's two)")
-		select_  = flag.Float64("selectivity", 0, "fraction of classes each provider advertises (0 or 1 = all, the paper's setup)")
-		skew     = flag.Float64("class-skew", 0, "Zipf exponent of query-class popularity (0 = uniform)")
 		scenFlag = flag.String("scenario", "", "time-varying load/churn scenario: a preset ("+strings.Join(scenario.Names(), ", ")+") or a scenario file")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of all repetitions to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile taken after the last repetition to this file")
-		traceOut = flag.String("trace", "", "write a runtime execution trace of all repetitions to this file (go tool trace)")
 	)
+	pop := runflags.BindPopulation(flag.CommandLine, 0.25)
+	prof := runflags.BindProfile(flag.CommandLine)
 	flag.Parse()
 
 	if *repeats < 1 {
@@ -109,51 +104,11 @@ func main() {
 		fatal("unknown -autonomy %q", *autonomy)
 	}
 
-	// Timeline plumbing: every repetition streams to its own CSV file,
-	// named by the deterministic timeline.RepetitionPath scheme ("out.csv"
-	// → "out.rep0.csv", …; a single run keeps the plain path). Each
-	// repetition wraps its sinks in a collector — the CSV rows stream as
-	// the run produces them (constant memory at any duration) — and -top
-	// additionally renders the dashboard from the first repetition's
-	// rolling window.
-	// repSink builds repetition r's timeline sink (nil when no export is
-	// active for it) and the collector that must be closed after its run.
-	repSink := func(r int) (timeline.Sink, *timeline.Collector, error) {
-		var sinks []timeline.Sink
-		if *tlPath != "" {
-			cs, err := timeline.CreateCSV(timeline.RepetitionPath(*tlPath, r, *repeats))
-			if err != nil {
-				return nil, nil, err
-			}
-			// Per-row flushing lets sqlb-top -follow watch the run live.
-			cs.FlushEveryRow = true
-			sinks = append(sinks, cs)
-		}
-		if len(sinks) == 0 && !(*top && r == 0) {
-			return nil, nil, nil
-		}
-		col := timeline.NewCollector(sinks...)
-		if *top && r == 0 {
-			dash := &timeline.Dashboard{Color: true}
-			fmt.Print(timeline.HideCursor)
-			return timeline.SinkFunc(func(s timeline.Snapshot) error {
-				err := col.Append(s)
-				win := col.Window()
-				fmt.Print(timeline.HomeAndClear + dash.Frame(win, timeline.Assess(win)))
-				// Pace the frames so the virtual-time run plays as a short
-				// animation instead of flashing by; the delay is outside
-				// the simulated clock, so results are unaffected.
-				time.Sleep(40 * time.Millisecond)
-				return err
-			}), col, nil
-		}
-		return col, col, nil
-	}
-
 	// Fan the repetitions out over the worker budget. Each repetition gets
 	// its own strategy instance and seed, so results[r] is the same whether
 	// the runs happen serially or concurrently.
-	stopProfile, err := profiling.Start(*cpuProf, *memProf, *traceOut)
+	cfg := pop.Config()
+	stopProfile, err := prof.Start()
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -173,15 +128,18 @@ func main() {
 				errs[r] = err
 				return
 			}
-			sink, col, err := repSink(r)
+			// Every repetition streams to its own CSV file, named by the
+			// deterministic timeline.RepetitionPath scheme ("out.csv" →
+			// "out.rep0.csv", …; a single run keeps the plain path), and
+			// -top draws the first repetition's dashboard, its frames
+			// paced so the virtual-time run plays as a short animation.
+			path := timeline.RepetitionPath(*tlPath, r, *repeats)
+			sink, err := timeline.Live(path, *top && r == 0, 40*time.Millisecond)
 			if err != nil {
 				errs[r] = err
 				return
 			}
-			cfg := model.DefaultConfig().Scale(*scale).WithClasses(*classes)
-			cfg.CapabilitySelectivity = *select_
-			cfg.ClassSkew = *skew
-			opts := sim.Options{
+			results[r], errs[r] = sim.Run(sim.Options{
 				Config:         cfg,
 				Strategy:       strategy,
 				Workload:       profile,
@@ -191,39 +149,16 @@ func main() {
 				SampleInterval: *duration / 50,
 				Autonomy:       auto,
 				Timeline:       sink,
-			}
-			eng, err := sim.New(opts)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			results[r] = eng.Run()
-			if col != nil {
-				tlErr := eng.TimelineErr()
-				if err := col.Close(); err != nil && tlErr == nil {
-					tlErr = err
-				}
-				if tlErr != nil {
-					errs[r] = fmt.Errorf("timeline: %w", tlErr)
-				}
-			}
+			})
 		}()
 	}
 	wg.Wait()
 	if err := stopProfile(); err != nil {
 		fatal("%v", err)
 	}
-	if *top {
-		fmt.Print(timeline.ShowCursor)
-	}
 	for _, err := range errs {
 		if err != nil {
 			fatal("%v", err)
-		}
-	}
-	for _, rr := range results {
-		if rr.Err != nil {
-			fatal("mediation error: %v", rr.Err)
 		}
 	}
 
@@ -253,9 +188,9 @@ func main() {
 	}
 	fmt.Printf("duration          %.0f sim-seconds (seed %d)\n", res.Duration, res.Seed)
 	fmt.Printf("population        %d consumers, %d providers\n", res.Consumers, res.Providers)
-	if *classes > 1 || (*select_ > 0 && *select_ < 1) || *skew > 0 {
+	if pop.Classes > 1 || cfg.Heterogeneous() || pop.ClassSkew > 0 {
 		fmt.Printf("capabilities      %d classes, selectivity %.2f, class skew %.2f\n",
-			max(*classes, 2), *select_, *skew)
+			max(pop.Classes, 2), pop.Selectivity, pop.ClassSkew)
 	}
 	fmt.Printf("queries           issued %d, completed %d, dropped %d\n",
 		res.IssuedQueries, res.CompletedQueries, res.DroppedQueries)

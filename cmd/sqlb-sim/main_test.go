@@ -4,6 +4,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -121,6 +122,63 @@ func TestNonFiniteDurationFails(t *testing.T) {
 		}
 		if el := time.Since(start); el > 5*time.Second {
 			t.Errorf("-duration %s took %v to fail", d, el)
+		}
+	}
+}
+
+// TestFlagSurface: sqlb-sim keeps every flag, type and default it has always
+// had; the population and profile flags it shares with the other runners
+// are declared once, by internal/runflags.
+func TestFlagSurface(t *testing.T) {
+	out := runSim(t, "-h")
+	want := []string{
+		`-autonomy string="off"`, "-class-skew float=", "-classes int=", "-cpuprofile string=",
+		"-duration float=2500", "-memprofile string=", `-method string="sqlb"`, "-ramp=",
+		"-repeats int=1", "-scale float=0.25", "-scenario string=", "-seed uint=42",
+		"-selectivity float=", "-timeline string=", "-top=", "-trace string=", "-workers int=",
+		"-workload float=0.8",
+	}
+	if got := flagSurface(out); !slices.Equal(got, want) {
+		t.Errorf("-h lists\n%q\nwant\n%q", got, want)
+	}
+}
+
+// flagSurface reads a -h listing into one "-name type=default" entry per
+// flag, in the listing's (alphabetical) order; a flag the listing shows no
+// default for ends in "=". The -test.* flags of the test binary standing in
+// for the command are left out.
+func flagSurface(usage string) []string {
+	var out []string
+	keep := false
+	for _, line := range strings.Split(usage, "\n") {
+		if strings.HasPrefix(line, "  -") {
+			if keep = !strings.HasPrefix(line, "  -test."); keep {
+				out = append(out, strings.TrimSpace(line)+"=")
+			}
+		} else if i := strings.LastIndex(line, "(default "); keep && i >= 0 && strings.HasSuffix(line, ")") {
+			out[len(out)-1] += line[i+len("(default ") : len(line)-1]
+		}
+	}
+	return out
+}
+
+// TestTopDrawsTheFirstRepetition: -top hides the cursor, draws the first
+// repetition's dashboard once per sample and gives the cursor back before
+// the summary, while -timeline still writes every repetition's file.
+func TestTopDrawsTheFirstRepetition(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "run.csv")
+	out := runSim(t, "-top", "-timeline", base, "-repeats", "2", "-duration", "200", "-scale", "0.05")
+	hide, show := strings.Index(out, timeline.HideCursor), strings.Index(out, timeline.ShowCursor)
+	if hide < 0 || show < hide || !strings.HasPrefix(out[show+len(timeline.ShowCursor):], "repetitions") {
+		t.Fatalf("cursor not hidden, then shown right before the summary:\n%q", out)
+	}
+	// 50 samples and the final state: one frame each.
+	if frames := strings.Count(out, timeline.HomeAndClear); frames != 51 {
+		t.Errorf("%d frames drawn, want 51", frames)
+	}
+	for rep := 0; rep < 2; rep++ {
+		if _, err := os.Stat(timeline.RepetitionPath(base, rep, 2)); err != nil {
+			t.Errorf("repetition %d timeline missing: %v", rep, err)
 		}
 	}
 }

@@ -78,10 +78,7 @@ func main() {
 	// memory however long the timeline grows.
 	col := timeline.NewCollector()
 	dash := &timeline.Dashboard{Width: *width, Color: !*noColor}
-	render := func() {
-		win := col.Window()
-		fmt.Print(timeline.HomeAndClear + dash.Frame(win, timeline.Assess(win)))
-	}
+	render := func() { fmt.Print(timeline.HomeAndClear + dash.Draw(col.Window())) }
 
 	rows, err := tail.Poll()
 	if err != nil {
@@ -91,8 +88,7 @@ func main() {
 		for _, s := range rows {
 			col.Offer(s)
 		}
-		win := col.Window()
-		fmt.Print(dash.Frame(win, timeline.Assess(win)))
+		fmt.Print(dash.Draw(col.Window()))
 		return
 	}
 

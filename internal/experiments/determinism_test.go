@@ -58,7 +58,7 @@ func TestExperimentSeedSensitivity(t *testing.T) {
 func TestLabConfigEcho(t *testing.T) {
 	lab := NewLab(Config{})
 	cfg := lab.Config()
-	if cfg.Scale != 0.25 || cfg.Repeats != 2 {
+	if cfg.Model.Providers != 100 || cfg.Repeats != 2 {
 		t.Errorf("accessor did not echo defaults: %+v", cfg)
 	}
 }

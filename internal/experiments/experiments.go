@@ -10,7 +10,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"sqlb/internal/allocator"
@@ -22,12 +21,16 @@ import (
 )
 
 // Config scales the experiment suite. The paper's full scale (200/400
-// participants, 10 000 s, 10 repetitions) is Config{Scale: 1, Duration:
-// 10000, Repeats: 10}; the defaults run the same shapes at laptop cost.
+// participants, 10 000 s, 10 repetitions) is Config{Model:
+// model.DefaultConfig(), Duration: 10000, SweepDuration: 10000, Repeats:
+// 10}; the defaults run the same shapes at laptop cost.
 type Config struct {
-	// Scale multiplies the Table 2 population (see model.Config.Scale).
-	// Default 0.25 (50 consumers, 100 providers).
-	Scale float64
+	// Model is the population every run builds: Table 2 scaled
+	// (model.Config.Scale), and with any heterogeneous workload set
+	// (WithClasses, CapabilitySelectivity, ClassSkew). A model with no
+	// providers takes Table 2 at scale 0.25 (50 consumers, 100
+	// providers), the default.
+	Model model.Config
 	// Duration is the horizon of the Figure 4(a)-(h) ramp runs. Default
 	// 2500 s (paper: 10 000 s).
 	Duration float64
@@ -53,16 +56,6 @@ type Config struct {
 	// 1 recovers fully serial execution.
 	Workers int
 
-	// Classes overrides the workload's query-class count (model.Config.
-	// WithClasses); 0 keeps the paper's two classes (130/150 units).
-	Classes int
-	// Selectivity sets model.Config.CapabilitySelectivity for every run:
-	// s ∈ (0,1) makes providers advertise capability subsets. 0 (default)
-	// keeps the paper's all-capable providers.
-	Selectivity float64
-	// ClassSkew sets model.Config.ClassSkew (Zipf-like class popularity);
-	// 0 keeps the uniform mix.
-	ClassSkew float64
 	// Selectivities are the capability selectivities swept by the
 	// ext-selectivity experiment. Default 0.125, 0.25, 0.5, 0.75, 1.0 —
 	// exact multiples of 1/8 so each point maps to a distinct
@@ -90,8 +83,8 @@ type Config struct {
 func DefaultConfig() Config { return Config{}.withDefaults() }
 
 func (c Config) withDefaults() Config {
-	if c.Scale <= 0 {
-		c.Scale = 0.25
+	if c.Model.Providers == 0 {
+		c.Model = model.DefaultConfig().Scale(0.25)
 	}
 	if c.Duration <= 0 {
 		c.Duration = 2500
@@ -149,12 +142,22 @@ var Registry = []Spec{
 	{"fig4f", "Consumer satisfaction fairness (Figure 4f)", figure4("fig4f")},
 	{"fig4g", "Query load mean (Figure 4g)", figure4("fig4g")},
 	{"fig4h", "Query load fairness (Figure 4h)", figure4("fig4h")},
-	{"fig4i", "Response time vs workload, captive (Figure 4i)", runFig4i},
-	{"fig5a", "Response time vs workload, departures by dissatisfaction/starvation (Figure 5a)", runFig5a},
-	{"fig5b", "Response time vs workload, full autonomy (Figure 5b)", runFig5b},
-	{"fig5c", "Provider departures vs workload (Figure 5c)", runFig5c},
+	{"fig4i", "Response time vs workload, captive (Figure 4i)", sweepFigure("fig4i",
+		"Response times, captive participants", "response time (seconds)", sweepCaptive, responseTime,
+		"Capacity based < SQLB (≈1.4×) < Mariposa-like (≈3×)")},
+	{"fig5a", "Response time vs workload, departures by dissatisfaction/starvation (Figure 5a)", sweepFigure("fig5a",
+		"Response times, departures by dissatisfaction or starvation", "response time (seconds)", sweepDissatStarve, responseTime,
+		"SQLB best at every workload; Capacity based beats Mariposa-like")},
+	{"fig5b", "Response time vs workload, full autonomy (Figure 5b)", sweepFigure("fig5b",
+		"Response times, full autonomy", "response time (seconds)", sweepFullAutonomy, responseTime,
+		"Capacity based collapses (≈3.5× degradation); SQLB and Mariposa-like degrade ≈1.4×")},
+	{"fig5c", "Provider departures vs workload (Figure 5c)", sweepFigure("fig5c",
+		"Provider departures, full autonomy", "departures (% of providers)", sweepFullAutonomy, providerDepartures,
+		"baselines lose almost all providers; SQLB ≈28% on average")},
 	{"table3", "Provider departure reasons at 80% workload (Table 3)", runTable3},
-	{"fig6", "Consumer departures vs workload (Figure 6)", runFig6},
+	{"fig6", "Consumer departures vs workload (Figure 6)", sweepFigure("fig6",
+		"Consumer departures by dissatisfaction", "departures (% of consumers)", sweepFullAutonomy, consumerDepartures,
+		"SQLB loses no consumers; baselines lose >20%")},
 }
 
 // Find returns the spec with the given ID.
@@ -167,29 +170,6 @@ func Find(id string) (Spec, bool) {
 	return Spec{}, false
 }
 
-// sweepRun bundles one constant-workload run with its population's class
-// totals (needed by the Table 3 per-class percentages).
-type sweepRun struct {
-	Res    *sim.Result
-	Totals map[sim.ClassDimension][3]int
-}
-
-// rampCell and sweepCell memoize one simulation bundle. The sync.Once
-// guarantees the bundle's repetitions run exactly once even when several
-// experiments (or prewarm goroutines) request it concurrently; everyone
-// else blocks on the Do and reads the settled result.
-type rampCell struct {
-	once sync.Once
-	rs   []*sim.Result
-	err  error
-}
-
-type sweepCell struct {
-	once sync.Once
-	rs   []sweepRun
-	err  error
-}
-
 // Lab owns the memoized simulation bundles for one configuration. All of
 // its methods are safe for concurrent use; simulations fan out over a
 // bounded worker budget (Config.Workers) and remain byte-for-byte
@@ -200,8 +180,7 @@ type Lab struct {
 	sem chan struct{} // bounds the number of concurrently running simulations
 
 	mu    sync.Mutex
-	ramps map[string]*rampCell  // method → repeats bundle
-	sweep map[string]*sweepCell // kind/method/workload → repeats bundle
+	cells map[string]func() ([]*sim.Result, error) // memo key → repeats bundle
 }
 
 // NewLab returns a lab for the configuration (defaults applied).
@@ -210,8 +189,7 @@ func NewLab(cfg Config) *Lab {
 	return &Lab{
 		cfg:   cfg,
 		sem:   make(chan struct{}, cfg.Workers),
-		ramps: map[string]*rampCell{},
-		sweep: map[string]*sweepCell{},
+		cells: map[string]func() ([]*sim.Result, error){},
 	}
 }
 
@@ -249,61 +227,22 @@ func methods() []allocator.Allocator {
 	}
 }
 
-// modelConfig returns the per-run population configuration: the Table 2
-// setup at the lab's scale, with the heterogeneous-workload overrides
-// (Classes, Selectivity, ClassSkew) applied. With the defaults it is
-// byte-identical to the paper's setup.
-func (l *Lab) modelConfig() model.Config {
-	cfg := model.DefaultConfig().Scale(l.cfg.Scale)
-	if l.cfg.Classes > 1 {
-		cfg = cfg.WithClasses(l.cfg.Classes)
-	}
-	if l.cfg.Selectivity > 0 {
-		cfg.CapabilitySelectivity = l.cfg.Selectivity
-	}
-	if l.cfg.ClassSkew > 0 {
-		cfg.ClassSkew = l.cfg.ClassSkew
-	}
-	return cfg
-}
-
 // simulate builds and runs one simulation, the one way every experiment
-// runs one. It streams the run's timeline to the sink Config.Timeline hands
-// out for runID and closes that sink after the run, then fails on a sink
-// error the engine swallowed to keep the Result deterministic, or on
-// Result.Err. A run that sets no SampleInterval samples every Duration/50,
-// so its timeline has as many rows as a ramp's; sampling moves no bit of the
-// Result but Final's since-last-sample response window. atStart, when
-// non-nil, sees the engine before its first event.
-func (l *Lab) simulate(runID string, opts sim.Options, atStart func(*sim.Engine)) (*sim.Result, error) {
+// runs one (sim.Run). It streams the run's timeline to the sink
+// Config.Timeline hands out for runID. A run that sets no SampleInterval
+// samples every Duration/50, so its timeline has as many rows as a ramp's;
+// sampling moves no bit of the Result but Final's since-last-sample
+// response window.
+func (l *Lab) simulate(runID string, opts sim.Options) (*sim.Result, error) {
 	if opts.SampleInterval == 0 {
 		opts.SampleInterval = opts.Duration / 50
 	}
 	if l.cfg.Timeline != nil {
 		opts.Timeline = l.cfg.Timeline(runID)
 	}
-	eng, err := sim.New(opts)
+	res, err := sim.Run(opts)
 	if err != nil {
-		if opts.Timeline != nil {
-			opts.Timeline.Close()
-		}
 		return nil, fmt.Errorf("%s: %w", runID, err)
-	}
-	if atStart != nil {
-		atStart(eng)
-	}
-	res := eng.Run()
-	if opts.Timeline != nil {
-		err := eng.TimelineErr()
-		if cerr := opts.Timeline.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%s: timeline: %w", runID, err)
-		}
-	}
-	if res.Err != nil {
-		return nil, fmt.Errorf("%s: %w", runID, res.Err)
 	}
 	return res, nil
 }
@@ -319,126 +258,42 @@ func (l *Lab) seedFor(kind string, method string, workloadPct int, repeat int) u
 	return h*1000003 + uint64(workloadPct)*10007 + uint64(repeat)*101
 }
 
+// bundle runs (or returns memoized) the Repeats repetitions of one
+// configuration, memoized under key: repetition rep runs opts(rep) as run
+// runID/rep<rep>. The bundle runs exactly once even when several
+// experiments (or warm goroutines) ask for it at once; the others wait for
+// it and read the settled result. Repetitions fan out over the worker
+// budget; rs[rep] is written by repetition index, so the bundle is
+// identical at any Workers value.
+func (l *Lab) bundle(key, runID string, opts func(rep int) sim.Options) ([]*sim.Result, error) {
+	l.mu.Lock()
+	run, ok := l.cells[key]
+	if !ok {
+		run = sync.OnceValues(func() ([]*sim.Result, error) {
+			rs := make([]*sim.Result, l.cfg.Repeats)
+			err := l.fanOut(l.cfg.Repeats, func(rep int) (err error) {
+				rs[rep], err = l.simulate(fmt.Sprintf("%s/rep%d", runID, rep), opts(rep))
+				return err
+			})
+			return rs, err
+		})
+		l.cells[key] = run
+	}
+	l.mu.Unlock()
+	return run()
+}
+
 // rampResults runs (or returns memoized) Figure 4 ramp simulations for one
 // method: workload 30% → 100% over the duration, captive participants.
-// Repetitions fan out over the worker budget; rs[rep] is written by
-// repetition index so the bundle is identical at any Workers value.
 func (l *Lab) rampResults(method allocator.Allocator) ([]*sim.Result, error) {
-	l.mu.Lock()
-	cell, ok := l.ramps[method.Name()]
-	if !ok {
-		cell = &rampCell{}
-		l.ramps[method.Name()] = cell
-	}
-	l.mu.Unlock()
-	cell.once.Do(func() {
-		rs := make([]*sim.Result, l.cfg.Repeats)
-		err := l.fanOut(l.cfg.Repeats, func(rep int) (err error) {
-			rs[rep], err = l.simulate(fmt.Sprintf("ramp/%s/rep%d", method.Name(), rep), sim.Options{
-				Config:         l.modelConfig(),
-				Strategy:       method,
-				Workload:       workload.Ramp{From: 0.3, To: 1.0, Duration: l.cfg.Duration},
-				Duration:       l.cfg.Duration,
-				Seed:           l.seedFor("ramp", method.Name(), 0, rep),
-				SampleInterval: l.cfg.SampleInterval,
-			}, nil)
-			return err
-		})
-		if err != nil {
-			cell.err = err
-			return
+	return l.bundle(method.Name(), "ramp/"+method.Name(), func(rep int) sim.Options {
+		return sim.Options{
+			Config:         l.cfg.Model,
+			Strategy:       method,
+			Workload:       workload.Ramp{From: 0.3, To: 1.0, Duration: l.cfg.Duration},
+			Duration:       l.cfg.Duration,
+			Seed:           l.seedFor("ramp", method.Name(), 0, rep),
+			SampleInterval: l.cfg.SampleInterval,
 		}
-		cell.rs = rs
 	})
-	return cell.rs, cell.err
-}
-
-// sweepKind selects the autonomy setting of a workload sweep.
-type sweepKind string
-
-const (
-	sweepCaptive      sweepKind = "captive"       // Figure 4(i)
-	sweepDissatStarve sweepKind = "dissat-starve" // Figure 5(a)
-	sweepFullAutonomy sweepKind = "full-autonomy" // Figures 5(b), 5(c), 6, Table 3
-)
-
-func (k sweepKind) autonomy() sim.Autonomy {
-	switch k {
-	case sweepDissatStarve:
-		return sim.DissatStarvationAutonomy()
-	case sweepFullAutonomy:
-		return sim.FullAutonomy()
-	default:
-		return sim.Autonomy{}
-	}
-}
-
-// sweepResults runs (or returns memoized) constant-workload simulations,
-// capturing each run's class totals for the Table 3 breakdowns.
-// Repetitions fan out over the worker budget exactly as in rampResults.
-func (l *Lab) sweepResults(kind sweepKind, method allocator.Allocator, frac float64) ([]sweepRun, error) {
-	// The key carries the exact fraction (not a rounded percent) so two
-	// workloads that round alike never share a bundle.
-	key := fmt.Sprintf("%s/%s/%v", kind, method.Name(), frac)
-	l.mu.Lock()
-	cell, ok := l.sweep[key]
-	if !ok {
-		cell = &sweepCell{}
-		l.sweep[key] = cell
-	}
-	l.mu.Unlock()
-	cell.once.Do(func() {
-		rs := make([]sweepRun, l.cfg.Repeats)
-		err := l.fanOut(l.cfg.Repeats, func(rep int) (err error) {
-			pct := int(frac*100 + 0.5)
-			totals := map[sim.ClassDimension][3]int{}
-			rs[rep].Res, err = l.simulate(fmt.Sprintf("%s/%s/w%d/rep%d", kind, method.Name(), pct, rep), sim.Options{
-				Config:   l.modelConfig(),
-				Strategy: method,
-				Workload: workload.Constant(frac),
-				Duration: l.cfg.SweepDuration,
-				Seed:     l.seedFor(string(kind), method.Name(), pct, rep),
-				Autonomy: kind.autonomy(),
-			}, func(eng *sim.Engine) {
-				for _, dim := range sim.ClassDimensions {
-					totals[dim] = sim.ClassTotals(eng.Population(), dim)
-				}
-			})
-			rs[rep].Totals = totals
-			return err
-		})
-		if err != nil {
-			cell.err = err
-			return
-		}
-		cell.rs = rs
-	})
-	return cell.rs, cell.err
-}
-
-// sweepChart builds a workload-sweep chart from a per-run metric. All
-// (method, workload) bundles are prewarmed concurrently; the assembly
-// below then reads settled memo cells in a fixed order, so the chart is
-// identical at any Workers value.
-func (l *Lab) sweepChart(id, title, ylabel string, kind sweepKind, metric func(*sim.Result) float64) (*Result, error) {
-	chart := &stats.Chart{ID: id, Title: title, XLabel: "workload (% of total system capacity)", YLabel: ylabel}
-	fracs := append([]float64(nil), l.cfg.Workloads...)
-	sort.Float64s(fracs)
-	l.warmSweep(kind, methods(), fracs)
-	for _, m := range methods() {
-		s := stats.Series{Name: m.Name()}
-		for _, frac := range fracs {
-			rs, err := l.sweepResults(kind, m, frac)
-			if err != nil {
-				return nil, err
-			}
-			sum := 0.0
-			for _, r := range rs {
-				sum += metric(r.Res)
-			}
-			s.Add(frac*100, sum/float64(len(rs)))
-		}
-		chart.AddSeries(s)
-	}
-	return &Result{ID: id, Title: title, Charts: []*stats.Chart{chart}}, nil
 }

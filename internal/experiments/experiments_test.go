@@ -3,13 +3,15 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"sqlb/internal/model"
 )
 
 // tinyLab is a fast configuration for structural tests: 10 consumers /
 // 20 providers, short horizons, one repetition, two workloads.
 func tinyLab() *Lab {
 	return NewLab(Config{
-		Scale:          0.05,
+		Model:          model.DefaultConfig().Scale(0.05),
 		Duration:       400,
 		SweepDuration:  700,
 		Repeats:        1,
@@ -21,7 +23,7 @@ func tinyLab() *Lab {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := DefaultConfig()
-	if cfg.Scale != 0.25 || cfg.Repeats != 2 || len(cfg.Workloads) != 5 {
+	if cfg.Model.Providers != 100 || cfg.Repeats != 2 || len(cfg.Workloads) != 5 {
 		t.Errorf("unexpected defaults: %+v", cfg)
 	}
 	if cfg.SampleInterval != cfg.Duration/50 {
@@ -140,8 +142,8 @@ func TestFigure4PanelsShareRuns(t *testing.T) {
 	if ca.Series[0].Points[0].X != cg.Series[0].Points[0].X {
 		t.Error("panels should share the sample grid")
 	}
-	if len(lab.ramps) != 3 {
-		t.Errorf("ramp bundle should hold 3 methods, has %d", len(lab.ramps))
+	if len(lab.cells) != 3 {
+		t.Errorf("ramp bundle should hold 3 methods, has %d", len(lab.cells))
 	}
 }
 
@@ -184,12 +186,12 @@ func TestFig5cAndFig6ShareSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fig5c: %v", err)
 	}
-	before := len(lab.sweep)
+	before := len(lab.cells)
 	f6, err := lab.Run("fig6")
 	if err != nil {
 		t.Fatalf("fig6: %v", err)
 	}
-	if len(lab.sweep) != before {
+	if len(lab.cells) != before {
 		t.Error("fig6 must reuse the full-autonomy sweep bundle")
 	}
 	for _, res := range []*Result{c5, f6} {

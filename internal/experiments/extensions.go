@@ -62,7 +62,7 @@ func (l *Lab) extensionTable(id, title string, variants []variant) (*Result, err
 	results := make([]*sim.Result, len(variants)*reps)
 	err := l.fanOut(len(results), func(i int) (err error) {
 		v, rep := variants[i/reps], i%reps
-		cfg := l.modelConfig()
+		cfg := l.cfg.Model
 		if v.mutate != nil {
 			v.mutate(&cfg)
 		}
@@ -73,7 +73,7 @@ func (l *Lab) extensionTable(id, title string, variants []variant) (*Result, err
 			Duration: l.cfg.SweepDuration,
 			Seed:     l.seedFor("extension", v.strategy.Name(), 80, rep),
 			Autonomy: sim.FullAutonomy(),
-		}, nil)
+		})
 		return err
 	})
 	if err != nil {

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"sync"
-
-	"sqlb/internal/allocator"
-)
+import "sync"
 
 // fanOut runs fn(0) … fn(n-1) concurrently, each holding one slot of the
 // lab's worker budget while it runs, and returns the lowest-index error.
@@ -34,33 +30,18 @@ func (l *Lab) fanOut(n int, fn func(i int) error) error {
 	return nil
 }
 
-// warmSweep fires every (method, workload) sweep bundle of a chart
-// concurrently so their repetitions interleave across the worker budget,
-// instead of draining one bundle before the next starts. Errors are left
-// in the memo cells; the serial assembly pass that follows surfaces them
-// in deterministic order.
-func (l *Lab) warmSweep(kind sweepKind, ms []allocator.Allocator, fracs []float64) {
+// warm calls fn(0) … fn(n-1) concurrently and waits for them all. An
+// experiment warms the memoized bundles it reads this way, so their
+// repetitions interleave across the worker budget instead of draining one
+// bundle before the next starts. Errors are left in the memo cells; the
+// serial assembly pass that follows surfaces them in deterministic order.
+func warm(n int, fn func(i int)) {
 	var wg sync.WaitGroup
-	for _, m := range ms {
-		for _, frac := range fracs {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				l.sweepResults(kind, m, frac) //nolint:errcheck // memoized; re-surfaced by assembly
-			}()
-		}
-	}
-	wg.Wait()
-}
-
-// warmRamps fires every method's Figure 4 ramp bundle concurrently.
-func (l *Lab) warmRamps(ms []allocator.Allocator) {
-	var wg sync.WaitGroup
-	for _, m := range ms {
+	for i := range n {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			l.rampResults(m) //nolint:errcheck // memoized; re-surfaced by assembly
+			fn(i)
 		}()
 	}
 	wg.Wait()

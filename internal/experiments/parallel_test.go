@@ -1,7 +1,11 @@
 package experiments
 
 import (
+	"sync/atomic"
 	"testing"
+
+	"sqlb/internal/model"
+	"sqlb/internal/timeline"
 )
 
 // artifactSnapshot runs a representative slice of the suite — ramp panels,
@@ -10,7 +14,7 @@ import (
 func artifactSnapshot(t *testing.T, workers int) map[string]string {
 	t.Helper()
 	lab := NewLab(Config{
-		Scale:          0.05,
+		Model:          model.DefaultConfig().Scale(0.05),
 		Duration:       400,
 		SweepDuration:  700,
 		Repeats:        4,
@@ -56,9 +60,12 @@ func TestParallelLabDeterminism(t *testing.T) {
 // the ext-selectivity sweep included), Workers=1 and Workers=8 must still
 // emit byte-identical artifacts.
 func TestParallelLabDeterminismHeterogeneous(t *testing.T) {
+	mcfg := model.DefaultConfig().Scale(0.05).WithClasses(6)
+	mcfg.CapabilitySelectivity = 0.34
+	mcfg.ClassSkew = 1
 	snapshot := func(workers int) map[string]string {
 		lab := NewLab(Config{
-			Scale:          0.05,
+			Model:          mcfg,
 			Duration:       300,
 			SweepDuration:  400,
 			Repeats:        2,
@@ -66,9 +73,6 @@ func TestParallelLabDeterminismHeterogeneous(t *testing.T) {
 			SampleInterval: 50,
 			Workloads:      []float64{0.4, 0.8},
 			Workers:        workers,
-			Classes:        6,
-			Selectivity:    0.34,
-			ClassSkew:      1,
 			Selectivities:  []float64{0.25, 1.0},
 		})
 		out := map[string]string{}
@@ -106,7 +110,7 @@ func TestSelectivitySweepShape(t *testing.T) {
 	// class each): several classes end up unserved, so their queries hit
 	// empty posting lists. The outcome is fixed by BaseSeed.
 	lab := NewLab(Config{
-		Scale:          0.025,
+		Model:          model.DefaultConfig().Scale(0.025),
 		Duration:       300,
 		SweepDuration:  500,
 		Repeats:        2,
@@ -162,10 +166,12 @@ func TestWorkersDefault(t *testing.T) {
 
 // TestParallelLabSharesBundles: concurrent panels still hit the memoized
 // bundles — the Figure 4 panels must not re-run their ramps when requested
-// again, whatever the worker count.
+// again, whatever the worker count. Config.Timeline is asked once per
+// simulation, so it counts them.
 func TestParallelLabSharesBundles(t *testing.T) {
+	var runs atomic.Int64
 	lab := NewLab(Config{
-		Scale:          0.05,
+		Model:          model.DefaultConfig().Scale(0.05),
 		Duration:       300,
 		SweepDuration:  300,
 		Repeats:        2,
@@ -173,26 +179,24 @@ func TestParallelLabSharesBundles(t *testing.T) {
 		SampleInterval: 50,
 		Workloads:      []float64{0.4},
 		Workers:        4,
+		Timeline:       func(string) timeline.Sink { runs.Add(1); return nil },
 	})
 	if _, err := lab.Run("fig4a"); err != nil {
 		t.Fatalf("fig4a: %v", err)
 	}
-	if got := len(lab.ramps); got != 3 {
+	if got := len(lab.cells); got != 3 {
 		t.Fatalf("ramp bundle count = %d, want 3", got)
 	}
-	cells := make(map[string]*rampCell, len(lab.ramps))
-	for k, v := range lab.ramps {
-		cells[k] = v
+	if got := runs.Load(); got != 3*2 {
+		t.Fatalf("fig4a ran %d simulations, want 3 methods × 2 repetitions", got)
 	}
 	if _, err := lab.Run("fig4g"); err != nil {
 		t.Fatalf("fig4g: %v", err)
 	}
-	if got := len(lab.ramps); got != 3 {
+	if got := len(lab.cells); got != 3 {
 		t.Fatalf("fig4g created new ramp bundles: %d", got)
 	}
-	for k, v := range lab.ramps {
-		if cells[k] != v {
-			t.Errorf("bundle %q was rebuilt", k)
-		}
+	if got := runs.Load(); got != 3*2 {
+		t.Errorf("fig4g re-ran the ramps: %d simulations in all, want 6", got)
 	}
 }

@@ -50,14 +50,14 @@ func runExtScenarios(l *Lab) (*Result, error) {
 		m := ms[(i/reps)%len(ms)]
 		rep := i % reps
 		results[i], err = l.simulate(fmt.Sprintf("ext-scenarios/%s/%s/rep%d", scn.Name, m.Name(), rep), sim.Options{
-			Config:   l.modelConfig(),
+			Config:   l.cfg.Model,
 			Strategy: m,
 			Workload: workload.Constant(scenarioWorkload),
 			Scenario: scn,
 			Duration: l.cfg.SweepDuration,
 			Seed:     l.seedFor("scenario/"+scn.Name, m.Name(), 0, rep),
 			Autonomy: sim.FullAutonomy(),
-		}, nil)
+		})
 		return err
 	})
 	if err != nil {

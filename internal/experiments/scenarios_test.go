@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"sqlb/internal/model"
 	"sqlb/internal/scenario"
 )
 
@@ -12,7 +13,7 @@ import (
 func scenarioSnapshot(t *testing.T, workers int) map[string]string {
 	t.Helper()
 	lab := NewLab(Config{
-		Scale:         0.05,
+		Model:         model.DefaultConfig().Scale(0.05),
 		Duration:      300,
 		SweepDuration: 600,
 		Repeats:       2,
@@ -90,7 +91,7 @@ func TestScenarioSweepShape(t *testing.T) {
 // sweep covers the whole preset library.
 func TestScenarioSweepDefaultsToAllPresets(t *testing.T) {
 	lab := NewLab(Config{
-		Scale:         0.05,
+		Model:         model.DefaultConfig().Scale(0.05),
 		SweepDuration: 200,
 		Repeats:       1,
 		BaseSeed:      5,

@@ -26,19 +26,19 @@ const selectivityWorkload = 0.8
 // allocation method, the mean response time and the dropped-query share
 // over selectivity; the table adds the effective classes-advertised count
 // per point (distinct selectivities can round to the same count — the
-// default sweep uses exact multiples of 1/8 so they never do). The lab's
-// Classes and ClassSkew overrides are honored; without them the sweep
-// uses 8 classes and Zipf-1 popularity.
+// default sweep uses exact multiples of 1/8 so they never do). A lab model
+// with more than the paper's two classes keeps its classes, and a skewed
+// one its skew; otherwise the sweep uses 8 classes and Zipf-1 popularity.
 func runExtSelectivity(l *Lab) (*Result, error) {
 	sels := append([]float64(nil), l.cfg.Selectivities...)
 	ms := methods()
 	reps := l.cfg.Repeats
 
-	base := l.modelConfig()
-	if l.cfg.Classes <= 1 {
+	base := l.cfg.Model
+	if len(base.QueryClasses) <= 2 {
 		base = base.WithClasses(selectivityClasses)
 	}
-	if l.cfg.ClassSkew <= 0 {
+	if base.ClassSkew <= 0 {
 		base.ClassSkew = 1
 	}
 	nClasses := len(base.QueryClasses)
@@ -61,7 +61,7 @@ func runExtSelectivity(l *Lab) (*Result, error) {
 			// Quantize at 1e-6 so custom -selectivities closer than a
 			// percent still get distinct RNG streams.
 			Seed: l.seedFor("selectivity", m.Name(), int(sel*1e6+0.5), rep),
-		}, nil)
+		})
 		return err
 	})
 	if err != nil {

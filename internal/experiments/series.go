@@ -72,8 +72,11 @@ func figure4(id string) func(*Lab) (*Result, error) {
 			XLabel: "time (seconds)",
 			YLabel: panel.ylabel,
 		}
-		l.warmRamps(methods())
-		for _, m := range methods() {
+		ms := methods()
+		warm(len(ms), func(i int) {
+			l.rampResults(ms[i]) //nolint:errcheck // memoized; re-surfaced below
+		})
+		for _, m := range ms {
 			rs, err := l.rampResults(m)
 			if err != nil {
 				return nil, err

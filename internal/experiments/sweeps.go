@@ -1,73 +1,90 @@
 package experiments
 
-import "sqlb/internal/sim"
+import (
+	"fmt"
+	"sort"
 
-// runFig4i reproduces Figure 4(i): ensured response times with captive
-// participants across workloads.
-func runFig4i(l *Lab) (*Result, error) {
-	r, err := l.sweepChart("fig4i", "Response times, captive participants",
-		"response time (seconds)", sweepCaptive,
-		func(r *sim.Result) float64 { return r.MeanResponseTime })
-	if err != nil {
-		return nil, err
+	"sqlb/internal/allocator"
+	"sqlb/internal/sim"
+	"sqlb/internal/stats"
+	"sqlb/internal/workload"
+)
+
+// sweepKind selects the autonomy setting of a workload sweep.
+type sweepKind string
+
+const (
+	sweepCaptive      sweepKind = "captive"       // Figure 4(i)
+	sweepDissatStarve sweepKind = "dissat-starve" // Figure 5(a)
+	sweepFullAutonomy sweepKind = "full-autonomy" // Figures 5(b), 5(c), 6, Table 3
+)
+
+func (k sweepKind) autonomy() sim.Autonomy {
+	switch k {
+	case sweepDissatStarve:
+		return sim.DissatStarvationAutonomy()
+	case sweepFullAutonomy:
+		return sim.FullAutonomy()
+	default:
+		return sim.Autonomy{}
 	}
-	r.Notes = append(r.Notes,
-		"expected shape: Capacity based < SQLB (≈1.4×) < Mariposa-like (≈3×)")
-	return r, nil
 }
 
-// runFig5a reproduces Figure 5(a): response times when providers may leave
-// by dissatisfaction or starvation (consumers by dissatisfaction).
-func runFig5a(l *Lab) (*Result, error) {
-	r, err := l.sweepChart("fig5a", "Response times, departures by dissatisfaction or starvation",
-		"response time (seconds)", sweepDissatStarve,
-		func(r *sim.Result) float64 { return r.MeanResponseTime })
-	if err != nil {
-		return nil, err
-	}
-	r.Notes = append(r.Notes,
-		"expected shape: SQLB best at every workload; Capacity based beats Mariposa-like")
-	return r, nil
+// sweepResults runs (or returns memoized) the constant-workload
+// simulations of one sweep point.
+func (l *Lab) sweepResults(kind sweepKind, method allocator.Allocator, frac float64) ([]*sim.Result, error) {
+	// The key carries the exact fraction (not a rounded percent) so two
+	// workloads that round alike never share a bundle.
+	key := fmt.Sprintf("%s/%s/%v", kind, method.Name(), frac)
+	pct := int(frac*100 + 0.5)
+	return l.bundle(key, fmt.Sprintf("%s/%s/w%d", kind, method.Name(), pct), func(rep int) sim.Options {
+		return sim.Options{
+			Config:   l.cfg.Model,
+			Strategy: method,
+			Workload: workload.Constant(frac),
+			Duration: l.cfg.SweepDuration,
+			Seed:     l.seedFor(string(kind), method.Name(), pct, rep),
+			Autonomy: kind.autonomy(),
+		}
+	})
 }
 
-// runFig5b reproduces Figure 5(b): response times under full autonomy
-// (dissatisfaction, starvation, or overutilization).
-func runFig5b(l *Lab) (*Result, error) {
-	r, err := l.sweepChart("fig5b", "Response times, full autonomy",
-		"response time (seconds)", sweepFullAutonomy,
-		func(r *sim.Result) float64 { return r.MeanResponseTime })
-	if err != nil {
-		return nil, err
-	}
-	r.Notes = append(r.Notes,
-		"expected shape: Capacity based collapses (≈3.5× degradation); SQLB and Mariposa-like degrade ≈1.4×")
-	return r, nil
-}
+// The per-run metrics the sweep figures plot.
+func responseTime(r *sim.Result) float64       { return r.MeanResponseTime }
+func providerDepartures(r *sim.Result) float64 { return 100 * r.ProviderDepartureRate() }
+func consumerDepartures(r *sim.Result) float64 { return 100 * r.ConsumerDepartureRate() }
 
-// runFig5c reproduces Figure 5(c): the percentage of provider departures
-// under full autonomy.
-func runFig5c(l *Lab) (*Result, error) {
-	r, err := l.sweepChart("fig5c", "Provider departures, full autonomy",
-		"departures (% of providers)", sweepFullAutonomy,
-		func(r *sim.Result) float64 { return 100 * r.ProviderDepartureRate() })
-	if err != nil {
-		return nil, err
+// sweepFigure returns the runner of one workload-sweep figure (Figures
+// 4(i), 5 and 6): per method, the metric averaged over the repetitions at
+// every configured workload, under the kind's autonomy setting, with the
+// paper's expected shape as its note. All (method, workload) bundles are
+// warmed concurrently; the assembly below then reads settled memo cells in
+// a fixed order, so the chart is identical at any Workers value.
+func sweepFigure(id, title, ylabel string, kind sweepKind, metric func(*sim.Result) float64, expected string) func(*Lab) (*Result, error) {
+	return func(l *Lab) (*Result, error) {
+		chart := &stats.Chart{ID: id, Title: title, XLabel: "workload (% of total system capacity)", YLabel: ylabel}
+		fracs := append([]float64(nil), l.cfg.Workloads...)
+		sort.Float64s(fracs)
+		ms := methods()
+		warm(len(ms)*len(fracs), func(i int) {
+			l.sweepResults(kind, ms[i/len(fracs)], fracs[i%len(fracs)]) //nolint:errcheck // memoized; re-surfaced below
+		})
+		for _, m := range ms {
+			s := stats.Series{Name: m.Name()}
+			for _, frac := range fracs {
+				rs, err := l.sweepResults(kind, m, frac)
+				if err != nil {
+					return nil, err
+				}
+				sum := 0.0
+				for _, r := range rs {
+					sum += metric(r)
+				}
+				s.Add(frac*100, sum/float64(len(rs)))
+			}
+			chart.AddSeries(s)
+		}
+		return &Result{ID: id, Title: title, Charts: []*stats.Chart{chart},
+			Notes: []string{"expected shape: " + expected}}, nil
 	}
-	r.Notes = append(r.Notes,
-		"expected shape: baselines lose almost all providers; SQLB ≈28% on average")
-	return r, nil
-}
-
-// runFig6 reproduces Figure 6: the percentage of consumer departures by
-// dissatisfaction under full autonomy.
-func runFig6(l *Lab) (*Result, error) {
-	r, err := l.sweepChart("fig6", "Consumer departures by dissatisfaction",
-		"departures (% of consumers)", sweepFullAutonomy,
-		func(r *sim.Result) float64 { return 100 * r.ConsumerDepartureRate() })
-	if err != nil {
-		return nil, err
-	}
-	r.Notes = append(r.Notes,
-		"expected shape: SQLB loses no consumers; baselines lose >20%")
-	return r, nil
 }

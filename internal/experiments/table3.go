@@ -26,49 +26,36 @@ func runTable3(l *Lab) (*Result, error) {
 		Header: []string{"method", "reason", "dimension", "low", "med", "high", "total"},
 	}
 
-	l.warmSweep(sweepFullAutonomy, methods(), []float64{table3Workload})
+	ms := methods()
+	warm(len(ms), func(i int) {
+		l.sweepResults(sweepFullAutonomy, ms[i], table3Workload) //nolint:errcheck // memoized; re-surfaced below
+	})
 
-	// Class totals differ per run (each run draws its own population), so
-	// breakdowns are computed per run against its own totals, then
-	// averaged across the repeats.
-	for _, m := range methods() {
+	// Every population of the model deals the same class counts
+	// (model.ClassCounts), so the model's totals are every run's. Each
+	// cell averages the runs' breakdowns.
+	for _, m := range ms {
 		rs, err := l.sweepResults(sweepFullAutonomy, m, table3Workload)
 		if err != nil {
 			return nil, err
 		}
-		type agg struct {
-			perClass [3]float64
-			total    float64
-		}
-		sums := map[model.DepartureReason]map[sim.ClassDimension]*agg{}
-		for _, reason := range model.DepartureReasons {
-			sums[reason] = map[sim.ClassDimension]*agg{}
-			for _, dim := range sim.ClassDimensions {
-				sums[reason][dim] = &agg{}
-			}
-		}
-		for _, run := range rs {
-			for _, dim := range sim.ClassDimensions {
-				bd := run.Res.Breakdown(dim, run.Totals[dim])
-				for _, reason := range model.DepartureReasons {
-					a := sums[reason][dim]
-					pc := bd.PerClass[reason]
-					for lvl := 0; lvl < 3; lvl++ {
-						a.perClass[lvl] += pc[lvl]
-					}
-					a.total += bd.Total[reason]
-				}
-			}
-		}
 		n := float64(len(rs))
 		for _, reason := range model.DepartureReasons {
 			for _, dim := range sim.ClassDimensions {
-				a := sums[reason][dim]
+				var perClass [3]float64
+				var total float64
+				for _, run := range rs {
+					bd := run.Breakdown(dim, sim.ClassTotals(l.cfg.Model, dim))
+					for lvl := range perClass {
+						perClass[lvl] += bd.PerClass[reason][lvl]
+					}
+					total += bd.Total[reason]
+				}
 				tbl.AddRow(m.Name(), reason.String(), dim.String(),
-					fmt.Sprintf("%.0f%%", a.perClass[model.Low]/n),
-					fmt.Sprintf("%.0f%%", a.perClass[model.Medium]/n),
-					fmt.Sprintf("%.0f%%", a.perClass[model.High]/n),
-					fmt.Sprintf("%.0f%%", a.total/n),
+					fmt.Sprintf("%.0f%%", perClass[model.Low]/n),
+					fmt.Sprintf("%.0f%%", perClass[model.Medium]/n),
+					fmt.Sprintf("%.0f%%", perClass[model.High]/n),
+					fmt.Sprintf("%.0f%%", total/n),
 				)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"sqlb/internal/model"
 	"sqlb/internal/timeline"
 )
 
@@ -51,7 +52,7 @@ func TestTimelineLabDeterminism(t *testing.T) {
 	run := func(workers int) (map[string]string, map[string]string) {
 		cap := newTimelineCapture()
 		lab := NewLab(Config{
-			Scale:          0.05,
+			Model:          model.DefaultConfig().Scale(0.05),
 			Duration:       300,
 			SweepDuration:  400,
 			Repeats:        2,

@@ -283,10 +283,11 @@ func assignCapabilities(providers []*Provider, cfg Config, rng *randx.Rand) {
 	}
 }
 
-// assignClasses deals n memberships according to shares (indexed by
-// ClassLevel) and shuffles them so the three dimensions stay independent.
-func assignClasses(n int, shares [3]float64, rng *randx.Rand) []ClassLevel {
-	out := make([]ClassLevel, 0, n)
+// ClassCounts returns how many of n providers a dimension with the given
+// level shares (indexed by ClassLevel) puts at each level: low and medium
+// rounded to the nearest count, high the remainder. Every population of a
+// configuration deals exactly these counts.
+func ClassCounts(n int, shares [3]float64) [3]int {
 	counts := [3]int{}
 	for lvl := 0; lvl < 2; lvl++ {
 		counts[lvl] = int(shares[lvl]*float64(n) + 0.5)
@@ -300,7 +301,14 @@ func assignClasses(n int, shares [3]float64, rng *randx.Rand) []ClassLevel {
 			counts[0] = n
 		}
 	}
-	for lvl, cnt := range counts {
+	return counts
+}
+
+// assignClasses deals n memberships in ClassCounts' numbers and shuffles
+// them so the three dimensions stay independent.
+func assignClasses(n int, shares [3]float64, rng *randx.Rand) []ClassLevel {
+	out := make([]ClassLevel, 0, n)
+	for lvl, cnt := range ClassCounts(n, shares) {
 		for i := 0; i < cnt; i++ {
 			out = append(out, ClassLevel(lvl))
 		}

@@ -1,9 +1,13 @@
-package profiling
+package runflags
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"sqlb/internal/model"
 )
 
 func TestStartWritesBothProfiles(t *testing.T) {
@@ -55,5 +59,54 @@ func TestStartReportsUnwritablePaths(t *testing.T) {
 	}
 	if err := stop(); err == nil {
 		t.Error("unwritable heap profile path accepted")
+	}
+}
+
+func TestBindPopulation(t *testing.T) {
+	parse := func(args ...string) model.Config {
+		t.Helper()
+		fs := flag.NewFlagSet("runflags", flag.ContinueOnError)
+		pop := BindPopulation(fs, 0.25)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return pop.Config()
+	}
+	if got, want := parse(), model.DefaultConfig().Scale(0.25); !reflect.DeepEqual(got, want) {
+		t.Errorf("defaults lower to\n%+v\nwant Table 2 at scale 0.25\n%+v", got, want)
+	}
+	want := model.DefaultConfig().Scale(0.1).WithClasses(6)
+	want.CapabilitySelectivity = 0.34
+	want.ClassSkew = 1
+	got := parse("-scale", "0.1", "-classes", "6", "-selectivity", "0.34", "-class-skew", "1")
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("flags lower to\n%+v\nwant\n%+v", got, want)
+	}
+}
+
+func TestBindProfile(t *testing.T) {
+	dir := t.TempDir()
+	paths := map[string]string{}
+	fs := flag.NewFlagSet("runflags", flag.ContinueOnError)
+	prof := BindProfile(fs)
+	var args []string
+	for _, name := range []string{"cpuprofile", "memprofile", "trace"} {
+		paths[name] = filepath.Join(dir, name)
+		args = append(args, "-"+name, paths[name])
+	}
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	stop, err := prof.Start()
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	if err := stop(); err != nil {
+		t.Fatalf("stop: %v", err)
+	}
+	for name, path := range paths {
+		if info, err := os.Stat(path); err != nil || info.Size() == 0 {
+			t.Errorf("-%s: %s missing or empty (%v)", name, path, err)
+		}
 	}
 }

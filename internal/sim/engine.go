@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
 	"sort"
 
 	"sqlb/internal/matchmaking"
@@ -75,7 +77,6 @@ type Engine struct {
 	medErr error
 
 	smoothAlpha    float64
-	smoothAlphaC   float64
 	smoothInterval float64
 
 	// tl streams a timeline.Snapshot per metric sample to Options.Timeline;
@@ -92,6 +93,30 @@ type inflightQuery struct {
 	consumer *model.Consumer
 	servers  []*model.Provider
 	class    int
+}
+
+// Run builds and runs one simulation, then closes opts.Timeline (when
+// set). It returns the first error among New, the sink's Append
+// (Engine.TimelineErr), its Close and Result.Err; a sink error fails the
+// call but never the Result, which stays what it would be without a sink.
+func Run(opts Options) (*Result, error) {
+	eng, err := New(opts)
+	if err != nil {
+		if opts.Timeline != nil {
+			opts.Timeline.Close()
+		}
+		return nil, err
+	}
+	res := eng.Run()
+	if opts.Timeline != nil {
+		if err := cmp.Or(eng.TimelineErr(), opts.Timeline.Close()); err != nil {
+			return nil, fmt.Errorf("timeline: %w", err)
+		}
+	}
+	if res.Err != nil {
+		return nil, res.Err
+	}
+	return res, nil
 }
 
 // New builds an engine from the options, constructing the population from
@@ -140,7 +165,7 @@ func New(opts Options) (*Engine, error) {
 	// ID-ordered alive set, so simulations stay byte-identical.
 	e.med.Match = e.index
 	e.aliveConsumers = append(e.aliveConsumers, pop.Consumers...)
-	e.smoothAlpha, e.smoothAlphaC, e.smoothInterval = opts.smoothingDefaults()
+	e.smoothAlpha, e.smoothInterval = opts.smoothingDefaults()
 	return e, nil
 }
 
@@ -431,7 +456,7 @@ func (e *Engine) smoothAssessments() {
 		}
 	}
 	for _, c := range e.aliveConsumers {
-		c.Smooth(e.smoothAlphaC)
+		c.Smooth(consumerSmoothingAlpha)
 	}
 }
 
@@ -454,10 +479,10 @@ func (e *Engine) checkDepartures() {
 			var reason model.DepartureReason
 			switch {
 			case a.ProvidersDissatisfaction &&
-				p.SmoothSat < p.SmoothAdq-a.ProviderDissatMargin:
+				p.SmoothSat < p.SmoothAdq-providerDissatMargin:
 				reason = model.ReasonDissatisfaction
 			case a.ProvidersStarvation &&
-				p.SmoothUt < a.StarvationFraction*optimal:
+				p.SmoothUt < starvationFraction*optimal:
 				reason = model.ReasonStarvation
 			case a.ProvidersOverutilization &&
 				p.SmoothUt > overThreshold(a, optimal):
@@ -527,19 +552,16 @@ func (e *Engine) buildResult() *Result {
 	return r
 }
 
-// ClassTotals counts the providers per level of a class dimension; the
+// ClassTotals returns how many providers of a population built from cfg
+// sit at each level of a class dimension (model.ClassCounts); the
 // denominator of the Table 3 per-class percentages.
-func ClassTotals(pop *model.Population, dim ClassDimension) [3]int {
-	var out [3]int
-	for _, p := range pop.Providers {
-		switch dim {
-		case ByInterest:
-			out[p.InterestClass]++
-		case ByAdaptation:
-			out[p.AdaptClass]++
-		default:
-			out[p.CapClass]++
-		}
+func ClassTotals(cfg model.Config, dim ClassDimension) [3]int {
+	shares := cfg.CapacityShares
+	switch dim {
+	case ByInterest:
+		shares = cfg.InterestShares
+	case ByAdaptation:
+		shares = cfg.AdaptShares
 	}
-	return out
+	return model.ClassCounts(cfg.Providers, shares)
 }

@@ -12,6 +12,22 @@ import (
 	"sqlb/internal/workload"
 )
 
+// The Section 6.3.2 departure thresholds: a provider leaves by
+// dissatisfaction when δs(p) < δa(p) − providerDissatMargin, and by
+// starvation when Ut(p) < starvationFraction · optimal.
+const (
+	providerDissatMargin = 0.15
+	starvationFraction   = 0.2
+)
+
+// consumerSmoothingAlpha is the EWMA factor of the consumers'
+// self-assessment. Consumer tracker readings refresh only as fast as the
+// k = 200 query window turns over (minutes of sim-time), so the consumer
+// EWMA must be much slower than the provider one (Options.SmoothingAlpha)
+// to actually average independent window states; otherwise window noise
+// leaks straight into departure decisions.
+const consumerSmoothingAlpha = 0.005
+
 // Autonomy configures which departure rules of Section 6.3.2 are active.
 // The zero value is the captive system of Section 6.3.1 (nobody may leave).
 type Autonomy struct {
@@ -19,26 +35,22 @@ type Autonomy struct {
 	// a consumer leaves when δs(c) < δa(c) − ConsumerDissatMargin.
 	ConsumersMayLeave bool
 	// ProvidersDissatisfaction enables provider departure when
-	// δs(p) < δa(p) − ProviderDissatMargin (the paper's margin is 0.15),
-	// judged on the provider's private, preference-based characteristics.
+	// δs(p) < δa(p) − 0.15 (the paper's margin), judged on the provider's
+	// private, preference-based characteristics.
 	ProvidersDissatisfaction bool
 	// ProvidersStarvation enables departure when
-	// Ut(p) < StarvationFraction · optimal (paper: 20% of optimal).
+	// Ut(p) < 0.2 · optimal (paper: 20% of optimal).
 	ProvidersStarvation bool
 	// ProvidersOverutilization enables departure when
 	// Ut(p) > OverutilizationFactor · optimal (paper: 220% of optimal).
 	ProvidersOverutilization bool
 
-	// ProviderDissatMargin defaults to 0.15 (Section 6.3.2).
-	ProviderDissatMargin float64
 	// ConsumerDissatMargin is a small stability tolerance on the strict
 	// "satisfaction smaller than adequation" rule; with an exactly-neutral
 	// method, δs(c) fluctuates symmetrically around δa(c) and a literal
 	// zero margin would classify sampling noise as punishment. Default
 	// 0.02.
 	ConsumerDissatMargin float64
-	// StarvationFraction defaults to 0.2.
-	StarvationFraction float64
 	// OverutilizationFactor defaults to 2.2.
 	OverutilizationFactor float64
 	// OverutilizationFloor is the minimum utilization that ever counts as
@@ -83,14 +95,8 @@ func (a Autonomy) enabled() bool {
 }
 
 func (a Autonomy) withDefaults() Autonomy {
-	if a.ProviderDissatMargin == 0 {
-		a.ProviderDissatMargin = 0.15
-	}
 	if a.ConsumerDissatMargin == 0 {
 		a.ConsumerDissatMargin = 0.02
-	}
-	if a.StarvationFraction == 0 {
-		a.StarvationFraction = 0.2
 	}
 	if a.OverutilizationFactor == 0 {
 		a.OverutilizationFactor = 2.2
@@ -140,13 +146,6 @@ type Options struct {
 	// exponent and the departure rules consult — must integrate it over
 	// time. Defaults: α = 0.03 every 20 s.
 	SmoothingAlpha float64
-	// ConsumerSmoothingAlpha is the EWMA factor of the consumers'
-	// self-assessment. Consumer tracker readings refresh only as fast as
-	// the k = 200 query window turns over (minutes of sim-time), so the
-	// consumer EWMA must be much slower than the provider one to actually
-	// average independent window states; otherwise window noise leaks
-	// straight into departure decisions. Default 0.005.
-	ConsumerSmoothingAlpha float64
 	// SmoothingInterval is the cadence of the self-assessment update.
 	SmoothingInterval float64
 	// Timeline, when non-nil, receives one timeline.Snapshot per metric
@@ -156,23 +155,20 @@ type Options struct {
 	// sample is recorded, draws nothing from the RNG streams, and
 	// mutates no engine state, so enabling it leaves the Result
 	// byte-identical (TestTimelineDeterminism). The engine does not
-	// close the sink; the first Append error is surfaced via
+	// close the sink (Run does); the first Append error is surfaced via
 	// Engine.TimelineErr.
 	Timeline timeline.Sink
 }
 
-func (o *Options) smoothingDefaults() (alpha, consumerAlpha, interval float64) {
-	alpha, consumerAlpha, interval = o.SmoothingAlpha, o.ConsumerSmoothingAlpha, o.SmoothingInterval
+func (o *Options) smoothingDefaults() (alpha, interval float64) {
+	alpha, interval = o.SmoothingAlpha, o.SmoothingInterval
 	if alpha <= 0 {
 		alpha = 0.03
-	}
-	if consumerAlpha <= 0 {
-		consumerAlpha = 0.005
 	}
 	if interval <= 0 {
 		interval = 20
 	}
-	return alpha, consumerAlpha, interval
+	return alpha, interval
 }
 
 // Validate checks the options.

@@ -9,6 +9,7 @@ import (
 
 	"sqlb/internal/allocator"
 	"sqlb/internal/model"
+	"sqlb/internal/randx"
 	"sqlb/internal/workload"
 )
 
@@ -542,13 +543,33 @@ func TestClassDimensionLabels(t *testing.T) {
 	}
 }
 
+// TestClassTotals: Table 3 takes its per-class denominators from the
+// configuration, so every population built from it must deal exactly those
+// counts — for any seed, at any scale (down to one provider), and under a
+// heterogeneous capability setup — along all three dimensions.
 func TestClassTotals(t *testing.T) {
-	eng, _ := New(smallOptions(allocator.NewSQLB(), 0.5, 10))
-	pop := eng.Population()
-	for _, dim := range ClassDimensions {
-		totals := ClassTotals(pop, dim)
-		if totals[0]+totals[1]+totals[2] != len(pop.Providers) {
-			t.Errorf("%v totals %v do not sum to %d", dim, totals, len(pop.Providers))
+	hetero := model.DefaultConfig().Scale(0.1).WithClasses(6)
+	hetero.CapabilitySelectivity = 0.34
+	hetero.ClassSkew = 1
+	cfgs := []model.Config{hetero}
+	for _, scale := range []float64{0.0025, 0.005, 0.0125, 0.05, 0.25, 1} {
+		cfgs = append(cfgs, model.DefaultConfig().Scale(scale))
+	}
+	for _, cfg := range cfgs {
+		for seed := uint64(1); seed <= 4; seed++ {
+			pop := model.NewPopulation(cfg, randx.New(seed), 0)
+			for _, dim := range ClassDimensions {
+				var got [3]int
+				for _, p := range pop.Providers {
+					got[[...]model.ClassLevel{
+						ByInterest: p.InterestClass, ByAdaptation: p.AdaptClass, ByCapacity: p.CapClass,
+					}[dim]]++
+				}
+				if want := ClassTotals(cfg, dim); got != want {
+					t.Errorf("%d providers, %d classes, seed %d: %v totals %v, population deals %v",
+						cfg.Providers, len(cfg.QueryClasses), seed, dim, want, got)
+				}
+			}
 		}
 	}
 }

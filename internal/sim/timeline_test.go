@@ -162,3 +162,62 @@ func TestTimelineErrKeptOffResult(t *testing.T) {
 		t.Fatalf("TimelineErr = %v, want the sink error", eng.TimelineErr())
 	}
 }
+
+// countingSink records how often it is written and closed, and fails each
+// with the error it is given.
+type countingSink struct {
+	appendErr, closeErr error
+	rows, closes        int
+}
+
+func (s *countingSink) Append(timeline.Snapshot) error { s.rows++; return s.appendErr }
+func (s *countingSink) Close() error                   { s.closes++; return s.closeErr }
+
+// TestRunClosesTheSink pins Run's contract: it closes the sink once on
+// every path, returns the Result New and Engine.Run produce, and fails on
+// the first error among New, the sink's Append and its Close.
+func TestRunClosesTheSink(t *testing.T) {
+	opts := smallOptions(allocator.NewSQLB(), 0.8, 300)
+	eng, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := eng.Run()
+
+	appendBoom, closeBoom := errors.New("append failed"), errors.New("close failed")
+	for _, tc := range []struct {
+		name    string
+		sink    *countingSink
+		options func(Options) Options
+		wantErr error
+	}{
+		{"healthy", &countingSink{}, nil, nil},
+		{"append fails", &countingSink{appendErr: appendBoom, closeErr: closeBoom}, nil, appendBoom},
+		{"close fails", &countingSink{closeErr: closeBoom}, nil, closeBoom},
+		{"invalid options", &countingSink{}, func(o Options) Options { o.Duration = 0; return o }, nil},
+	} {
+		o := opts
+		if tc.options != nil {
+			o = tc.options(o)
+		}
+		o.Timeline = tc.sink
+		res, err := Run(o)
+		if tc.sink.closes != 1 {
+			t.Errorf("%s: sink closed %d times, want once", tc.name, tc.sink.closes)
+		}
+		switch {
+		case tc.options != nil:
+			if err == nil || tc.sink.rows != 0 {
+				t.Errorf("%s: error %v after %d rows, want New's error before any row", tc.name, err, tc.sink.rows)
+			}
+		case tc.wantErr != nil:
+			if !errors.Is(err, tc.wantErr) || res != nil {
+				t.Errorf("%s: Run = %v, %v; want no result and %v", tc.name, res, err, tc.wantErr)
+			}
+		default:
+			if err != nil || res.IssuedQueries != want.IssuedQueries || res.MeanResponseTime != want.MeanResponseTime {
+				t.Errorf("%s: Run = %+v, %v; want New+Run's result", tc.name, res, err)
+			}
+		}
+	}
+}

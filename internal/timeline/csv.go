@@ -59,11 +59,11 @@ func CreateCSV(path string) (*CSVSink, error) {
 // zero-padded to a fixed width so a directory listing sorts the files in
 // repetition order at any repeats count. With repeats <= 1 the path is
 // returned unchanged — a single run keeps the exact name the user asked
-// for. The scheme is deterministic (a pure function of path, rep,
+// for — and so is the empty path, which names no file. The scheme is deterministic (a pure function of path, rep,
 // repeats), which is what lets tests and tooling predict every file a
 // batch will produce.
 func RepetitionPath(path string, rep, repeats int) string {
-	if repeats <= 1 {
+	if repeats <= 1 || path == "" {
 		return path
 	}
 	width := len(strconv.Itoa(repeats - 1))

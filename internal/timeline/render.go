@@ -203,6 +203,10 @@ func (d *Dashboard) Frame(win []Snapshot, h Health) string {
 	return b.String()
 }
 
+// Draw renders one frame of the window with its own health assessment —
+// the frame every live and replayed dashboard shows.
+func (d *Dashboard) Draw(win []Snapshot) string { return d.Frame(win, Assess(win)) }
+
 // clip truncates s to width runes, marking the cut with an ellipsis.
 func clip(s string, width int) string {
 	if width < 1 || utf8.RuneCountInString(s) <= width {

@@ -296,8 +296,9 @@ func TestOpenTailMissingFile(t *testing.T) {
 
 // TestRepetitionPath pins the per-repetition naming scheme: single runs
 // keep the user's path untouched, batches insert a zero-padded ".repNN"
-// before the extension so listings sort in repetition order, and
-// extension-less paths still work.
+// before the extension so listings sort in repetition order,
+// extension-less paths still work, and the empty path (no file) stays
+// empty.
 func TestRepetitionPath(t *testing.T) {
 	cases := []struct {
 		path         string
@@ -314,11 +315,78 @@ func TestRepetitionPath(t *testing.T) {
 		{"out.csv", 7, 100, "out.rep07.csv"},
 		{"runs/tl", 2, 4, "runs/tl.rep2"},
 		{"a.b/tl.csv.gz", 1, 3, "a.b/tl.csv.rep1.gz"},
+		{"", 1, 3, ""},
 	}
 	for _, tc := range cases {
 		if got := RepetitionPath(tc.path, tc.rep, tc.repeats); got != tc.want {
 			t.Errorf("RepetitionPath(%q, %d, %d) = %q, want %q",
 				tc.path, tc.rep, tc.repeats, got, tc.want)
+		}
+	}
+}
+
+// TestLive: each sink Live hands out keeps its promise — none without a
+// path or -top; the file alone, every row flushed as it lands; and the
+// dashboard over a collector, one frame per snapshot, with the cursor hidden
+// until Close gives it back.
+func TestLive(t *testing.T) {
+	if s, err := live("", false, 0, io.Discard); s != nil || err != nil {
+		t.Fatalf("no path, no top: sink %v, error %v; want neither", s, err)
+	}
+	dir := t.TempDir()
+	if _, err := live(filepath.Join(dir, "missing", "x.csv"), true, 0, io.Discard); err == nil {
+		t.Error("unwritable path accepted")
+	}
+
+	readRows := func(path string) int {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := ReadCSV(strings.NewReader(string(b)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(rows)
+	}
+	path := filepath.Join(dir, "file.csv")
+	s, err := live(path, false, 0, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(snap(1)); err != nil {
+		t.Fatal(err)
+	}
+	if n := readRows(path); n != 1 {
+		t.Errorf("before Close the file holds %d rows, want the 1 appended", n)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, path := range []string{"", filepath.Join(dir, "top.csv")} {
+		var term strings.Builder
+		s, err := live(path, true, 0, &term)
+		if err != nil {
+			t.Fatal(err)
+		}
+		win := []Snapshot{snap(1), snap(2)}
+		for _, sn := range win {
+			if err := s.Append(sn); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		dash := Dashboard{Color: true}
+		want := HideCursor + HomeAndClear + dash.Draw(win[:1]) + HomeAndClear + dash.Draw(win) + ShowCursor
+		if term.String() != want {
+			t.Errorf("path %q: terminal got\n%q\nwant\n%q", path, term.String(), want)
+		}
+		if path != "" && readRows(path) != len(win) {
+			t.Errorf("path %q: the dashboard's file holds %d rows, want %d", path, readRows(path), len(win))
 		}
 	}
 }

@@ -135,7 +135,7 @@ func TestFacadeExperimentList(t *testing.T) {
 
 func TestFacadeExperimentLab(t *testing.T) {
 	lab := sqlb.NewExperimentLab(sqlb.ExperimentConfig{
-		Scale: 0.05, Duration: 200, SweepDuration: 300, Repeats: 1,
+		Model: sqlb.DefaultConfig().Scale(0.05), Duration: 200, SweepDuration: 300, Repeats: 1,
 		BaseSeed: 3, SampleInterval: 50, Workloads: []float64{0.5},
 	})
 	res, err := lab.Run("table1")
